@@ -23,7 +23,7 @@
 //		audb.CertainOf(audb.Str("metro")),
 //	}, audb.CertainMult(1))
 //	db.Add(t)
-//	res, err := db.Query(`SELECT size, avg(rate) AS rate FROM locales GROUP BY size`)
+//	res, err := db.QueryContext(ctx, `SELECT size, avg(rate) AS rate FROM locales GROUP BY size`)
 //
 // Uncertain inputs can also be derived from incomplete/probabilistic data
 // models (tuple-independent tables, block-independent x-tables, C-tables)
@@ -282,7 +282,7 @@ const (
 	// to the unoptimized plan's.
 	OptimizerOn OptimizerMode = iota
 	// OptimizerOff executes the plan exactly as compiled. Useful for
-	// debugging, plan inspection, and the `opt` benchmark baseline.
+	// debugging and plan inspection.
 	OptimizerOff
 )
 
@@ -317,8 +317,7 @@ const (
 	// restoring projection would perturb.
 	CostOn CostModel = iota
 	// CostOff executes the rule-optimized plan in the written join order,
-	// with default build sides and no pre-sizing. The `cbo` benchmark
-	// baseline.
+	// with default build sides and no pre-sizing.
 	CostOff
 )
 
@@ -344,12 +343,11 @@ func ParseCostModel(name string) (CostModel, error) {
 // queryConfig is the resolved per-query configuration: the database
 // defaults overlaid with this query's functional options.
 type queryConfig struct {
-	engine     Engine
-	opts       Options
-	optimizer  OptimizerMode
-	execMode   ExecMode
-	cost       CostModel
-	rowBatches bool
+	engine    Engine
+	opts      Options
+	optimizer OptimizerMode
+	execMode  ExecMode
+	cost      CostModel
 }
 
 // QueryOption customizes a single query execution, overriding the
@@ -392,15 +390,6 @@ func WithExecMode(m ExecMode) QueryOption {
 // ignore it.
 func WithWorkers(n int) QueryOption {
 	return func(c *queryConfig) { c.opts.Workers = n }
-}
-
-// WithRowBatches forces the pipelined executor's legacy row-at-a-time
-// batch representation for this query: scans densify sparse tables per
-// batch instead of streaming columnar views through the vectorized
-// kernels. Results are bit-identical either way; the knob exists for A/B
-// benchmarking and debugging. EngineNative's pipelined executor only.
-func WithRowBatches(on bool) QueryOption {
-	return func(c *queryConfig) { c.rowBatches = on }
 }
 
 // WithJoinCompression enables the split+Cpr join optimization
@@ -752,7 +741,7 @@ func (d *Database) ExplainAnalyze(ctx context.Context, q string, opts ...QueryOp
 	if cfg.execMode == ExecMaterialized {
 		mode = phys.Materialized
 	}
-	pp, err := phys.Compile(execPlan, snap, phys.Options{Mode: mode, RowBatches: cfg.rowBatches, Exec: cfg.opts, Analyze: true, Est: ann})
+	pp, err := phys.Compile(execPlan, snap, phys.Options{Mode: mode, Exec: cfg.opts, Analyze: true, Est: ann})
 	if err != nil {
 		return nil, err
 	}
@@ -931,7 +920,7 @@ func (d *Database) run(ctx context.Context, snap core.DB, plan ra.Node, st *Stmt
 			res, err = core.Exec(ctx, plan, snap, cfg.opts)
 			return res, estRows, hasEst, err
 		}
-		res, err = phys.Exec(ctx, plan, snap, phys.Options{RowBatches: cfg.rowBatches, Exec: cfg.opts, Est: est})
+		res, err = phys.Exec(ctx, plan, snap, phys.Options{Exec: cfg.opts, Est: est})
 		return res, estRows, hasEst, err
 	case EngineRewrite:
 		// Encode only the tables the plan scans: the middleware pays an
@@ -1096,50 +1085,6 @@ func (s *Stmt) rewritten(snap core.DB, plan ra.Node, mode OptimizerMode) (ra.Nod
 	}
 	s.rewrites[slot] = &rewriteEntry{plan: rp, sch: sch}
 	return rp, sch, nil
-}
-
-// ------------------------------------------------- deprecated wrappers --
-
-// Query evaluates a SQL query with the bound-preserving AU-DB semantics
-// (native engine).
-//
-// Deprecated: Use QueryContext, which adds cancellation and per-query
-// options. Query(q) is QueryContext(context.Background(), q).
-func (d *Database) Query(q string) (*Result, error) {
-	return d.QueryContext(context.Background(), q)
-}
-
-// QueryPlan evaluates a pre-compiled plan.
-//
-// Deprecated: Use ExecPlan (or Prepare/Stmt.Exec, which also caches the
-// plan for you).
-func (d *Database) QueryPlan(plan ra.Node) (*Result, error) {
-	return d.ExecPlan(context.Background(), plan)
-}
-
-// QueryRewrite evaluates through the relational-encoding middleware
-// (Section 10 of the paper): encode, rewrite, run on the deterministic
-// engine, decode. The result equals Query's (Theorem 8); exposed for
-// cross-checking and for environments that only have a deterministic
-// executor.
-//
-// Deprecated: Use QueryContext with WithEngine(EngineRewrite).
-func (d *Database) QueryRewrite(q string) (*Result, error) {
-	return d.QueryContext(context.Background(), q, WithEngine(EngineRewrite))
-}
-
-// QuerySGW evaluates the query over the selected-guess world only —
-// conventional selected-guess query processing (SGQP).
-//
-// Deprecated: Use QueryContext with WithEngine(EngineSGW); its Result is
-// the same answer lifted to certain annotations (Result.SGW recovers the
-// bag relation this method returns).
-func (d *Database) QuerySGW(q string) (*bag.Relation, error) {
-	res, err := d.QueryContext(context.Background(), q, WithEngine(EngineSGW))
-	if err != nil {
-		return nil, err
-	}
-	return res.SGW(), nil
 }
 
 // ---------------------------------------------------------------- inputs --

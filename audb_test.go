@@ -1,6 +1,7 @@
 package audb
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -29,7 +30,7 @@ func covidDB(t *testing.T) *Database {
 
 func TestQueryQuickstart(t *testing.T) {
 	db := covidDB(t)
-	res, err := db.Query(`SELECT size, avg(rate) AS rate FROM locales GROUP BY size`)
+	res, err := db.QueryContext(context.Background(), `SELECT size, avg(rate) AS rate FROM locales GROUP BY size`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,24 +59,25 @@ func TestQueryQuickstart(t *testing.T) {
 }
 
 func TestQueryPathsAgree(t *testing.T) {
+	ctx := context.Background()
 	db := covidDB(t)
 	q := `SELECT size, count(*) AS n FROM locales GROUP BY size`
-	native, err := db.Query(q)
+	native, err := db.QueryContext(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rewritten, err := db.QueryRewrite(q)
+	rewritten, err := db.QueryContext(ctx, q, WithEngine(EngineRewrite))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if native.Len() != rewritten.Len() || native.PossibleSize() != rewritten.PossibleSize() {
 		t.Fatalf("paths disagree:\n%s\nvs\n%s", native, rewritten)
 	}
-	sgw, err := db.QuerySGW(q)
+	sgw, err := db.QueryContext(ctx, q, WithEngine(EngineSGW))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !native.SGW().Equal(sgw) {
+	if !native.SGW().Equal(sgw.SGW()) {
 		t.Fatal("SGW embedding broken")
 	}
 }
@@ -86,7 +88,7 @@ func TestDeterministicTables(t *testing.T) {
 		AddRow(Int(1), Str("x")).
 		AddRow(Int(2), Str("y"))
 	db.AddDeterministic(tbl)
-	res, err := db.Query(`SELECT a FROM t WHERE b = 'x'`)
+	res, err := db.QueryContext(context.Background(), `SELECT a FROM t WHERE b = 'x'`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,17 +172,18 @@ func TestValuesAndMultiplicities(t *testing.T) {
 }
 
 func TestErrorsSurface(t *testing.T) {
+	ctx := context.Background()
 	db := New()
-	if _, err := db.Query("SELECT * FROM missing"); err == nil {
+	if _, err := db.QueryContext(ctx, "SELECT * FROM missing"); err == nil {
 		t.Error("missing table")
 	}
-	if _, err := db.Query("NOT SQL AT ALL"); err == nil {
+	if _, err := db.QueryContext(ctx, "NOT SQL AT ALL"); err == nil {
 		t.Error("parse error")
 	}
-	if _, err := db.QueryRewrite("SELECT"); err == nil {
+	if _, err := db.QueryContext(ctx, "SELECT", WithEngine(EngineRewrite)); err == nil {
 		t.Error("rewrite parse error")
 	}
-	if _, err := db.QuerySGW("SELECT"); err == nil {
+	if _, err := db.QueryContext(ctx, "SELECT", WithEngine(EngineSGW)); err == nil {
 		t.Error("sgw parse error")
 	}
 	if _, err := db.Relation("missing"); err == nil {
@@ -190,20 +193,21 @@ func TestErrorsSurface(t *testing.T) {
 	tbl := NewUncertainTable("t", "a")
 	tbl.AddCertainRow(Int(1))
 	db.Add(tbl)
-	_, err := db.QueryRewrite("SELECT DISTINCT a FROM t")
+	_, err := db.QueryContext(ctx, "SELECT DISTINCT a FROM t", WithEngine(EngineRewrite))
 	if err == nil || !strings.Contains(err.Error(), "DISTINCT") {
 		t.Errorf("distinct rewrite: %v", err)
 	}
 	// ... but works on the native engine.
-	if _, err := db.Query("SELECT DISTINCT a FROM t"); err != nil {
+	if _, err := db.QueryContext(ctx, "SELECT DISTINCT a FROM t"); err != nil {
 		t.Errorf("native distinct: %v", err)
 	}
 }
 
 func TestOptionsAndPlan(t *testing.T) {
+	ctx := context.Background()
 	db := covidDB(t)
 	db.SetOptions(Options{JoinCompression: 8, AggCompression: 8})
-	res, err := db.Query(`SELECT size, sum(rate) AS s FROM locales GROUP BY size`)
+	res, err := db.QueryContext(ctx, `SELECT size, sum(rate) AS s FROM locales GROUP BY size`)
 	if err != nil || res.Len() == 0 {
 		t.Fatalf("compressed query: %v", err)
 	}
@@ -211,7 +215,7 @@ func TestOptionsAndPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = db.QueryPlan(plan)
+	res, err = db.ExecPlan(ctx, plan)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -167,7 +167,7 @@ func BenchmarkRewriteMiddleware(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.QueryPlan(plan); err != nil {
+		if _, err := db.ExecPlan(context.Background(), plan); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -23,13 +23,12 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment id (fig10a, fig10b, fig11, fig12, fig13a-d, fig14, fig15, fig16, fig17, par, prep, opt, pipe, cbo, net, sparse, vec) or 'all'")
+		exp     = flag.String("exp", "all", "paper experiment id (fig10a, fig10b, fig11, fig12, fig13a-d, fig14, fig15, fig16, fig17) or 'all'")
 		full    = flag.Bool("full", false, "run full-size experiments (slow)")
 		tiny    = flag.Bool("tiny", false, "run smoke-test sizes (seconds for the whole suite)")
 		seed    = flag.Int64("seed", 1, "workload generator seed")
 		workers = flag.Int("workers", 0, "AU-DB executor workers (0 = one per CPU, 1 = serial)")
 		list    = flag.Bool("list", false, "list experiments and exit")
-		jsonOut = flag.Bool("json", false, "also write each experiment's result to BENCH_<exp>.json in the current directory")
 	)
 	flag.Parse()
 
@@ -82,15 +81,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "audbench: %s failed: %v\n", e.ID, err)
 			os.Exit(1)
 		}
-		took := time.Since(start)
-		fmt.Printf("%s(reproduces %s; took %s)\n\n", tbl.Render(), e.Paper, took.Round(time.Millisecond))
-		if *jsonOut {
-			path, err := bench.WriteJSON(".", bench.JSONResult(tbl, e.Paper, mode, *seed, *workers, took))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "audbench: %s: %v\n", e.ID, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n\n", path)
-		}
+		fmt.Printf("%s(reproduces %s; took %s)\n\n", tbl.Render(), e.Paper, time.Since(start).Round(time.Millisecond))
 	}
 }

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/audb/audb"
@@ -35,11 +36,12 @@ func main() {
 
 	db := audb.New()
 	db.AddRelation("catalog", repaired)
+	ctx := context.Background()
 
 	// Inventory value per category. The selected-guess column behaves
 	// exactly like cleaning deterministically; the bounds reveal how far
 	// any repair could move the answer.
-	res, err := db.Query(`
+	res, err := db.QueryContext(ctx, `
 		SELECT category, sum(price * stock) AS value, count(*) AS products
 		FROM catalog GROUP BY category ORDER BY category`)
 	if err != nil {
@@ -50,7 +52,7 @@ func main() {
 
 	// A HAVING query on top of the aggregate — AU-DBs are closed under
 	// RA_agg, so uncertainty keeps flowing.
-	flagged, err := db.Query(`
+	flagged, err := db.QueryContext(ctx, `
 		SELECT category, sum(price * stock) AS value
 		FROM catalog GROUP BY category HAVING sum(price * stock) > 250`)
 	if err != nil {

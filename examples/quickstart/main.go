@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/audb/audb"
@@ -55,20 +56,21 @@ func main() {
 
 	// Alice's analysis, unchanged SQL.
 	const q = `SELECT size, avg(rate) AS rate FROM locales GROUP BY size ORDER BY size`
+	ctx := context.Background()
 
 	// 1. Conventional selected-guess query processing: one number per
 	// group, all uncertainty silently discarded.
-	sgw, err := db.QuerySGW(q)
+	sgw, err := db.QueryContext(ctx, q, audb.WithEngine(audb.EngineSGW))
 	if err != nil {
 		panic(err)
 	}
 	fmt.Println("Selected-guess world only (what a normal DB reports):")
-	fmt.Println(sgw)
+	fmt.Println(sgw.SGW())
 
 	// 2. The same query over the AU-DB: every group keeps bounds on the
 	// aggregate and a multiplicity triple saying whether the group
 	// certainly exists.
-	res, err := db.Query(q)
+	res, err := db.QueryContext(ctx, q)
 	if err != nil {
 		panic(err)
 	}

@@ -40,12 +40,13 @@ func main() {
 
 	db := audb.New()
 	db.AddRelation("readings", audb.FromXTable(x))
+	ctx := context.Background()
 
 	const q = `
 		SELECT zone, count(*) AS sensors, min(temp) AS coldest,
 		       max(temp) AS hottest, avg(temp) AS mean_temp
 		FROM readings GROUP BY zone ORDER BY zone`
-	res, err := db.Query(q)
+	res, err := db.QueryContext(ctx, q)
 	if err != nil {
 		panic(err)
 	}
@@ -64,7 +65,7 @@ func main() {
 	}
 	covered := 0
 	for _, w := range worldsList {
-		det, err := bag.Exec(context.Background(), plan, bag.DB{"readings": w})
+		det, err := bag.Exec(ctx, plan, bag.DB{"readings": w})
 		if err != nil {
 			panic(err)
 		}
@@ -76,7 +77,7 @@ func main() {
 		len(worldsList), covered)
 
 	// The middleware path (paper Section 10) gives the same answer.
-	res2, err := db.QueryRewrite(q)
+	res2, err := db.QueryContext(ctx, q, audb.WithEngine(audb.EngineRewrite))
 	if err != nil {
 		panic(err)
 	}

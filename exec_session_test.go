@@ -154,8 +154,8 @@ func TestExplainAnalyze(t *testing.T) {
 
 // TestExplainAnalyzeColumnar: over a sparse table, the trace reports the
 // columnar batch representation and its selection-vector density (a scan
-// emits full batches, density 1.00); WithRowBatches reverts every
-// operator to rep=row.
+// emits full batches, density 1.00); the same table pinned dense takes
+// row batches and every operator reports rep=row.
 func TestExplainAnalyzeColumnar(t *testing.T) {
 	ctx := context.Background()
 	db := randomDB(rand.New(rand.NewSource(12)), 12)
@@ -171,51 +171,14 @@ func TestExplainAnalyzeColumnar(t *testing.T) {
 	if !strings.Contains(text, "rep=col") || !strings.Contains(text, "vec=1.00") {
 		t.Fatalf("sparse-scan trace missing columnar representation:\n%s", text)
 	}
-	exp, err = db.ExplainAnalyze(ctx, q, WithRowBatches(true))
+	if _, err := db.SetTableStorage("r", StorageForceDense); err != nil {
+		t.Fatal(err)
+	}
+	exp, err = db.ExplainAnalyze(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if text := exp.String(); strings.Contains(text, "rep=col") {
-		t.Fatalf("WithRowBatches trace still reports columnar batches:\n%s", text)
-	}
-}
-
-// TestRowBatchesEquivalence: the legacy row-at-a-time representation
-// (WithRowBatches) is bit-identical to the default columnar pipeline over
-// sparse and mixed storage, serial and parallel.
-func TestRowBatchesEquivalence(t *testing.T) {
-	ctx := context.Background()
-	trials := 3
-	if testing.Short() {
-		trials = 1
-	}
-	for trial := 0; trial < trials; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial*421 + 3)))
-		db := randomDB(rng, 2+rng.Intn(6))
-		if _, err := db.SetTableStorage("r", StorageForceSparse); err != nil {
-			t.Fatal(err)
-		}
-		if trial%2 == 0 {
-			if _, err := db.SetTableStorage("s", StorageForceSparse); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, q := range optCorpus(rng) {
-			for _, workers := range []int{1, 4} {
-				col, errC := db.QueryContext(ctx, q, WithWorkers(workers))
-				row, errR := db.QueryContext(ctx, q, WithWorkers(workers), WithRowBatches(true))
-				if (errC == nil) != (errR == nil) {
-					t.Fatalf("[trial %d] %s [workers=%d]: representation changed acceptance: col=%v row=%v",
-						trial, q, workers, errC, errR)
-				}
-				if errC != nil {
-					continue
-				}
-				if col.Sort().String() != row.Sort().String() {
-					t.Fatalf("[trial %d] %s [workers=%d]: representation changed the result:\n%s\nvs\n%s",
-						trial, q, workers, col, row)
-				}
-			}
-		}
+	if text := exp.String(); !strings.Contains(text, "rep=row") || strings.Contains(text, "rep=col") {
+		t.Fatalf("dense-scan trace should report row batches only:\n%s", text)
 	}
 }

@@ -9,7 +9,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -149,14 +148,6 @@ func Registry() []Experiment {
 		{ID: "fig15", Run: Fig15, Paper: "Figure 15a/b: aggregation accuracy vs attribute range"},
 		{ID: "fig16", Run: Fig16, Paper: "Figure 16: multi-join performance"},
 		{ID: "fig17", Run: Fig17, Paper: "Figure 17: real-world data (simulated profiles)"},
-		{ID: "par", Run: Par, Paper: "parallel executor scaling (this implementation; not a paper figure)"},
-		{ID: "prep", Run: Prep, Paper: "prepared-statement plan-cache throughput (this implementation; not a paper figure)"},
-		{ID: "opt", Run: Opt, Paper: "logical optimizer speedup (this implementation; not a paper figure)"},
-		{ID: "pipe", Run: Pipe, Paper: "pipelined vs materialized executor (this implementation; not a paper figure)"},
-		{ID: "cbo", Run: CBO, Paper: "cost-based join reordering speedup (this implementation; not a paper figure)"},
-		{ID: "net", Run: Net, Paper: "audbd service layer: concurrent client throughput (this implementation; not a paper figure)"},
-		{ID: "sparse", Run: Sparse, Paper: "sparse storage: resident memory and certain-only fast paths (this implementation; not a paper figure)"},
-		{ID: "vec", Run: Vec, Paper: "columnar batches + vectorized kernels vs row batches (this implementation; not a paper figure)"},
 	}
 }
 
@@ -214,14 +205,4 @@ func buildPDBench(scale, cellProb, rangeFrac float64, seed int64) *pdbenchData {
 		libkin: baselines.LibkinDB(xdb),
 		cat:    ra.CatalogMap(det.Schemas()),
 	}
-}
-
-// sortedKeys for deterministic iteration over maps.
-func sortedKeys[M ~map[string]V, V any](m M) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -2,10 +2,7 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"os"
-	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -14,7 +11,7 @@ import (
 // TestRegistryComplete ensures every paper artifact has an experiment.
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"fig10a", "fig10b", "fig11", "fig12", "fig13a", "fig13b",
-		"fig13c", "fig13d", "fig14", "fig15", "fig16", "fig17", "par", "prep", "opt", "pipe", "cbo", "net", "sparse", "vec"}
+		"fig13c", "fig13d", "fig14", "fig15", "fig16", "fig17"}
 	reg := Registry()
 	if len(reg) != len(want) {
 		t.Fatalf("registry has %d entries, want %d", len(reg), len(want))
@@ -63,10 +60,6 @@ func TestHelpers(t *testing.T) {
 	if ratio(time.Second, 0) != "n/a" {
 		t.Error("ratio zero base")
 	}
-	keys := sortedKeys(map[string]int{"b": 1, "a": 2})
-	if keys[0] != "a" || keys[1] != "b" {
-		t.Error("sortedKeys")
-	}
 }
 
 // TestAllExperimentsQuick smoke-runs every experiment at tiny sizes: each
@@ -103,47 +96,5 @@ func TestAllExperimentsQuick(t *testing.T) {
 			}
 			t.Logf("\n%s", tbl.Render())
 		})
-	}
-}
-
-// TestWriteJSON: the -json sidecar round-trips the table, re-keys the
-// data by header, and lands at BENCH_<exp>.json.
-func TestWriteJSON(t *testing.T) {
-	tbl := &Table{
-		ID:      "figX",
-		Title:   "synthetic",
-		Headers: []string{"n", "ms"},
-		Rows:    [][]string{{"1", "0.5"}, {"2", "1.5"}, {"4", "3.0"}},
-		Notes:   []string{"synthetic table"},
-	}
-	r := JSONResult(tbl, "none", "tiny", 7, 2, 1500*time.Microsecond)
-	dir := t.TempDir()
-	path, err := WriteJSON(dir, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if filepath.Base(path) != "BENCH_figX.json" {
-		t.Fatalf("path = %q", path)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got Result
-	if err := json.Unmarshal(raw, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Experiment != "figX" || got.Mode != "tiny" || got.Seed != 7 || got.Workers != 2 {
-		t.Fatalf("metadata = %+v", got)
-	}
-	if got.TookMS != 1.5 {
-		t.Fatalf("TookMS = %v", got.TookMS)
-	}
-	if len(got.Rows) != 3 || got.Rows[2][1] != "3.0" {
-		t.Fatalf("rows = %+v", got.Rows)
-	}
-	wantSeries := map[string][]string{"n": {"1", "2", "4"}, "ms": {"0.5", "1.5", "3.0"}}
-	if !reflect.DeepEqual(got.Series, wantSeries) {
-		t.Fatalf("series = %+v, want %+v", got.Series, wantSeries)
 	}
 }

@@ -25,7 +25,8 @@ type Catalog struct {
 	// re-registering a relation that queries may be reading never
 	// mutates its representation again (Compact runs once, before the
 	// relation's first publication, under the same lock readers take
-	// snapshots under).
+	// snapshots under). Only registered relations are tracked: Drop and
+	// every replacement forget the relation they unregister (forget).
 	seen map[*Relation]struct{}
 }
 
@@ -105,15 +106,22 @@ func (c *Catalog) registerWith(name string, r *Relation, compact bool) {
 		}
 		c.seen[r] = struct{}{}
 	}
-	if k, ok := schema.ResolveFold(c.rels, name); ok && k != name {
-		delete(c.rels, k)
-		if c.obs != nil {
-			c.obs.Dropped(k)
+	var prev *Relation
+	if k, ok := schema.ResolveFold(c.rels, name); ok {
+		prev = c.rels[k]
+		if k != name {
+			delete(c.rels, k)
+			if c.obs != nil {
+				c.obs.Dropped(k)
+			}
 		}
 	}
 	c.rels[name] = r
 	if c.obs != nil {
 		c.obs.Registered(name, r)
+	}
+	if prev != nil && prev != r {
+		c.forget(prev)
 	}
 }
 
@@ -134,6 +142,9 @@ func (c *Catalog) ReplaceIf(name string, old, repl *Relation) bool {
 	if c.obs != nil {
 		c.obs.Registered(k, repl)
 	}
+	if old != repl {
+		c.forget(old)
+	}
 	return true
 }
 
@@ -148,16 +159,22 @@ func (c *Catalog) Drop(name string) {
 		if c.obs != nil {
 			c.obs.Dropped(k)
 		}
-		// Forget the compaction marker unless the relation is still
-		// registered under another name, so seen stays bounded by the
-		// live table count.
-		for _, other := range c.rels {
-			if other == r {
-				return
-			}
-		}
-		delete(c.seen, r)
+		c.forget(r)
 	}
+}
+
+// forget drops r's compaction marker once r is no longer registered under
+// any name, so seen stays bounded by the live table count however often
+// tables are replaced. Callers hold c.mu.
+func (c *Catalog) forget(r *Relation) {
+	//lint:allow audblint-catalogsnap runs under the caller's c.mu.Lock
+	for _, other := range c.rels {
+		if other == r {
+			return
+		}
+	}
+	//lint:allow audblint-catalogsnap runs under the caller's c.mu.Lock
+	delete(c.seen, r)
 }
 
 // Lookup returns the relation registered under name, resolving it the

@@ -117,6 +117,45 @@ func TestCatalogConcurrentAccess(t *testing.T) {
 	}
 }
 
+// TestCatalogForgetsReplaced: replacing a table — by Register onto the
+// same name (any spelling) or by ReplaceIf — must forget the displaced
+// relation's compaction marker, so a catalog under replace-heavy load
+// (COPY-replace) retains only its live tables.
+func TestCatalogForgetsReplaced(t *testing.T) {
+	c := NewCatalog()
+	c.Register("other", catRel(-1))
+	for i := 0; i < 100; i++ {
+		name := "t"
+		if i%2 == 1 {
+			name = "T"
+		}
+		c.Register(name, catRel(int64(i)))
+	}
+	for i := 0; i < 100; i++ {
+		old, _ := c.Lookup("t")
+		if !c.ReplaceIf("t", old, catRel(int64(i))) {
+			t.Fatalf("ReplaceIf %d lost the swap", i)
+		}
+	}
+	if c.Len() != 2 {
+		t.Fatalf("catalog holds %v, want 2 tables", c.Tables())
+	}
+	if len(c.seen) > c.Len() {
+		t.Fatalf("seen retains %d relations for %d live tables", len(c.seen), c.Len())
+	}
+	// A relation registered under two names survives replacing one of them.
+	shared := catRel(7)
+	c.Register("a", shared)
+	c.Register("b", shared)
+	c.Register("a", catRel(8))
+	if _, ok := c.seen[shared]; !ok {
+		t.Fatal("relation still registered as b was forgotten")
+	}
+	if len(c.seen) > c.Len() {
+		t.Fatalf("seen retains %d relations for %d live tables", len(c.seen), c.Len())
+	}
+}
+
 // eventObserver records catalog mutation notifications in order.
 type eventObserver struct {
 	mu     sync.Mutex

@@ -72,9 +72,7 @@ func TestTopKAllocatesLessThanSort(t *testing.T) {
 	}
 }
 
-// The pipe benchmark pair CI publishes with -benchmem: the same chain on
-// both executors (see also `audbench -exp pipe` for the peak-allocation
-// table).
+// The same plan on both executors, for `go test -bench Pipe -benchmem`.
 func benchExec(b *testing.B, pipelined bool, plan ra.Node) {
 	db := seqDB(allocRows, 23)
 	ctx := context.Background()

@@ -48,15 +48,12 @@ type iter interface {
 // columnar views aliasing the stored rangeval.Col columns and
 // multiplicity slices — zero densification, zero per-batch allocation.
 // Either way a partitioned scan ([lo, hi) ranges of one relation) feeds
-// the exchange operator without any coordination. With rowBatches set
-// (Options.RowBatches), sparse rows are densified per batch instead — the
-// legacy row-at-a-time representation kept for A/B comparison.
+// the exchange operator without any coordination.
 type scanIter struct {
-	rel        *core.Relation
-	sch        schema.Schema
-	lo, hi     int
-	batch      int
-	rowBatches bool
+	rel    *core.Relation
+	sch    schema.Schema
+	lo, hi int
+	batch  int
 
 	ctx    context.Context
 	pos    int
@@ -66,17 +63,14 @@ type scanIter struct {
 	out    vec.Batch
 }
 
-func newScanIter(rel *core.Relation, lo, hi, batch int, rowBatches bool) *scanIter {
-	return &scanIter{rel: rel, sch: rel.Schema, lo: lo, hi: hi, batch: batch, rowBatches: rowBatches}
+func newScanIter(rel *core.Relation, lo, hi, batch int) *scanIter {
+	return &scanIter{rel: rel, sch: rel.Schema, lo: lo, hi: hi, batch: batch}
 }
 
 func (s *scanIter) Open(ctx context.Context) error {
 	s.ctx = ctx
 	s.pos = s.lo
-	s.cols, s.mflat, s.mdense = nil, nil, nil
-	if !s.rowBatches {
-		s.cols, s.mflat, s.mdense, _ = s.rel.SparseView()
-	}
+	s.cols, s.mflat, s.mdense, _ = s.rel.SparseView()
 	return ctx.Err()
 }
 

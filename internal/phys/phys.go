@@ -11,12 +11,12 @@
 // with zero densification, filtered by column-at-a-time predicate programs
 // (expr.CompileVec) that mark survivors in a selection vector instead of
 // copying them, and projected by column permutation and vectorized
-// per-column evaluation. Over a dense table — or with Options.RowBatches —
-// batches are row batches of core.Tuple and take the per-row kernels:
-// selection rewrites only the multiplicity triple, scans emit views into
-// base-table storage, and buffers are reused batch to batch. LIMIT keeps
-// O(n) state instead of merging the whole input, and LIMIT over ORDER BY
-// fuses into a bounded top-k heap instead of a full sort. With Workers > 1, streaming chains
+// per-column evaluation. Over a dense table batches are row batches of
+// core.Tuple and take the per-row kernels: selection rewrites only the
+// multiplicity triple, scans emit views into base-table storage, and
+// buffers are reused batch to batch. LIMIT keeps O(n) state instead of
+// merging the whole input, and LIMIT over ORDER BY fuses into a bounded
+// top-k heap instead of a full sort. With Workers > 1, streaming chains
 // over a scan are partitioned into contiguous ranges that run on worker
 // goroutines and re-merge in partition order (the exchange operator), so
 // parallelism never changes results.
@@ -84,11 +84,6 @@ type Options struct {
 	// BatchSize is the number of tuples per pipeline batch; 0 means
 	// DefaultBatchSize. Results are identical for every batch size.
 	BatchSize int
-	// RowBatches forces the legacy row-at-a-time batch representation:
-	// scans densify sparse tables per batch and every operator takes its
-	// per-row kernel. Results are identical either way; the flag exists
-	// for A/B benchmarking and debugging of the columnar path.
-	RowBatches bool
 	// Exec carries the operator options of the core kernels: worker
 	// count, compression, naive join.
 	Exec core.Options
@@ -275,7 +270,7 @@ func (c *compiler) lower(n ra.Node) (iter, error) {
 		if !ok {
 			return nil, schema.UnknownTable("phys", t.Table, c.db.Names())
 		}
-		it := newScanIter(rel, 0, rel.Len(), c.opt.BatchSize, c.opt.RowBatches)
+		it := newScanIter(rel, 0, rel.Len(), c.opt.BatchSize)
 		return c.wrap(it, n, t.String(), "stream"), nil
 
 	case *ra.Select:
@@ -506,7 +501,7 @@ func (c *compiler) chainScan(n ra.Node) *ra.Scan {
 func (c *compiler) buildChain(n ra.Node, rel *core.Relation, lo, hi int) (iter, error) {
 	switch t := n.(type) {
 	case *ra.Scan:
-		return newScanIter(rel, lo, hi, c.opt.BatchSize, c.opt.RowBatches), nil
+		return newScanIter(rel, lo, hi, c.opt.BatchSize), nil
 	case *ra.Select:
 		child, err := c.buildChain(t.Child, rel, lo, hi)
 		if err != nil {

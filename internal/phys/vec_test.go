@@ -54,10 +54,9 @@ func sparsify(t testing.TB, db core.DB, names ...string) core.DB {
 	return db
 }
 
-// TestSparseScanAliasesColumns is the satellite-1 regression test: a
-// columnar scan over a sparse fast-certain table must alias the stored
-// columns — zero per-batch tuple materialization, zero steady-state
-// allocations per drain. (AllocsPerRun's warm-up run absorbs the one-time
+// TestSparseScanAliasesColumns: a columnar scan over a sparse
+// fast-certain table must alias the stored columns — zero per-batch tuple
+// materialization, zero steady-state allocations per drain. (AllocsPerRun's warm-up run absorbs the one-time
 // growth of the reused batch's column slice.)
 func TestSparseScanAliasesColumns(t *testing.T) {
 	const rows = 8192
@@ -65,7 +64,7 @@ func TestSparseScanAliasesColumns(t *testing.T) {
 	rel := db["t"]
 	ctx := context.Background()
 
-	it := newScanIter(rel, 0, rel.Len(), DefaultBatchSize, false)
+	it := newScanIter(rel, 0, rel.Len(), DefaultBatchSize)
 	drain := func() {
 		if err := it.Open(ctx); err != nil {
 			t.Fatal(err)
@@ -95,77 +94,13 @@ func TestSparseScanAliasesColumns(t *testing.T) {
 	if allocs > 0 {
 		t.Fatalf("columnar scan allocates %.0f objects per drain, want 0 (per-batch densification crept back in)", allocs)
 	}
-
-	// The row-batch scan over the same sparse table densifies per batch —
-	// the legacy behavior the columnar path exists to avoid.
-	rowIt := newScanIter(rel, 0, rel.Len(), DefaultBatchSize, true)
-	rowAllocs := testing.AllocsPerRun(10, func() {
-		if err := rowIt.Open(ctx); err != nil {
-			t.Fatal(err)
-		}
-		for {
-			b, err := rowIt.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if b == nil {
-				break
-			}
-			if b.Columnar {
-				t.Fatal("RowBatches scan emitted a columnar batch")
-			}
-		}
-	})
-	if rowAllocs == 0 {
-		t.Fatal("row-batch sparse scan reported zero allocations; the A/B baseline is not measuring densification")
-	}
-	t.Logf("scan allocs/drain: columnar %.0f, row %.0f", allocs, rowAllocs)
 }
 
-// TestVectorizedAllocatesLessThanRowBatches is the CI gate of the vec
-// benchmarks: on the streaming Select→Project chain over a sparse
-// fast-certain table, the columnar path must allocate at least 3x less
-// than the row-batch path (it is verified bit-identical first).
-func TestVectorizedAllocatesLessThanRowBatches(t *testing.T) {
-	db := certDB(t, allocRows, 23)
-	plan := chainPlan(64)
-	ctx := context.Background()
-	exec := core.Options{Workers: 1}
-
-	want, err := Exec(ctx, plan, db, Options{RowBatches: true, Exec: exec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Exec(ctx, plan, db, Options{Exec: exec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.String() != got.String() {
-		t.Fatalf("columnar result differs from row batches\nrow:\n%.400s\ncolumnar:\n%.400s", want, got)
-	}
-
-	colAllocs := testing.AllocsPerRun(3, func() {
-		if _, err := Exec(ctx, plan, db, Options{Exec: exec}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	rowAllocs := testing.AllocsPerRun(3, func() {
-		if _, err := Exec(ctx, plan, db, Options{RowBatches: true, Exec: exec}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Logf("chain allocs/op: columnar %.0f, row batches %.0f (%.1fx)", colAllocs, rowAllocs, rowAllocs/colAllocs)
-	if colAllocs*3 > rowAllocs {
-		t.Fatalf("columnar path allocates %.0f/op vs %.0f/op for row batches, want >= 3x fewer", colAllocs, rowAllocs)
-	}
-}
-
-// TestColumnarMatchesRowBatches is the satellite-3 property test: over
-// random AU-databases with sparse and mixed table representations, the
-// columnar pipeline is bit-identical to the row-batch pipeline and to the
-// reference executor for every query in the corpus, worker count and
+// TestColumnarMatchesReference: over random AU-databases with sparse and
+// mixed table representations, the columnar pipeline is bit-identical to
+// the reference executor for every query in the corpus, worker count and
 // batch size.
-func TestColumnarMatchesRowBatches(t *testing.T) {
+func TestColumnarMatchesReference(t *testing.T) {
 	ctx := context.Background()
 	trials := 4
 	if testing.Short() {
@@ -197,20 +132,17 @@ func TestColumnarMatchesRowBatches(t *testing.T) {
 				}
 				wantS := want.Sort().String()
 				for _, g := range physOptionGrid {
-					for _, rowBatches := range []bool{false, true} {
-						got, err := Exec(ctx, plan, db, Options{
-							RowBatches: rowBatches,
-							BatchSize:  g.batch,
-							Exec:       core.Options{Workers: g.workers},
-						})
-						if err != nil {
-							t.Fatalf("[trial %d] %s (plan %d, row=%v w=%d b=%d): %v",
-								trial, q, pi, rowBatches, g.workers, g.batch, err)
-						}
-						if gotS := got.Sort().String(); gotS != wantS {
-							t.Fatalf("[trial %d] %s (plan %d, row=%v w=%d b=%d): result differs\nreference:\n%s\ngot:\n%s",
-								trial, q, pi, rowBatches, g.workers, g.batch, wantS, gotS)
-						}
+					got, err := Exec(ctx, plan, db, Options{
+						BatchSize: g.batch,
+						Exec:      core.Options{Workers: g.workers},
+					})
+					if err != nil {
+						t.Fatalf("[trial %d] %s (plan %d, w=%d b=%d): %v",
+							trial, q, pi, g.workers, g.batch, err)
+					}
+					if gotS := got.Sort().String(); gotS != wantS {
+						t.Fatalf("[trial %d] %s (plan %d, w=%d b=%d): result differs\nreference:\n%s\ngot:\n%s",
+							trial, q, pi, g.workers, g.batch, wantS, gotS)
 					}
 				}
 			}

@@ -98,36 +98,6 @@ func TestDispatcherEngineEquivalence(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappersDelegate: the legacy single-shot methods must give
-// exactly the dispatcher's answers.
-func TestDeprecatedWrappersDelegate(t *testing.T) {
-	ctx := context.Background()
-	db := randomDB(rand.New(rand.NewSource(7)), 5)
-	q := sessionCorpus[2]
-	oldRes, err := db.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newRes, err := db.QueryContext(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oldRes.Sort().String() != newRes.Sort().String() {
-		t.Fatal("Query disagrees with QueryContext")
-	}
-	oldSGW, err := db.QuerySGW(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newSGW, err := db.QueryContext(ctx, q, WithEngine(EngineSGW))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !oldSGW.Equal(newSGW.SGW()) {
-		t.Fatal("QuerySGW disagrees with the SGW engine")
-	}
-}
-
 // TestQueryOptionsOverrideDefaults: per-query options must win over
 // SetOptions, and results must be identical across worker counts and
 // engines regardless of how the options were supplied.

@@ -233,8 +233,8 @@ func TestExplainAnalyzeShowsEstimates(t *testing.T) {
 
 // TestCostOnAdversarialJoinFaster is a coarse sanity check (not a
 // benchmark): on the adversarial order, the cost-based plan must not
-// produce a different answer. The actual >=5x speedup is measured by the
-// cbo experiment (audbench -exp cbo) and BenchmarkJoinReorder.
+// produce a different answer. The speedup is measured by
+// BenchmarkJoinReorderCostOn/CostOff.
 func TestCostOnAdversarialJoinResultsIdentical(t *testing.T) {
 	db := adversarialJoinDB(rand.New(rand.NewSource(9)))
 	fmtRes := func(r *Result) string { return r.Sort().String() }
