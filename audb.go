@@ -34,8 +34,9 @@
 // serves all three engines — the native AU-DB executor, the Section 10
 // relational-encoding middleware, and selected-guess-world processing —
 // selected per query with WithEngine. The native engine evaluates through
-// a pipelined physical plan (internal/phys) by default; WithExecMode(
-// ExecMaterialized) selects the operator-at-a-time reference executor,
+// a pipelined physical plan (internal/phys);
+// WithExecMode(ExecMaterialized) runs the operator-at-a-time reference
+// executor instead, the in-process oracle the pipeline is checked against,
 // with bit-identical results. Prepare compiles a query once into a Stmt
 // whose Exec skips parse/plan on every execution and is safe for
 // concurrent use. Cancelling the context aborts execution promptly with
@@ -235,7 +236,9 @@ func ParseEngine(name string) (Engine, error) {
 	return EngineNative, fmt.Errorf("audb: unknown engine %q (want native, rewrite or sgw)", name)
 }
 
-// ExecMode selects the physical executor for the native engine.
+// ExecMode selects the native engine's executor. ExecPipelined is the
+// executor; ExecMaterialized is the in-process reference it is checked
+// against. The choice is not exposed on the wire or in audbsh.
 type ExecMode int
 
 const (
@@ -248,8 +251,9 @@ const (
 	ExecPipelined ExecMode = iota
 	// ExecMaterialized evaluates with the operator-at-a-time reference
 	// executor (core.Exec), which materializes every intermediate
-	// relation — the property-test oracle the pipelined executor is
-	// checked against.
+	// relation — the oracle that tests and the benchmark's answer gate
+	// compare the pipelined executor against. It is not instrumented:
+	// ExplainAnalyze and Trace reject it.
 	ExecMaterialized
 )
 
@@ -259,17 +263,6 @@ func (m ExecMode) String() string {
 		return "materialized"
 	}
 	return "pipelined"
-}
-
-// ParseExecMode resolves an execution mode name as printed by String.
-func ParseExecMode(name string) (ExecMode, error) {
-	switch strings.ToLower(name) {
-	case "pipelined", "":
-		return ExecPipelined, nil
-	case "materialized":
-		return ExecMaterialized, nil
-	}
-	return ExecPipelined, fmt.Errorf("audb: unknown exec mode %q (want pipelined or materialized)", name)
 }
 
 // OptimizerMode switches the logical optimizer for a query.
@@ -374,11 +367,12 @@ func WithCostModel(m CostModel) QueryOption {
 	return func(c *queryConfig) { c.cost = m }
 }
 
-// WithExecMode selects the physical executor for this query. The native
-// engine runs the pipelined executor by default; WithExecMode(
-// ExecMaterialized) forces the operator-at-a-time reference executor.
-// Results are bit-identical either way. EngineRewrite and EngineSGW run on
-// the deterministic engine and ignore it.
+// WithExecMode selects the executor for this query. The native engine
+// runs the pipelined executor by default; WithExecMode(ExecMaterialized)
+// runs the operator-at-a-time reference executor instead — an in-process
+// oracle for tests and answer verification, with bit-identical results.
+// EngineRewrite and EngineSGW run on the deterministic engine and ignore
+// it.
 func WithExecMode(m ExecMode) QueryOption {
 	return func(c *queryConfig) { c.execMode = m }
 }
@@ -579,7 +573,7 @@ func (d *Database) restorage(name string, pol StoragePolicy) (*TableStats, error
 	})
 	ts := col.Finish()
 	cur := rel
-	if fresh := b.Finish(pol); fresh.Repr() != rel.Repr() || fresh.FastCertain() != rel.FastCertain() {
+	if fresh := b.Finish(pol); fresh.Repr() != rel.Repr() {
 		if d.cat.ReplaceIf(name, rel, fresh) {
 			cur = fresh
 		}
@@ -716,11 +710,10 @@ func (d *Database) Explain(q string, opts ...QueryOption) (*PlanExplanation, err
 // default) optimizes the query like Explain, then actually executes it
 // through the instrumented physical plan layer and attaches per-operator
 // rows/batches/time counters (Stats) to the explanation. Options compose
-// as for QueryContext — WithWorkers, the compression knobs and
-// WithExecMode shape the physical plan being measured (ExecMaterialized
-// instruments the operator-at-a-time lowering, every operator a
-// materialization point). Only the native engine is instrumented;
-// WithEngine selecting another engine is an error. The query's result is
+// as for QueryContext — WithWorkers and the compression knobs shape the
+// physical plan being measured. Only the pipelined native executor is
+// instrumented; WithEngine selecting another engine or
+// WithExecMode(ExecMaterialized) is an error. The query's result is
 // discarded; cancelling ctx aborts the execution.
 func (d *Database) ExplainAnalyze(ctx context.Context, q string, opts ...QueryOption) (*PlanExplanation, error) {
 	snap := d.cat.Snapshot()
@@ -730,18 +723,14 @@ func (d *Database) ExplainAnalyze(ctx context.Context, q string, opts ...QueryOp
 		return nil, err
 	}
 	cfg := d.resolve(opts)
-	if cfg.engine != EngineNative {
-		return nil, fmt.Errorf("audb: ExplainAnalyze instruments the native engine only (got engine %v)", cfg.engine)
+	if err := cfg.instrumented("ExplainAnalyze"); err != nil {
+		return nil, err
 	}
 	exp, execPlan, ann, err := d.explainPlan(q, plan, cat, cfg)
 	if err != nil {
 		return nil, err
 	}
-	mode := phys.Pipelined
-	if cfg.execMode == ExecMaterialized {
-		mode = phys.Materialized
-	}
-	pp, err := phys.Compile(execPlan, snap, phys.Options{Mode: mode, Exec: cfg.opts, Analyze: true, Est: ann})
+	pp, err := phys.Compile(execPlan, snap, phys.Options{Exec: cfg.opts, Analyze: true, Est: ann})
 	if err != nil {
 		return nil, err
 	}
@@ -767,6 +756,19 @@ func (d *Database) resolve(opts []QueryOption) queryConfig {
 		}
 	}
 	return cfg
+}
+
+// instrumented rejects configurations the physical plan layer cannot
+// instrument for ExplainAnalyze and Trace: another engine, or the
+// operator-at-a-time reference executor.
+func (c queryConfig) instrumented(op string) error {
+	if c.engine != EngineNative {
+		return fmt.Errorf("audb: %s instruments the native engine only (got engine %v)", op, c.engine)
+	}
+	if c.execMode == ExecMaterialized {
+		return fmt.Errorf("audb: %s instruments the pipelined executor only (got exec mode %v)", op, c.execMode)
+	}
+	return nil
 }
 
 // costEnabled reports whether the cost-based planning pass runs for this

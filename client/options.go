@@ -54,11 +54,6 @@ func WithCostModel(m audb.CostModel) QueryOption {
 	return func(o *wire.ExecOptions) { o.CostOff = m == audb.CostOff }
 }
 
-// WithExecMode selects the physical executor for the native engine.
-func WithExecMode(m audb.ExecMode) QueryOption {
-	return func(o *wire.ExecOptions) { o.Materialized = m == audb.ExecMaterialized }
-}
-
 // WithTimeout bounds the query's execution server-side. Unlike a
 // context deadline — which cancels from the client on round-trip time —
 // this deadline is enforced where the work runs.

@@ -19,8 +19,6 @@
 // the optimized plan — with per-operator row estimates when the cost
 // model is on — instead of executing.
 //
-// The native engine runs the pipelined physical executor by default;
-// -exec materialized forces the operator-at-a-time reference executor.
 // -analyze (or prefixing the query with `\analyze `) executes the query
 // and prints per-operator est/rows/batches/time counters (EXPLAIN
 // ANALYZE) instead of the result.
@@ -91,7 +89,6 @@ func main() {
 		joinCT   = flag.Int("join-ct", 0, "join compression target (0 = exact)")
 		aggCT    = flag.Int("agg-ct", 0, "aggregation compression target (0 = exact)")
 		workers  = flag.Int("workers", 0, "executor worker goroutines (0 = one per CPU, 1 = serial)")
-		execMode = flag.String("exec", "", "physical executor: pipelined (default) or materialized")
 		showPlan = flag.Bool("plan", false, "print the loaded tables and the compiled plan")
 		explain  = flag.Bool("explain", false, "print the compiled plan, optimizer trace and optimized plan instead of executing")
 		analyze  = flag.Bool("analyze", false, "EXPLAIN ANALYZE: execute and print per-operator est/rows/batches/time instead of the result")
@@ -156,10 +153,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	em, err := audb.ParseExecMode(*execMode)
-	if err != nil {
-		fatal(err)
-	}
 	if *engine != "" && (*sgw || *rewrite) {
 		fatal(fmt.Errorf("audbsh: use either -engine or the -sgw/-rewrite shorthands, not both"))
 	}
@@ -189,7 +182,6 @@ func main() {
 			eng:          eng,
 			optimizer:    optimizer,
 			cost:         cost,
-			em:           em,
 			workers:      *workers,
 			joinCT:       *joinCT,
 			aggCT:        *aggCT,
@@ -279,7 +271,6 @@ func main() {
 			audb.WithEngine(eng),
 			audb.WithOptimizer(optimizer),
 			audb.WithCostModel(cost),
-			audb.WithExecMode(em),
 			audb.WithWorkers(*workers),
 			audb.WithJoinCompression(*joinCT),
 			audb.WithAggCompression(*aggCT),
@@ -328,7 +319,6 @@ func main() {
 			audb.WithEngine(eng),
 			audb.WithOptimizer(optimizer),
 			audb.WithCostModel(cost),
-			audb.WithExecMode(em),
 			audb.WithWorkers(*workers),
 			audb.WithJoinCompression(*joinCT),
 			audb.WithAggCompression(*aggCT),
@@ -351,7 +341,6 @@ func main() {
 		audb.WithEngine(eng),
 		audb.WithOptimizer(optimizer),
 		audb.WithCostModel(cost),
-		audb.WithExecMode(em),
 		audb.WithWorkers(*workers),
 		audb.WithJoinCompression(*joinCT),
 		audb.WithAggCompression(*aggCT),

@@ -25,7 +25,6 @@ type remoteOpts struct {
 	eng       audb.Engine
 	optimizer audb.OptimizerMode
 	cost      audb.CostModel
-	em        audb.ExecMode
 	workers   int
 	joinCT    int
 	aggCT     int
@@ -129,7 +128,6 @@ func runRemote(o remoteOpts) error {
 		client.WithEngine(o.eng),
 		client.WithOptimizer(o.optimizer),
 		client.WithCostModel(o.cost),
-		client.WithExecMode(o.em),
 		client.WithWorkers(o.workers),
 		client.WithJoinCompression(o.joinCT),
 		client.WithAggCompression(o.aggCT),

@@ -82,15 +82,6 @@ func TestPipelinedIsDefault(t *testing.T) {
 	if ExecPipelined.String() != "pipelined" || ExecMaterialized.String() != "materialized" {
 		t.Fatal("ExecMode.String")
 	}
-	if m, err := ParseExecMode("materialized"); err != nil || m != ExecMaterialized {
-		t.Fatalf("ParseExecMode(materialized) = %v, %v", m, err)
-	}
-	if m, err := ParseExecMode(""); err != nil || m != ExecPipelined {
-		t.Fatalf("ParseExecMode(\"\") = %v, %v", m, err)
-	}
-	if _, err := ParseExecMode("bogus"); err == nil {
-		t.Fatal("ParseExecMode(bogus) should error")
-	}
 }
 
 // TestExplainAnalyze: the ANALYZE mode executes the query and attaches
@@ -106,14 +97,11 @@ func TestExplainAnalyze(t *testing.T) {
 	if exp.Stats == nil || exp.Stats.Root == nil {
 		t.Fatal("ExplainAnalyze returned no stats")
 	}
-	if exp.Stats.Mode != "pipelined" {
-		t.Fatalf("default analyze mode = %q", exp.Stats.Mode)
-	}
 	if exp.Plan == "" || exp.Optimized == "" {
 		t.Fatal("ExplainAnalyze lost the optimizer trace")
 	}
 	text := exp.String()
-	for _, want := range []string{"execution: pipelined", "rep=", "rows=", "batches=", "vec=", "time="} {
+	for _, want := range []string{"execution: batch ", "rep=", "rows=", "batches=", "vec=", "time="} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("analyze rendering missing %q:\n%s", want, text)
 		}
@@ -124,13 +112,15 @@ func TestExplainAnalyze(t *testing.T) {
 		t.Fatalf("expected both strategies in:\n%s", text)
 	}
 
-	// Materialized mode instruments the operator-at-a-time lowering.
-	exp, err = db.ExplainAnalyze(ctx, q, WithExecMode(ExecMaterialized))
-	if err != nil {
-		t.Fatal(err)
+	// The reference executor is not instrumented: ExplainAnalyze and
+	// Trace reject it instead of silently measuring the pipeline.
+	if _, err := db.ExplainAnalyze(ctx, q, WithExecMode(ExecMaterialized)); err == nil ||
+		!strings.Contains(err.Error(), "pipelined executor only") {
+		t.Fatalf("ExplainAnalyze under ExecMaterialized: err = %v, want rejection", err)
 	}
-	if exp.Stats.Mode != "materialized" {
-		t.Fatalf("analyze mode = %q", exp.Stats.Mode)
+	if _, err := db.Trace(ctx, q, WithExecMode(ExecMaterialized)); err == nil ||
+		!strings.Contains(err.Error(), "pipelined executor only") {
+		t.Fatalf("Trace under ExecMaterialized: err = %v, want rejection", err)
 	}
 
 	// Optimizer off analyzes the raw plan.

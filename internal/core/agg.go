@@ -103,11 +103,6 @@ type aggPlan struct {
 	// arg computes the range-annotated input value of the aggregate for
 	// one tuple. For count it is the not-null indicator.
 	arg func(rangeval.Tuple) (rangeval.V, error)
-	// argDet is the deterministic counterpart of arg for the certain-only
-	// contribution pass; only used when detOK reports the argument
-	// expression is fast-path safe (expr.CertainFastSafe).
-	argDet func(types.Tuple) (types.Value, error)
-	detOK  bool
 	// isAvg marks AVG, computed from a sum and a count(*).
 	isAvg bool
 }
@@ -123,23 +118,18 @@ func planAggs(specs []ra.AggSpec) ([]aggPlan, error) {
 		case ra.AggSum:
 			p.monoid = monoidSum
 			p.arg = rangeArg(s.Arg)
-			p.argDet, p.detOK = detArg(s.Arg)
 		case ra.AggMin:
 			p.monoid = monoidMin
 			p.arg = rangeArg(s.Arg)
-			p.argDet, p.detOK = detArg(s.Arg)
 		case ra.AggMax:
 			p.monoid = monoidMax
 			p.arg = rangeArg(s.Arg)
-			p.argDet, p.detOK = detArg(s.Arg)
 		case ra.AggCount:
 			p.monoid = monoidSum
 			p.arg = countArg(s.Arg)
-			p.argDet, p.detOK = countArgDet(s.Arg)
 		case ra.AggAvg:
 			p.monoid = monoidSum
 			p.arg = rangeArg(s.Arg)
-			p.argDet, p.detOK = detArg(s.Arg)
 			p.isAvg = true
 		default:
 			return nil, fmt.Errorf("core: unknown aggregate %v", s.Fn)
@@ -168,25 +158,6 @@ func countArg(e expr.Expr) func(rangeval.Tuple) (rangeval.V, error) {
 		Else: expr.CInt(1),
 	}
 	return func(t rangeval.Tuple) (rangeval.V, error) { return ind.EvalRange(t) }
-}
-
-// detArg is rangeArg's deterministic counterpart.
-func detArg(e expr.Expr) (func(types.Tuple) (types.Value, error), bool) {
-	return e.Eval, expr.CertainFastSafe(e)
-}
-
-// countArgDet is countArg's deterministic counterpart.
-func countArgDet(e expr.Expr) (func(types.Tuple) (types.Value, error), bool) {
-	if e == nil {
-		one := types.Int(1)
-		return func(types.Tuple) (types.Value, error) { return one, nil }, true
-	}
-	ind := expr.If{
-		Cond: expr.IsNull{E: e},
-		Then: expr.CInt(0),
-		Else: expr.CInt(1),
-	}
-	return ind.Eval, expr.CertainFastSafe(ind)
 }
 
 // contrib is one (possibly merged) contribution to the aggregation overlap
@@ -316,63 +287,6 @@ func buildContribs(ctx context.Context, in *Relation, groupBy []int, plans []agg
 	return out, nil
 }
 
-// buildContribsCertain is the certain-only contribution pass: on a
-// FastCertain input with fast-path-safe aggregate arguments, arguments
-// evaluate deterministically over the flat columns and lift to certain
-// triples (bit-identical to range evaluation on certain null-free rows),
-// group-by values project to certain ranges, and group membership is
-// uncertain only when the tuple itself may be absent (gb is certain by
-// construction).
-func buildContribsCertain(ctx context.Context, in *Relation, groupBy []int, plans []aggPlan, workers int) ([]contrib, error) {
-	one := rangeval.Certain(types.Int(1))
-	flat := in.flatView()
-	arity := in.Schema.Arity()
-	out := make([]contrib, in.Len())
-	spans := ChunkSpans(in.Len(), workers, minParTuples)
-	err := runSpans(ctx, spans, func(_ int, s Span, p *ctxpoll.Poll) error {
-		det := make(types.Tuple, arity)
-		for i := s.Lo; i < s.Hi; i++ {
-			if err := p.Due(); err != nil {
-				return err
-			}
-			for c := range flat {
-				det[c] = flat[c][i]
-			}
-			args := make([]rangeval.V, len(plans)+1)
-			for j, pl := range plans {
-				v, err := pl.argDet(det)
-				if err != nil {
-					return fmt.Errorf("core: aggregate %s: %w", pl.spec.Name, err)
-				}
-				args[j] = rangeval.Certain(v)
-			}
-			args[len(plans)] = one
-			gb := make(rangeval.Tuple, len(groupBy))
-			for j, c := range groupBy {
-				gb[j] = rangeval.Certain(flat[c][i])
-			}
-			m := in.MultAt(i)
-			out[i] = contrib{gb: gb, m: m, args: args, ug: m.Lo == 0}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// aggFastOK reports whether every aggregate argument qualifies for the
-// deterministic contribution pass.
-func aggFastOK(plans []aggPlan) bool {
-	for _, p := range plans {
-		if !p.detOK {
-			return false
-		}
-	}
-	return true
-}
-
 // outGroup is one output group of the default grouping strategy.
 type outGroup struct {
 	gbox    rangeval.Tuple
@@ -493,13 +407,7 @@ func compressContribs(cs []contrib, n int) []contrib {
 // aggregate executes grouping (or global) aggregation.
 func aggregate(ctx context.Context, in *Relation, groupBy []int, plans []aggPlan, outSchema schema.Schema, opt Options) (*Relation, error) {
 	workers := opt.workerCount()
-	var exact []contrib
-	var err error
-	if in.FastCertain() && aggFastOK(plans) {
-		exact, err = buildContribsCertain(ctx, in, groupBy, plans, workers)
-	} else {
-		exact, err = buildContribs(ctx, in.Dense(), groupBy, plans, workers)
-	}
+	exact, err := buildContribs(ctx, in.Dense(), groupBy, plans, workers)
 	if err != nil {
 		return nil, err
 	}

@@ -237,12 +237,8 @@ func FilterTuple(t Tuple, pred expr.Expr) (out Tuple, keep bool, err error) {
 
 // ApplySelect implements σ over N^AU on a materialized input. Tuples are
 // predicate-checked in parallel chunks; output order is the input order.
-// A FastCertain input takes the certain-only loop; any other sparse input
-// falls back to a transient dense view.
+// A sparse input is read through a transient dense view.
 func ApplySelect(ctx context.Context, in *Relation, pred expr.Expr, opt Options) (*Relation, error) {
-	if in.FastCertain() && expr.CertainFastSafe(pred) {
-		return selectCertain(ctx, in, pred, opt)
-	}
 	in = in.Dense()
 	out := New(in.Schema)
 	var err error
@@ -259,62 +255,6 @@ func ApplySelect(ctx context.Context, in *Relation, pred expr.Expr, opt Options)
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
-}
-
-// selectCertain is the certain-only σ fast path. On a FastCertain input
-// every value is certain and non-null and every multiplicity is (m,m,m),
-// so the predicate can be evaluated deterministically — Eval agrees with
-// EvalRange on certain null-free tuples, including errors (the null-free
-// part matters: a certain-null comparison evaluates to the maybe-triple
-// [F/F/T] under range semantics but to false deterministically) — and a
-// kept tuple's annotation passes through unchanged, since
-// condMult([T/T/T]) is the semiring one. Kept rows materialize as fresh
-// dense tuples; chunks concatenate in input order, so the result is
-// bit-identical to the dense path.
-func selectCertain(ctx context.Context, in *Relation, pred expr.Expr, opt Options) (*Relation, error) {
-	arity := in.Schema.Arity()
-	flat := make([][]types.Value, arity)
-	for c := range flat {
-		flat[c] = in.FlatCol(c)
-	}
-	spans := ChunkSpans(in.Len(), opt.workerCount(), minParTuples)
-	chunks := make([][]Tuple, len(spans))
-	err := runSpans(ctx, spans, func(ci int, s Span, p *ctxpoll.Poll) error {
-		det := make(types.Tuple, arity)
-		var keep []int
-		for i := s.Lo; i < s.Hi; i++ {
-			if err := p.Due(); err != nil {
-				return err
-			}
-			for c := range flat {
-				det[c] = flat[c][i]
-			}
-			v, err := pred.Eval(det)
-			if err != nil {
-				return fmt.Errorf("core: selection: %w", err)
-			}
-			if v.Kind() == types.KindBool && v.AsBool() {
-				keep = append(keep, i)
-			}
-		}
-		rows := make([]Tuple, len(keep))
-		arena := make(rangeval.Tuple, len(keep)*arity)
-		for j, i := range keep {
-			vals := arena[j*arity : (j+1)*arity : (j+1)*arity]
-			for c := range flat {
-				vals[c] = rangeval.Certain(flat[c][i])
-			}
-			rows[j] = Tuple{Vals: vals, M: in.MultAt(i)}
-		}
-		chunks[ci] = rows
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := New(in.Schema)
-	out.Tuples = concatTuples(chunks)
 	return out, nil
 }
 
@@ -342,14 +282,6 @@ func ApplyProject(ctx context.Context, in *Relation, cols []ra.ProjCol, opt Opti
 		attrs[i] = c.Name
 	}
 	out := New(schema.Schema{Attrs: attrs})
-	if in.FastCertain() && projCertainSafe(cols) {
-		rows, err := projectCertain(ctx, in, cols, opt)
-		if err != nil {
-			return nil, err
-		}
-		out.Tuples = rows
-		return out.MergeCtx(ctx)
-	}
 	in = in.Dense()
 	var err error
 	out.Tuples, err = parMapTuples(ctx, in.Tuples, opt.workerCount(), func(tup Tuple, emit func(Tuple)) error {
@@ -364,60 +296,6 @@ func ApplyProject(ctx context.Context, in *Relation, cols []ra.ProjCol, opt Opti
 		return nil, err
 	}
 	return out.MergeCtx(ctx)
-}
-
-// projCertainSafe reports whether every projection expression qualifies
-// for deterministic evaluation on certain null-free inputs.
-func projCertainSafe(cols []ra.ProjCol) bool {
-	for _, c := range cols {
-		if !expr.CertainFastSafe(c.E) {
-			return false
-		}
-	}
-	return true
-}
-
-// projectCertain is the certain-only π kernel: projection expressions are
-// evaluated deterministically over the flat columns and wrapped back to
-// certain range values, which is bit-identical to range evaluation on
-// certain null-free inputs (see selectCertain). Annotations pass through.
-func projectCertain(ctx context.Context, in *Relation, cols []ra.ProjCol, opt Options) ([]Tuple, error) {
-	arity := in.Schema.Arity()
-	flat := make([][]types.Value, arity)
-	for c := range flat {
-		flat[c] = in.FlatCol(c)
-	}
-	spans := ChunkSpans(in.Len(), opt.workerCount(), minParTuples)
-	chunks := make([][]Tuple, len(spans))
-	err := runSpans(ctx, spans, func(ci int, s Span, p *ctxpoll.Poll) error {
-		det := make(types.Tuple, arity)
-		rows := make([]Tuple, 0, s.Hi-s.Lo)
-		arena := make(rangeval.Tuple, (s.Hi-s.Lo)*len(cols))
-		for i := s.Lo; i < s.Hi; i++ {
-			if err := p.Due(); err != nil {
-				return err
-			}
-			for c := range flat {
-				det[c] = flat[c][i]
-			}
-			row := arena[:len(cols):len(cols)]
-			arena = arena[len(cols):]
-			for j, c := range cols {
-				v, err := c.E.Eval(det)
-				if err != nil {
-					return fmt.Errorf("core: projection %s: %w", c.Name, err)
-				}
-				row[j] = rangeval.Certain(v)
-			}
-			rows = append(rows, Tuple{Vals: row, M: in.MultAt(i)})
-		}
-		chunks[ci] = rows
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return concatTuples(chunks), nil
 }
 
 // UnionRelations adds annotations pointwise and merges value-equivalent

@@ -7,7 +7,6 @@ import (
 	"github.com/audb/audb/internal/ctxpoll"
 	"github.com/audb/audb/internal/expr"
 	"github.com/audb/audb/internal/rangeval"
-	"github.com/audb/audb/internal/types"
 )
 
 // JoinRelations is the join kernel on materialized inputs — the strategy
@@ -129,9 +128,6 @@ func joinHybrid(ctx context.Context, l, r *Relation, cond expr.Expr, buildLeft b
 	if len(lCols) == 0 {
 		return joinNested(ctx, l.Dense(), r.Dense(), cond, nil, nil, workers)
 	}
-	if l.FastCertain() && r.FastCertain() && expr.CertainFastSafe(cond) {
-		return joinCertain(ctx, l, r, cond, lCols, rCols, buildLeft, workers)
-	}
 	l, r = l.Dense(), r.Dense()
 
 	lCert, lUnc := partitionCertain(l, lCols)
@@ -214,94 +210,6 @@ func joinHybrid(ctx context.Context, l, r *Relation, cond expr.Expr, buildLeft b
 	if err := appendAll(out, lCert, rUnc); err != nil {
 		return nil, err
 	}
-	return out, nil
-}
-
-// joinCertain is the certain-only equi-join fast path: both inputs are
-// FastCertain, so every row lands in the hybrid join's certain×certain
-// quadrant (the uncertain nested-loop quadrants are empty) and the
-// residual condition evaluates deterministically over flat values —
-// bit-identical to range evaluation on certain null-free tuples. The
-// build/probe structure, hash keys (AppendKey over the SG values, which
-// for flat columns are the stored values) and emission order replicate
-// joinHybrid exactly.
-func joinCertain(ctx context.Context, l, r *Relation, cond expr.Expr, lCols, rCols []int, buildLeft bool, workers int) (*Relation, error) {
-	la, ra := l.Schema.Arity(), r.Schema.Arity()
-	lFlat, rFlat := l.flatView(), r.flatView()
-	out := New(l.Schema.Concat(r.Schema))
-
-	buildFlat, probeFlat := rFlat, lFlat
-	buildCols, probeCols := rCols, lCols
-	buildN, probeN := r.Len(), l.Len()
-	if buildLeft {
-		buildFlat, probeFlat = lFlat, rFlat
-		buildCols, probeCols = lCols, rCols
-		buildN, probeN = l.Len(), r.Len()
-	}
-	index := make(map[string][]int, buildN)
-	var kb []byte
-	for j := 0; j < buildN; j++ {
-		kb = kb[:0]
-		for _, c := range buildCols {
-			kb = buildFlat[c][j].AppendKey(kb)
-		}
-		index[string(kb)] = append(index[string(kb)], j)
-	}
-	spans := ChunkSpans(probeN, workers, minParTuples)
-	bufs := make([][]Tuple, len(spans))
-	err := runSpans(ctx, spans, func(ci int, s Span, p *ctxpoll.Poll) error {
-		det := make(types.Tuple, la+ra)
-		var key []byte
-		var buf []Tuple
-		for i := s.Lo; i < s.Hi; i++ {
-			if err := p.Due(); err != nil {
-				return err
-			}
-			key = key[:0]
-			for _, c := range probeCols {
-				key = probeFlat[c][i].AppendKey(key)
-			}
-			for _, j := range index[string(key)] {
-				if err := p.Due(); err != nil {
-					return err
-				}
-				li, ri := i, j
-				if buildLeft {
-					li, ri = j, i
-				}
-				for c := 0; c < la; c++ {
-					det[c] = lFlat[c][li]
-				}
-				for c := 0; c < ra; c++ {
-					det[la+c] = rFlat[c][ri]
-				}
-				if cond != nil {
-					v, err := cond.Eval(det)
-					if err != nil {
-						return fmt.Errorf("core: join condition: %w", err)
-					}
-					if v.Kind() != types.KindBool || !v.AsBool() {
-						continue
-					}
-				}
-				m := l.MultAt(li).Mul(r.MultAt(ri))
-				if m.Hi <= 0 {
-					continue
-				}
-				vals := make(rangeval.Tuple, la+ra)
-				for c, dv := range det {
-					vals[c] = rangeval.Certain(dv)
-				}
-				buf = append(buf, Tuple{Vals: vals, M: m})
-			}
-		}
-		bufs[ci] = buf
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out.Tuples = concatTuples(bufs)
 	return out, nil
 }
 

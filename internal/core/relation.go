@@ -39,7 +39,7 @@ func (t Tuple) String() string {
 // that a Catalog compacts mostly-certain tables into. Code that reads
 // Tuples directly must first obtain a dense view via Dense()/DenseRange()
 // or iterate with EachTuple; the accessors on *Relation (Len, Repr,
-// FastCertain, ...) work on either representation.
+// IsSparse, ...) work on either representation.
 type Relation struct {
 	Schema schema.Schema
 	Tuples []Tuple

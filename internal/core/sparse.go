@@ -3,7 +3,6 @@ package core
 import (
 	"github.com/audb/audb/internal/rangeval"
 	"github.com/audb/audb/internal/schema"
-	"github.com/audb/audb/internal/types"
 )
 
 // Sparse relation storage. A Relation normally stores its rows as a slice
@@ -15,12 +14,12 @@ import (
 // uncertain column keeps its triples; multiplicities get the same
 // treatment (one int64 per row when every row's triple is (m,m,m)).
 //
-// The representation is invisible to query semantics: operators that have
-// a certain-only fast path read the flat columns directly, everything
-// else materializes a fresh dense view at operator entry (Dense), and any
-// in-place mutation densifies first. A sparse relation is never converted
-// back to dense in place while it may be shared (see Compact); flips go
-// through replacement registration in the catalog.
+// The representation is invisible to query semantics: the pipelined
+// executor's columnar scans read the columns directly (SparseView), the
+// materialized kernels read a fresh dense view made at operator entry
+// (Dense), and any in-place mutation densifies first. A sparse relation
+// is never converted back to dense in place while it may be shared (see
+// Compact); flips go through replacement registration in the catalog.
 
 // Repr identifies a relation's storage representation.
 type Repr uint8
@@ -84,12 +83,6 @@ type sparseRows struct {
 	// for n > 0.
 	mflat  []int64
 	mdense []Mult
-	// fastCertain caches the precondition for the certain-only kernels:
-	// every column flat and null-free, every multiplicity certain.
-	// (Null-free matters because certain-null comparisons diverge:
-	// range evaluation keeps a maybe-row where deterministic evaluation
-	// drops it.)
-	fastCertain bool
 }
 
 func (sp *sparseRows) multAt(i int) Mult {
@@ -129,11 +122,6 @@ func (r *Relation) Repr() Repr {
 // IsSparse reports whether the relation is in the columnar representation.
 func (r *Relation) IsSparse() bool { return r.sp != nil }
 
-// FastCertain reports whether the relation qualifies for the certain-only
-// kernels: sparse, every column flat and null-free, every multiplicity
-// certain. Operators must re-check after any fallback densification.
-func (r *Relation) FastCertain() bool { return r.sp != nil && r.sp.fastCertain }
-
 // StorageDetail describes the representation for statistics reporting:
 // how many of the relation's columns are flat and whether multiplicities
 // are stored flat. For a dense relation flatCols and multFlat are zero.
@@ -149,27 +137,6 @@ func (r *Relation) StorageDetail() (repr Repr, flatCols int, multFlat bool) {
 	return ReprSparse, flatCols, r.sp.mflat != nil
 }
 
-// FlatCol returns column c's flat value slice when the relation is sparse
-// and that column is flat (read-only), or nil. The certain-only kernels
-// use it to evaluate deterministic expressions without materializing
-// range triples.
-func (r *Relation) FlatCol(c int) []types.Value {
-	if r.sp == nil {
-		return nil
-	}
-	return r.sp.cols[c].Flat
-}
-
-// flatView returns every flat column slice of a FastCertain relation,
-// indexable as flat[col][row].
-func (r *Relation) flatView() [][]types.Value {
-	out := make([][]types.Value, len(r.sp.cols))
-	for c := range out {
-		out[c] = r.sp.cols[c].Flat
-	}
-	return out
-}
-
 // SparseView exposes the sparse storage for zero-copy batched iteration
 // (the pipelined executor's columnar scans): the per-column storage and
 // the multiplicity slices, of which exactly one is non-nil when the
@@ -181,14 +148,6 @@ func (r *Relation) SparseView() (cols []rangeval.Col, mflat []int64, mdense []Mu
 		return nil, nil, nil, false
 	}
 	return r.sp.cols, r.sp.mflat, r.sp.mdense, true
-}
-
-// MultAt returns row i's multiplicity in either representation.
-func (r *Relation) MultAt(i int) Mult {
-	if r.sp != nil {
-		return r.sp.multAt(i)
-	}
-	return r.Tuples[i].M
 }
 
 // Dense returns a dense view of the relation: r itself when already
@@ -211,14 +170,6 @@ func (r *Relation) DenseRange(lo, hi int) []Tuple {
 		return r.Tuples[lo:hi]
 	}
 	return r.sp.denseTuples(lo, hi)
-}
-
-// CertainRow fills det with row i's flat values. Only valid when
-// FastCertain holds; det must have the relation's arity.
-func (r *Relation) CertainRow(i int, det types.Tuple) {
-	for c := range r.sp.cols {
-		det[c] = r.sp.cols[c].Flat[i]
-	}
 }
 
 // EachTuple calls fn for every row in either representation. For a sparse
@@ -396,14 +347,9 @@ func (b *RelationBuilder) FlatFrac() float64 {
 
 func (b *RelationBuilder) buildSparse() *sparseRows {
 	sp := &sparseRows{n: b.n, cols: make([]rangeval.Col, len(b.cols)), mflat: b.mflat, mdense: b.mdense}
-	fast := sp.mflat != nil || b.n == 0
 	for i := range b.cols {
 		sp.cols[i] = b.cols[i].Build()
-		if !sp.cols[i].IsFlat() || sp.cols[i].HasNulls() {
-			fast = false
-		}
 	}
-	sp.fastCertain = fast
 	return sp
 }
 

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"context"
 	"testing"
 
-	"github.com/audb/audb/internal/expr"
 	"github.com/audb/audb/internal/rangeval"
 	"github.com/audb/audb/internal/schema"
 	"github.com/audb/audb/internal/types"
@@ -36,9 +34,11 @@ func certainRelations(rows int) (dense, sparse *Relation) {
 // both representations agree tuple for tuple.
 func TestBuilderRepresentations(t *testing.T) {
 	dense, sparse := certainRelations(100)
-	if dense.IsSparse() || !sparse.IsSparse() || !sparse.FastCertain() {
-		t.Fatalf("representations: dense sparse=%v, sparse sparse=%v fast=%v",
-			dense.IsSparse(), sparse.IsSparse(), sparse.FastCertain())
+	if dense.IsSparse() || !sparse.IsSparse() {
+		t.Fatalf("representations: dense sparse=%v, sparse sparse=%v", dense.IsSparse(), sparse.IsSparse())
+	}
+	if repr, flat, multFlat := sparse.StorageDetail(); repr != ReprSparse || flat != 2 || !multFlat {
+		t.Fatalf("sparse storage detail = %v, %d flat cols, flat mults %v; want sparse, 2, true", repr, flat, multFlat)
 	}
 	if dense.String() != sparse.String() {
 		t.Fatalf("representations render differently:\n%s\nvs\n%s", dense, sparse)
@@ -57,49 +57,5 @@ func TestBuilderRepresentations(t *testing.T) {
 				t.Fatalf("row %d col %d diverged: %v vs %v", i, c, want.Vals[c], got.Vals[c])
 			}
 		}
-	}
-}
-
-// TestCertainSelectAllocGate is the benchmem CI gate for the certain-only
-// selection loop: on identical all-certain data, the sparse fast path must
-// allocate no more than the generic dense kernel per operation. The fast
-// path materializes output tuples out of a single arena, so it should in
-// fact allocate strictly less; the gate only pins "no worse" to stay
-// robust across runtime versions.
-func TestCertainSelectAllocGate(t *testing.T) {
-	dense, sparse := certainRelations(4096)
-	pred := expr.Lt(expr.Col(0, "a"), expr.CInt(8))
-	ctx := context.Background()
-	opt := Options{Workers: 1}
-
-	run := func(in *Relation) float64 {
-		return testing.AllocsPerRun(10, func() {
-			if _, err := ApplySelect(ctx, in, pred, opt); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	// Sanity: both paths agree before measuring.
-	want, err := ApplySelect(ctx, dense, pred, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ApplySelect(ctx, sparse, pred, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.String() != got.String() {
-		t.Fatalf("select results diverged:\n%s\nvs\n%s", want, got)
-	}
-	if !sparse.FastCertain() || !expr.CertainFastSafe(pred) {
-		t.Fatal("fast-path preconditions not met; the gate would measure the wrong loop")
-	}
-
-	denseAllocs := run(dense)
-	sparseAllocs := run(sparse)
-	t.Logf("allocs/op: dense=%.0f sparse=%.0f", denseAllocs, sparseAllocs)
-	if sparseAllocs > denseAllocs {
-		t.Fatalf("certain-only select allocates more than the dense kernel: sparse=%.0f dense=%.0f",
-			sparseAllocs, denseAllocs)
 	}
 }

@@ -87,8 +87,6 @@ func (s *OpStats) Self() time.Duration {
 
 // ExecStats is the EXPLAIN ANALYZE result for one execution.
 type ExecStats struct {
-	// Mode is the executor mode ("pipelined" or "materialized").
-	Mode string
 	// BatchSize is the pipeline batch size used.
 	BatchSize int
 	// Total is the end-to-end execution time (open, drain, merge).
@@ -104,7 +102,7 @@ type ExecStats struct {
 // the columns to their right.
 func (s *ExecStats) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "execution: %s (batch %d), total %s\n", s.Mode, s.BatchSize, fmtDur(s.Total))
+	fmt.Fprintf(&sb, "execution: batch %d, total %s\n", s.BatchSize, fmtDur(s.Total))
 	if s.Root == nil {
 		return sb.String()
 	}

@@ -22,10 +22,10 @@ func TestOpStatsSelfAndRender(t *testing.T) {
 		t.Fatalf("skewed Self = %v, want 0", got)
 	}
 
-	s := &ExecStats{Mode: "pipelined", BatchSize: 64, Total: 7 * time.Millisecond, Root: root}
+	s := &ExecStats{BatchSize: 64, Total: 7 * time.Millisecond, Root: root}
 	out := s.String()
 	for _, want := range []string{
-		"execution: pipelined (batch 64), total 7.00ms",
+		"execution: batch 64, total 7.00ms",
 		"Limit(5)", "  Select[(a < 3)]", "    Scan(t)",
 		"rows=100", "est=90", "batches=2", "self",
 	} {
@@ -34,8 +34,8 @@ func TestOpStatsSelfAndRender(t *testing.T) {
 		}
 	}
 	// Nil root renders the header only.
-	empty := &ExecStats{Mode: "materialized", BatchSize: 1}
-	if got := empty.String(); !strings.HasPrefix(got, "execution: materialized") || strings.Count(got, "\n") != 1 {
+	empty := &ExecStats{BatchSize: 1}
+	if got := empty.String(); !strings.HasPrefix(got, "execution: batch 1,") || strings.Count(got, "\n") != 1 {
 		t.Fatalf("empty render: %q", got)
 	}
 }
@@ -54,10 +54,10 @@ func TestOpStatsGolden(t *testing.T) {
 		Elapsed: 5 * time.Millisecond, Children: []*OpStats{leaf}}
 	root := &OpStats{Op: "Limit(5)", Strategy: "stream", Rows: 5, EstRows: 5, HasEst: true,
 		Batches: 1, Elapsed: 6 * time.Millisecond, Children: []*OpStats{mid}}
-	s := &ExecStats{Mode: "pipelined", BatchSize: 64, Total: 7 * time.Millisecond, Root: root}
+	s := &ExecStats{BatchSize: 64, Total: 7 * time.Millisecond, Root: root}
 
 	want := "" +
-		"execution: pipelined (batch 64), total 7.00ms\n" +
+		"execution: batch 64, total 7.00ms\n" +
 		"Limit(5)           stream      rep=row rows=5      est=5      batches=1    vec=-    time=6.00ms (self 1.00ms)\n" +
 		"  Select[(a < 3)]  stream      rep=row rows=40     est=-      batches=2    vec=-    time=5.00ms (self 2.00ms)\n" +
 		"    Scan(t)        exchange(4) rep=col rows=123456 est=100000 batches=1930 vec=0.43 time=3.00ms (self 3.00ms)\n"
@@ -97,12 +97,12 @@ func TestOpStatsRep(t *testing.T) {
 // distinct from an est-0 trace.
 func TestOpStatsEstColumn(t *testing.T) {
 	with := &OpStats{Op: "Scan(t)", Strategy: "stream", Rows: 3, EstRows: 0, HasEst: true}
-	s := &ExecStats{Mode: "pipelined", BatchSize: 1, Root: with}
+	s := &ExecStats{BatchSize: 1, Root: with}
 	if out := s.String(); !strings.Contains(out, "est=0") {
 		t.Fatalf("explicit zero estimate missing:\n%s", out)
 	}
 	without := &OpStats{Op: "Scan(t)", Strategy: "stream", Rows: 3}
-	s = &ExecStats{Mode: "pipelined", BatchSize: 1, Root: without}
+	s = &ExecStats{BatchSize: 1, Root: without}
 	if out := s.String(); !strings.Contains(out, "est=-") {
 		t.Fatalf("missing est placeholder:\n%s", out)
 	}

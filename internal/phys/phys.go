@@ -3,23 +3,23 @@
 // internal/core: it lowers a plan into a tree of pull-based batch
 // iterators and executes it.
 //
-// In the pipelined mode (the default), Scan→Select→Project→Limit chains
-// stream in fixed-size batches (vec.Batch) without materializing any
-// intermediate relation and without cloning. Over a sparse base table the
-// batches are columnar: struct-of-arrays views aliasing the stored
-// rangeval.Col columns (flat slices where the source column is certain)
-// with zero densification, filtered by column-at-a-time predicate programs
-// (expr.CompileVec) that mark survivors in a selection vector instead of
-// copying them, and projected by column permutation and vectorized
-// per-column evaluation. Over a dense table batches are row batches of
-// core.Tuple and take the per-row kernels: selection rewrites only the
-// multiplicity triple, scans emit views into base-table storage, and
-// buffers are reused batch to batch. LIMIT keeps O(n) state instead of
-// merging the whole input, and LIMIT over ORDER BY fuses into a bounded
-// top-k heap instead of a full sort. With Workers > 1, streaming chains
-// over a scan are partitioned into contiguous ranges that run on worker
-// goroutines and re-merge in partition order (the exchange operator), so
-// parallelism never changes results.
+// Scan→Select→Project→Limit chains stream in fixed-size batches
+// (vec.Batch) without materializing any intermediate relation and without
+// cloning. Over a sparse base table the batches are columnar:
+// struct-of-arrays views aliasing the stored rangeval.Col columns (flat
+// slices where the source column is certain) with zero densification,
+// filtered by column-at-a-time predicate programs (expr.CompileVec) that
+// mark survivors in a selection vector instead of copying them, and
+// projected by column permutation and vectorized per-column evaluation.
+// Over a dense table batches are row batches of core.Tuple and take the
+// per-row kernels: selection rewrites only the multiplicity triple, scans
+// emit views into base-table storage, and buffers are reused batch to
+// batch. LIMIT keeps O(n) state instead of merging the whole input, and
+// LIMIT over ORDER BY fuses into a bounded top-k heap instead of a full
+// sort. With Workers > 1, streaming chains over a scan are partitioned
+// into contiguous ranges that run on worker goroutines and re-merge in
+// partition order (the exchange operator), so parallelism never changes
+// results.
 //
 // Operators whose semantics need the whole input — the hybrid overlap
 // join's build sides, aggregation group-boxing, Diff, Distinct, and full
@@ -48,27 +48,6 @@ import (
 	"github.com/audb/audb/internal/schema"
 )
 
-// Mode selects the physical execution strategy.
-type Mode int
-
-const (
-	// Pipelined streams through batch iterators, materializing only at
-	// pipeline breakers. The default.
-	Pipelined Mode = iota
-	// Materialized lowers every operator as a breaker: operator-at-a-time
-	// evaluation through the same kernels, the instrumented equivalent of
-	// the reference executor (core.Exec).
-	Materialized
-)
-
-// String names the mode ("pipelined", "materialized").
-func (m Mode) String() string {
-	if m == Materialized {
-		return "materialized"
-	}
-	return "pipelined"
-}
-
 // DefaultBatchSize is the pipeline batch size when Options.BatchSize is 0.
 const DefaultBatchSize = 1024
 
@@ -79,8 +58,6 @@ const minPartitionRows = 1024
 
 // Options configure compilation and execution of a physical plan.
 type Options struct {
-	// Mode is the execution strategy (Pipelined by default).
-	Mode Mode
 	// BatchSize is the number of tuples per pipeline batch; 0 means
 	// DefaultBatchSize. Results are identical for every batch size.
 	BatchSize int
@@ -138,7 +115,7 @@ func Compile(n ra.Node, db core.DB, opt Options) (*Plan, error) {
 	}
 	p := &Plan{root: root, sch: sch, opt: opt}
 	if opt.Analyze {
-		p.stats = &metrics.ExecStats{Mode: opt.Mode.String(), BatchSize: opt.BatchSize}
+		p.stats = &metrics.ExecStats{BatchSize: opt.BatchSize}
 		if si, ok := root.(*statIter); ok {
 			p.stats.Root = si.st
 		}
@@ -214,14 +191,11 @@ type compiler struct {
 	workers int
 }
 
-// streaming reports whether streaming lowering is active at all.
-func (c *compiler) streaming() bool { return c.opt.Mode == Pipelined }
-
 // projectStreams reports whether Project/Union may stream: they are the
 // reference executor's merge points, and compression (equi-depth bucket
 // boundaries count tuples) makes merge granularity observable.
 func (c *compiler) projectStreams() bool {
-	return c.streaming() && !c.opt.Exec.Compressed()
+	return !c.opt.Exec.Compressed()
 }
 
 // estRows returns the cost model's row estimate for a node of this plan.
@@ -274,11 +248,6 @@ func (c *compiler) lower(n ra.Node) (iter, error) {
 		return c.wrap(it, n, t.String(), "stream"), nil
 
 	case *ra.Select:
-		if !c.streaming() {
-			return c.breaker(n, "", func(ctx context.Context, ins []*core.Relation) (*core.Relation, error) {
-				return core.ApplySelect(ctx, ins[0], t.Pred, c.opt.Exec)
-			}, t.Child)
-		}
 		if ex, ok, err := c.lowerExchange(n); err != nil || ok {
 			return ex, err
 		}
@@ -370,11 +339,6 @@ func (c *compiler) lower(n ra.Node) (iter, error) {
 		}, t.Child)
 
 	case *ra.Limit:
-		if !c.streaming() {
-			return c.breaker(n, "", func(ctx context.Context, ins []*core.Relation) (*core.Relation, error) {
-				return core.ApplyLimit(ctx, ins[0], t.N)
-			}, t.Child)
-		}
 		if ob, ok := t.Child.(*ra.OrderBy); ok {
 			child, err := c.lower(ob.Child)
 			if err != nil {

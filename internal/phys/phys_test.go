@@ -171,15 +171,13 @@ func TestPipelinedCancellation(t *testing.T) {
 }
 
 // TestPreCancelledPipeline: an already-cancelled context must abort before
-// any operator does work, in both modes.
+// any operator does work.
 func TestPreCancelledPipeline(t *testing.T) {
 	db := seqDB(64, 7)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, mode := range []Mode{Pipelined, Materialized} {
-		if _, err := Exec(ctx, chainPlan(5), db, Options{Mode: mode}); !errors.Is(err, context.Canceled) {
-			t.Errorf("%v: want context.Canceled, got %v", mode, err)
-		}
+	if _, err := Exec(ctx, chainPlan(5), db, Options{}); !errors.Is(err, context.Canceled) {
+		t.Errorf("want context.Canceled, got %v", err)
 	}
 }
 
@@ -237,8 +235,8 @@ func TestAnalyzeStats(t *testing.T) {
 	if st == nil || st.Root == nil {
 		t.Fatal("no stats collected")
 	}
-	if st.Mode != "pipelined" || st.BatchSize != 32 {
-		t.Fatalf("stats header = %q/%d", st.Mode, st.BatchSize)
+	if st.BatchSize != 32 {
+		t.Fatalf("stats batch size = %d", st.BatchSize)
 	}
 	if st.Total <= 0 {
 		t.Fatalf("total time %v", st.Total)
@@ -262,7 +260,7 @@ func TestAnalyzeStats(t *testing.T) {
 		t.Fatalf("leaf batches %d, want %d", cur.Batches, want)
 	}
 	out := st.String()
-	for _, frag := range []string{"execution: pipelined (batch 32)", "Scan(t)", "stream", "rows="} {
+	for _, frag := range []string{"execution: batch 32,", "Scan(t)", "stream", "rows="} {
 		if !strings.Contains(out, frag) {
 			t.Fatalf("rendered stats missing %q:\n%s", frag, out)
 		}

@@ -95,12 +95,11 @@ var physOptionGrid = []struct {
 	{4, 1024},
 }
 
-// TestPipelinedMatchesMaterialized is the pipeline's core guarantee: on a
+// TestPipelinedMatchesReference is the pipeline's core guarantee: on a
 // random query corpus (compiled plans and their optimized forms), the
 // pipelined executor produces bit-identical results to the materializing
-// reference executor for every worker count and batch size, in both phys
-// modes.
-func TestPipelinedMatchesMaterialized(t *testing.T) {
+// reference executor (core.Exec) for every worker count and batch size.
+func TestPipelinedMatchesReference(t *testing.T) {
 	ctx := context.Background()
 	trials := 6
 	if testing.Short() {
@@ -126,20 +125,17 @@ func TestPipelinedMatchesMaterialized(t *testing.T) {
 				}
 				wantS := want.Sort().String()
 				for _, g := range physOptionGrid {
-					for _, mode := range []Mode{Pipelined, Materialized} {
-						got, err := Exec(ctx, plan, db, Options{
-							Mode:      mode,
-							BatchSize: g.batch,
-							Exec:      core.Options{Workers: g.workers},
-						})
-						if err != nil {
-							t.Fatalf("[trial %d] %s (plan %d, %v w=%d b=%d): %v",
-								trial, q, pi, mode, g.workers, g.batch, err)
-						}
-						if gotS := got.Sort().String(); gotS != wantS {
-							t.Fatalf("[trial %d] %s (plan %d, %v w=%d b=%d): result differs\nreference:\n%s\ngot:\n%s\nplan:\n%s",
-								trial, q, pi, mode, g.workers, g.batch, wantS, gotS, ra.Render(plan))
-						}
+					got, err := Exec(ctx, plan, db, Options{
+						BatchSize: g.batch,
+						Exec:      core.Options{Workers: g.workers},
+					})
+					if err != nil {
+						t.Fatalf("[trial %d] %s (plan %d, w=%d b=%d): %v",
+							trial, q, pi, g.workers, g.batch, err)
+					}
+					if gotS := got.Sort().String(); gotS != wantS {
+						t.Fatalf("[trial %d] %s (plan %d, w=%d b=%d): result differs\nreference:\n%s\ngot:\n%s\nplan:\n%s",
+							trial, q, pi, g.workers, g.batch, wantS, gotS, ra.Render(plan))
 					}
 				}
 			}

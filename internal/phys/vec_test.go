@@ -16,9 +16,8 @@ import (
 )
 
 // certDB builds a single-table database of fully certain rows (i, i%mod)
-// compacted to sparse storage: both columns flat, multiplicities flat,
-// FastCertain — the fast path the columnar scan and the vectorized
-// kernels are built for.
+// compacted to sparse storage: both columns flat, multiplicities flat —
+// the layout the columnar scan and the vectorized kernels are built for.
 func certDB(t testing.TB, rows, mod int) core.DB {
 	rel := core.New(schema.New("k", "v"))
 	for i := 0; i < rows; i++ {
@@ -33,8 +32,8 @@ func certDB(t testing.TB, rows, mod int) core.DB {
 	if rel.Compact(core.StoragePolicy{Mode: core.ReprForceSparse}) != core.ReprSparse {
 		t.Fatal("relation did not compact to sparse")
 	}
-	if !rel.FastCertain() {
-		t.Fatal("certain table not FastCertain after compaction")
+	if repr, flat, multFlat := rel.StorageDetail(); repr != core.ReprSparse || flat != 2 || !multFlat {
+		t.Fatalf("certain table storage = %v, %d flat cols, flat mults %v; want sparse, 2, true", repr, flat, multFlat)
 	}
 	return core.DB{"t": rel}
 }
@@ -55,7 +54,7 @@ func sparsify(t testing.TB, db core.DB, names ...string) core.DB {
 }
 
 // TestSparseScanAliasesColumns: a columnar scan over a sparse
-// fast-certain table must alias the stored columns — zero per-batch tuple
+// all-flat table must alias the stored columns — zero per-batch tuple
 // materialization, zero steady-state allocations per drain. (AllocsPerRun's warm-up run absorbs the one-time
 // growth of the reused batch's column slice.)
 func TestSparseScanAliasesColumns(t *testing.T) {

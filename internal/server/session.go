@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"time"
 
@@ -355,7 +356,7 @@ func queryOptions(o wire.ExecOptions) []audb.QueryOption {
 		opts = append(opts, audb.WithEngine(audb.Engine(o.Engine)))
 	}
 	if o.Workers != 0 {
-		opts = append(opts, audb.WithWorkers(o.Workers))
+		opts = append(opts, audb.WithWorkers(clampWorkers(o.Workers)))
 	}
 	if o.JoinCompression > 0 {
 		opts = append(opts, audb.WithJoinCompression(o.JoinCompression))
@@ -369,10 +370,18 @@ func queryOptions(o wire.ExecOptions) []audb.QueryOption {
 	if o.CostOff {
 		opts = append(opts, audb.WithCostModel(audb.CostOff))
 	}
-	if o.Materialized {
-		opts = append(opts, audb.WithExecMode(audb.ExecMaterialized))
-	}
 	return opts
+}
+
+// clampWorkers bounds a client's worker count by the server's
+// GOMAXPROCS. The kernels cap their chunk count only by input size, so an
+// unbounded request would let one admitted query start thousands of
+// goroutines. Zero and negative counts already mean one worker per CPU.
+func clampWorkers(n int) int {
+	if limit := runtime.GOMAXPROCS(0); n > limit {
+		return limit
+	}
+	return n
 }
 
 // handle dispatches one request. Unexpected message types poison the

@@ -16,8 +16,8 @@ type Msg interface {
 
 // ExecOptions carries the per-query execution options across the wire,
 // mirroring the session API's functional options. The zero value selects
-// every default (native engine, optimizer and cost model on, pipelined
-// executor, workers per CPU, no compression, no deadline).
+// every default (native engine, optimizer and cost model on, workers per
+// CPU, no compression, no deadline).
 type ExecOptions struct {
 	// Engine is the audb.Engine (0 native, 1 rewrite, 2 sgw).
 	Engine uint8
@@ -26,10 +26,9 @@ type ExecOptions struct {
 	// JoinCompression / AggCompression are the Section 10.4/10.5 targets.
 	JoinCompression int
 	AggCompression  int
-	// OptimizerOff / CostOff / Materialized flip the on-by-default modes.
+	// OptimizerOff / CostOff flip the on-by-default modes.
 	OptimizerOff bool
 	CostOff      bool
-	Materialized bool
 	// TimeoutMS bounds execution server-side; 0 means no deadline beyond
 	// the server's own cap.
 	TimeoutMS uint64
@@ -42,7 +41,6 @@ func (o ExecOptions) encode(b []byte) []byte {
 	b = encVarint(b, int64(o.AggCompression))
 	b = encBool(b, o.OptimizerOff)
 	b = encBool(b, o.CostOff)
-	b = encBool(b, o.Materialized)
 	return encUvarint(b, o.TimeoutMS)
 }
 
@@ -54,7 +52,6 @@ func (d *dec) execOptions() ExecOptions {
 		AggCompression:  int(d.varint()),
 		OptimizerOff:    d.bool(),
 		CostOff:         d.bool(),
-		Materialized:    d.bool(),
 		TimeoutMS:       d.uvarint(),
 	}
 }

@@ -64,7 +64,6 @@ func allMessages() []Msg {
 		AggCompression:  8,
 		OptimizerOff:    true,
 		CostOff:         true,
-		Materialized:    true,
 		TimeoutMS:       1500,
 	}
 	return []Msg{

@@ -150,12 +150,12 @@ func TestStorageRepresentationFlip(t *testing.T) {
 	wantText := want.Sort().String()
 
 	// In-place updates that introduce uncertainty densify the relation
-	// immediately — the fast-path precondition is gone before the next
-	// query can observe the new rows, never after.
+	// immediately — the flat columns are gone before the next query can
+	// observe the new rows, never after.
 	for i := 0; i < 60; i++ {
 		tbl.AddRow(RangeRow{Range(Int(0), Int(int64(i%7)), Int(6)), CertainOf(Int(int64(i)))}, Mult(0, 1, 1))
 	}
-	if rel, _ := db.Relation("t"); rel.IsSparse() || rel.FastCertain() {
+	if rel, _ := db.Relation("t"); rel.IsSparse() {
 		t.Fatal("uncertain updates left the relation sparse")
 	}
 
@@ -181,8 +181,9 @@ func TestStorageRepresentationFlip(t *testing.T) {
 	if ts.Storage != core.ReprSparse || ts.FlatCols != 1 || ts.MultFlat {
 		t.Fatalf("force-sparse override: %+v", ts)
 	}
-	if rel, _ := db.Relation("t"); !rel.IsSparse() || rel.FastCertain() {
-		t.Fatal("override should give a sparse, not-fast-certain relation")
+	rel, _ := db.Relation("t")
+	if repr, flat, multFlat := rel.StorageDetail(); repr != core.ReprSparse || flat != 1 || multFlat {
+		t.Fatalf("override storage = %v, %d flat cols, flat mults %v; want sparse, 1, false", repr, flat, multFlat)
 	}
 	ts, err = db.SetTableStorage("t", StorageForceDense)
 	if err != nil {
@@ -193,14 +194,15 @@ func TestStorageRepresentationFlip(t *testing.T) {
 	}
 
 	// Re-registering a fully certain replacement flips back to sparse
-	// under the auto policy, fast path and all.
+	// under the auto policy, every column and the multiplicities flat.
 	repl := NewUncertainTable("t", "a", "b")
 	for i := 0; i < 40; i++ {
 		repl.AddRow(RangeRow{CertainOf(Int(int64(i % 7))), CertainOf(Int(int64(i)))}, CertainMult(1))
 	}
 	db.Add(repl)
-	if rel, _ := db.Relation("t"); !rel.FastCertain() {
-		t.Fatal("certain replacement should re-register fast-certain")
+	rel, _ = db.Relation("t")
+	if repr, flat, multFlat := rel.StorageDetail(); repr != core.ReprSparse || flat != 2 || !multFlat {
+		t.Fatalf("certain replacement storage = %v, %d flat cols, flat mults %v; want sparse, 2, true", repr, flat, multFlat)
 	}
 	got, err := db.QueryContext(ctx, q)
 	if err != nil {

@@ -201,23 +201,21 @@ func TestExplainAnalyzeShowsEstimates(t *testing.T) {
 		`SELECT DISTINCT a0 FROM tiny`,
 	}
 	for _, q := range queries {
-		for _, em := range []ExecMode{ExecPipelined, ExecMaterialized} {
-			exp, err := db.ExplainAnalyze(context.Background(), q, WithExecMode(em))
-			if err != nil {
-				t.Fatalf("%s (%s): %v", q, em, err)
-			}
-			if exp.Stats == nil || exp.Stats.Root == nil {
-				t.Fatalf("%s (%s): no stats", q, em)
-			}
-			out := exp.Stats.String()
-			lines := strings.Split(strings.TrimSpace(out), "\n")
-			if len(lines) < 2 {
-				t.Fatalf("%s (%s): no operator rows:\n%s", q, em, out)
-			}
-			for _, line := range lines[1:] { // skip the execution header
-				if !strings.Contains(line, "est=") || strings.Contains(line, "est=-") {
-					t.Fatalf("%s (%s): operator without estimate: %q\n%s", q, em, line, out)
-				}
+		exp, err := db.ExplainAnalyze(context.Background(), q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if exp.Stats == nil || exp.Stats.Root == nil {
+			t.Fatalf("%s: no stats", q)
+		}
+		out := exp.Stats.String()
+		lines := strings.Split(strings.TrimSpace(out), "\n")
+		if len(lines) < 2 {
+			t.Fatalf("%s: no operator rows:\n%s", q, out)
+		}
+		for _, line := range lines[1:] { // skip the execution header
+			if !strings.Contains(line, "est=") || strings.Contains(line, "est=-") {
+				t.Fatalf("%s: operator without estimate: %q\n%s", q, line, out)
 			}
 		}
 	}

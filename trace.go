@@ -2,7 +2,6 @@ package audb
 
 import (
 	"context"
-	"fmt"
 
 	"github.com/audb/audb/internal/metrics"
 	"github.com/audb/audb/internal/obs"
@@ -29,16 +28,16 @@ func (t *QueryTrace) String() string { return t.Root.String() }
 
 // Trace compiles and executes a query with the full lifecycle
 // instrumented. Options compose as for QueryContext; like
-// ExplainAnalyze, only the native engine is instrumented, and the
-// execution is the analyzed physical plan (per-operator counters on).
+// ExplainAnalyze, only the pipelined native executor is instrumented, and
+// the execution is the analyzed physical plan (per-operator counters on).
 // Cancelling ctx aborts the execution.
 func (d *Database) Trace(ctx context.Context, q string, opts ...QueryOption) (*QueryTrace, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	cfg := d.resolve(opts)
-	if cfg.engine != EngineNative {
-		return nil, fmt.Errorf("audb: Trace instruments the native engine only (got engine %v)", cfg.engine)
+	if err := cfg.instrumented("Trace"); err != nil {
+		return nil, err
 	}
 	root := obs.StartSpan("query")
 	root.SetAttr("sql", q)
@@ -85,12 +84,8 @@ func (d *Database) Trace(ctx context.Context, q string, opts ...QueryOption) (*Q
 		}
 	}
 
-	mode := phys.Pipelined
-	if cfg.execMode == ExecMaterialized {
-		mode = phys.Materialized
-	}
 	sp = root.StartChild("lower")
-	pp, err := phys.Compile(plan, snap, phys.Options{Mode: mode, Exec: cfg.opts, Analyze: true, Est: est})
+	pp, err := phys.Compile(plan, snap, phys.Options{Exec: cfg.opts, Analyze: true, Est: est})
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -103,7 +98,6 @@ func (d *Database) Trace(ctx context.Context, q string, opts ...QueryOption) (*Q
 		return nil, err
 	}
 	if st := pp.Stats(); st != nil {
-		ex.SetAttr("mode", st.Mode)
 		ex.SetInt("batch_size", int64(st.BatchSize))
 		if st.Root != nil {
 			ex.Attach(opSpan(st.Root))
