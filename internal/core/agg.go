@@ -443,11 +443,17 @@ func aggregate(ctx context.Context, in *Relation, groupBy []int, plans []aggPlan
 		joinSide = compressContribs(exact, opt.AggCompression)
 	}
 	// Index attribute-certain contributions by their point group-by key.
+	// pointKeys records the keys in first-seen order: folding in map order
+	// would make float sums depend on Go's randomized iteration.
 	pointIdx := map[string][]int{}
+	var pointKeys []string
 	var boxIdx []int
 	for ci := range joinSide {
 		if joinSide[ci].gb.IsCertain() {
 			k := joinSide[ci].gb.SGKey()
+			if _, ok := pointIdx[k]; !ok {
+				pointKeys = append(pointKeys, k)
+			}
 			pointIdx[k] = append(pointIdx[k], ci)
 		} else {
 			boxIdx = append(boxIdx, ci)
@@ -507,7 +513,8 @@ func aggregate(ctx context.Context, in *Relation, groupBy []int, plans []aggPlan
 				}
 			}
 		} else {
-			for _, cis := range pointIdx {
+			for _, k := range pointKeys {
+				cis := pointIdx[k]
 				if joinSide[cis[0]].gb.Overlaps(g.gbox) {
 					for _, ci := range cis {
 						if err := fold(joinSide[ci], false); err != nil {
