@@ -66,7 +66,7 @@ func (m aggMonoid) star(k int64, v types.Value) (types.Value, error) {
 // starBounds computes the lower/upper components of ⊛_M (Definition 23):
 // min/max over the four combinations of multiplicity bounds and value
 // bounds.
-func (m aggMonoid) starBounds(k Mult, v rangeval.V) (lo, hi types.Value, err error) {
+func (m aggMonoid) starBounds(k *Mult, v *rangeval.V) (lo, hi types.Value, err error) {
 	if k.Lo == k.Hi && types.Equal(v.Lo, v.Hi) {
 		// Certain multiplicity and value: all four combinations are the
 		// same star call, so one evaluation gives lo = hi (bit-identical
@@ -96,109 +96,91 @@ func (m aggMonoid) starBounds(k Mult, v rangeval.V) (lo, hi types.Value, err err
 	return lo, hi, nil
 }
 
-// aggPlan is the per-aggregate evaluation plan.
-type aggPlan struct {
-	spec   ra.AggSpec
+// argKind is how a slot evaluates its argument for one tuple.
+type argKind uint8
+
+const (
+	argValue   argKind = iota // the argument under range semantics
+	argNotNull                // count(e): the not-null indicator of e
+	argOne                    // count(*) and AVG's count: the constant 1
+)
+
+// slot is one accumulator of the fold, shared by every aggregate that
+// folds the same monoid over the same argument: sum(x) and avg(x) read
+// x's slot, and count(*) and every AVG's count read the constant-1 slot.
+// Arguments are matched with expr.Equal; String() is not a faithful key.
+type slot struct {
 	monoid aggMonoid
-	// arg computes the range-annotated input value of the aggregate for
-	// one tuple. For count it is the not-null indicator.
-	arg func(rangeval.Tuple) (rangeval.V, error)
-	// isAvg marks AVG, computed from a sum and a count(*).
-	isAvg bool
+	kind   argKind
+	arg    expr.Expr // the aggregate's argument; nil for argOne
+	eval   expr.Expr // what is evaluated per tuple
+	name   string    // the first aggregate that reads the slot, for errors
 }
 
-func planAggs(specs []ra.AggSpec) ([]aggPlan, error) {
+// aggPlan maps one output aggregate onto the slots it reads.
+type aggPlan struct {
+	slot int // the aggregate's slot; for AVG, that of its sum
+	cnt  int // AVG: the slot of its count; -1 otherwise
+}
+
+func planAggs(specs []ra.AggSpec) ([]aggPlan, []slot, error) {
+	var slots []slot
+	slotOf := func(m aggMonoid, k argKind, arg expr.Expr, name string) int {
+		for i, s := range slots {
+			if s.monoid == m && s.kind == k && expr.Equal(s.arg, arg) {
+				return i
+			}
+		}
+		s := slot{monoid: m, kind: k, arg: arg, eval: arg, name: name}
+		switch k {
+		case argNotNull:
+			s.eval = expr.If{Cond: expr.IsNull{E: arg}, Then: expr.CInt(0), Else: expr.CInt(1)}
+		case argOne:
+			s.eval = expr.CInt(1)
+		}
+		slots = append(slots, s)
+		return len(slots) - 1
+	}
 	plans := make([]aggPlan, 0, len(specs))
 	for _, s := range specs {
 		if s.Distinct {
-			return nil, fmt.Errorf("core: DISTINCT aggregates are not supported over AU-DBs (aggregate %s)", s.Name)
+			return nil, nil, fmt.Errorf("core: DISTINCT aggregates are not supported over AU-DBs (aggregate %s)", s.Name)
 		}
-		p := aggPlan{spec: s}
+		p := aggPlan{cnt: -1}
 		switch s.Fn {
 		case ra.AggSum:
-			p.monoid = monoidSum
-			p.arg = rangeArg(s.Arg)
+			p.slot = slotOf(monoidSum, argValue, s.Arg, s.Name)
 		case ra.AggMin:
-			p.monoid = monoidMin
-			p.arg = rangeArg(s.Arg)
+			p.slot = slotOf(monoidMin, argValue, s.Arg, s.Name)
 		case ra.AggMax:
-			p.monoid = monoidMax
-			p.arg = rangeArg(s.Arg)
+			p.slot = slotOf(monoidMax, argValue, s.Arg, s.Name)
 		case ra.AggCount:
-			p.monoid = monoidSum
-			p.arg = countArg(s.Arg)
+			// The indicator is [0/0/0] or [1/1/1], or uncertain for a
+			// possibly-null argument; count(*) always counts 1.
+			if s.Arg == nil {
+				p.slot = slotOf(monoidSum, argOne, nil, s.Name)
+			} else {
+				p.slot = slotOf(monoidSum, argNotNull, s.Arg, s.Name)
+			}
 		case ra.AggAvg:
-			p.monoid = monoidSum
-			p.arg = rangeArg(s.Arg)
-			p.isAvg = true
+			p.slot = slotOf(monoidSum, argValue, s.Arg, s.Name)
+			p.cnt = slotOf(monoidSum, argOne, nil, s.Name)
 		default:
-			return nil, fmt.Errorf("core: unknown aggregate %v", s.Fn)
+			return nil, nil, fmt.Errorf("core: unknown aggregate %v", s.Fn)
 		}
 		plans = append(plans, p)
 	}
-	return plans, nil
-}
-
-// rangeArg evaluates the aggregate argument with range semantics.
-func rangeArg(e expr.Expr) func(rangeval.Tuple) (rangeval.V, error) {
-	return func(t rangeval.Tuple) (rangeval.V, error) { return e.EvalRange(t) }
-}
-
-// countArg yields the indicator [0/0/0] or [1/1/1] (or an uncertain
-// indicator for possibly-null arguments); count(*) has a nil argument and
-// always counts 1.
-func countArg(e expr.Expr) func(rangeval.Tuple) (rangeval.V, error) {
-	one := rangeval.Certain(types.Int(1))
-	if e == nil {
-		return func(rangeval.Tuple) (rangeval.V, error) { return one, nil }
-	}
-	ind := expr.If{
-		Cond: expr.IsNull{E: e},
-		Then: expr.CInt(0),
-		Else: expr.CInt(1),
-	}
-	return func(t rangeval.Tuple) (rangeval.V, error) { return ind.EvalRange(t) }
+	return plans, slots, nil
 }
 
 // contrib is one (possibly merged) contribution to the aggregation overlap
-// join: group-by ranges, tuple annotation and the per-aggregate argument
-// ranges (the last slot additionally carries the count indicator used by
-// AVG).
+// join: group-by ranges, tuple annotation and one argument range per slot.
+// gb and args are views into arenas shared by all contributions.
 type contrib struct {
 	gb   rangeval.Tuple
 	m    Mult
 	args []rangeval.V
 	ug   bool // ug(G, R, t): group membership is uncertain
-}
-
-// boundsAcc folds lower/upper aggregate bounds per Definition 26.
-type boundsAcc struct {
-	m      aggMonoid
-	lo, hi types.Value
-}
-
-func newBoundsAcc(m aggMonoid) *boundsAcc {
-	n := m.neutral()
-	return &boundsAcc{m: m, lo: n, hi: n}
-}
-
-func (a *boundsAcc) add(k Mult, v rangeval.V, uncertainGroup bool) error {
-	cl, ch, err := a.m.starBounds(k, v)
-	if err != nil {
-		return err
-	}
-	if uncertainGroup {
-		// lbagg/ubagg: a tuple that may not belong to the group
-		// contributes at worst the neutral element.
-		n := a.m.neutral()
-		cl = types.Min(n, cl)
-		ch = types.Max(n, ch)
-	}
-	if a.lo, err = a.m.plus(a.lo, cl); err != nil {
-		return err
-	}
-	a.hi, err = a.m.plus(a.hi, ch)
-	return err
 }
 
 // avgBounds derives AVG bounds from sum and count bound triples using
@@ -242,42 +224,42 @@ func avgBounds(sum, cnt rangeval.V) rangeval.V {
 // is the operator's inferred output schema (group-by attributes then
 // aggregate names).
 func AggRelations(ctx context.Context, in *Relation, groupBy []int, specs []ra.AggSpec, outSchema schema.Schema, opt Options) (*Relation, error) {
-	plans, err := planAggs(specs)
+	plans, slots, err := planAggs(specs)
 	if err != nil {
 		return nil, err
 	}
-	return aggregate(ctx, in, groupBy, plans, outSchema, opt)
+	return aggregate(ctx, in, groupBy, plans, slots, outSchema, opt)
 }
 
-// buildContribs evaluates argument ranges for every tuple, chunked across
-// workers (each contribution is independent and lands in its input slot).
-// The extra final slot carries the count(*) indicator used by AVG counts.
-func buildContribs(ctx context.Context, in *Relation, groupBy []int, plans []aggPlan, workers int) ([]contrib, error) {
-	one := rangeval.Certain(types.Int(1))
-	out := make([]contrib, len(in.Tuples))
-	spans := ChunkSpans(len(in.Tuples), workers, minParTuples)
+// buildContribs evaluates one argument range per slot for every tuple,
+// chunked across workers (each contribution is independent and lands in
+// its input slot). Argument and group-by ranges are carved from two arenas
+// allocated once, not per tuple.
+func buildContribs(ctx context.Context, in *Relation, groupBy []int, slots []slot, workers int) ([]contrib, error) {
+	n, ns, ng := len(in.Tuples), len(slots), len(groupBy)
+	out := make([]contrib, n)
+	args := make([]rangeval.V, n*ns)
+	gbs := make(rangeval.Tuple, n*ng)
+	spans := ChunkSpans(n, workers, minParTuples)
 	err := runSpans(ctx, spans, func(_ int, s Span, p *ctxpoll.Poll) error {
 		for i := s.Lo; i < s.Hi; i++ {
 			if err := p.Due(); err != nil {
 				return err
 			}
-			tup := in.Tuples[i]
-			args := make([]rangeval.V, len(plans)+1)
-			for j, p := range plans {
-				v, err := p.arg(tup.Vals)
+			tup := &in.Tuples[i]
+			a := args[i*ns : (i+1)*ns : (i+1)*ns]
+			for j := range slots {
+				v, err := slots[j].eval.EvalRange(tup.Vals)
 				if err != nil {
-					return fmt.Errorf("core: aggregate %s: %w", p.spec.Name, err)
+					return fmt.Errorf("core: aggregate %s: %w", slots[j].name, err)
 				}
-				args[j] = v
+				a[j] = v
 			}
-			args[len(plans)] = one
-			gb := tup.Vals.Project(groupBy)
-			out[i] = contrib{
-				gb:   gb,
-				m:    tup.M,
-				args: args,
-				ug:   tup.M.Lo == 0 || !gb.IsCertain(),
+			gb := gbs[i*ng : (i+1)*ng : (i+1)*ng]
+			for j, c := range groupBy {
+				gb[j] = tup.Vals[c]
 			}
+			out[i] = contrib{gb: gb, m: tup.M, args: a, ug: tup.M.Lo == 0 || !gb.IsCertain()}
 		}
 		return nil
 	})
@@ -405,9 +387,9 @@ func compressContribs(cs []contrib, n int) []contrib {
 }
 
 // aggregate executes grouping (or global) aggregation.
-func aggregate(ctx context.Context, in *Relation, groupBy []int, plans []aggPlan, outSchema schema.Schema, opt Options) (*Relation, error) {
+func aggregate(ctx context.Context, in *Relation, groupBy []int, plans []aggPlan, slots []slot, outSchema schema.Schema, opt Options) (*Relation, error) {
 	workers := opt.workerCount()
-	exact, err := buildContribs(ctx, in.Dense(), groupBy, plans, workers)
+	exact, err := buildContribs(ctx, in.Dense(), groupBy, slots, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -426,11 +408,10 @@ func aggregate(ctx context.Context, in *Relation, groupBy []int, plans []aggPlan
 		// Empty input: one output row with neutral bounds (Definition 27).
 		row := make(rangeval.Tuple, len(plans))
 		for j, p := range plans {
-			n := p.monoid.neutral()
-			if p.isAvg {
+			if p.cnt >= 0 {
 				row[j] = rangeval.Certain(types.Float(0))
 			} else {
-				row[j] = rangeval.Certain(n)
+				row[j] = rangeval.Certain(slots[p.slot].monoid.neutral())
 			}
 		}
 		out.Add(Tuple{Vals: row, M: One})
@@ -442,178 +423,41 @@ func aggregate(ctx context.Context, in *Relation, groupBy []int, plans []aggPlan
 	if opt.AggCompression > 0 {
 		joinSide = compressContribs(exact, opt.AggCompression)
 	}
-	// Index attribute-certain contributions by their point group-by key.
-	// pointKeys records the keys in first-seen order: folding in map order
-	// would make float sums depend on Go's randomized iteration.
-	pointIdx := map[string][]int{}
-	var pointKeys []string
-	var boxIdx []int
-	for ci := range joinSide {
-		if joinSide[ci].gb.IsCertain() {
-			k := joinSide[ci].gb.SGKey()
-			if _, ok := pointIdx[k]; !ok {
-				pointKeys = append(pointKeys, k)
-			}
-			pointIdx[k] = append(pointIdx[k], ci)
-		} else {
-			boxIdx = append(boxIdx, ci)
-		}
+	f := &aggFold{plans: plans, slots: slots, exact: exact, join: joinSide, noGroup: noGroup}
+	f.groups = make([]*outGroup, len(order))
+	for gi, k := range order {
+		f.groups[gi] = groups[k]
 	}
+	f.index(order)
 
-	// Every output group folds an independent slice of read-only state
-	// (contributions, indexes), so groups are computed in parallel chunks;
-	// appending rows in group order keeps the output identical to the
-	// serial loop.
-	computeGroup := func(g *outGroup, p *ctxpoll.Poll) (Tuple, error) {
-		// Lower/upper aggregate bounds from ð(g) (Definition 26).
-		accs := make([]*boundsAcc, len(plans))
-		cntAccs := make([]*boundsAcc, len(plans))
-		for j, p := range plans {
-			accs[j] = newBoundsAcc(p.monoid)
-			if p.isAvg {
-				cntAccs[j] = newBoundsAcc(monoidSum)
-			}
-		}
-		// A contribution counts as a certain group member only when its
-		// own group membership is certain AND the output's group box is
-		// exactly its (certain) group-by point — the condition θ_c of the
-		// rewrite (Section 10.2). A widened group box means the output may
-		// represent other groups, for which this tuple's contribution is
-		// not guaranteed.
-		fold := func(c contrib, certainMember bool) error {
-			if err := p.Due(); err != nil {
-				return err
-			}
-			ug := c.ug || !certainMember
-			for j := range plans {
-				if err := accs[j].add(c.m, c.args[j], ug); err != nil {
-					return err
-				}
-				if cntAccs[j] != nil {
-					if err := cntAccs[j].add(c.m, c.args[len(plans)], ug); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		}
-		if g.gbox.IsCertain() {
-			// Point box: certain contributions at exactly this point, plus
-			// overlapping box contributions.
-			for _, ci := range pointIdx[g.gbox.SGKey()] {
-				if err := fold(joinSide[ci], true); err != nil {
-					return Tuple{}, err
-				}
-			}
-			for _, ci := range boxIdx {
-				if joinSide[ci].gb.Overlaps(g.gbox) {
-					if err := fold(joinSide[ci], false); err != nil {
-						return Tuple{}, err
-					}
-				}
-			}
-		} else {
-			for _, k := range pointKeys {
-				cis := pointIdx[k]
-				if joinSide[cis[0]].gb.Overlaps(g.gbox) {
-					for _, ci := range cis {
-						if err := fold(joinSide[ci], false); err != nil {
-							return Tuple{}, err
-						}
-					}
-				}
-			}
-			for _, ci := range boxIdx {
-				if joinSide[ci].gb.Overlaps(g.gbox) {
-					if err := fold(joinSide[ci], false); err != nil {
-						return Tuple{}, err
-					}
-				}
-			}
-		}
-
-		// SG results: exactly the α-members, standard K-relational
-		// semantics over the SGW (mirrors the piggy-backed computation of
-		// the optimized rewrite).
-		sgVals := make([]types.Value, len(plans))
-		sgCnts := make([]types.Value, len(plans))
-		for j, p := range plans {
-			sgVals[j] = p.monoid.neutral()
-			sgCnts[j] = types.Int(0)
-		}
-		for _, i := range g.members {
-			if err := p.Due(); err != nil {
-				return Tuple{}, err
-			}
-			c := exact[i]
-			if c.m.SG == 0 {
-				continue
-			}
-			for j, p := range plans {
-				x, err := p.monoid.star(c.m.SG, c.args[j].SG)
-				if err != nil {
-					return Tuple{}, err
-				}
-				if sgVals[j], err = p.monoid.plus(sgVals[j], x); err != nil {
-					return Tuple{}, err
-				}
-				if p.isAvg {
-					cx, err := types.Mul(types.Int(c.m.SG), c.args[len(plans)].SG)
-					if err != nil {
-						return Tuple{}, err
-					}
-					if sgCnts[j], err = types.Add(sgCnts[j], cx); err != nil {
-						return Tuple{}, err
-					}
-				}
-			}
-		}
-
-		// Row annotation (Definition 27/28), always from exact members.
-		var m Mult
-		if noGroup {
-			m = One
-		} else {
-			var loSum, sgSum, hiSum int64
-			for _, i := range g.members {
-				c := exact[i]
-				if !c.ug {
-					loSum += c.m.Lo
-				}
-				sgSum += c.m.SG
-				hiSum += c.m.Hi
-			}
-			m = Mult{Lo: delta(loSum), SG: delta(sgSum), Hi: hiSum}
-		}
-
-		row := make(rangeval.Tuple, 0, len(groupBy)+len(plans))
-		row = append(row, g.gbox...)
-		for j, p := range plans {
-			sum := rangeval.New(accs[j].lo, sgVals[j], accs[j].hi)
-			if p.isAvg {
-				cnt := rangeval.New(cntAccs[j].lo, sgCnts[j], cntAccs[j].hi)
-				row = append(row, avgBounds(sum, cnt))
-			} else {
-				row = append(row, sum)
-			}
-		}
-		return Tuple{Vals: row, M: m}, nil
-	}
-
+	// Every output group folds an independent slice of read-only state, so
+	// groups are computed in parallel chunks; each chunk walks the shared
+	// contribution order for its own groups, and appending rows in group
+	// order keeps the output identical to the serial walk.
 	rows := make([]Tuple, len(order))
 	spans := ChunkSpans(len(order), workers, minParGroups)
-	err = runSpans(ctx, spans, func(_ int, s Span, p *ctxpoll.Poll) error {
-		for gi := s.Lo; gi < s.Hi; gi++ {
-			row, err := computeGroup(groups[order[gi]], p)
-			if err != nil {
-				return err
-			}
-			rows[gi] = row
+	fails := make([]foldErr, len(spans))
+	err = runSpans(ctx, spans, func(c int, s Span, p *ctxpoll.Poll) error {
+		at, err := f.fold(s, rows, p)
+		if err != nil && at >= 0 {
+			fails[c] = foldErr{at: at, err: err}
+			return nil
 		}
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
+	}
+	// Each chunk stops at its first failing step, and the serial walk
+	// would stop at the earliest of them: report that one.
+	var first *foldErr
+	for c := range fails {
+		if fails[c].err != nil && (first == nil || fails[c].at < first.at) {
+			first = &fails[c]
+		}
+	}
+	if first != nil {
+		return nil, first.err
 	}
 	merge := ctxpoll.New(ctx)
 	for _, row := range rows {
@@ -623,4 +467,257 @@ func aggregate(ctx context.Context, in *Relation, groupBy []int, plans []aggPlan
 		out.Add(row)
 	}
 	return out, nil
+}
+
+// foldErr is a failed fold step and its position in the walk.
+type foldErr struct {
+	at  int
+	err error
+}
+
+// aggFold is the read-only state every chunk of output groups folds.
+type aggFold struct {
+	plans   []aggPlan
+	slots   []slot
+	exact   []contrib   // the α-members' contributions (SG and multiplicity)
+	join    []contrib   // the overlap join's side, possibly compressed
+	groups  []*outGroup // in output order
+	points  []pointKey  // attribute-certain contributions, by first-seen key
+	boxes   []int       // the other contributions, in input order
+	noGroup bool
+}
+
+// pointKey is one attribute-certain group-by point of the join side.
+type pointKey struct {
+	members []int // its contributions, in input order
+	cert    int   // the certain-box output group at exactly this point, or -1
+}
+
+// index splits the join side into point keys, in first-seen key order,
+// and box contributions. Together they fix the one order every group
+// folds in: point contributions key by key, then boxes. A fixed order
+// keeps float sums deterministic, and input-order summation keeps them
+// monotone under round-to-nearest, so lb ≤ world ≤ ub holds exactly.
+func (f *aggFold) index(order []string) {
+	at := map[string]int{}
+	for ci := range f.join {
+		gb := f.join[ci].gb
+		if !gb.IsCertain() {
+			f.boxes = append(f.boxes, ci)
+			continue
+		}
+		k := gb.SGKey()
+		pi, ok := at[k]
+		if !ok {
+			pi = len(f.points)
+			at[k] = pi
+			f.points = append(f.points, pointKey{cert: -1})
+		}
+		f.points[pi].members = append(f.points[pi].members, ci)
+	}
+	for gi, k := range order {
+		if pi, ok := at[k]; ok && f.groups[gi].gbox.IsCertain() {
+			f.points[pi].cert = gi
+		}
+	}
+}
+
+// target is one output group a contribution folds into. A contribution
+// counts as a certain group member only when its own group membership is
+// certain AND the group's box is exactly its (certain) group-by point —
+// the condition θ_c of the rewrite (Section 10.2). A widened group box
+// means the output may represent other groups, for which this tuple's
+// contribution is not guaranteed.
+type target struct {
+	g       int
+	certain bool
+}
+
+// fold computes the rows of output groups [s.Lo, s.Hi) into rows. It
+// walks the shared contribution order once; each group receives exactly
+// the subsequence it overlaps, so its +_M sequence does not depend on how
+// groups are chunked. It returns the walk position of a failing step, or
+// -1 when the query was cancelled.
+func (f *aggFold) fold(s Span, rows []Tuple, p *ctxpoll.Poll) (int, error) {
+	ns := len(f.slots)
+	w := walker{
+		slots:   f.slots,
+		base:    s.Lo,
+		acc:     make([]types.Value, 2*ns*(s.Hi-s.Lo)),
+		bounds:  make([]types.Value, 4*ns),
+		targets: make([]target, 0, s.Hi-s.Lo),
+	}
+	for i := 0; i < len(w.acc); i += 2 * ns {
+		for j := range f.slots {
+			n := f.slots[j].monoid.neutral()
+			w.acc[i+2*j], w.acc[i+2*j+1] = n, n
+		}
+	}
+	var unc []int // groups of the chunk whose box is uncertain
+	for gi := s.Lo; gi < s.Hi; gi++ {
+		if !f.groups[gi].gbox.IsCertain() {
+			unc = append(unc, gi)
+		}
+	}
+
+	// Lower/upper aggregate bounds from ð(g) (Definition 26). A point key's
+	// targets are the certain-box group at that point plus the
+	// uncertain-box groups it overlaps, found once per key.
+	at := 0
+	for pi := range f.points {
+		pt := &f.points[pi]
+		w.targets = w.targets[:0]
+		if pt.cert >= s.Lo && pt.cert < s.Hi {
+			w.targets = append(w.targets, target{g: pt.cert, certain: true})
+		}
+		rep := f.join[pt.members[0]].gb
+		for _, gi := range unc {
+			if rep.Overlaps(f.groups[gi].gbox) {
+				w.targets = append(w.targets, target{g: gi})
+			}
+		}
+		for _, ci := range pt.members {
+			if err := p.Due(); err != nil {
+				return -1, err
+			}
+			if err := w.add(&f.join[ci]); err != nil {
+				return at, err
+			}
+			at++
+		}
+	}
+	for _, ci := range f.boxes {
+		c := &f.join[ci]
+		w.targets = w.targets[:0]
+		for gi := s.Lo; gi < s.Hi; gi++ {
+			if c.gb.Overlaps(f.groups[gi].gbox) {
+				w.targets = append(w.targets, target{g: gi})
+			}
+		}
+		if err := p.Due(); err != nil {
+			return -1, err
+		}
+		if err := w.add(c); err != nil {
+			return at, err
+		}
+		at++
+	}
+
+	sg := make([]types.Value, ns)
+	for gi := s.Lo; gi < s.Hi; gi++ {
+		g := f.groups[gi]
+		// SG results: exactly the α-members, standard K-relational
+		// semantics over the SGW (mirrors the piggy-backed computation of
+		// the optimized rewrite).
+		for j := range f.slots {
+			sg[j] = f.slots[j].monoid.neutral()
+		}
+		for _, i := range g.members {
+			if err := p.Due(); err != nil {
+				return -1, err
+			}
+			c := &f.exact[i]
+			if c.m.SG == 0 {
+				continue
+			}
+			for j := range f.slots {
+				m := f.slots[j].monoid
+				x, err := m.star(c.m.SG, c.args[j].SG)
+				if err == nil {
+					sg[j], err = m.plus(sg[j], x)
+				}
+				if err != nil {
+					return at + gi, err
+				}
+			}
+		}
+
+		// Row annotation (Definition 27/28), always from exact members.
+		var m Mult
+		if f.noGroup {
+			m = One
+		} else {
+			var loSum, sgSum, hiSum int64
+			for _, i := range g.members {
+				c := &f.exact[i]
+				if !c.ug {
+					loSum += c.m.Lo
+				}
+				sgSum += c.m.SG
+				hiSum += c.m.Hi
+			}
+			m = Mult{Lo: delta(loSum), SG: delta(sgSum), Hi: hiSum}
+		}
+
+		acc := w.acc[2*ns*(gi-s.Lo):]
+		bounds := func(j int) rangeval.V { return rangeval.New(acc[2*j], sg[j], acc[2*j+1]) }
+		row := make(rangeval.Tuple, 0, len(g.gbox)+len(f.plans))
+		row = append(row, g.gbox...)
+		for _, pl := range f.plans {
+			v := bounds(pl.slot)
+			if pl.cnt >= 0 {
+				v = avgBounds(v, bounds(pl.cnt))
+			}
+			row = append(row, v)
+		}
+		rows[gi] = Tuple{Vals: row, M: m}
+	}
+	return at, nil
+}
+
+// walker folds contributions into the lower/upper accumulators of one
+// chunk of output groups: acc holds lo, hi per (group, slot).
+type walker struct {
+	slots   []slot
+	base    int // the chunk's first group
+	acc     []types.Value
+	bounds  []types.Value // per slot lo, hi; then the same clamped
+	targets []target
+}
+
+// add folds contribution c into every current target. Its ⊛ bounds are
+// computed once per slot, and its lbagg/ubagg clamp once if any target
+// needs it: they do not depend on the group.
+func (w *walker) add(c *contrib) error {
+	if len(w.targets) == 0 {
+		return nil
+	}
+	ns := len(w.slots)
+	b := w.bounds
+	for j := range w.slots {
+		lo, hi, err := w.slots[j].monoid.starBounds(&c.m, &c.args[j])
+		if err != nil {
+			return err
+		}
+		b[2*j], b[2*j+1] = lo, hi
+	}
+	clamped := false
+	for _, t := range w.targets {
+		cb := b[:2*ns]
+		if c.ug || !t.certain {
+			if !clamped {
+				// A tuple that may not belong to the group contributes at
+				// worst the neutral element.
+				for j := range w.slots {
+					n := w.slots[j].monoid.neutral()
+					b[2*ns+2*j] = types.Min(n, b[2*j])
+					b[2*ns+2*j+1] = types.Max(n, b[2*j+1])
+				}
+				clamped = true
+			}
+			cb = b[2*ns:]
+		}
+		acc := w.acc[2*ns*(t.g-w.base):]
+		for j := range w.slots {
+			m := w.slots[j].monoid
+			var err error
+			if acc[2*j], err = m.plus(acc[2*j], cb[2*j]); err != nil {
+				return err
+			}
+			if acc[2*j+1], err = m.plus(acc[2*j+1], cb[2*j+1]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -497,6 +498,40 @@ func TestCompressLemma7(t *testing.T) {
 	// Compressing an empty relation is a no-op.
 	if Compress(New(schema.New("a")), 0, 4).Len() != 0 {
 		t.Error("empty compress")
+	}
+}
+
+// TestBoundariesClampHugeTarget: past len+1 buckets, i*len/n already
+// visits every index, so a larger target must give the same split points
+// as the unclamped loop, and a wire-sized target must not run for ages.
+func TestBoundariesClampHugeTarget(t *testing.T) {
+	r := New(schema.New("a"))
+	for _, v := range []int64{5, 1, 9, 1, 3, 7, 7, 2, 8, 0, 4, 6} {
+		r.Add(Tuple{Vals: rangeval.Tuple{iv(v, v, v+2)}, M: One})
+	}
+	// unclamped is the loop without the clamp, over the sorted endpoints.
+	unclamped := func(n int) []types.Value {
+		vals := []types.Value{}
+		for _, v := range []int64{0, 1, 1, 2, 3, 4, 5, 6, 7, 7, 8, 9} {
+			vals = append(vals, types.Int(v))
+		}
+		var bounds []types.Value
+		for i := 1; i < n; i++ {
+			v := vals[i*len(vals)/n]
+			if len(bounds) == 0 || types.Less(bounds[len(bounds)-1], v) {
+				bounds = append(bounds, v)
+			}
+		}
+		return bounds
+	}
+	want := fmt.Sprint(unclamped(len(r.Tuples) + 1))
+	for _, n := range []int{len(r.Tuples) + 1, len(r.Tuples) + 7} {
+		if got := fmt.Sprint(boundariesOf(r, 0, n)); got != fmt.Sprint(unclamped(n)) || got != want {
+			t.Errorf("n=%d: boundaries %s, unclamped %v, want %s", n, got, unclamped(n), want)
+		}
+	}
+	if got := fmt.Sprint(boundariesOf(r, 0, 1<<40)); got != want {
+		t.Errorf("n=1<<40: boundaries %s, want %s", got, want)
 	}
 }
 

@@ -154,6 +154,12 @@ func boundariesOf(r *Relation, attr, n int) []types.Value {
 		vals = append(vals, t.Vals[attr].Lo)
 	}
 	sort.Slice(vals, func(i, j int) bool { return types.Less(vals[i], vals[j]) })
+	if n > len(vals)+1 {
+		// From len+1 buckets on, i*len/n already visits every index, so a
+		// larger target yields the same points; clamping keeps a huge
+		// target (it arrives over the wire) from looping without a poll.
+		n = len(vals) + 1
+	}
 	var bounds []types.Value
 	for i := 1; i < n; i++ {
 		j := i * len(vals) / n

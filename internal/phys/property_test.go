@@ -191,6 +191,9 @@ func TestPipelinedBoundsWorlds(t *testing.T) {
 		`SELECT a FROM r EXCEPT SELECT a FROM r2`,
 		`SELECT DISTINCT a FROM r WHERE b >= 1`,
 		`SELECT b, sum(a) AS s FROM r WHERE a <= 4 GROUP BY b`,
+		// Shared accumulators: sum/avg read one slot, count(*) and avg's
+		// count another.
+		`SELECT b, sum(a) AS s, avg(a) AS m, count(*) AS n, count(a) AS c, min(a) AS lo, max(a) AS hi FROM r GROUP BY b`,
 		`SELECT a, b FROM r ORDER BY a LIMIT 2`,
 	}
 	trials := 5

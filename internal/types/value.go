@@ -291,6 +291,13 @@ func numericPair(op string, a, b Value) error {
 // Add returns a + b. Null propagates; infinities absorb (inf + x = inf).
 // Adding opposite infinities is an error.
 func Add(a, b Value) (Value, error) {
+	if a.kind == KindFloat && b.kind == KindFloat {
+		return Float(a.f + b.f), nil // what addGeneral returns, without its checks
+	}
+	return addGeneral(a, b)
+}
+
+func addGeneral(a, b Value) (Value, error) {
 	if err := numericPair("+", a, b); err != nil {
 		return Null(), err
 	}
@@ -356,6 +363,13 @@ func Neg(a Value) (Value, error) {
 // Mul returns a * b. Inf times zero yields zero (the convention needed for
 // multiplicity-weighted aggregation, where a zero multiplicity annihilates).
 func Mul(a, b Value) (Value, error) {
+	if a.kind == KindFloat && b.kind == KindFloat {
+		return Float(a.f * b.f), nil // what mulGeneral returns, without its checks
+	}
+	return mulGeneral(a, b)
+}
+
+func mulGeneral(a, b Value) (Value, error) {
 	if err := numericPair("*", a, b); err != nil {
 		return Null(), err
 	}

@@ -223,6 +223,39 @@ func TestArithmetic(t *testing.T) {
 	}
 }
 
+// TestFloatFastPath: Add and Mul on two floats take a first branch that
+// must return exactly what the general path returns, kind and bits
+// included (the sign of zero, subnormals, overflow to infinity).
+func TestFloatFastPath(t *testing.T) {
+	vals := []float64{
+		0, math.Copysign(0, -1), 1, -1, 0.1, 0.2, 1e-3, 3.5, -2.25,
+		math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64,
+		-math.SmallestNonzeroFloat64, 2.2250738585072014e-308, 1e-310, -1e-310,
+		1e308, -1e308, 1 << 53, -(1 << 53),
+	}
+	ops := []struct {
+		name          string
+		fast, general func(a, b Value) (Value, error)
+	}{
+		{"+", Add, addGeneral},
+		{"*", Mul, mulGeneral},
+	}
+	for _, op := range ops {
+		for _, x := range vals {
+			for _, y := range vals {
+				got, gerr := op.fast(Float(x), Float(y))
+				want, werr := op.general(Float(x), Float(y))
+				if gerr != nil || werr != nil {
+					t.Fatalf("%g %s %g: errors %v, %v", x, op.name, y, gerr, werr)
+				}
+				if got.kind != want.kind || math.Float64bits(got.f) != math.Float64bits(want.f) || got != want {
+					t.Errorf("%g %s %g = %#v, general path %#v", x, op.name, y, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestArithmeticNullPropagation(t *testing.T) {
 	for _, op := range []func(a, b Value) (Value, error){Add, Sub, Mul, Div} {
 		v, err := op(Null(), Int(1))

@@ -133,6 +133,21 @@ func TestQueryOptionsOverrideDefaults(t *testing.T) {
 	}
 }
 
+// TestHugeJoinCompressionTarget: a compression target far above the input
+// size (a remote client can send any int) must not make the split-point
+// loop run for its full length.
+func TestHugeJoinCompressionTarget(t *testing.T) {
+	ctx := context.Background()
+	db := randomDB(rand.New(rand.NewSource(3)), 12)
+	start := time.Now()
+	if _, err := db.QueryContext(ctx, sessionCorpus[4], WithJoinCompression(1<<40)); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("query with JoinCompression 1<<40 took %v", d)
+	}
+}
+
 // TestStmtConcurrentExec: one prepared statement executed from many
 // goroutines must be race-clean and bit-identical to unprepared
 // execution, on every engine.
