@@ -10,6 +10,7 @@
 package types
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -196,6 +197,9 @@ func (v Value) rank() int {
 }
 
 // Compare implements the total order over D. It returns -1, 0 or +1.
+// Numbers compare by value, ints against floats exactly; a float NaN equals
+// every NaN and orders below every other number, as in cmp.Compare.
+// Compare-equal values have equal AppendKey encodings and vice versa.
 func Compare(a, b Value) int {
 	ra, rb := a.rank(), b.rank()
 	if ra != rb {
@@ -219,27 +223,38 @@ func Compare(a, b Value) int {
 	case KindString:
 		return strings.Compare(a.s, b.s)
 	default: // numeric
-		if a.kind == KindInt && b.kind == KindInt {
-			switch {
-			case a.i < b.i:
-				return -1
-			case a.i > b.i:
-				return 1
-			default:
-				return 0
-			}
-		}
-		af, bf := a.AsFloat(), b.AsFloat()
 		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		default:
-			return 0
+		case a.kind == KindInt && b.kind == KindInt:
+			return cmp.Compare(a.i, b.i)
+		case a.kind == KindInt:
+			return -compareFloatInt(b.f, a.i)
+		case b.kind == KindInt:
+			return compareFloatInt(a.f, b.i)
 		}
+		return cmp.Compare(a.f, b.f)
 	}
 }
+
+// compareFloatInt compares f with i exactly, without rounding i to a
+// float64, so that Compare-equality between ints and floats holds exactly
+// when AppendKey gives them the same key. Like cmp.Compare, NaN orders
+// below every other number.
+func compareFloatInt(f float64, i int64) int {
+	switch {
+	case math.IsNaN(f) || f < -twoTo63:
+		return -1
+	case f >= twoTo63:
+		return 1
+	}
+	t := math.Trunc(f) // in [-2^63, 2^63), so the conversion is exact
+	if c := cmp.Compare(int64(t), i); c != 0 {
+		return c
+	}
+	return cmp.Compare(f, t)
+}
+
+// twoTo63 is 2^63: the int64 range is [-twoTo63, twoTo63).
+const twoTo63 = 1 << 63
 
 // Equal reports whether a and b are equal under the total order.
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
@@ -457,12 +472,16 @@ func (v Value) AppendKey(dst []byte) []byte {
 	case KindInt:
 		dst = appendInt64(dst, v.i)
 	case KindFloat:
-		// Integral floats share their key with the equal int so that
-		// Compare-equality and key-equality agree for mixed columns.
-		if f := v.f; f == math.Trunc(f) && f >= math.MinInt64 && f <= math.MaxInt64 {
+		// Integral floats share their key with the equal int, and every
+		// NaN payload shares one key, so that Compare-equality and
+		// key-equality agree for mixed columns.
+		switch f := v.f; {
+		case f == math.Trunc(f) && f >= -twoTo63 && f < twoTo63:
 			dst[len(dst)-1] = byte(KindInt)
 			dst = appendInt64(dst, int64(f))
-		} else {
+		case math.IsNaN(f):
+			dst = appendInt64(dst, int64(math.Float64bits(math.NaN())))
+		default:
 			dst = appendInt64(dst, int64(math.Float64bits(f)))
 		}
 	case KindString:

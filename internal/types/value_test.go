@@ -368,6 +368,64 @@ func TestAppendKeyIntFloatAgree(t *testing.T) {
 	}
 }
 
+// TestCompareAgreesWithAppendKey: Compare is a total order over numbers
+// whose equality classes are exactly the AppendKey classes. Hash joins,
+// grouping and the SG-combiner key by AppendKey while selection, sorting
+// and overlap tests use Compare, so the two must not disagree on any pair.
+// The values are listed in ascending order, equal neighbours grouped.
+func TestCompareAgreesWithAppendKey(t *testing.T) {
+	nan := math.NaN()
+	otherNaN := math.Float64frombits(math.Float64bits(nan) ^ 1)
+	const big = 1 << 53
+	classes := [][]Value{
+		{NegInf()},
+		{Null()},
+		{Float(nan), Float(-nan), Float(otherNaN)},
+		{Float(math.Inf(-1))},
+		{Float(-1 << 64)},
+		{Int(math.MinInt64), Float(-1 << 63)},
+		{Int(math.MinInt64 + 1)},
+		{Int(-1), Float(-1)},
+		{Float(-0.5)},
+		{Int(0), Float(0), Float(math.Copysign(0, -1))},
+		{Float(math.SmallestNonzeroFloat64)},
+		{Float(0.5)},
+		{Int(1), Float(1)},
+		{Int(big), Float(big)},
+		{Int(big + 1)},
+		{Int(big + 2), Float(big + 2)},
+		{Int(math.MaxInt64 - 1)},
+		{Int(math.MaxInt64)},
+		{Float(1 << 63)},
+		{Float(math.MaxFloat64)},
+		{Float(math.Inf(1))},
+		{String("")},
+		{String("a")},
+		{PosInf()},
+	}
+	for ci, ca := range classes {
+		for cj, cb := range classes {
+			want := 0
+			if ci < cj {
+				want = -1
+			} else if ci > cj {
+				want = 1
+			}
+			for _, a := range ca {
+				for _, b := range cb {
+					if got := Compare(a, b); got != want {
+						t.Errorf("Compare(%v %s, %v %s) = %d, want %d", a, a.Kind(), b, b.Kind(), got, want)
+					}
+					sameKey := string(a.AppendKey(nil)) == string(b.AppendKey(nil))
+					if sameKey != (want == 0) {
+						t.Errorf("AppendKey(%v %s) == AppendKey(%v %s) is %v, want %v", a, a.Kind(), b, b.Kind(), sameKey, want == 0)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestTupleOps(t *testing.T) {
 	a := Tuple{Int(1), String("x")}
 	b := a.Clone()
