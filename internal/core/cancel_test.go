@@ -16,8 +16,8 @@ import (
 )
 
 // uncertainJoinInput builds a relation whose join attribute is always
-// uncertain, so an equi-join degenerates to the quadratic overlap join —
-// the worst case the cancellation machinery must abort from.
+// uncertain, in narrow sliding ranges: an equi-join on it goes through the
+// swept quadrants, and each row overlaps a few of the other side's.
 func uncertainJoinInput(name string, rows int) *Relation {
 	r := New(schema.New(name+"k", name+"v"))
 	for i := 0; i < rows; i++ {
@@ -32,12 +32,35 @@ func uncertainJoinInput(name string, rows int) *Relation {
 	return r
 }
 
+// wideInput is n rows whose first attribute spans [0, n], so every pair
+// overlaps: the case no index can prune, which must still cancel.
+func wideInput(name string, n int) *Relation {
+	r := New(schema.New(name+"k", name+"v"))
+	for i := 0; i < n; i++ {
+		r.Add(Tuple{Vals: rangeval.Tuple{
+			rangeval.New(types.Int(0), types.Int(int64(i)), types.Int(int64(n))),
+			rangeval.Certain(types.Int(int64(i % 7))),
+		}, M: One})
+	}
+	return r
+}
+
+// cancelCond joins on the first attributes with a residual conjunct that
+// no pair satisfies. Over wideInput every pair is a join candidate and
+// none is kept: quadratic work, no output.
+func cancelCond() expr.Expr {
+	return expr.And(
+		expr.Eq(expr.Col(0, "lk"), expr.Col(2, "rk")),
+		expr.Lt(expr.Add(expr.Col(1, "lv"), expr.Col(3, "rv")), expr.CInt(0)),
+	)
+}
+
 func cancelPlan() ra.Node {
 	return &ra.Agg{
 		Child: &ra.Join{
 			Left:  &ra.Scan{Table: "l"},
 			Right: &ra.Scan{Table: "r"},
-			Cond:  expr.Eq(expr.Col(0, "lk"), expr.Col(2, "rk")),
+			Cond:  cancelCond(),
 		},
 		GroupBy: []int{1},
 		Aggs:    []ra.AggSpec{{Fn: ra.AggCount, Name: "n"}},
@@ -52,7 +75,7 @@ func TestExecCancellation(t *testing.T) {
 	if testing.Short() {
 		rows = 1000
 	}
-	db := DB{"l": uncertainJoinInput("l", rows), "r": uncertainJoinInput("r", rows)}
+	db := DB{"l": wideInput("l", rows), "r": wideInput("r", rows)}
 	for _, workers := range []int{1, 0} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			testutil.NoLeaks(t)

@@ -21,6 +21,17 @@ import (
 //	                                                    guaranteed to cancel)
 //
 // Theorem 4: this semantics preserves bounds; the pointwise monus does not.
+//
+// Strategy: the right side is read once. Every right tuple sums into rSG
+// by its SG key. An attribute-certain right tuple (a point) also sums its
+// lo and hi by that key; the others (boxes) go into an overlap index on
+// the first attribute. For a point left tuple t, a point t' satisfies
+// t ≃ t' iff t ≡ t' iff the two are Compare-equal on every attribute iff
+// their SG keys are equal, so both sums are one lookup each, plus the
+// probed boxes that overlap t on every attribute. A box left tuple is
+// certainly equal to nothing; its overlap sum comes from probing an index
+// over all of r, again checking every attribute. The sums are int64, so
+// the order rows are added in cannot change them.
 func DiffRelations(ctx context.Context, l, r *Relation) (*Relation, error) {
 	if l.Schema.Arity() != r.Schema.Arity() {
 		return nil, fmt.Errorf("core: difference arity mismatch %s vs %s", l.Schema, r.Schema)
@@ -33,31 +44,56 @@ func diffRelations(ctx context.Context, l, r *Relation) (*Relation, error) {
 	out := New(l.Schema)
 	p := ctxpoll.New(ctx)
 
-	// Pre-aggregate the right side by SG key for the SG component.
 	rSG := map[string]int64{}
-	for _, rt := range r.Tuples {
+	pointLo, pointHi := map[string]int64{}, map[string]int64{}
+	var boxes []int
+	for j, rt := range r.Tuples {
 		if err := p.Due(); err != nil {
 			return nil, err
 		}
-		rSG[rt.Vals.SGKey()] += rt.M.SG
+		k := rt.Vals.SGKey()
+		rSG[k] += rt.M.SG
+		if rt.Vals.IsCertain() {
+			pointLo[k] += rt.M.Lo
+			pointHi[k] += rt.M.Hi
+		} else {
+			boxes = append(boxes, j)
+		}
 	}
+	boxIdx := newOverlapIndex(r, boxes, 0)
+	var allIdx *overlapIndex // over every right tuple; built for the first box left tuple
+	var cand []int
 
 	for _, lt := range comb.Tuples {
+		if err := p.Due(); err != nil {
+			return nil, err
+		}
+		k := lt.Vals.SGKey()
 		var overlapHi, certLo int64
-		for _, rt := range r.Tuples {
+		idx := boxIdx
+		if lt.Vals.IsCertain() {
+			overlapHi, certLo = pointHi[k], pointLo[k] // t ≃ t' and t ≡ t' over points
+		} else {
+			if allIdx == nil {
+				allIdx = newOverlapIndex(r, allRows(len(r.Tuples)), 0)
+			}
+			idx = allIdx
+		}
+		cand = cand[:0]
+		if len(idx.ents) > 0 { // an arity-0 relation has only points: both indexes stay empty
+			cand = idx.probe(lt.Vals[0].Lo, lt.Vals[0].Hi, cand)
+		}
+		for _, j := range cand {
 			if err := p.Due(); err != nil {
 				return nil, err
 			}
-			if lt.Vals.Overlaps(rt.Vals) { // t ≃ t'
+			if rt := r.Tuples[j]; lt.Vals.Overlaps(rt.Vals) { // t ≃ t'
 				overlapHi += rt.M.Hi
-			}
-			if lt.Vals.CertainlyEqual(rt.Vals) { // t ≡ t'
-				certLo += rt.M.Lo
 			}
 		}
 		m := Mult{
 			Lo: monus(lt.M.Lo, overlapHi),
-			SG: monus(lt.M.SG, rSG[lt.Vals.SGKey()]),
+			SG: monus(lt.M.SG, rSG[k]),
 			Hi: monus(lt.M.Hi, certLo),
 		}
 		// monus with different subtrahends can break the triple ordering

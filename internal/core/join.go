@@ -24,8 +24,10 @@ import (
 //   - default: an exact hash-partitioned hybrid. Tuples whose
 //     equality-join attributes are certain meet through a hash join on
 //     their SG values (for certain values, possible-equality coincides
-//     with SG equality); every pair involving an uncertain side goes
-//     through the nested loop. Produces exactly the naive result.
+//     with SG equality); every pair involving an uncertain side is found
+//     by probing an overlap index on the first equality pair's right
+//     column. Produces exactly the naive result; a condition without an
+//     equality pair falls back to the nested loop.
 //   - JoinCompression > 0: the split + Cpr optimization of Section 10.4,
 //     trading precision for a bounded possible-side size.
 func JoinRelations(ctx context.Context, l, r *Relation, cond expr.Expr, opt Options) (*Relation, error) {
@@ -34,7 +36,7 @@ func JoinRelations(ctx context.Context, l, r *Relation, cond expr.Expr, opt Opti
 		return joinOptimized(ctx, l.Dense(), r.Dense(), cond, opt.JoinCompression, w)
 	}
 	if opt.NaiveJoin {
-		return joinNested(ctx, l.Dense(), r.Dense(), cond, nil, nil, w)
+		return joinNested(ctx, l.Dense(), r.Dense(), cond, w)
 	}
 	return joinHybrid(ctx, l, r, cond, opt.JoinBuildLeft, w)
 }
@@ -54,36 +56,28 @@ func joinPair(lt, rt Tuple, cond expr.Expr) (Tuple, error) {
 	return Tuple{Vals: vals, M: m}, nil
 }
 
-// joinNested is the quadratic overlap join. When leftIdx/rightIdx are
-// non-nil only those row indices participate. The outer rows are
+// joinNested is the quadratic overlap join over all pairs: the oracle
+// behind NaiveJoin, the strategy for conditions without an equality pair,
+// and the compressed join's possible side. The outer rows are
 // block-partitioned across workers; each block's pairs are produced in the
 // serial order, and blocks concatenate in order.
-func joinNested(ctx context.Context, l, r *Relation, cond expr.Expr, leftIdx, rightIdx []int, workers int) (*Relation, error) {
+func joinNested(ctx context.Context, l, r *Relation, cond expr.Expr, workers int) (*Relation, error) {
 	out := New(l.Schema.Concat(r.Schema))
-	li := leftIdx
-	if li == nil {
-		li = allIdx(len(l.Tuples))
-	}
-	ri := rightIdx
-	if ri == nil {
-		ri = allIdx(len(r.Tuples))
-	}
-	if len(ri) == 0 {
+	if len(r.Tuples) == 0 {
 		return out, nil
 	}
 	// Size outer chunks so each holds at least minParPairs pairs.
-	minRows := (minParPairs + len(ri) - 1) / len(ri)
-	spans := ChunkSpans(len(li), workers, minRows)
+	minRows := (minParPairs + len(r.Tuples) - 1) / len(r.Tuples)
+	spans := ChunkSpans(len(l.Tuples), workers, minRows)
 	bufs := make([][]Tuple, len(spans))
 	err := runSpans(ctx, spans, func(c int, s Span, p *ctxpoll.Poll) error {
 		var buf []Tuple
-		for _, i := range li[s.Lo:s.Hi] {
-			lt := l.Tuples[i]
-			for _, j := range ri {
+		for _, lt := range l.Tuples[s.Lo:s.Hi] {
+			for _, rt := range r.Tuples {
 				if err := p.Due(); err != nil {
 					return err
 				}
-				tup, err := joinPair(lt, r.Tuples[j], cond)
+				tup, err := joinPair(lt, rt, cond)
 				if err != nil {
 					return err
 				}
@@ -102,7 +96,51 @@ func joinNested(ctx context.Context, l, r *Relation, cond expr.Expr, leftIdx, ri
 	return out, nil
 }
 
-func allIdx(n int) []int {
+// joinSwept joins each left row in li with the right rows of idx whose
+// range on the indexed column overlaps the left row's range on column
+// lCol, in ascending right-row order. The left rows are chunked across
+// workers as joinNested chunks them, and chunks concatenate in order, so
+// the output equals the nested loop over li × idx's rows minus the pairs
+// the index rules out.
+func joinSwept(ctx context.Context, l, r *Relation, cond expr.Expr, li []int, lCol int, idx *overlapIndex, workers int) ([]Tuple, error) {
+	if len(li) == 0 || len(idx.ents) == 0 {
+		return nil, nil
+	}
+	minRows := (minParPairs + len(idx.ents) - 1) / len(idx.ents)
+	spans := ChunkSpans(len(li), workers, minRows)
+	bufs := make([][]Tuple, len(spans))
+	err := runSpans(ctx, spans, func(c int, s Span, p *ctxpoll.Poll) error {
+		var buf []Tuple
+		var cand []int
+		for _, i := range li[s.Lo:s.Hi] {
+			if err := p.Due(); err != nil {
+				return err
+			}
+			lt := l.Tuples[i]
+			cand = idx.probe(lt.Vals[lCol].Lo, lt.Vals[lCol].Hi, cand[:0])
+			for _, j := range cand {
+				if err := p.Due(); err != nil {
+					return err
+				}
+				tup, err := joinPair(lt, r.Tuples[j], cond)
+				if err != nil {
+					return err
+				}
+				if tup.M.Hi > 0 {
+					buf = append(buf, tup)
+				}
+			}
+		}
+		bufs[c] = buf
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return concatTuples(bufs), nil
+}
+
+func allRows(n int) []int {
 	out := make([]int, n)
 	for i := range out {
 		out[i] = i
@@ -111,9 +149,15 @@ func allIdx(n int) []int {
 }
 
 // joinHybrid partitions both inputs on the certainty of the equality-join
-// attributes and hash joins the certain parts. Exact: identical result to
-// joinNested. The hash-probe side and the uncertain nested-loop quadrants
-// are both partitioned across workers.
+// attributes and hash joins the certain parts. The two quadrants with an
+// uncertain side, lUnc × r and lCert × rUnc, probe an overlap index on the
+// first equality pair's right column with the left row's range on its
+// left column. Exact: identical result to joinNested, because a pair the
+// index rules out has disjoint ranges on that pair, so the conjunct is not
+// even possibly true and the pair's M.Hi is 0 — the same rule the hash
+// quadrant applies to unequal certain keys. Each quadrant emits its pairs
+// in the nested loop's order. The hash-probe side and both swept quadrants
+// are partitioned across workers.
 func joinHybrid(ctx context.Context, l, r *Relation, cond expr.Expr, buildLeft bool, workers int) (*Relation, error) {
 	split := l.Schema.Arity()
 	var lCols, rCols []int
@@ -126,7 +170,7 @@ func joinHybrid(ctx context.Context, l, r *Relation, cond expr.Expr, buildLeft b
 		}
 	}
 	if len(lCols) == 0 {
-		return joinNested(ctx, l.Dense(), r.Dense(), cond, nil, nil, workers)
+		return joinNested(ctx, l.Dense(), r.Dense(), cond, workers)
 	}
 	l, r = l.Dense(), r.Dense()
 
@@ -191,24 +235,20 @@ func joinHybrid(ctx context.Context, l, r *Relation, cond expr.Expr, buildLeft b
 	}
 	out.Tuples = concatTuples(bufs)
 
-	// Pairs involving an uncertain side: nested loops. Empty partitions
-	// must be skipped explicitly (joinNested treats nil as "all rows").
-	appendAll := func(rel *Relation, li, ri []int) error {
-		if len(li) == 0 || len(ri) == 0 {
-			return nil
-		}
-		part, err := joinNested(ctx, l, r, cond, li, ri, workers)
+	// Pairs involving an uncertain side: overlap-index probes.
+	if len(lUnc) > 0 {
+		part, err := joinSwept(ctx, l, r, cond, lUnc, lCols[0], newOverlapIndex(r, allRows(len(r.Tuples)), rCols[0]), workers)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		rel.Tuples = append(rel.Tuples, part.Tuples...)
-		return nil
+		out.Tuples = append(out.Tuples, part...)
 	}
-	if err := appendAll(out, lUnc, allIdx(len(r.Tuples))); err != nil {
-		return nil, err
-	}
-	if err := appendAll(out, lCert, rUnc); err != nil {
-		return nil, err
+	if len(lCert) > 0 && len(rUnc) > 0 {
+		part, err := joinSwept(ctx, l, r, cond, lCert, lCols[0], newOverlapIndex(r, rUnc, rCols[0]), workers)
+		if err != nil {
+			return nil, err
+		}
+		out.Tuples = append(out.Tuples, part...)
 	}
 	return out, nil
 }
@@ -287,7 +327,7 @@ func joinOptimized(ctx context.Context, l, r *Relation, cond expr.Expr, ct, work
 		lCpr = Compress(lUp, la, ct)
 		rCpr = Compress(rUp, ra, ct)
 	}
-	posJoin, err := joinNested(ctx, lCpr, rCpr, cond, nil, nil, workers)
+	posJoin, err := joinNested(ctx, lCpr, rCpr, cond, workers)
 	if err != nil {
 		return nil, err
 	}

@@ -62,9 +62,9 @@ func withWorkers(o Options, w int) Options {
 	return o
 }
 
-// TestParallelMatchesSerialLarge pushes one equi-join + aggregation over
-// inputs big enough to cross the chunking thresholds, so the goroutine
-// paths (not the serial fallbacks) are what gets compared.
+// TestParallelMatchesSerialLarge pushes equi-joins (hash and swept) and an
+// aggregation over inputs big enough to cross the chunking thresholds, so
+// the goroutine paths (not the serial fallbacks) are what gets compared.
 func TestParallelMatchesSerialLarge(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large parallel-identity check skipped in -short mode")
@@ -72,7 +72,10 @@ func TestParallelMatchesSerialLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	rRel := genIncomplete(rng, schema.New("a", "b"), 1500)
 	sRel := genIncomplete(rng, schema.New("c", "d"), 60)
-	db := DB{"r": rRel.auRelation(), "s": sRel.auRelation()}
+	db := DB{
+		"r": rRel.auRelation(), "s": sRel.auRelation(),
+		"u": uncertainJoinInput("u", 1200), "v": uncertainJoinInput("v", 900),
+	}
 	plans := map[string]ra.Node{
 		"select": &ra.Select{
 			Child: &ra.Scan{Table: "r"},
@@ -82,6 +85,23 @@ func TestParallelMatchesSerialLarge(t *testing.T) {
 			Left:  &ra.Scan{Table: "r"},
 			Right: &ra.Scan{Table: "s"},
 			Cond:  expr.Eq(expr.Col(0, "a"), expr.Col(2, "c")),
+		},
+		// Both swept quadrants: r's certain keys against u's uncertain
+		// ones, and r's uncertain keys against all of u.
+		"swept-join": &ra.Join{
+			Left:  &ra.Scan{Table: "r"},
+			Right: &ra.Scan{Table: "u"},
+			Cond:  expr.Eq(expr.Col(0, "a"), expr.Col(2, "uk")),
+		},
+		// Uncertain keys on both sides, narrow enough for the index to
+		// prune most pairs.
+		"swept-join-narrow": &ra.Join{
+			Left:  &ra.Scan{Table: "u"},
+			Right: &ra.Scan{Table: "v"},
+			Cond: expr.And(
+				expr.Eq(expr.Col(0, "uk"), expr.Col(2, "vk")),
+				expr.Leq(expr.Col(1, "uv"), expr.Col(3, "vv")),
+			),
 		},
 		"agg": &ra.Agg{
 			Child:   &ra.Scan{Table: "r"},

@@ -231,14 +231,15 @@ func TestStmtRewriteRetriesAfterFailure(t *testing.T) {
 	}
 }
 
-// cancelDB builds a database whose corpus join is expensive: every join
-// attribute is uncertain, forcing the quadratic overlap join.
+// cancelDB builds a database whose join is expensive: every join key
+// spans the whole key domain, so every pair of rows is a join candidate.
+// cancelQuery's residual conjunct keeps only pairs with both v = 0.
 func cancelDB(rows int) *Database {
 	mk := func(name string) *UncertainTable {
 		t := NewUncertainTable(name, "k", "v")
 		for i := 0; i < rows; i++ {
 			t.AddRow(RangeRow{
-				Range(Int(int64(i)), Int(int64(i+1)), Int(int64(i+3))),
+				Range(Int(0), Int(int64(i)), Int(int64(rows))),
 				CertainOf(Int(int64(i % 97))),
 			}, CertainMult(1))
 		}
@@ -250,6 +251,8 @@ func cancelDB(rows int) *Database {
 	return db
 }
 
+const cancelQuery = `SELECT l.v, count(*) AS n FROM l JOIN r ON l.k = r.k AND l.v + r.v = 0 GROUP BY l.v`
+
 // TestQueryContextCancellation: a long-running join cancelled mid-flight
 // must return context.Canceled well under a second, in both serial and
 // parallel modes, without leaking goroutines.
@@ -259,7 +262,7 @@ func TestQueryContextCancellation(t *testing.T) {
 		rows = 1200
 	}
 	db := cancelDB(rows)
-	q := `SELECT l.v, count(*) AS n FROM l JOIN r ON l.k = r.k GROUP BY l.v`
+	q := cancelQuery
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			testutil.NoLeaks(t)
@@ -301,7 +304,7 @@ func TestCancellationAllEngines(t *testing.T) {
 		rows = 800
 	}
 	db := cancelDB(rows)
-	q := `SELECT l.v, count(*) AS n FROM l JOIN r ON l.k = r.k GROUP BY l.v`
+	q := cancelQuery
 	for _, eng := range []Engine{EngineNative, EngineRewrite, EngineSGW} {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
