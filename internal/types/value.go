@@ -259,6 +259,26 @@ const twoTo63 = 1 << 63
 // Equal reports whether a and b are equal under the total order.
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
+// Same reports whether a and b are the same value by representation: the
+// same kind and the same bits. Unlike Equal it tells -0 from 0, 1 from 1.0
+// and one NaN payload from another.
+func Same(a, b Value) bool {
+	if a.kind != b.kind {
+		return false
+	}
+	switch a.kind {
+	case KindBool:
+		return a.b == b.b
+	case KindInt:
+		return a.i == b.i
+	case KindFloat:
+		return math.Float64bits(a.f) == math.Float64bits(b.f)
+	case KindString:
+		return a.s == b.s
+	}
+	return true
+}
+
 // Less reports a < b under the total order.
 func Less(a, b Value) bool { return Compare(a, b) < 0 }
 
@@ -306,8 +326,16 @@ func numericPair(op string, a, b Value) error {
 // Add returns a + b. Null propagates; infinities absorb (inf + x = inf).
 // Adding opposite infinities is an error.
 func Add(a, b Value) (Value, error) {
-	if a.kind == KindFloat && b.kind == KindFloat {
-		return Float(a.f + b.f), nil // what addGeneral returns, without its checks
+	// The numeric pairs return what addGeneral returns, without its checks.
+	switch {
+	case a.kind == KindFloat && b.kind == KindFloat:
+		return Float(a.f + b.f), nil
+	case a.kind == KindInt && b.kind == KindInt:
+		return Int(a.i + b.i), nil
+	case a.kind == KindInt && b.kind == KindFloat:
+		return Float(float64(a.i) + b.f), nil
+	case a.kind == KindFloat && b.kind == KindInt:
+		return Float(a.f + float64(b.i)), nil
 	}
 	return addGeneral(a, b)
 }
@@ -378,8 +406,16 @@ func Neg(a Value) (Value, error) {
 // Mul returns a * b. Inf times zero yields zero (the convention needed for
 // multiplicity-weighted aggregation, where a zero multiplicity annihilates).
 func Mul(a, b Value) (Value, error) {
-	if a.kind == KindFloat && b.kind == KindFloat {
-		return Float(a.f * b.f), nil // what mulGeneral returns, without its checks
+	// The numeric pairs return what mulGeneral returns, without its checks.
+	switch {
+	case a.kind == KindFloat && b.kind == KindFloat:
+		return Float(a.f * b.f), nil
+	case a.kind == KindInt && b.kind == KindInt:
+		return Int(a.i * b.i), nil
+	case a.kind == KindInt && b.kind == KindFloat:
+		return Float(float64(a.i) * b.f), nil
+	case a.kind == KindFloat && b.kind == KindInt:
+		return Float(a.f * float64(b.i)), nil
 	}
 	return mulGeneral(a, b)
 }

@@ -1,6 +1,7 @@
 package types
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -252,6 +253,67 @@ func TestFloatFastPath(t *testing.T) {
 					t.Errorf("%g %s %g = %#v, general path %#v", x, op.name, y, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestNumericFastPath: the int×int, int×float and float×int branches of
+// Add and Mul return exactly what the general path returns — kind, bits
+// and error text — over wrapping ints, signed zeros, NaN, float and
+// sentinel infinities, null and strings.
+func TestNumericFastPath(t *testing.T) {
+	vals := []Value{
+		Int(0), Int(1), Int(-1), Int(7), Int(math.MaxInt64), Int(math.MinInt64),
+		Int(math.MaxInt64 - 1), Int(math.MinInt64 + 1), Int(1 << 40),
+		Float(0), Float(math.Copysign(0, -1)), Float(1), Float(-2.5), Float(math.NaN()),
+		Float(math.Inf(1)), Float(math.Inf(-1)), Float(math.MaxFloat64), Float(1e-310),
+		PosInf(), NegInf(), Null(), String("a"), Bool(true),
+	}
+	ops := []struct {
+		name          string
+		fast, general func(a, b Value) (Value, error)
+	}{
+		{"+", Add, addGeneral},
+		{"*", Mul, mulGeneral},
+	}
+	for _, op := range ops {
+		for _, x := range vals {
+			for _, y := range vals {
+				got, gerr := op.fast(x, y)
+				want, werr := op.general(x, y)
+				if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+					t.Fatalf("%#v %s %#v: error %v, general path %v", x, op.name, y, gerr, werr)
+				}
+				if !Same(got, want) {
+					t.Errorf("%#v %s %#v = %#v, general path %#v", x, op.name, y, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSame: representation identity, not order equality.
+func TestSame(t *testing.T) {
+	nan2 := math.Float64frombits(math.Float64bits(math.NaN()) ^ 1)
+	cases := []struct {
+		a, b Value
+		want bool
+	}{
+		{Int(1), Int(1), true},
+		{Int(1), Float(1), false},
+		{Float(0), Float(math.Copysign(0, -1)), false},
+		{Float(math.NaN()), Float(math.NaN()), true},
+		{Float(math.NaN()), Float(nan2), false},
+		{String("a"), String("a"), true},
+		{String("a"), String("b"), false},
+		{Null(), Null(), true},
+		{PosInf(), PosInf(), true},
+		{PosInf(), NegInf(), false},
+		{Bool(true), Bool(false), false},
+	}
+	for _, c := range cases {
+		if got := Same(c.a, c.b); got != c.want {
+			t.Errorf("Same(%#v, %#v) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
 }
