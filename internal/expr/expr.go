@@ -387,15 +387,21 @@ func (a Arith) EvalRange(t rangeval.Tuple) (rangeval.V, error) {
 	if err != nil {
 		return rangeval.V{}, err
 	}
-	switch a.Op {
+	return RangeArith(a.Op, lv, rv)
+}
+
+// RangeArith applies op to two range values under Definition 9: the rule
+// Arith.EvalRange applies once both operands are evaluated.
+func RangeArith(op ArithOp, a, b rangeval.V) (rangeval.V, error) {
+	switch op {
 	case OpAdd:
-		return RangeAdd(lv, rv)
+		return RangeAdd(a, b)
 	case OpSub:
-		return RangeSub(lv, rv)
+		return RangeSub(a, b)
 	case OpMul:
-		return RangeMul(lv, rv)
+		return RangeMul(a, b)
 	default:
-		return RangeDiv(lv, rv)
+		return RangeDiv(a, b)
 	}
 }
 
@@ -419,8 +425,34 @@ func satAdd(x, y types.Value, dir int) (types.Value, error) {
 	return types.Null(), err
 }
 
+// isPoint reports whether v is a point by representation: its three
+// components are the same value, bits included. For two such operands the
+// corner rules compute op(a.SG, b.SG) three times, so the shortcuts below
+// return exactly that value and that error. A Compare-certain triple such
+// as [-0/0/-0] or [1/1.0/1] is not a point here and takes the corners.
+func isPoint(v rangeval.V) bool {
+	return types.Same(v.Lo, v.SG) && types.Same(v.SG, v.Hi)
+}
+
+// certainOf lifts a point operation's result: the corner rule's value and
+// error for two point operands.
+func certainOf(v types.Value, err error) (rangeval.V, error) {
+	if err != nil {
+		return rangeval.V{}, err
+	}
+	return rangeval.Certain(v), nil
+}
+
 // RangeAdd implements [a] + [b] per Definition 9.
 func RangeAdd(a, b rangeval.V) (rangeval.V, error) {
+	if isPoint(a) && isPoint(b) {
+		return certainOf(types.Add(a.SG, b.SG))
+	}
+	return rangeAddCorners(a, b)
+}
+
+// rangeAddCorners is RangeAdd's bound rule for every operand.
+func rangeAddCorners(a, b rangeval.V) (rangeval.V, error) {
 	lo, err := satAdd(a.Lo, b.Lo, -1)
 	if err != nil {
 		return rangeval.V{}, err
@@ -438,6 +470,10 @@ func RangeAdd(a, b rangeval.V) (rangeval.V, error) {
 
 // RangeSub implements [a] - [b]: lower bound a.lb - b.ub, upper a.ub - b.lb.
 func RangeSub(a, b rangeval.V) (rangeval.V, error) {
+	if isPoint(a) && isPoint(b) {
+		// types.Sub is Add(a, Neg(b)), as rangeNeg then RangeAdd are.
+		return certainOf(types.Sub(a.SG, b.SG))
+	}
 	nb, err := rangeNeg(b)
 	if err != nil {
 		return rangeval.V{}, err
@@ -463,6 +499,14 @@ func rangeNeg(a rangeval.V) (rangeval.V, error) {
 
 // RangeMul implements [a] * [b]: min/max over the four bound products.
 func RangeMul(a, b rangeval.V) (rangeval.V, error) {
+	if isPoint(a) && isPoint(b) {
+		return certainOf(types.Mul(a.SG, b.SG))
+	}
+	return rangeMulCorners(a, b)
+}
+
+// rangeMulCorners is RangeMul's bound rule for every operand.
+func rangeMulCorners(a, b rangeval.V) (rangeval.V, error) {
 	sg, err := types.Mul(a.SG, b.SG)
 	if err != nil {
 		return rangeval.V{}, err

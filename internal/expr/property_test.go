@@ -1,7 +1,10 @@
 package expr
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/audb/audb/internal/rangeval"
@@ -136,5 +139,76 @@ func TestTheorem1BoundPreservation(t *testing.T) {
 	}
 	if checked < trials/2 {
 		t.Fatalf("too few effective trials: %d of %d", checked, trials)
+	}
+}
+
+// pointAlphabet is the value domain of TestPointShortcutMatchesCorners:
+// wrapping ints, signed zeros, NaN, float and sentinel infinities, null,
+// strings and ints beside the equal float.
+var pointAlphabet = []types.Value{
+	types.Int(0), types.Int(1), types.Int(-3), types.Int(math.MaxInt64), types.Int(math.MinInt64),
+	types.Float(0), types.Float(math.Copysign(0, -1)), types.Float(1), types.Float(-2.5),
+	types.Float(math.NaN()), types.Float(math.Inf(1)), types.Float(math.Inf(-1)), types.Float(1e308),
+	types.PosInf(), types.NegInf(), types.Null(), types.String("a"), types.Bool(true),
+}
+
+// randTriple draws a point, a Compare-certain triple whose components
+// differ in representation (an int and the equal float, or -0 and 0), or a
+// genuine range whose corners are sorted under the total order.
+func randTriple(r *rand.Rand) rangeval.V {
+	v := pointAlphabet[r.Intn(len(pointAlphabet))]
+	switch r.Intn(4) {
+	case 0:
+		switch v.Kind() {
+		case types.KindInt:
+			return rangeval.New(v, types.Float(float64(v.AsInt())), v)
+		case types.KindFloat:
+			if v.AsFloat() == 0 {
+				return rangeval.New(types.Float(math.Copysign(0, -1)), types.Float(0), types.Float(math.Copysign(0, -1)))
+			}
+		}
+		return rangeval.Certain(v)
+	case 1:
+		cs := []types.Value{v, pointAlphabet[r.Intn(len(pointAlphabet))], pointAlphabet[r.Intn(len(pointAlphabet))]}
+		slices.SortFunc(cs, types.Compare)
+		return rangeval.New(cs[0], cs[1], cs[2])
+	}
+	return rangeval.Certain(v)
+}
+
+// sameV reports whether two range values are identical bit for bit.
+func sameV(a, b rangeval.V) bool {
+	return types.Same(a.Lo, b.Lo) && types.Same(a.SG, b.SG) && types.Same(a.Hi, b.Hi)
+}
+
+// TestPointShortcutMatchesCorners: RangeAdd, RangeSub and RangeMul take a
+// shortcut when both operands are points by representation. It must return
+// exactly what the corner rule returns — value bits and error text — for
+// every operand pair, points or not.
+func TestPointShortcutMatchesCorners(t *testing.T) {
+	ops := []struct {
+		name          string
+		fast, corners func(a, b rangeval.V) (rangeval.V, error)
+	}{
+		{"+", RangeAdd, rangeAddCorners},
+		{"-", RangeSub, func(a, b rangeval.V) (rangeval.V, error) {
+			nb, err := rangeNeg(b)
+			if err != nil {
+				return rangeval.V{}, err
+			}
+			return rangeAddCorners(a, nb)
+		}},
+		{"*", RangeMul, rangeMulCorners},
+	}
+	r := rand.New(rand.NewSource(11))
+	for i := 0; i < 20000; i++ {
+		a, b := randTriple(r), randTriple(r)
+		for _, op := range ops {
+			got, gerr := op.fast(a, b)
+			want, werr := op.corners(a, b)
+			if fmt.Sprint(gerr) != fmt.Sprint(werr) || !sameV(got, want) {
+				t.Fatalf("[%#v] %s [%#v] = %#v, %v; corner rule %#v, %v", a, op.name, b, got, gerr, want, werr)
+			}
+		}
 	}
 }
