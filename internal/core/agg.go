@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -181,6 +182,7 @@ type contrib struct {
 	m    Mult
 	args []rangeval.V
 	ug   bool // ug(G, R, t): group membership is uncertain
+	pos  int  // its position in the walk, which orders fold errors
 }
 
 // avgBounds derives AVG bounds from sum and count bound triples using
@@ -218,12 +220,19 @@ func avgBounds(sum, cnt rangeval.V) rangeval.V {
 }
 
 // AggRelations is the grouping-aggregation kernel on a materialized input,
-// implementing the default grouping strategy (Definitions 24-28). With
-// Options.AggCompression > 0 the possible-contribution side is compressed
-// first (Section 10.5), trading bound tightness for running time. outSchema
-// is the operator's inferred output schema (group-by attributes then
-// aggregate names).
+// implementing the default grouping strategy (Definitions 24-28). It reads
+// in in its own layout: a sparse relation's columns are not densified.
+// With Options.AggCompression > 0 the possible-contribution side is
+// compressed first (Section 10.5), trading bound tightness for running
+// time. outSchema is the operator's inferred output schema (group-by
+// attributes then aggregate names).
 func AggRelations(ctx context.Context, in *Relation, groupBy []int, specs []ra.AggSpec, outSchema schema.Schema, opt Options) (*Relation, error) {
+	return AggInputs(ctx, aggInputOf(in), groupBy, specs, outSchema, opt)
+}
+
+// AggInputs is AggRelations over an input kept in the layout the pipeline
+// delivered it in (see AggInput).
+func AggInputs(ctx context.Context, in *AggInput, groupBy []int, specs []ra.AggSpec, outSchema schema.Schema, opt Options) (*Relation, error) {
 	plans, slots, err := planAggs(specs)
 	if err != nil {
 		return nil, err
@@ -231,117 +240,645 @@ func AggRelations(ctx context.Context, in *Relation, groupBy []int, specs []ra.A
 	return aggregate(ctx, in, groupBy, plans, slots, outSchema, opt)
 }
 
-// buildContribs evaluates one argument range per slot for every tuple,
-// chunked across workers (each contribution is independent and lands in
-// its input slot). Argument and group-by ranges are carved from two arenas
-// allocated once, not per tuple.
-func buildContribs(ctx context.Context, in *Relation, groupBy []int, slots []slot, workers int) ([]contrib, error) {
-	n, ns, ng := len(in.Tuples), len(slots), len(groupBy)
-	out := make([]contrib, n)
-	args := make([]rangeval.V, n*ns)
-	gbs := make(rangeval.Tuple, n*ng)
-	spans := ChunkSpans(n, workers, minParTuples)
-	err := runSpans(ctx, spans, func(_ int, s Span, p *ctxpoll.Poll) error {
-		for i := s.Lo; i < s.Hi; i++ {
+// aggGroups is what pass 1 learns from the group-by values alone: the
+// output groups of the default grouping strategy (Definition 24: one per
+// distinct SG group-by value, in first-seen order) with their bounding
+// boxes (Definition 25), and each row's group and rank.
+type aggGroups struct {
+	at   map[string]int32 // SG key → group
+	gbox []rangeval.Tuple
+	// Per group: the group-by of its first point row (a row whose
+	// group-by is certain) and its number of point rows.
+	rep    []rangeval.Tuple
+	npoint []int
+	// keys lists the groups that have point rows in the first-seen order
+	// of those points; nbox counts the other rows.
+	keys []int32
+	nbox int
+	// Per row: its α-group, and its rank among its group's point rows
+	// (>= 0) or -(1 + its rank among the box rows).
+	grp, rank []int32
+}
+
+// groupRows is pass 1. Each row's SG key is built once, into a reused
+// buffer; only a new group allocates it.
+func groupRows(in *AggInput, groupBy []int, sizeHint int, p *ctxpoll.Poll) (*aggGroups, error) {
+	sizeHint = min(max(sizeHint, 0), in.n)
+	gs := &aggGroups{
+		at:   make(map[string]int32, sizeHint),
+		grp:  make([]int32, 0, in.n),
+		rank: make([]int32, 0, in.n),
+	}
+	var key []byte
+	for pi := range in.parts {
+		pt := &in.parts[pi]
+		for i := 0; i < pt.n; i++ {
+			if err := p.Due(); err != nil {
+				return nil, err
+			}
+			key = key[:0]
+			point := true
+			for _, c := range groupBy {
+				if x, ok := pt.flat(c, i); ok {
+					key = x.AppendKey(key)
+					continue
+				}
+				v := pt.val(c, i)
+				key = v.SG.AppendKey(key)
+				point = point && v.IsCertain()
+			}
+			g, ok := gs.at[string(key)]
+			if !ok {
+				g = int32(len(gs.gbox))
+				gs.at[string(key)] = g
+				box := make(rangeval.Tuple, len(groupBy))
+				for j, c := range groupBy {
+					box[j] = rangeval.Certain(pt.val(c, i).SG)
+				}
+				gs.gbox = append(gs.gbox, box)
+				gs.rep = append(gs.rep, nil)
+				gs.npoint = append(gs.npoint, 0)
+			}
+			gs.grp = append(gs.grp, g)
+			if point {
+				// A point equals its group's SG under the total order, so
+				// it already lies in the box: its union would be a no-op.
+				if gs.npoint[g] == 0 {
+					gs.keys = append(gs.keys, g)
+					gs.rep[g] = gbOf(pt, i, groupBy, nil)
+				}
+				gs.rank = append(gs.rank, int32(gs.npoint[g]))
+				gs.npoint[g]++
+				continue
+			}
+			box := gs.gbox[g]
+			for j, c := range groupBy {
+				box[j] = box[j].Union(pt.val(c, i)) // Definition 25
+			}
+			gs.nbox++
+			gs.rank = append(gs.rank, -int32(gs.nbox))
+		}
+	}
+	return gs, nil
+}
+
+// gbOf returns row i's group-by values, in dst when it is large enough.
+func gbOf(pt *aggPart, i int, groupBy []int, dst rangeval.Tuple) rangeval.Tuple {
+	if dst == nil {
+		dst = make(rangeval.Tuple, len(groupBy))
+	}
+	for j, c := range groupBy {
+		dst[j] = pt.val(c, i)
+	}
+	return dst
+}
+
+// aggKernel is the state of one aggregation after pass 1.
+//
+// Pass 2 folds each row in input order: its SG contribution and
+// multiplicity go to its α-group, and a point row whose group's box is
+// certain adds its ⊛ bounds (Definition 26) to that group at once. Only
+// rows that may reach a group whose box is uncertain (the set U) are kept
+// as contribs: box rows, and the point rows of keys that overlap a group
+// in U. The walk then folds those in the order every group folded before
+// rows were folded directly — point keys in first-seen order, then boxes
+// in input order — so each group still receives its point rows in input
+// order followed by the boxes that overlap it, every float + runs on the
+// same operands in the same order, and every answer is unchanged.
+//
+// With compression every row is kept and the walk runs over the
+// compressed side (Section 10.5), as it always has.
+type aggKernel struct {
+	in      *AggInput
+	groupBy []int
+	slots   []slot
+	gs      *aggGroups
+	// compression is Options.AggCompression: > 0 keeps every row.
+	compression int
+	certBox     []bool // per group: its box is certain
+	unc         []int  // U, ascending
+
+	// Per point key: the walk position of its first point row, and the
+	// slot of its first kept row (-1 when none is kept). npoints is the
+	// number of point rows, kept the number of kept point rows.
+	walkAt, keptAt []int
+	npoints, kept  int
+
+	// The kept rows: in walk order without compression, in input order
+	// with it. Their ranges live in two arenas.
+	keep []contrib
+	args []rangeval.V
+	gbs  rangeval.Tuple
+
+	// Per group: lo, hi per slot; the SG result per slot; the row
+	// annotation sums; the group's first SG error.
+	acc   []types.Value
+	sg    []types.Value
+	mults []multSum
+	sgErr []error
+}
+
+// multSum accumulates a group's row annotation (Definitions 27 and 28).
+type multSum struct{ lo, sg, hi int64 }
+
+// foldErr is a failed step and its position: the row of an argument
+// error, or the walk position of a fold error.
+type foldErr struct {
+	at  int
+	err error
+}
+
+// earlier reports whether e precedes o; a missing error precedes nothing.
+func (e foldErr) earlier(o foldErr) bool {
+	return e.err != nil && (o.err == nil || e.at < o.at)
+}
+
+// aggregate executes grouping (or global) aggregation in two passes over
+// in: pass 1 finds the groups from the group-by values, pass 2 evaluates
+// the arguments a chunk of rows at a time and folds every row into its
+// group (see aggKernel). It reports the error the row-at-a-time kernel
+// reports: argument errors first, in row-major order; then fold errors,
+// by position in the walk; then SG errors, by group.
+func aggregate(ctx context.Context, in *AggInput, groupBy []int, plans []aggPlan, slots []slot, outSchema schema.Schema, opt Options) (*Relation, error) {
+	workers := opt.workerCount()
+	gs, err := groupRows(in, groupBy, opt.SizeHint, ctxpoll.New(ctx))
+	if err != nil {
+		return nil, err
+	}
+	out := New(outSchema)
+	noGroup := len(groupBy) == 0
+	if noGroup && len(gs.gbox) == 0 {
+		// Empty input: one output row with neutral bounds (Definition 27).
+		row := make(rangeval.Tuple, len(plans))
+		for j, p := range plans {
+			if p.cnt >= 0 {
+				row[j] = rangeval.Certain(types.Float(0))
+			} else {
+				row[j] = rangeval.Certain(slots[p.slot].monoid.neutral())
+			}
+		}
+		out.Add(Tuple{Vals: row, M: One})
+		return out, nil
+	}
+	k, err := newAggKernel(in, groupBy, slots, gs, opt.AggCompression, ctxpoll.New(ctx))
+	if err != nil {
+		return nil, err
+	}
+
+	// Pass 2 and the walk are split by groups: each group is folded by
+	// one chunk, in the one order, so no result depends on the chunking.
+	spans := ChunkSpans(len(gs.gbox), workers, minParGroups)
+	argErrs := make([]foldErr, len(spans))
+	direct := make([]foldErr, len(spans))
+	if err := runSpans(ctx, spans, func(c int, s Span, p *ctxpoll.Poll) error {
+		return k.foldRows(s, p, &argErrs[c], &direct[c])
+	}); err != nil {
+		return nil, err
+	}
+	var first foldErr
+	for _, e := range argErrs {
+		if e.earlier(first) {
+			first = e
+		}
+	}
+	if first.err != nil {
+		return nil, first.err
+	}
+
+	walk, runs, boxAt := k.walkOrder()
+	walked := make([]foldErr, len(spans))
+	if err := runSpans(ctx, spans, func(c int, s Span, p *ctxpoll.Poll) error {
+		return k.walk(s, walk, runs, boxAt, p, &walked[c])
+	}); err != nil {
+		return nil, err
+	}
+	// At one position, a point row's direct fold (its certain target)
+	// comes before its walk (the uncertain ones).
+	for _, e := range direct {
+		if e.earlier(first) {
+			first = e
+		}
+	}
+	for _, e := range walked {
+		if e.earlier(first) {
+			first = e
+		}
+	}
+	if first.err != nil {
+		return nil, first.err
+	}
+	for _, err := range k.sgErr {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return k.rows(out, plans, noGroup, ctxpoll.New(ctx))
+}
+
+// newAggKernel sizes pass 2's state from pass 1: U, each point key's walk
+// position and whether it is kept, and the arenas for the kept rows.
+func newAggKernel(in *AggInput, groupBy []int, slots []slot, gs *aggGroups, compression int, p *ctxpoll.Poll) (*aggKernel, error) {
+	ng, ns := len(gs.gbox), len(slots)
+	k := &aggKernel{
+		in: in, groupBy: groupBy, slots: slots, gs: gs, compression: compression,
+		certBox: make([]bool, ng),
+		walkAt:  make([]int, ng),
+		keptAt:  make([]int, ng),
+		acc:     make([]types.Value, 2*ns*ng),
+		sg:      make([]types.Value, ns*ng),
+		mults:   make([]multSum, ng),
+		sgErr:   make([]error, ng),
+	}
+	for g, box := range gs.gbox {
+		if err := p.Due(); err != nil {
+			return nil, err
+		}
+		k.certBox[g] = box.IsCertain()
+		if !k.certBox[g] {
+			k.unc = append(k.unc, g)
+		}
+		for j := range slots {
+			n := slots[j].monoid.neutral()
+			k.acc[2*ns*g+2*j], k.acc[2*ns*g+2*j+1] = n, n
+			k.sg[ns*g+j] = n
+		}
+	}
+	nkeep := in.n
+	if compression == 0 {
+		for _, g := range gs.keys {
+			k.walkAt[g] = k.npoints
+			k.npoints += gs.npoint[g]
+			k.keptAt[g] = -1
+			for _, u := range k.unc {
+				if err := p.Due(); err != nil {
+					return nil, err
+				}
+				if gs.rep[g].Overlaps(gs.gbox[u]) {
+					k.keptAt[g] = k.kept
+					k.kept += gs.npoint[g]
+					break
+				}
+			}
+		}
+		nkeep = k.kept + gs.nbox
+	}
+	k.keep = make([]contrib, nkeep)
+	k.args = make([]rangeval.V, nkeep*ns)
+	k.gbs = make(rangeval.Tuple, nkeep*len(groupBy))
+	return k, nil
+}
+
+// foldRows is pass 2 for the groups in s: it visits every row in input
+// order and folds those of its groups. It stops at its first argument
+// error, which it stores in argErr; fold errors of the direct fold go to
+// direct, the earliest by walk position.
+func (k *aggKernel) foldRows(s Span, p *ctxpoll.Poll, argErr, direct *foldErr) error {
+	ev := argEval{slots: k.slots, out: make([]rangeval.V, aggChunk*len(k.slots))}
+	w := walker{slots: k.slots, acc: k.acc, bounds: make([]types.Value, 4*len(k.slots)), targets: make([]target, 0, 1)}
+	idx := make([]int, 0, aggChunk)
+	base := 0 // the part's first row
+	for pi := range k.in.parts {
+		pt := &k.in.parts[pi]
+		for lo := 0; lo < pt.n; lo += aggChunk {
+			idx = idx[:0]
+			for i := lo; i < min(lo+aggChunk, pt.n); i++ {
+				if g := int(k.gs.grp[base+i]); g >= s.Lo && g < s.Hi {
+					idx = append(idx, i)
+				}
+			}
 			if err := p.Due(); err != nil {
 				return err
 			}
-			tup := &in.Tuples[i]
-			a := args[i*ns : (i+1)*ns : (i+1)*ns]
-			for j := range slots {
-				v, err := slots[j].eval.EvalRange(tup.Vals)
-				if err != nil {
-					return fmt.Errorf("core: aggregate %s: %w", slots[j].name, err)
+			if len(idx) == 0 {
+				continue
+			}
+			args, bad, err := ev.eval(pt, idx)
+			if err != nil {
+				*argErr = foldErr{at: base + idx[bad], err: err}
+				return nil
+			}
+			ns := len(k.slots)
+			for n, i := range idx {
+				if err := p.Due(); err != nil {
+					return err
 				}
-				a[j] = v
+				k.foldRow(pt, i, base+i, args[n*ns:(n+1)*ns:(n+1)*ns], &w, direct)
 			}
-			gb := gbs[i*ng : (i+1)*ng : (i+1)*ng]
-			for j, c := range groupBy {
-				gb[j] = tup.Vals[c]
-			}
-			out[i] = contrib{gb: gb, m: tup.M, args: a, ug: tup.M.Lo == 0 || !gb.IsCertain()}
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		base += pt.n
+	}
+	return nil
+}
+
+// foldRow folds row r (row i of pt) with argument ranges args.
+func (k *aggKernel) foldRow(pt *aggPart, i, r int, args []rangeval.V, w *walker, direct *foldErr) {
+	g, rank := int(k.gs.grp[r]), int(k.gs.rank[r])
+	point := rank >= 0
+	c := contrib{m: pt.mult(i), args: args}
+	c.ug = c.m.Lo == 0 || !point
+
+	// SG results: exactly the α-members, standard K-relational semantics
+	// over the SGW (mirrors the piggy-backed computation of the optimized
+	// rewrite).
+	if c.m.SG != 0 && k.sgErr[g] == nil {
+		ns := len(k.slots)
+		sg := k.sg[ns*g : ns*(g+1)]
+		for j := range k.slots {
+			m := k.slots[j].monoid
+			x, err := m.star(c.m.SG, args[j].SG)
+			if err == nil {
+				sg[j], err = m.plus(sg[j], x)
+			}
+			if err != nil {
+				k.sgErr[g] = err
+				break
+			}
+		}
+	}
+	// Row annotation (Definitions 27 and 28).
+	ms := &k.mults[g]
+	if !c.ug {
+		ms.lo += c.m.Lo
+	}
+	ms.sg += c.m.SG
+	ms.hi += c.m.Hi
+
+	switch {
+	case k.compression > 0:
+		k.retain(r, pt, i, c)
+	case !point:
+		b := -rank - 1
+		c.pos = k.npoints + b
+		k.retain(k.kept+b, pt, i, c)
+	default:
+		c.pos = k.walkAt[g] + rank
+		if k.certBox[g] {
+			w.targets = append(w.targets[:0], target{g: g, certain: true})
+			if err := w.add(&c); err != nil {
+				if e := (foldErr{at: c.pos, err: err}); e.earlier(*direct) {
+					*direct = e
+				}
+			}
+		}
+		if k.keptAt[g] >= 0 {
+			k.retain(k.keptAt[g]+rank, pt, i, c)
+		}
+	}
+}
+
+// retain keeps row i of pt as contrib slot, copying its ranges into the
+// arenas.
+func (k *aggKernel) retain(slot int, pt *aggPart, i int, c contrib) {
+	ns, ng := len(k.slots), len(k.groupBy)
+	a := k.args[slot*ns : (slot+1)*ns : (slot+1)*ns]
+	copy(a, c.args)
+	c.args = a
+	c.gb = gbOf(pt, i, k.groupBy, k.gbs[slot*ng:(slot+1)*ng:(slot+1)*ng])
+	k.keep[slot] = c
+}
+
+// pointRun is one point key's run of the walk: its contributions
+// walk[lo:hi], the certain-box group at exactly its point (-1 when that
+// group was folded directly or there is none) and its group-by.
+type pointRun struct {
+	lo, hi int
+	cert   int
+	rep    rangeval.Tuple
+}
+
+// walkOrder lays out what the walk folds: point runs, then the boxes from
+// walk[boxAt:]. Without compression the kept rows are already in walk
+// order. With it, the compressed side is split into point keys, in
+// first-seen key order, and boxes; each contribution's position is its
+// index in that order.
+func (k *aggKernel) walkOrder() (walk []contrib, runs []pointRun, boxAt int) {
+	if k.compression == 0 {
+		for _, g := range k.gs.keys {
+			if at := k.keptAt[g]; at >= 0 {
+				runs = append(runs, pointRun{lo: at, hi: at + k.gs.npoint[g], cert: -1, rep: k.gs.rep[g]})
+			}
+		}
+		return k.keep, runs, k.kept
+	}
+	side := compressContribs(k.keep, k.compression)
+	at := map[string]int{}
+	var members [][]int
+	var boxes []int
+	for ci := range side {
+		if !side[ci].gb.IsCertain() {
+			boxes = append(boxes, ci)
+			continue
+		}
+		key := side[ci].gb.SGKey()
+		pi, ok := at[key]
+		if !ok {
+			pi = len(members)
+			at[key] = pi
+			members = append(members, nil)
+			cert := -1
+			if g, ok := k.gs.at[key]; ok && k.certBox[g] {
+				cert = int(g)
+			}
+			runs = append(runs, pointRun{cert: cert, rep: side[ci].gb})
+		}
+		members[pi] = append(members[pi], ci)
+	}
+	walk = make([]contrib, 0, len(side))
+	for pi, ms := range members {
+		runs[pi].lo = len(walk)
+		for _, ci := range ms {
+			walk = append(walk, side[ci])
+		}
+		runs[pi].hi = len(walk)
+	}
+	boxAt = len(walk)
+	for _, ci := range boxes {
+		walk = append(walk, side[ci])
+	}
+	for ci := range walk {
+		walk[ci].pos = ci
+	}
+	return walk, runs, boxAt
+}
+
+// walk folds the walk into the groups in s: each point run into the
+// uncertain-box groups its point overlaps (and its certain-box group, if
+// it was not folded directly), then each box into every group it
+// overlaps. It stops at its first fold error, which it stores in fail.
+func (k *aggKernel) walk(s Span, walk []contrib, runs []pointRun, boxAt int, p *ctxpoll.Poll, fail *foldErr) error {
+	w := walker{slots: k.slots, acc: k.acc, bounds: make([]types.Value, 4*len(k.slots)), targets: make([]target, 0, s.Hi-s.Lo)}
+	var unc []int
+	for _, g := range k.unc {
+		if g >= s.Lo && g < s.Hi {
+			unc = append(unc, g)
+		}
+	}
+	for _, r := range runs {
+		if err := p.Due(); err != nil {
+			return err
+		}
+		w.targets = w.targets[:0]
+		if r.cert >= s.Lo && r.cert < s.Hi {
+			w.targets = append(w.targets, target{g: r.cert, certain: true})
+		}
+		for _, g := range unc {
+			if err := p.Due(); err != nil {
+				return err
+			}
+			if r.rep.Overlaps(k.gs.gbox[g]) {
+				w.targets = append(w.targets, target{g: g})
+			}
+		}
+		for ci := r.lo; ci < r.hi && len(w.targets) > 0; ci++ {
+			if err := p.Due(); err != nil {
+				return err
+			}
+			if err := w.add(&walk[ci]); err != nil {
+				*fail = foldErr{at: walk[ci].pos, err: err}
+				return nil
+			}
+		}
+	}
+	for ci := boxAt; ci < len(walk); ci++ {
+		c := &walk[ci]
+		w.targets = w.targets[:0]
+		for g := s.Lo; g < s.Hi; g++ {
+			if err := p.Due(); err != nil {
+				return err
+			}
+			if c.gb.Overlaps(k.gs.gbox[g]) {
+				w.targets = append(w.targets, target{g: g})
+			}
+		}
+		if err := w.add(c); err != nil {
+			*fail = foldErr{at: c.pos, err: err}
+			return nil
+		}
+	}
+	return nil
+}
+
+// rows appends one output row per group, in group order.
+func (k *aggKernel) rows(out *Relation, plans []aggPlan, noGroup bool, p *ctxpoll.Poll) (*Relation, error) {
+	ns := len(k.slots)
+	for g, box := range k.gs.gbox {
+		if err := p.Due(); err != nil {
+			return nil, err
+		}
+		m := One
+		if !noGroup {
+			ms := k.mults[g]
+			m = Mult{Lo: delta(ms.lo), SG: delta(ms.sg), Hi: ms.hi}
+		}
+		acc, sg := k.acc[2*ns*g:], k.sg[ns*g:]
+		bounds := func(j int) rangeval.V { return rangeval.New(acc[2*j], sg[j], acc[2*j+1]) }
+		row := make(rangeval.Tuple, 0, len(box)+len(plans))
+		row = append(row, box...)
+		for _, pl := range plans {
+			v := bounds(pl.slot)
+			if pl.cnt >= 0 {
+				v = avgBounds(v, bounds(pl.cnt))
+			}
+			row = append(row, v)
+		}
+		out.Add(Tuple{Vals: row, M: m})
 	}
 	return out, nil
 }
 
-// outGroup is one output group of the default grouping strategy.
-type outGroup struct {
-	gbox    rangeval.Tuple
-	members []int
+// aggChunk is how many rows pass 2 evaluates arguments for at a time.
+const aggChunk = 256
+
+// argEval evaluates the slots' arguments over a chunk of rows of one
+// part, node by node: an attribute is read from its column, a constant is
+// broadcast, arithmetic applies Definition 9's rule row by row, and any
+// other node is evaluated per row with EvalRange.
+type argEval struct {
+	slots []slot
+	out   []rangeval.V   // row-major: row n's slot j at n*len(slots)+j
+	tmp   [][]rangeval.V // right operands, one buffer per arithmetic depth
+	row   rangeval.Tuple // a gathered columnar row
 }
 
-// buildGroups assigns every contribution to its output group (Definition
-// 24: one output per distinct SG group-by value) and folds the group's
-// bounding box (Definition 25). Workers build partial group maps over
-// contiguous chunks; merging partials in chunk order reproduces the serial
-// first-seen group order and ascending member order exactly.
-func buildGroups(ctx context.Context, exact []contrib, groupBy []int, workers, sizeHint int) (map[string]*outGroup, []string, error) {
-	spans := ChunkSpans(len(exact), workers, minParTuples)
-	maps := make([]map[string]*outGroup, len(spans))
-	orders := make([][]string, len(spans))
-	if err := runSpans(ctx, spans, func(c int, s Span, p *ctxpoll.Poll) error {
-		var err error
-		maps[c], orders[c], err = buildGroupsRange(exact, groupBy, s.Lo, s.Hi, sizeHint, p)
-		return err
-	}); err != nil {
-		return nil, nil, err
-	}
-	if len(spans) == 0 {
-		return map[string]*outGroup{}, nil, nil
-	}
-	groups, order := maps[0], orders[0]
-	for c := 1; c < len(spans); c++ {
-		for _, k := range orders[c] {
-			part := maps[c][k]
-			if g, ok := groups[k]; ok {
-				g.gbox = g.gbox.Union(part.gbox)
-				g.members = append(g.members, part.members...)
-				continue
-			}
-			groups[k] = part
-			order = append(order, k)
+// errArgNode makes eval fall back to the row-at-a-time evaluation, which
+// reports the node's own error.
+var errArgNode = errors.New("core: argument node failed")
+
+// eval returns the arguments of rows idx of pt. On an error it evaluates
+// the chunk again row-major with EvalRange, so the error it returns, with
+// its row's index in idx, is the one row-at-a-time evaluation reports.
+func (a *argEval) eval(pt *aggPart, idx []int) ([]rangeval.V, int, error) {
+	ns := len(a.slots)
+	out := a.out[:len(idx)*ns]
+	for j := range a.slots {
+		if err := a.node(a.slots[j].eval, pt, idx, out[j:], ns, 0); err != nil {
+			return a.rowMajor(pt, idx, out)
 		}
 	}
-	return groups, order, nil
+	return out, 0, nil
 }
 
-// buildGroupsRange is the serial group assignment over contribs [lo, hi).
-// sizeHint (the planner's estimated group count, 0 = none) pre-sizes the
-// group map; it is capped against the input size so a wild over-estimate
-// cannot allocate more buckets than distinct groups are possible.
-func buildGroupsRange(exact []contrib, groupBy []int, lo, hi, sizeHint int, p *ctxpoll.Poll) (map[string]*outGroup, []string, error) {
-	if sizeHint < 0 {
-		sizeHint = 0
-	}
-	if sizeHint > hi-lo {
-		sizeHint = hi - lo
-	}
-	groups := make(map[string]*outGroup, sizeHint)
-	var order []string
-	for i := lo; i < hi; i++ {
-		if err := p.Due(); err != nil {
-			return nil, nil, err
-		}
-		k := exact[i].gb.SGKey()
-		g, ok := groups[k]
-		if !ok {
-			sgCert := make(rangeval.Tuple, len(groupBy))
-			for j := range groupBy {
-				sgCert[j] = rangeval.Certain(exact[i].gb[j].SG)
+func (a *argEval) rowMajor(pt *aggPart, idx []int, out []rangeval.V) ([]rangeval.V, int, error) {
+	ns := len(a.slots)
+	for n, i := range idx {
+		row := pt.row(i, a.row)
+		a.row = row
+		for j := range a.slots {
+			v, err := a.slots[j].eval.EvalRange(row)
+			if err != nil {
+				return nil, n, fmt.Errorf("core: aggregate %s: %w", a.slots[j].name, err)
 			}
-			g = &outGroup{gbox: sgCert}
-			groups[k] = g
-			order = append(order, k)
+			out[n*ns+j] = v
 		}
-		g.gbox = g.gbox.Union(exact[i].gb) // Definition 25
-		g.members = append(g.members, i)
 	}
-	return groups, order, nil
+	return out, 0, nil
+}
+
+// node writes e's value for row idx[n] of pt to out[n*stride].
+func (a *argEval) node(e expr.Expr, pt *aggPart, idx []int, out []rangeval.V, stride, depth int) error {
+	switch x := e.(type) {
+	case expr.Attr:
+		for n, i := range idx {
+			if x.Idx < 0 || (pt.columnar && x.Idx >= len(pt.cols)) || (!pt.columnar && x.Idx >= len(pt.rows[i].Vals)) {
+				return errArgNode
+			}
+			out[n*stride] = pt.val(x.Idx, i)
+		}
+	case expr.Const:
+		v := rangeval.Certain(x.V)
+		for n := range idx {
+			out[n*stride] = v
+		}
+	case expr.Arith:
+		if err := a.node(x.L, pt, idx, out, stride, depth+1); err != nil {
+			return err
+		}
+		for len(a.tmp) <= depth {
+			a.tmp = append(a.tmp, make([]rangeval.V, aggChunk))
+		}
+		r := a.tmp[depth][:len(idx)]
+		if err := a.node(x.R, pt, idx, r, 1, depth+1); err != nil {
+			return err
+		}
+		for n := range idx {
+			v, err := expr.RangeArith(x.Op, out[n*stride], r[n])
+			if err != nil {
+				return err
+			}
+			out[n*stride] = v
+		}
+	default:
+		for n, i := range idx {
+			row := pt.row(i, a.row)
+			a.row = row
+			v, err := e.EvalRange(row)
+			if err != nil {
+				return err
+			}
+			out[n*stride] = v
+		}
+	}
+	return nil
 }
 
 // compressContribs merges contributions down to roughly n entries
@@ -386,142 +923,6 @@ func compressContribs(cs []contrib, n int) []contrib {
 	return out
 }
 
-// aggregate executes grouping (or global) aggregation.
-func aggregate(ctx context.Context, in *Relation, groupBy []int, plans []aggPlan, slots []slot, outSchema schema.Schema, opt Options) (*Relation, error) {
-	workers := opt.workerCount()
-	exact, err := buildContribs(ctx, in.Dense(), groupBy, slots, workers)
-	if err != nil {
-		return nil, err
-	}
-
-	// Default grouping strategy (Definition 24): one output per distinct
-	// SG group-by value; α assigns every tuple by its SG values. Without
-	// group-by there is a single output group.
-	groups, order, err := buildGroups(ctx, exact, groupBy, workers, opt.SizeHint)
-	if err != nil {
-		return nil, err
-	}
-
-	out := New(outSchema)
-	noGroup := len(groupBy) == 0
-	if noGroup && len(order) == 0 {
-		// Empty input: one output row with neutral bounds (Definition 27).
-		row := make(rangeval.Tuple, len(plans))
-		for j, p := range plans {
-			if p.cnt >= 0 {
-				row[j] = rangeval.Certain(types.Float(0))
-			} else {
-				row[j] = rangeval.Certain(slots[p.slot].monoid.neutral())
-			}
-		}
-		out.Add(Tuple{Vals: row, M: One})
-		return out, nil
-	}
-
-	// Possibly-compressed contribution side for the overlap join.
-	joinSide := exact
-	if opt.AggCompression > 0 {
-		joinSide = compressContribs(exact, opt.AggCompression)
-	}
-	f := &aggFold{plans: plans, slots: slots, exact: exact, join: joinSide, noGroup: noGroup}
-	f.groups = make([]*outGroup, len(order))
-	for gi, k := range order {
-		f.groups[gi] = groups[k]
-	}
-	f.index(order)
-
-	// Every output group folds an independent slice of read-only state, so
-	// groups are computed in parallel chunks; each chunk walks the shared
-	// contribution order for its own groups, and appending rows in group
-	// order keeps the output identical to the serial walk.
-	rows := make([]Tuple, len(order))
-	spans := ChunkSpans(len(order), workers, minParGroups)
-	fails := make([]foldErr, len(spans))
-	err = runSpans(ctx, spans, func(c int, s Span, p *ctxpoll.Poll) error {
-		at, err := f.fold(s, rows, p)
-		if err != nil && at >= 0 {
-			fails[c] = foldErr{at: at, err: err}
-			return nil
-		}
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Each chunk stops at its first failing step, and the serial walk
-	// would stop at the earliest of them: report that one.
-	var first *foldErr
-	for c := range fails {
-		if fails[c].err != nil && (first == nil || fails[c].at < first.at) {
-			first = &fails[c]
-		}
-	}
-	if first != nil {
-		return nil, first.err
-	}
-	merge := ctxpoll.New(ctx)
-	for _, row := range rows {
-		if err := merge.Due(); err != nil {
-			return nil, err
-		}
-		out.Add(row)
-	}
-	return out, nil
-}
-
-// foldErr is a failed fold step and its position in the walk.
-type foldErr struct {
-	at  int
-	err error
-}
-
-// aggFold is the read-only state every chunk of output groups folds.
-type aggFold struct {
-	plans   []aggPlan
-	slots   []slot
-	exact   []contrib   // the α-members' contributions (SG and multiplicity)
-	join    []contrib   // the overlap join's side, possibly compressed
-	groups  []*outGroup // in output order
-	points  []pointKey  // attribute-certain contributions, by first-seen key
-	boxes   []int       // the other contributions, in input order
-	noGroup bool
-}
-
-// pointKey is one attribute-certain group-by point of the join side.
-type pointKey struct {
-	members []int // its contributions, in input order
-	cert    int   // the certain-box output group at exactly this point, or -1
-}
-
-// index splits the join side into point keys, in first-seen key order,
-// and box contributions. Together they fix the one order every group
-// folds in: point contributions key by key, then boxes. A fixed order
-// keeps float sums deterministic, and input-order summation keeps them
-// monotone under round-to-nearest, so lb ≤ world ≤ ub holds exactly.
-func (f *aggFold) index(order []string) {
-	at := map[string]int{}
-	for ci := range f.join {
-		gb := f.join[ci].gb
-		if !gb.IsCertain() {
-			f.boxes = append(f.boxes, ci)
-			continue
-		}
-		k := gb.SGKey()
-		pi, ok := at[k]
-		if !ok {
-			pi = len(f.points)
-			at[k] = pi
-			f.points = append(f.points, pointKey{cert: -1})
-		}
-		f.points[pi].members = append(f.points[pi].members, ci)
-	}
-	for gi, k := range order {
-		if pi, ok := at[k]; ok && f.groups[gi].gbox.IsCertain() {
-			f.points[pi].cert = gi
-		}
-	}
-}
-
 // target is one output group a contribution folds into. A contribution
 // counts as a certain group member only when its own group membership is
 // certain AND the group's box is exactly its (certain) group-by point —
@@ -531,138 +932,6 @@ func (f *aggFold) index(order []string) {
 type target struct {
 	g       int
 	certain bool
-}
-
-// fold computes the rows of output groups [s.Lo, s.Hi) into rows. It
-// walks the shared contribution order once; each group receives exactly
-// the subsequence it overlaps, so its +_M sequence does not depend on how
-// groups are chunked. It returns the walk position of a failing step, or
-// -1 when the query was cancelled.
-func (f *aggFold) fold(s Span, rows []Tuple, p *ctxpoll.Poll) (int, error) {
-	ns := len(f.slots)
-	w := walker{
-		slots:   f.slots,
-		base:    s.Lo,
-		acc:     make([]types.Value, 2*ns*(s.Hi-s.Lo)),
-		bounds:  make([]types.Value, 4*ns),
-		targets: make([]target, 0, s.Hi-s.Lo),
-	}
-	for i := 0; i < len(w.acc); i += 2 * ns {
-		for j := range f.slots {
-			n := f.slots[j].monoid.neutral()
-			w.acc[i+2*j], w.acc[i+2*j+1] = n, n
-		}
-	}
-	var unc []int // groups of the chunk whose box is uncertain
-	for gi := s.Lo; gi < s.Hi; gi++ {
-		if !f.groups[gi].gbox.IsCertain() {
-			unc = append(unc, gi)
-		}
-	}
-
-	// Lower/upper aggregate bounds from ð(g) (Definition 26). A point key's
-	// targets are the certain-box group at that point plus the
-	// uncertain-box groups it overlaps, found once per key.
-	at := 0
-	for pi := range f.points {
-		pt := &f.points[pi]
-		w.targets = w.targets[:0]
-		if pt.cert >= s.Lo && pt.cert < s.Hi {
-			w.targets = append(w.targets, target{g: pt.cert, certain: true})
-		}
-		rep := f.join[pt.members[0]].gb
-		for _, gi := range unc {
-			if rep.Overlaps(f.groups[gi].gbox) {
-				w.targets = append(w.targets, target{g: gi})
-			}
-		}
-		for _, ci := range pt.members {
-			if err := p.Due(); err != nil {
-				return -1, err
-			}
-			if err := w.add(&f.join[ci]); err != nil {
-				return at, err
-			}
-			at++
-		}
-	}
-	for _, ci := range f.boxes {
-		c := &f.join[ci]
-		w.targets = w.targets[:0]
-		for gi := s.Lo; gi < s.Hi; gi++ {
-			if c.gb.Overlaps(f.groups[gi].gbox) {
-				w.targets = append(w.targets, target{g: gi})
-			}
-		}
-		if err := p.Due(); err != nil {
-			return -1, err
-		}
-		if err := w.add(c); err != nil {
-			return at, err
-		}
-		at++
-	}
-
-	sg := make([]types.Value, ns)
-	for gi := s.Lo; gi < s.Hi; gi++ {
-		g := f.groups[gi]
-		// SG results: exactly the α-members, standard K-relational
-		// semantics over the SGW (mirrors the piggy-backed computation of
-		// the optimized rewrite).
-		for j := range f.slots {
-			sg[j] = f.slots[j].monoid.neutral()
-		}
-		for _, i := range g.members {
-			if err := p.Due(); err != nil {
-				return -1, err
-			}
-			c := &f.exact[i]
-			if c.m.SG == 0 {
-				continue
-			}
-			for j := range f.slots {
-				m := f.slots[j].monoid
-				x, err := m.star(c.m.SG, c.args[j].SG)
-				if err == nil {
-					sg[j], err = m.plus(sg[j], x)
-				}
-				if err != nil {
-					return at + gi, err
-				}
-			}
-		}
-
-		// Row annotation (Definition 27/28), always from exact members.
-		var m Mult
-		if f.noGroup {
-			m = One
-		} else {
-			var loSum, sgSum, hiSum int64
-			for _, i := range g.members {
-				c := &f.exact[i]
-				if !c.ug {
-					loSum += c.m.Lo
-				}
-				sgSum += c.m.SG
-				hiSum += c.m.Hi
-			}
-			m = Mult{Lo: delta(loSum), SG: delta(sgSum), Hi: hiSum}
-		}
-
-		acc := w.acc[2*ns*(gi-s.Lo):]
-		bounds := func(j int) rangeval.V { return rangeval.New(acc[2*j], sg[j], acc[2*j+1]) }
-		row := make(rangeval.Tuple, 0, len(g.gbox)+len(f.plans))
-		row = append(row, g.gbox...)
-		for _, pl := range f.plans {
-			v := bounds(pl.slot)
-			if pl.cnt >= 0 {
-				v = avgBounds(v, bounds(pl.cnt))
-			}
-			row = append(row, v)
-		}
-		rows[gi] = Tuple{Vals: row, M: m}
-	}
-	return at, nil
 }
 
 // walker folds contributions into the lower/upper accumulators of one

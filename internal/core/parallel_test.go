@@ -72,9 +72,17 @@ func TestParallelMatchesSerialLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	rRel := genIncomplete(rng, schema.New("a", "b"), 1500)
 	sRel := genIncomplete(rng, schema.New("c", "d"), 60)
+	rc := rRel.auRelation()
+	rc.Compact(StoragePolicy{Mode: ReprForceSparse})
 	db := DB{
-		"r": rRel.auRelation(), "s": sRel.auRelation(),
+		"r": rRel.auRelation(), "s": sRel.auRelation(), "rc": rc,
 		"u": uncertainJoinInput("u", 1200), "v": uncertainJoinInput("v", 900),
+	}
+	aggs := []ra.AggSpec{
+		{Fn: ra.AggSum, Arg: expr.Mul(expr.Col(1, "x"), expr.CInt(3)), Name: "s"},
+		{Fn: ra.AggMin, Arg: expr.Col(1, "x"), Name: "lo"},
+		{Fn: ra.AggAvg, Arg: expr.Col(1, "x"), Name: "m"},
+		{Fn: ra.AggCount, Name: "c"},
 	}
 	plans := map[string]ra.Node{
 		"select": &ra.Select{
@@ -111,6 +119,13 @@ func TestParallelMatchesSerialLarge(t *testing.T) {
 				{Fn: ra.AggCount, Name: "c"},
 			},
 		},
+		// The aggregation kernel's two passes and its walk, split by
+		// groups: 1200 groups, every one widened by its sliding box key
+		// and reached by its neighbours' boxes.
+		"agg-widened": &ra.Agg{Child: &ra.Scan{Table: "u"}, GroupBy: []int{0}, Aggs: aggs},
+		// Columnar input read without a densify, and no group-by.
+		"agg-compacted": &ra.Agg{Child: &ra.Scan{Table: "rc"}, GroupBy: []int{0}, Aggs: aggs},
+		"agg-global":    &ra.Agg{Child: &ra.Scan{Table: "rc"}, Aggs: aggs},
 	}
 	for name, plan := range plans {
 		for _, base := range []Options{{}, {JoinCompression: 8, AggCompression: 8}} {

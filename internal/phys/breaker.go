@@ -26,6 +26,9 @@ type kernelIter struct {
 	sch   schema.Schema
 	batch int
 	run   func(ctx context.Context, ins []*core.Relation) (*core.Relation, error)
+	// agg, when set, replaces run for the aggregation breaker: its one
+	// child drains into a core.AggInput (drainAgg), not a relation.
+	agg func(ctx context.Context, in *core.AggInput) (*core.Relation, error)
 
 	// rel is the kernel's materialized output (owned); Next streams its
 	// tuples, and Plan.Execute takes it directly when the breaker is the
@@ -36,28 +39,48 @@ type kernelIter struct {
 }
 
 func (k *kernelIter) Open(ctx context.Context) error {
-	ins := make([]*core.Relation, len(k.children))
-	for i, ch := range k.children {
-		hint := 0
-		if k.hints != nil {
-			hint = k.hints[i]
-		}
-		rel, err := drainHint(ctx, ch, hint)
+	var res *core.Relation
+	if k.agg != nil {
+		in, err := drainAgg(ctx, k.children[0], k.hint(0))
 		if err != nil {
-			if k.labels != nil && k.labels[i] != "" {
-				return fmt.Errorf("phys: %s: %w", k.labels[i], err)
-			}
+			return k.label(0, err)
+		}
+		if res, err = k.agg(ctx, in); err != nil {
 			return err
 		}
-		ins[i] = rel
-	}
-	res, err := k.run(ctx, ins)
-	if err != nil {
-		return err
+	} else {
+		ins := make([]*core.Relation, len(k.children))
+		for i, ch := range k.children {
+			rel, err := drainHint(ctx, ch, k.hint(i))
+			if err != nil {
+				return k.label(i, err)
+			}
+			ins[i] = rel
+		}
+		var err error
+		if res, err = k.run(ctx, ins); err != nil {
+			return err
+		}
 	}
 	k.rel = res
 	k.pos = 0
 	return nil
+}
+
+// hint returns child i's estimated row count (0 = none).
+func (k *kernelIter) hint(i int) int {
+	if k.hints == nil {
+		return 0
+	}
+	return k.hints[i]
+}
+
+// label wraps child i's drain error with its label, if it has one.
+func (k *kernelIter) label(i int, err error) error {
+	if k.labels != nil && k.labels[i] != "" {
+		return fmt.Errorf("phys: %s: %w", k.labels[i], err)
+	}
+	return err
 }
 
 func (k *kernelIter) Next() (*vec.Batch, error) {
@@ -119,4 +142,33 @@ func drainHint(ctx context.Context, it iter, hint int) (*core.Relation, error) {
 		out.Tuples = b.AppendTuples(out.Tuples)
 	}
 	return out, it.Close()
+}
+
+// drainAgg is drainHint for the aggregation breaker: the batch layout
+// decides how rows are kept. Row batches append their Tuple structs, as
+// drainHint does; columnar batches keep their live rows as columns
+// (core.AggInput.AppendColumns), so the kernel reads them without a
+// densify.
+func drainAgg(ctx context.Context, it iter, hint int) (*core.AggInput, error) {
+	if err := it.Open(ctx); err != nil {
+		it.Close()
+		return nil, err
+	}
+	in := core.NewAggInput(hint)
+	for {
+		b, err := it.Next()
+		if err != nil {
+			it.Close()
+			return nil, err
+		}
+		if b == nil {
+			break
+		}
+		if b.Columnar {
+			in.AppendColumns(b.Cols, b.MFlat, b.MDense, b.N, b.Sel)
+		} else {
+			in.AppendRows(b.Rows)
+		}
+	}
+	return in, it.Close()
 }

@@ -327,9 +327,9 @@ func (c *compiler) lower(n ra.Node) (iter, error) {
 		// The estimated group count pre-sizes the aggregation maps.
 		o := c.opt.Exec
 		o.SizeHint = c.sizeHint(n)
-		return c.breaker(n, "aggregation input", func(ctx context.Context, ins []*core.Relation) (*core.Relation, error) {
-			return core.AggRelations(ctx, ins[0], t.GroupBy, t.Aggs, outSchema, o)
-		}, t.Child)
+		return c.kernel(n, "aggregation input", &kernelIter{agg: func(ctx context.Context, in *core.AggInput) (*core.Relation, error) {
+			return core.AggInputs(ctx, in, t.GroupBy, t.Aggs, outSchema, o)
+		}}, t.Child)
 
 	case *ra.OrderBy:
 		// A full sort is always a breaker; the drained input is owned, so
@@ -365,6 +365,12 @@ func (c *compiler) lower(n ra.Node) (iter, error) {
 // label (optional) mirrors the reference executor's input-error context.
 // Each child drain is pre-sized from the child's estimated cardinality.
 func (c *compiler) breaker(n ra.Node, label string, run func(context.Context, []*core.Relation) (*core.Relation, error), children ...ra.Node) (iter, error) {
+	return c.kernel(n, label, &kernelIter{run: run}, children...)
+}
+
+// kernel lowers n as the breaker it, whose kernel is already set, over
+// its children.
+func (c *compiler) kernel(n ra.Node, label string, it *kernelIter, children ...ra.Node) (iter, error) {
 	its := make([]iter, len(children))
 	labels := make([]string, len(children))
 	hints := make([]int, len(children))
@@ -388,7 +394,7 @@ func (c *compiler) breaker(n ra.Node, label string, run func(context.Context, []
 	if err != nil {
 		return nil, err
 	}
-	it := &kernelIter{children: its, labels: labels, hints: hints, sch: sch, batch: c.opt.BatchSize, run: run}
+	it.children, it.labels, it.hints, it.sch, it.batch = its, labels, hints, sch, c.opt.BatchSize
 	return c.wrap(it, n, n.String(), "materialize", its...), nil
 }
 
