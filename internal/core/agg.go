@@ -221,7 +221,8 @@ func avgBounds(sum, cnt rangeval.V) rangeval.V {
 
 // AggRelations is the grouping-aggregation kernel on a materialized input,
 // implementing the default grouping strategy (Definitions 24-28). It reads
-// in in its own layout: a sparse relation's columns are not densified.
+// the input in its own layout: a sparse relation's columns are not
+// densified.
 // With Options.AggCompression > 0 the possible-contribution side is
 // compressed first (Section 10.5), trading bound tightness for running
 // time. outSchema is the operator's inferred output schema (group-by
@@ -302,7 +303,8 @@ func groupRows(in *AggInput, groupBy []int, sizeHint int, p *ctxpoll.Poll) (*agg
 			gs.grp = append(gs.grp, g)
 			if point {
 				// A point equals its group's SG under the total order, so
-				// it already lies in the box: its union would be a no-op.
+				// it lies in the box, and Union, which keeps the box's
+				// bound on a tie, would leave every bit as it is.
 				if gs.npoint[g] == 0 {
 					gs.keys = append(gs.keys, g)
 					gs.rep[g] = gbOf(pt, i, groupBy, nil)
@@ -322,7 +324,7 @@ func groupRows(in *AggInput, groupBy []int, sizeHint int, p *ctxpoll.Poll) (*agg
 	return gs, nil
 }
 
-// gbOf returns row i's group-by values, in dst when it is large enough.
+// gbOf returns row i's group-by values, written into dst unless it is nil.
 func gbOf(pt *aggPart, i int, groupBy []int, dst rangeval.Tuple) rangeval.Tuple {
 	if dst == nil {
 		dst = make(rangeval.Tuple, len(groupBy))

@@ -411,9 +411,9 @@ func TestAggFuzzSeeds(t *testing.T) {
 }
 
 // cancelAggInput is large enough that the uncancelled aggregation takes
-// well over 100 ms: 60k rows over 3000 groups, a tenth of them boxes that
-// widen their groups and reach many others.
-func cancelAggInput() (*AggInput, []int, []aggPlan, []slot) {
+// well over 100 ms: 60k rows over 3000 groups, where every tenth row has a
+// box key that widens its group and overlaps 80 others.
+func cancelAggInput() (*AggInput, []int, []slot) {
 	r := New(schema.New("g", "a"))
 	for i := range 60000 {
 		g := rangeval.Certain(types.Int(int64(i % 3000)))
@@ -422,11 +422,11 @@ func cancelAggInput() (*AggInput, []int, []aggPlan, []slot) {
 		}
 		r.Add(Tuple{Vals: rangeval.Tuple{g, rangeval.Certain(types.Float(float64(i % 97)))}, M: One})
 	}
-	plans, slots, _ := planAggs([]ra.AggSpec{
+	_, slots, _ := planAggs([]ra.AggSpec{
 		{Fn: ra.AggSum, Arg: expr.Mul(expr.Col(1, "a"), expr.CFloat(1.5)), Name: "s"},
 		{Fn: ra.AggAvg, Arg: expr.Col(1, "a"), Name: "m"},
 	})
-	return aggInputOf(r), []int{0}, plans, slots
+	return aggInputOf(r), []int{0}, slots
 }
 
 // TestAggCancellation: a cancellation in the middle of either pass or of
@@ -434,14 +434,10 @@ func cancelAggInput() (*AggInput, []int, []aggPlan, []slot) {
 // runs once uncancelled to time it, then again with the context cancelled
 // halfway through.
 func TestAggCancellation(t *testing.T) {
-	in, groupBy, plans, slots := cancelAggInput()
-	start := time.Now()
-	if _, err := aggregate(context.Background(), in, groupBy, plans, slots, schema.New(), Options{Workers: 1}); err != nil {
-		t.Fatal(err)
+	if testing.Short() {
+		t.Skip("aggregation cancellation timing skipped in -short mode")
 	}
-	if d := time.Since(start); d < 100*time.Millisecond && !testing.Short() {
-		t.Logf("uncancelled aggregation took only %v", d)
-	}
+	in, groupBy, slots := cancelAggInput()
 	gs, err := groupRows(in, groupBy, 0, ctxpoll.New(context.Background()))
 	if err != nil {
 		t.Fatal(err)

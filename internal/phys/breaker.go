@@ -10,7 +10,8 @@ import (
 )
 
 // kernelIter is a pipeline breaker: it drains its children into
-// materialized relations at Open, runs one of internal/core's operator
+// materialized relations at Open (the aggregation breaker into a
+// core.AggInput, see drainAgg), runs one of internal/core's operator
 // kernels — bit-identical to the reference executor by construction — and
 // streams the kernel's output in batches. The children still stream into
 // the drain, so a breaker materializes exactly one relation per input, not
