@@ -280,8 +280,8 @@ func groupRows(in *AggInput, groupBy []int, sizeHint int, p *ctxpoll.Poll) (*agg
 			key = key[:0]
 			point := true
 			for _, c := range groupBy {
-				if x, ok := pt.flat(c, i); ok {
-					key = x.AppendKey(key)
+				if pt.columnar && pt.cols[c].IsFlat() {
+					key = pt.cols[c].Flat[i].AppendKey(key)
 					continue
 				}
 				v := pt.val(c, i)
@@ -395,6 +395,20 @@ func (e foldErr) earlier(o foldErr) bool {
 	return e.err != nil && (o.err == nil || e.at < o.at)
 }
 
+// firstErr returns the earliest error of lists; at one position, the
+// first listed wins.
+func firstErr(lists ...[]foldErr) foldErr {
+	var first foldErr
+	for _, l := range lists {
+		for _, e := range l {
+			if e.earlier(first) {
+				first = e
+			}
+		}
+	}
+	return first
+}
+
 // aggregate executes grouping (or global) aggregation in two passes over
 // in: pass 1 finds the groups from the group-by values, pass 2 evaluates
 // the arguments a chunk of rows at a time and folds every row into its
@@ -437,13 +451,7 @@ func aggregate(ctx context.Context, in *AggInput, groupBy []int, plans []aggPlan
 	}); err != nil {
 		return nil, err
 	}
-	var first foldErr
-	for _, e := range argErrs {
-		if e.earlier(first) {
-			first = e
-		}
-	}
-	if first.err != nil {
+	if first := firstErr(argErrs); first.err != nil {
 		return nil, first.err
 	}
 
@@ -456,17 +464,7 @@ func aggregate(ctx context.Context, in *AggInput, groupBy []int, plans []aggPlan
 	}
 	// At one position, a point row's direct fold (its certain target)
 	// comes before its walk (the uncertain ones).
-	for _, e := range direct {
-		if e.earlier(first) {
-			first = e
-		}
-	}
-	for _, e := range walked {
-		if e.earlier(first) {
-			first = e
-		}
-	}
-	if first.err != nil {
+	if first := firstErr(direct, walked); first.err != nil {
 		return nil, first.err
 	}
 	for _, err := range k.sgErr {

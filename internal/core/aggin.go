@@ -1,9 +1,6 @@
 package core
 
-import (
-	"github.com/audb/audb/internal/rangeval"
-	"github.com/audb/audb/internal/types"
-)
+import "github.com/audb/audb/internal/rangeval"
 
 // AggInput is the aggregation kernel's input kept in the layout it arrived
 // in: a sequence of parts, each either row tuples or columns with one
@@ -123,14 +120,6 @@ func (pt *aggPart) val(c, i int) rangeval.V {
 		return pt.rows[i].Vals[c]
 	}
 	return pt.cols[c].At(i)
-}
-
-// flat returns row i's value of attribute c when its column is flat.
-func (pt *aggPart) flat(c, i int) (types.Value, bool) {
-	if !pt.columnar || !pt.cols[c].IsFlat() {
-		return types.Value{}, false
-	}
-	return pt.cols[c].Flat[i], true
 }
 
 // row returns row i as a tuple: the stored tuple of a row part, or the
