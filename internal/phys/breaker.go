@@ -10,8 +10,7 @@ import (
 )
 
 // kernelIter is a pipeline breaker: it drains its children into
-// materialized relations at Open (the aggregation breaker into a
-// core.AggInput, see drainAgg), runs one of internal/core's operator
+// materialized relations at Open, runs one of internal/core's operator
 // kernels — bit-identical to the reference executor by construction — and
 // streams the kernel's output in batches. The children still stream into
 // the drain, so a breaker materializes exactly one relation per input, not
@@ -27,9 +26,6 @@ type kernelIter struct {
 	sch   schema.Schema
 	batch int
 	run   func(ctx context.Context, ins []*core.Relation) (*core.Relation, error)
-	// agg, when set, replaces run for the aggregation breaker: its one
-	// child drains into a core.AggInput (drainAgg), not a relation.
-	agg func(ctx context.Context, in *core.AggInput) (*core.Relation, error)
 
 	// rel is the kernel's materialized output (owned); Next streams its
 	// tuples, and Plan.Execute takes it directly when the breaker is the
@@ -40,49 +36,32 @@ type kernelIter struct {
 }
 
 func (k *kernelIter) Open(ctx context.Context) error {
-	var res *core.Relation
-	if k.agg != nil {
-		in, err := drainAgg(ctx, k.children[0], k.hint(0))
+	ins := make([]*core.Relation, len(k.children))
+	for i, ch := range k.children {
+		hint := 0
+		if k.hints != nil {
+			hint = k.hints[i]
+		}
+		rel, err := drainHint(ctx, ch, hint)
 		if err != nil {
-			return k.label(0, err)
-		}
-		if res, err = k.agg(ctx, in); err != nil {
-			return err
-		}
-	} else {
-		ins := make([]*core.Relation, len(k.children))
-		for i, ch := range k.children {
-			rel, err := drainHint(ctx, ch, k.hint(i))
-			if err != nil {
-				return k.label(i, err)
+			if k.labels != nil && k.labels[i] != "" {
+				return fmt.Errorf("phys: %s: %w", k.labels[i], err)
 			}
-			ins[i] = rel
-		}
-		var err error
-		if res, err = k.run(ctx, ins); err != nil {
 			return err
 		}
+		ins[i] = rel
+	}
+	res, err := k.run(ctx, ins)
+	if err != nil {
+		return err
 	}
 	k.rel = res
 	k.pos = 0
 	return nil
 }
 
-// hint returns child i's estimated row count (0 = none).
-func (k *kernelIter) hint(i int) int {
-	if k.hints == nil {
-		return 0
-	}
-	return k.hints[i]
-}
-
-// label wraps child i's drain error with its label, if it has one.
-func (k *kernelIter) label(i int, err error) error {
-	if k.labels != nil && k.labels[i] != "" {
-		return fmt.Errorf("phys: %s: %w", k.labels[i], err)
-	}
-	return err
-}
+// output returns the kernel's materialized output once Open succeeded.
+func (k *kernelIter) output() *core.Relation { return k.rel }
 
 func (k *kernelIter) Next() (*vec.Batch, error) {
 	if k.rel == nil || k.pos >= len(k.rel.Tuples) {
@@ -143,6 +122,27 @@ func drainHint(ctx context.Context, it iter, hint int) (*core.Relation, error) {
 		out.Tuples = b.AppendTuples(out.Tuples)
 	}
 	return out, it.Close()
+}
+
+// aggIter is the aggregation breaker: a kernelIter whose one child drains
+// into a core.AggInput (drainAgg), not a relation, so the kernel reads
+// columnar batches without a densify.
+type aggIter struct {
+	kernelIter
+	agg func(ctx context.Context, in *core.AggInput) (*core.Relation, error)
+}
+
+func (a *aggIter) Open(ctx context.Context) error {
+	in, err := drainAgg(ctx, a.children[0], a.hints[0])
+	if err != nil {
+		return fmt.Errorf("phys: %s: %w", a.labels[0], err)
+	}
+	res, err := a.agg(ctx, in)
+	if err != nil {
+		return err
+	}
+	a.rel, a.pos = res, 0
+	return nil
 }
 
 // drainAgg is drainHint for the aggregation breaker: the batch layout

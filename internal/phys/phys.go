@@ -155,18 +155,25 @@ func (p *Plan) Execute(ctx context.Context) (*core.Relation, error) {
 // instrumented path keeps the generic drain so the root's rows/batches
 // counters stay meaningful.
 func (p *Plan) drainRoot(ctx context.Context) (*core.Relation, error) {
-	if k, ok := p.root.(*kernelIter); ok && p.stats == nil {
+	if k, ok := p.root.(breakerRoot); ok && p.stats == nil {
 		if err := k.Open(ctx); err != nil {
 			k.Close()
 			return nil, err
 		}
-		rel := k.rel
+		rel := k.output()
 		if err := k.Close(); err != nil {
 			return nil, err
 		}
 		return rel, nil
 	}
 	return drain(ctx, p.root)
+}
+
+// breakerRoot is a breaker (kernelIter, aggIter): once open, it owns its
+// materialized output.
+type breakerRoot interface {
+	iter
+	output() *core.Relation
 }
 
 // Stats returns the EXPLAIN ANALYZE counters (nil unless compiled with
@@ -327,9 +334,20 @@ func (c *compiler) lower(n ra.Node) (iter, error) {
 		// The estimated group count pre-sizes the aggregation maps.
 		o := c.opt.Exec
 		o.SizeHint = c.sizeHint(n)
-		return c.kernel(n, "aggregation input", &kernelIter{agg: func(ctx context.Context, in *core.AggInput) (*core.Relation, error) {
-			return core.AggInputs(ctx, in, t.GroupBy, t.Aggs, outSchema, o)
-		}}, t.Child)
+		child, err := c.lower(t.Child)
+		if err != nil {
+			return nil, err
+		}
+		it := &aggIter{
+			kernelIter: kernelIter{
+				children: []iter{child}, labels: []string{"aggregation input"}, hints: []int{c.sizeHint(t.Child)},
+				sch: outSchema, batch: c.opt.BatchSize,
+			},
+			agg: func(ctx context.Context, in *core.AggInput) (*core.Relation, error) {
+				return core.AggInputs(ctx, in, t.GroupBy, t.Aggs, outSchema, o)
+			},
+		}
+		return c.wrap(it, n, n.String(), "materialize", child), nil
 
 	case *ra.OrderBy:
 		// A full sort is always a breaker; the drained input is owned, so
@@ -365,12 +383,6 @@ func (c *compiler) lower(n ra.Node) (iter, error) {
 // label (optional) mirrors the reference executor's input-error context.
 // Each child drain is pre-sized from the child's estimated cardinality.
 func (c *compiler) breaker(n ra.Node, label string, run func(context.Context, []*core.Relation) (*core.Relation, error), children ...ra.Node) (iter, error) {
-	return c.kernel(n, label, &kernelIter{run: run}, children...)
-}
-
-// kernel lowers n as the breaker it, whose kernel is already set, over
-// its children.
-func (c *compiler) kernel(n ra.Node, label string, it *kernelIter, children ...ra.Node) (iter, error) {
 	its := make([]iter, len(children))
 	labels := make([]string, len(children))
 	hints := make([]int, len(children))
@@ -394,7 +406,7 @@ func (c *compiler) kernel(n ra.Node, label string, it *kernelIter, children ...r
 	if err != nil {
 		return nil, err
 	}
-	it.children, it.labels, it.hints, it.sch, it.batch = its, labels, hints, sch, c.opt.BatchSize
+	it := &kernelIter{children: its, labels: labels, hints: hints, sch: sch, batch: c.opt.BatchSize, run: run}
 	return c.wrap(it, n, n.String(), "materialize", its...), nil
 }
 
