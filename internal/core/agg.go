@@ -441,18 +441,15 @@ func aggregate(ctx context.Context, in *AggInput, groupBy []int, plans []aggPlan
 		return nil, err
 	}
 
-	// Pass 2 and the walk are split by groups: each group is folded by
-	// one chunk, in the one order, so no result depends on the chunking.
+	// The folds are split by groups: each group is folded by one span, in
+	// the one order, so no result depends on the chunking.
 	spans := ChunkSpans(len(gs.gbox), workers, minParGroups)
-	argErrs := make([]foldErr, len(spans))
-	direct := make([]foldErr, len(spans))
-	if err := runSpans(ctx, spans, func(c int, s Span, p *ctxpoll.Poll) error {
-		return k.foldRows(s, p, &argErrs[c], &direct[c])
-	}); err != nil {
+	argErr, direct, err := k.foldRows(ctx, workers, spans)
+	if err != nil {
 		return nil, err
 	}
-	if first := firstErr(argErrs); first.err != nil {
-		return nil, first.err
+	if argErr.err != nil {
+		return nil, argErr.err
 	}
 
 	walk, runs, boxAt := k.walkOrder()
@@ -464,7 +461,7 @@ func aggregate(ctx context.Context, in *AggInput, groupBy []int, plans []aggPlan
 	}
 	// At one position, a point row's direct fold (its certain target)
 	// comes before its walk (the uncertain ones).
-	if first := firstErr(direct, walked); first.err != nil {
+	if first := firstErr([]foldErr{direct}, walked); first.err != nil {
 		return nil, first.err
 	}
 	for _, err := range k.sgErr {
@@ -528,46 +525,120 @@ func newAggKernel(in *AggInput, groupBy []int, slots []slot, gs *aggGroups, comp
 	return k, nil
 }
 
-// foldRows is pass 2 for the groups in s: it visits every row in input
-// order and folds those of its groups. It stops at its first argument
-// error, which it stores in argErr; fold errors of the direct fold go to
-// direct, the earliest by walk position.
-func (k *aggKernel) foldRows(s Span, p *ctxpoll.Poll, argErr, direct *foldErr) error {
-	ev := argEval{slots: k.slots, out: make([]rangeval.V, aggChunk*len(k.slots))}
-	w := walker{slots: k.slots, acc: k.acc, bounds: make([]types.Value, 4*len(k.slots)), targets: make([]target, 0, 1)}
-	idx := make([]int, 0, aggChunk)
-	base := 0 // the part's first row
+// argChunk is rows [lo, hi) of part pt, at most aggChunk of them; base is
+// the input row of the part's first row.
+type argChunk struct {
+	pt           *aggPart
+	lo, hi, base int
+}
+
+// foldRows is pass 2. It visits the input a block of chunks at a time:
+// a block's arguments are evaluated with its chunks split across workers,
+// and the block is folded with the groups split by spans, so every group
+// still receives its rows in input order. With more than one worker the
+// next block is evaluated while the current one folds. It returns the
+// first argument error in row-major order, or else the direct fold's
+// earliest error by walk position.
+func (k *aggKernel) foldRows(ctx context.Context, workers int, spans []Span) (argErr, direct foldErr, err error) {
+	var chunks []argChunk
+	base := 0
 	for pi := range k.in.parts {
 		pt := &k.in.parts[pi]
 		for lo := 0; lo < pt.n; lo += aggChunk {
-			idx = idx[:0]
-			for i := lo; i < min(lo+aggChunk, pt.n); i++ {
-				if g := int(k.gs.grp[base+i]); g >= s.Lo && g < s.Hi {
-					idx = append(idx, i)
-				}
-			}
-			if err := p.Due(); err != nil {
-				return err
-			}
-			if len(idx) == 0 {
-				continue
-			}
-			args, bad, err := ev.eval(pt, idx)
-			if err != nil {
-				*argErr = foldErr{at: base + idx[bad], err: err}
-				return nil
-			}
-			ns := len(k.slots)
-			for n, i := range idx {
-				if err := p.Due(); err != nil {
-					return err
-				}
-				k.foldRow(pt, i, base+i, args[n*ns:(n+1)*ns:(n+1)*ns], &w, direct)
-			}
+			chunks = append(chunks, argChunk{pt: pt, lo: lo, hi: min(lo+aggChunk, pt.n), base: base})
 		}
 		base += pt.n
 	}
-	return nil
+	if k.in.n < minParTuples {
+		workers = 1
+	}
+	ns := len(k.slots)
+	per := min(workers, len(chunks)) // chunks per block
+	if per == 0 {
+		return foldErr{}, foldErr{}, nil
+	}
+	nb := (len(chunks) + per - 1) / per
+	block := func(b int) []argChunk { return chunks[b*per : min((b+1)*per, len(chunks))] }
+	// With workers, two buffers: block b+1 is evaluated into one while
+	// block b folds from the other.
+	nbuf := min(workers, 2)
+	args := make([][]rangeval.V, nbuf)
+	argErrs := make([][]foldErr, nbuf)
+	for x := range args {
+		args[x] = make([]rangeval.V, per*aggChunk*ns)
+		argErrs[x] = make([]foldErr, per)
+	}
+	evals := make([]argEval, per)
+	evalBlock := func(b int) error {
+		blk, out, errs := block(b), args[b%nbuf], argErrs[b%nbuf]
+		return runSpans(ctx, ChunkSpans(len(blk), workers, 1), func(c int, s Span, p *ctxpoll.Poll) error {
+			ev := &evals[c]
+			ev.slots = k.slots
+			for ci := s.Lo; ci < s.Hi; ci++ {
+				if err := p.Due(); err != nil {
+					return err
+				}
+				ch := blk[ci]
+				if bad, err := ev.eval(ch.pt, ch.lo, ch.hi, out[ci*aggChunk*ns:(ci*aggChunk+ch.hi-ch.lo)*ns]); err != nil {
+					errs[c] = foldErr{at: ch.base + ch.lo + bad, err: err}
+					return nil
+				}
+			}
+			return nil
+		})
+	}
+	walkers := make([]walker, len(spans))
+	for c := range walkers {
+		walkers[c] = walker{slots: k.slots, acc: k.acc, bounds: make([]types.Value, 4*ns), targets: make([]target, 0, 1)}
+	}
+	directs := make([]foldErr, len(spans))
+	foldBlock := func(blk []argChunk, args []rangeval.V) error {
+		return runSpans(ctx, spans, func(c int, s Span, p *ctxpoll.Poll) error {
+			for ci, ch := range blk {
+				a := args[ci*aggChunk*ns:]
+				for i := ch.lo; i < ch.hi; i++ {
+					if err := p.Due(); err != nil {
+						return err
+					}
+					r := ch.base + i
+					if g := int(k.gs.grp[r]); g >= s.Lo && g < s.Hi {
+						n := i - ch.lo
+						k.foldRow(ch.pt, i, r, a[n*ns:(n+1)*ns:(n+1)*ns], &walkers[c], &directs[c])
+					}
+				}
+			}
+			return nil
+		})
+	}
+
+	var ahead chan error // block b+1's evaluation, running while block b folds
+	for b := range nb {
+		var err error
+		if ahead != nil {
+			err = <-ahead
+		} else {
+			err = evalBlock(b)
+		}
+		if err != nil {
+			return foldErr{}, foldErr{}, err
+		}
+		x := b % nbuf
+		if first := firstErr(argErrs[x]); first.err != nil {
+			return first, foldErr{}, nil
+		}
+		ahead = nil
+		if workers > 1 && b+1 < nb {
+			ahead = make(chan error, 1)
+			go func(done chan<- error) { done <- evalBlock(b + 1) }(ahead)
+		}
+		if err := foldBlock(block(b), args[x]); err != nil {
+			if ahead != nil {
+				<-ahead
+			}
+			return foldErr{}, foldErr{}, err
+		}
+	}
+	return foldErr{}, firstErr(directs), nil
 }
 
 // foldRow folds row r (row i of pt) with argument ranges args.
@@ -795,72 +866,84 @@ const aggChunk = 256
 // other node is evaluated per row with EvalRange.
 type argEval struct {
 	slots []slot
-	out   []rangeval.V   // row-major: row n's slot j at n*len(slots)+j
 	tmp   [][]rangeval.V // right operands, one buffer per arithmetic depth
-	row   rangeval.Tuple // a gathered columnar row
+	row   rangeval.Tuple // scratch for a gathered columnar row
 }
 
 // errArgNode makes eval fall back to the row-at-a-time evaluation, which
 // reports the node's own error.
 var errArgNode = errors.New("core: argument node failed")
 
-// eval returns the arguments of rows idx of pt. On an error it evaluates
-// the chunk again row-major with EvalRange, so the error it returns, with
-// its row's index in idx, is the one row-at-a-time evaluation reports.
-func (a *argEval) eval(pt *aggPart, idx []int) ([]rangeval.V, int, error) {
+// eval writes the arguments of rows [lo, hi) of pt to out, row-major: row
+// lo+n's slot j at n*len(slots)+j. On an error it evaluates the chunk
+// again row-major with EvalRange, so the error it returns, with its row's
+// offset from lo, is the one row-at-a-time evaluation reports.
+func (a *argEval) eval(pt *aggPart, lo, hi int, out []rangeval.V) (int, error) {
 	ns := len(a.slots)
-	out := a.out[:len(idx)*ns]
 	for j := range a.slots {
-		if err := a.node(a.slots[j].eval, pt, idx, out[j:], ns, 0); err != nil {
-			return a.rowMajor(pt, idx, out)
+		if err := a.node(a.slots[j].eval, pt, lo, hi, out[j:], ns, 0); err != nil {
+			return a.rowMajor(pt, lo, hi, out)
 		}
 	}
-	return out, 0, nil
+	return 0, nil
 }
 
-func (a *argEval) rowMajor(pt *aggPart, idx []int, out []rangeval.V) ([]rangeval.V, int, error) {
+func (a *argEval) rowMajor(pt *aggPart, lo, hi int, out []rangeval.V) (int, error) {
 	ns := len(a.slots)
-	for n, i := range idx {
-		row := pt.row(i, a.row)
-		a.row = row
+	for i := lo; i < hi; i++ {
+		row := a.tuple(pt, i)
 		for j := range a.slots {
 			v, err := a.slots[j].eval.EvalRange(row)
 			if err != nil {
-				return nil, n, fmt.Errorf("core: aggregate %s: %w", a.slots[j].name, err)
+				return i - lo, fmt.Errorf("core: aggregate %s: %w", a.slots[j].name, err)
 			}
-			out[n*ns+j] = v
+			out[(i-lo)*ns+j] = v
 		}
 	}
-	return out, 0, nil
+	return 0, nil
 }
 
-// node writes e's value for row idx[n] of pt to out[n*stride].
-func (a *argEval) node(e expr.Expr, pt *aggPart, idx []int, out []rangeval.V, stride, depth int) error {
+// tuple returns row i of pt: a row part's stored tuple, which is only
+// read, or a columnar row gathered into the evaluator's own scratch.
+func (a *argEval) tuple(pt *aggPart, i int) rangeval.Tuple {
+	if !pt.columnar {
+		return pt.rows[i].Vals
+	}
+	a.row = a.row[:0]
+	for _, c := range pt.cols {
+		a.row = append(a.row, c.At(i))
+	}
+	return a.row
+}
+
+// node writes e's value for row lo+n of pt to out[n*stride], for every
+// row in [lo, hi).
+func (a *argEval) node(e expr.Expr, pt *aggPart, lo, hi int, out []rangeval.V, stride, depth int) error {
 	switch x := e.(type) {
 	case expr.Attr:
-		for n, i := range idx {
+		for i := lo; i < hi; i++ {
 			if x.Idx < 0 || (pt.columnar && x.Idx >= len(pt.cols)) || (!pt.columnar && x.Idx >= len(pt.rows[i].Vals)) {
 				return errArgNode
 			}
-			out[n*stride] = pt.val(x.Idx, i)
+			out[(i-lo)*stride] = pt.val(x.Idx, i)
 		}
 	case expr.Const:
 		v := rangeval.Certain(x.V)
-		for n := range idx {
+		for n := range hi - lo {
 			out[n*stride] = v
 		}
 	case expr.Arith:
-		if err := a.node(x.L, pt, idx, out, stride, depth+1); err != nil {
+		if err := a.node(x.L, pt, lo, hi, out, stride, depth+1); err != nil {
 			return err
 		}
 		for len(a.tmp) <= depth {
 			a.tmp = append(a.tmp, make([]rangeval.V, aggChunk))
 		}
-		r := a.tmp[depth][:len(idx)]
-		if err := a.node(x.R, pt, idx, r, 1, depth+1); err != nil {
+		r := a.tmp[depth][:hi-lo]
+		if err := a.node(x.R, pt, lo, hi, r, 1, depth+1); err != nil {
 			return err
 		}
-		for n := range idx {
+		for n := range r {
 			v, err := expr.RangeArith(x.Op, out[n*stride], r[n])
 			if err != nil {
 				return err
@@ -868,14 +951,12 @@ func (a *argEval) node(e expr.Expr, pt *aggPart, idx []int, out []rangeval.V, st
 			out[n*stride] = v
 		}
 	default:
-		for n, i := range idx {
-			row := pt.row(i, a.row)
-			a.row = row
-			v, err := e.EvalRange(row)
+		for i := lo; i < hi; i++ {
+			v, err := e.EvalRange(a.tuple(pt, i))
 			if err != nil {
 				return err
 			}
-			out[n*stride] = v
+			out[(i-lo)*stride] = v
 		}
 	}
 	return nil

@@ -61,14 +61,16 @@ func aggSpecsAll(ng int) []ra.AggSpec {
 		{Fn: ra.AggAvg, Arg: a, Name: "m"},
 		{Fn: ra.AggSum, Arg: expr.Mul(expr.Sub(a, expr.CInt(1)), x), Name: "ax"},
 		{Fn: ra.AggSum, Arg: expr.Div(expr.CInt(1), x), Name: "inv"},
+		{Fn: ra.AggSum, Arg: expr.If{Cond: expr.Gt(a, expr.CInt(0)), Then: a, Else: expr.CInt(0)}, Name: "pos"},
 	}
 }
 
 // decodeAggInput turns bytes into an aggregation: a relation over up to
 // two group-by attributes, a measure a and a divisor x, and the aggregates
 // to compute. The header picks the group-by arity (0-2), the aggregates
-// (one bit each) and which failing values may appear: strings, infinity
-// sentinels, and zero divisors. Every row then takes one byte per group-by
+// (one bit each of the second byte; the ninth, a CASE, by header bit 64)
+// and which failing values may appear: strings, infinity sentinels, and
+// zero divisors. Every row then takes one byte per group-by
 // attribute (low four bits pick the value; bit 4 makes it a box, whose
 // other corners come from a further byte), one for a (bit 5 makes it a
 // range), one for x and one for the multiplicity.
@@ -88,7 +90,7 @@ func decodeAggInput(data []byte) (*Relation, []int, []ra.AggSpec) {
 	in := New(schema.New(append(attrs, "a", "x")...))
 	var specs []ra.AggSpec
 	for i, s := range aggSpecsAll(ng) {
-		if pick>>i&1 == 1 {
+		if i < 8 && pick>>i&1 == 1 || i == 8 && h&64 != 0 {
 			specs = append(specs, s)
 		}
 	}
@@ -173,7 +175,9 @@ func encodeAggInput(rng *rand.Rand, rows int, boxFrac float64, keys int) []byte 
 
 // mixedInput feeds r to the kernel the way the pipeline does: runs of row
 // tuples and runs of columnar rows (from a compacted copy of r), some
-// behind a selection vector. It returns the input and the relation of
+// behind a selection vector. The first run is rows and the second columns,
+// so an evaluator that wrote a columnar row over a stored tuple would
+// change r. It returns the input and the relation of
 // exactly the rows it holds, for the oracle.
 func mixedInput(rng *rand.Rand, r *Relation) (*AggInput, *Relation) {
 	sparse := r.Clone()
@@ -181,10 +185,10 @@ func mixedInput(rng *rand.Rand, r *Relation) (*AggInput, *Relation) {
 	cols, mflat, mdense, _ := sparse.SparseView()
 	in := NewAggInput(0)
 	want := New(r.Schema)
-	for lo := 0; lo < len(r.Tuples); {
+	for lo, run := 0, 0; lo < len(r.Tuples); run++ {
 		hi := min(lo+1+rng.Intn(40), len(r.Tuples))
-		switch rng.Intn(3) {
-		case 0:
+		switch {
+		case run == 0, run > 1 && rng.Intn(3) == 0:
 			in.AppendRows(r.Tuples[lo:hi])
 			want.Tuples = append(want.Tuples, r.Tuples[lo:hi]...)
 		default:
@@ -247,8 +251,15 @@ func aggResult(r *Relation, err error) string {
 // inputs, at workers {1, 4} and AggCompression {0, 3}.
 func checkAggInput(t *testing.T, data []byte) {
 	t.Helper()
-	ctx := context.Background()
 	in, groupBy, specs := decodeAggInput(data)
+	checkAggRelation(t, in, groupBy, specs, int64(len(data)))
+}
+
+// checkAggRelation is checkAggInput over a relation; seed draws the runs
+// of the mixed input.
+func checkAggRelation(t *testing.T, in *Relation, groupBy []int, specs []ra.AggSpec, seed int64) {
+	t.Helper()
+	ctx := context.Background()
 	plans, slots, err := planAggs(specs)
 	if err != nil {
 		t.Fatal(err)
@@ -260,7 +271,15 @@ func checkAggInput(t *testing.T, data []byte) {
 	out := schema.New(names...)
 	sparse := in.Clone()
 	sparse.Compact(StoragePolicy{Mode: ReprForceSparse})
-	mixed, mixedRel := mixedInput(rand.New(rand.NewSource(int64(len(data)))), in)
+	mixed, mixedRel := mixedInput(rand.New(rand.NewSource(seed)), in)
+	// The kernel only reads its input: a stored tuple that changed would
+	// change the table it came from.
+	before, beforeSparse := aggResult(in, nil), aggResult(sparse, nil)
+	defer func() {
+		if aggResult(in, nil) != before || aggResult(sparse, nil) != beforeSparse {
+			t.Fatalf("the kernel changed its input, aggregates %v:\n%s\nwas\n%s", specs, in, before)
+		}
+	}()
 	inputs := []struct {
 		name   string
 		in     *AggInput
@@ -312,6 +331,73 @@ func TestAggMatchesOracle(t *testing.T) {
 	}
 	if errs == 0 || errs == trials {
 		t.Fatalf("%d of %d inputs failed: the errors are not exercised", errs, trials)
+	}
+}
+
+// TestAggLateErrors: on inputs of several blocks, where workers evaluate
+// the next block's arguments while the current one folds, the error is
+// still the one the oracle reports: an argument error in a late block,
+// one that a fold error in an earlier block does not outrank, and a fold
+// error in a late block. Every case runs with mixed row and columnar
+// input at workers {1, 4}.
+func TestAggLateErrors(t *testing.T) {
+	const n = 3000
+	rel := func(edit func(i int, a, x *types.Value)) *Relation {
+		r := New(schema.New("g", "a", "x"))
+		for i := range n {
+			a, x := types.Value(types.Int(int64(i%11))), types.Value(types.Int(int64(1+i%4)))
+			edit(i, &a, &x)
+			g := rangeval.Certain(types.Int(int64(i % 3)))
+			if i%50 == 0 {
+				g = rangeval.New(types.Int(0), types.Int(int64(i%3)), types.Int(1))
+			}
+			r.Add(Tuple{Vals: rangeval.Tuple{g, rangeval.Certain(a), rangeval.Certain(x)}, M: One})
+		}
+		return r
+	}
+	specs := []ra.AggSpec{
+		{Fn: ra.AggSum, Arg: expr.Col(1, "a"), Name: "s"},
+		{Fn: ra.AggSum, Arg: expr.Div(expr.CInt(1), expr.Col(2, "x")), Name: "inv"},
+		{Fn: ra.AggMax, Arg: expr.If{Cond: expr.Gt(expr.Col(1, "a"), expr.CInt(5)), Then: expr.Col(2, "x"), Else: expr.CInt(0)}, Name: "m"},
+	}
+	cases := []struct {
+		name string
+		want string // in the oracle's error
+		edit func(i int, a, x *types.Value)
+	}{
+		{"argument error in a late block", "division by zero", func(i int, _, x *types.Value) {
+			if i == 2500 {
+				*x = types.Int(0)
+			}
+		}},
+		{"argument error after a fold error", "division by zero", func(i int, a, x *types.Value) {
+			switch i {
+			case 300:
+				*a = types.PosInf()
+			case 303:
+				*a = types.NegInf()
+			case 2900:
+				*x = types.Int(0)
+			}
+		}},
+		{"fold error in a late block", "invalid operands", func(i int, a, _ *types.Value) {
+			switch i {
+			case 2400:
+				*a = types.PosInf()
+			case 2700:
+				*a = types.NegInf()
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			in := rel(c.edit)
+			plans, slots, _ := planAggs(specs)
+			if _, err := naiveAggregate(context.Background(), in, []int{0}, plans, slots, schema.New("g", "s", "inv", "m"), Options{Workers: 1}); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("oracle error %v, want one containing %q", err, c.want)
+			}
+			checkAggRelation(t, in, []int{0}, specs, 1)
+		})
 	}
 }
 
@@ -449,10 +535,8 @@ func TestAggCancellation(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return k, runSpans(ctx, spans, func(_ int, s Span, p *ctxpoll.Poll) error {
-				var argErr, direct foldErr
-				return k.foldRows(s, p, &argErr, &direct)
-			})
+			_, _, err = k.foldRows(ctx, workers, spans)
+			return k, err
 		}
 		folded, err := pass2(context.Background())
 		if err != nil {

@@ -121,16 +121,3 @@ func (pt *aggPart) val(c, i int) rangeval.V {
 	}
 	return pt.cols[c].At(i)
 }
-
-// row returns row i as a tuple: the stored tuple of a row part, or the
-// row gathered onto scratch[:0] from a columnar part.
-func (pt *aggPart) row(i int, scratch rangeval.Tuple) rangeval.Tuple {
-	if !pt.columnar {
-		return pt.rows[i].Vals
-	}
-	scratch = scratch[:0]
-	for _, c := range pt.cols {
-		scratch = append(scratch, c.At(i))
-	}
-	return scratch
-}

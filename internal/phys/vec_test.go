@@ -7,6 +7,7 @@ import (
 
 	"github.com/audb/audb/internal/bag"
 	"github.com/audb/audb/internal/core"
+	"github.com/audb/audb/internal/expr"
 	"github.com/audb/audb/internal/opt"
 	"github.com/audb/audb/internal/ra"
 	"github.com/audb/audb/internal/rangeval"
@@ -225,6 +226,45 @@ func TestColumnarBoundsWorlds(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestAggLeavesStoredRowsAlone: an aggregation over a Union of a dense and
+// a sparse table reads a run of stored row tuples followed by a run of
+// columns. Its CASE argument is evaluated per row, and the gathered
+// columnar rows must not be written over the stored tuples: the dense
+// table is unchanged afterwards and the answer is the reference's.
+func TestAggLeavesStoredRowsAlone(t *testing.T) {
+	ctx := context.Background()
+	const rows = 3000
+	db := seqDB(rows, 23)
+	sp := certDB(t, rows, 7)["t"]
+	db["s"] = sp
+	dense := db["t"].String()
+	v := expr.Col(1, "v")
+	plan := &ra.Agg{
+		Child:   &ra.Union{Left: &ra.Scan{Table: "t"}, Right: &ra.Scan{Table: "s"}},
+		GroupBy: []int{1},
+		Aggs: []ra.AggSpec{
+			{Fn: ra.AggSum, Arg: expr.If{Cond: expr.Gt(v, expr.CInt(3)), Then: v, Else: expr.CInt(0)}, Name: "big"},
+			{Fn: ra.AggCount, Name: "n"},
+		},
+	}
+	want, err := core.Exec(ctx, plan, db, core.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range physOptionGrid {
+		got, err := Exec(ctx, plan, db, Options{BatchSize: g.batch, Exec: core.Options{Workers: g.workers}})
+		if err != nil {
+			t.Fatalf("w=%d b=%d: %v", g.workers, g.batch, err)
+		}
+		if db["t"].String() != dense {
+			t.Fatalf("w=%d b=%d: the aggregation changed the stored dense table", g.workers, g.batch)
+		}
+		if got.String() != want.String() {
+			t.Fatalf("w=%d b=%d: result differs\nreference:\n%s\ngot:\n%s", g.workers, g.batch, want, got)
 		}
 	}
 }
