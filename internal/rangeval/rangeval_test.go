@@ -5,9 +5,17 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"github.com/audb/audb/internal/types"
 )
+
+// TestVLayout pins a triple at three 32-byte Values (types pins those).
+func TestVLayout(t *testing.T) {
+	if size := unsafe.Sizeof(V{}); size > 96 {
+		t.Errorf("rangeval.V is %d bytes, want at most 96", size)
+	}
+}
 
 func TestCertain(t *testing.T) {
 	v := Certain(types.Int(5))
@@ -253,7 +261,7 @@ func TestCheckedErrorPaths(t *testing.T) {
 				if !strings.Contains(err.Error(), "bounds out of order") {
 					t.Errorf("error should name the violation, got %q", err)
 				}
-				if zero := (V{}); v != zero {
+				if zero := types.Null(); !types.Same(v.Lo, zero) || !types.Same(v.SG, zero) || !types.Same(v.Hi, zero) {
 					t.Errorf("on error Checked must return the zero V, got %v", v)
 				}
 				return

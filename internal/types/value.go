@@ -54,15 +54,21 @@ func (k Kind) String() string {
 }
 
 // Value is an element of the universal domain D. The zero value is Null.
-// Value is a comparable struct and may be used as a map key; note however
-// that map-key identity distinguishes Int(2) from Float(2) even though
-// Compare treats them as equal (homogeneously typed columns, which all
-// generators in this repository produce, avoid the distinction).
+//
+// Value has four fields and 32 bytes, the most the Go compiler keeps in
+// registers instead of copying through memory; a test pins the layout.
+// A float stores its IEEE-754 bits in i. Every constructor leaves the
+// fields its kind does not use zero, so two Values are == exactly when
+// they are Same: the same kind and the same bits. That is not Equal:
+// struct == and map-key identity tell Int(2) from Float(2) and Float(0)
+// from Float(-0), and make every NaN with one payload equal to itself.
+// Grouping and hashing therefore go through AppendKey, and code outside
+// this package compares Values with Equal or Same, never == (audblint's
+// valueeq rule).
 type Value struct {
 	kind Kind
 	b    bool
-	i    int64
-	f    float64
+	i    int64 // an int, or a float's bits
 	s    string
 }
 
@@ -76,7 +82,10 @@ func Bool(b bool) Value { return Value{kind: KindBool, b: b} }
 func Int(i int64) Value { return Value{kind: KindInt, i: i} }
 
 // Float returns a floating point domain value.
-func Float(f float64) Value { return Value{kind: KindFloat, f: f} }
+func Float(f float64) Value { return Value{kind: KindFloat, i: int64(math.Float64bits(f))} }
+
+// fl returns the payload of a float value.
+func (v Value) fl() float64 { return math.Float64frombits(uint64(v.i)) }
 
 // String returns a string domain value.
 func String(s string) Value { return Value{kind: KindString, s: s} }
@@ -114,7 +123,7 @@ func (v Value) AsInt() int64 {
 	case KindInt:
 		return v.i
 	case KindFloat:
-		return int64(v.f)
+		return int64(v.fl())
 	case KindBool:
 		if v.b {
 			return 1
@@ -130,7 +139,7 @@ func (v Value) AsFloat() float64 {
 	case KindInt:
 		return float64(v.i)
 	case KindFloat:
-		return v.f
+		return v.fl()
 	case KindBool:
 		if v.b {
 			return 1
@@ -167,7 +176,7 @@ func (v Value) String() string {
 	case KindInt:
 		return strconv.FormatInt(v.i, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.fl(), 'g', -1, 64)
 	case KindString:
 		return v.s
 	case KindPosInf:
@@ -227,11 +236,11 @@ func Compare(a, b Value) int {
 		case a.kind == KindInt && b.kind == KindInt:
 			return cmp.Compare(a.i, b.i)
 		case a.kind == KindInt:
-			return -compareFloatInt(b.f, a.i)
+			return -compareFloatInt(b.fl(), a.i)
 		case b.kind == KindInt:
-			return compareFloatInt(a.f, b.i)
+			return compareFloatInt(a.fl(), b.i)
 		}
-		return cmp.Compare(a.f, b.f)
+		return cmp.Compare(a.fl(), b.fl())
 	}
 }
 
@@ -261,23 +270,10 @@ func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
 // Same reports whether a and b are the same value by representation: the
 // same kind and the same bits. Unlike Equal it tells -0 from 0, 1 from 1.0
-// and one NaN payload from another.
-func Same(a, b Value) bool {
-	if a.kind != b.kind {
-		return false
-	}
-	switch a.kind {
-	case KindBool:
-		return a.b == b.b
-	case KindInt:
-		return a.i == b.i
-	case KindFloat:
-		return math.Float64bits(a.f) == math.Float64bits(b.f)
-	case KindString:
-		return a.s == b.s
-	}
-	return true
-}
+// and one NaN payload from another. Since every constructor zeroes the
+// fields its kind does not use, and floats are held as bits, that is
+// struct equality.
+func Same(a, b Value) bool { return a == b }
 
 // Less reports a < b under the total order.
 func Less(a, b Value) bool { return Compare(a, b) < 0 }
@@ -329,13 +325,13 @@ func Add(a, b Value) (Value, error) {
 	// The numeric pairs return what addGeneral returns, without its checks.
 	switch {
 	case a.kind == KindFloat && b.kind == KindFloat:
-		return Float(a.f + b.f), nil
+		return Float(a.fl() + b.fl()), nil
 	case a.kind == KindInt && b.kind == KindInt:
 		return Int(a.i + b.i), nil
 	case a.kind == KindInt && b.kind == KindFloat:
-		return Float(float64(a.i) + b.f), nil
+		return Float(float64(a.i) + b.fl()), nil
 	case a.kind == KindFloat && b.kind == KindInt:
-		return Float(a.f + float64(b.i)), nil
+		return Float(a.fl() + float64(b.i)), nil
 	}
 	return addGeneral(a, b)
 }
@@ -394,7 +390,7 @@ func Neg(a Value) (Value, error) {
 	case KindInt:
 		return Int(-a.i), nil
 	case KindFloat:
-		return Float(-a.f), nil
+		return Float(-a.fl()), nil
 	case KindNegInf:
 		return PosInf(), nil
 	case KindPosInf:
@@ -409,13 +405,13 @@ func Mul(a, b Value) (Value, error) {
 	// The numeric pairs return what mulGeneral returns, without its checks.
 	switch {
 	case a.kind == KindFloat && b.kind == KindFloat:
-		return Float(a.f * b.f), nil
+		return Float(a.fl() * b.fl()), nil
 	case a.kind == KindInt && b.kind == KindInt:
 		return Int(a.i * b.i), nil
 	case a.kind == KindInt && b.kind == KindFloat:
-		return Float(float64(a.i) * b.f), nil
+		return Float(float64(a.i) * b.fl()), nil
 	case a.kind == KindFloat && b.kind == KindInt:
-		return Float(a.f * float64(b.i)), nil
+		return Float(a.fl() * float64(b.i)), nil
 	}
 	return mulGeneral(a, b)
 }
@@ -511,7 +507,7 @@ func (v Value) AppendKey(dst []byte) []byte {
 		// Integral floats share their key with the equal int, and every
 		// NaN payload shares one key, so that Compare-equality and
 		// key-equality agree for mixed columns.
-		switch f := v.f; {
+		switch f := v.fl(); {
 		case f == math.Trunc(f) && f >= -twoTo63 && f < twoTo63:
 			dst[len(dst)-1] = byte(KindInt)
 			dst = appendInt64(dst, int64(f))

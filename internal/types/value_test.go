@@ -1,11 +1,15 @@
 package types
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestKindString(t *testing.T) {
@@ -249,7 +253,7 @@ func TestFloatFastPath(t *testing.T) {
 				if gerr != nil || werr != nil {
 					t.Fatalf("%g %s %g: errors %v, %v", x, op.name, y, gerr, werr)
 				}
-				if got.kind != want.kind || math.Float64bits(got.f) != math.Float64bits(want.f) || got != want {
+				if !Same(got, want) {
 					t.Errorf("%g %s %g = %#v, general path %#v", x, op.name, y, got, want)
 				}
 			}
@@ -526,5 +530,105 @@ func TestTupleOps(t *testing.T) {
 	}
 	if a.String() != "(1, x)" {
 		t.Errorf("String: %s", a.String())
+	}
+}
+
+// TestValueLayout pins the layout that lets the compiler keep a Value in
+// registers: at most four fields and four words. A fifth field would
+// send every Value the kernels pass or return through memory again.
+func TestValueLayout(t *testing.T) {
+	if n := reflect.TypeOf(Value{}).NumField(); n > 4 {
+		t.Errorf("Value has %d fields, want at most 4", n)
+	}
+	if size := unsafe.Sizeof(Value{}); size > 32 {
+		t.Errorf("Value is %d bytes, want at most 32", size)
+	}
+}
+
+// TestFloatEdgeCases: floats held as bits keep every documented meaning
+// at the edges — signed zeros, NaN payloads, infinities, the extreme
+// magnitudes — next to the extreme ints.
+func TestFloatEdgeCases(t *testing.T) {
+	nan := math.NaN()
+	negNaN := math.Float64frombits(math.Float64bits(nan) | 1<<63)
+	type edge struct {
+		v     Value
+		isInt bool
+		i     int64
+		f     float64
+		str   string
+	}
+	fl := func(f float64, str string) edge { return edge{v: Float(f), f: f, str: str} }
+	in := func(i int64, str string) edge { return edge{v: Int(i), isInt: true, i: i, f: float64(i), str: str} }
+	edges := []edge{
+		fl(0, "0"),
+		fl(math.Copysign(0, -1), "-0"),
+		fl(nan, "NaN"),
+		fl(negNaN, "NaN"),
+		fl(math.Inf(1), "+Inf"),
+		fl(math.Inf(-1), "-Inf"),
+		fl(math.MaxFloat64, "1.7976931348623157e+308"),
+		fl(math.SmallestNonzeroFloat64, "5e-324"),
+		in(math.MinInt64, "-9223372036854775808"),
+		in(math.MaxInt64, "9223372036854775807"),
+	}
+	// want is the order value.go documents: cmp.Compare on two floats
+	// (NaN equals NaN and sorts below every number), exact otherwise.
+	want := func(a, b edge) int {
+		switch {
+		case !a.isInt && !b.isInt:
+			return cmp.Compare(a.f, b.f)
+		case a.isInt && b.isInt:
+			return cmp.Compare(a.i, b.i)
+		case math.IsNaN(a.f):
+			return -1
+		case math.IsNaN(b.f):
+			return 1
+		}
+		exact := func(e edge) *big.Float {
+			if e.isInt {
+				return new(big.Float).SetInt64(e.i)
+			}
+			return new(big.Float).SetFloat64(e.f)
+		}
+		return exact(a).Cmp(exact(b))
+	}
+	for i, a := range edges {
+		for j, b := range edges {
+			w := want(a, b)
+			if got := Compare(a.v, b.v); got != w {
+				t.Errorf("Compare(%v, %v) = %d, want %d", a.v, b.v, got, w)
+			}
+			if got := Equal(a.v, b.v); got != (w == 0) {
+				t.Errorf("Equal(%v, %v) = %v, want %v", a.v, b.v, got, w == 0)
+			}
+			if got := Same(a.v, b.v); got != (i == j) {
+				t.Errorf("Same(%#v, %#v) = %v, want %v", a.v, b.v, got, i == j)
+			}
+			sameKey := string(a.v.AppendKey(nil)) == string(b.v.AppendKey(nil))
+			if sameKey != (w == 0) {
+				t.Errorf("AppendKey(%v) == AppendKey(%v) is %v, Compare says %d", a.v, b.v, sameKey, w)
+			}
+		}
+		if got := a.v.String(); got != a.str {
+			t.Errorf("String(%#v) = %q, want %q", a.v, got, a.str)
+		}
+		if got := a.v.AsFloat(); math.Float64bits(got) != math.Float64bits(a.f) {
+			t.Errorf("AsFloat(%#v) = %x bits, want %x", a.v, math.Float64bits(got), math.Float64bits(a.f))
+		}
+		wantInt := a.i
+		if !a.isInt {
+			wantInt = int64(a.f)
+		}
+		if got := a.v.AsInt(); got != wantInt {
+			t.Errorf("AsInt(%#v) = %d, want %d", a.v, got, wantInt)
+		}
+		if !a.isInt && !Same(a.v, Float(math.Float64frombits(math.Float64bits(a.f)))) {
+			t.Errorf("Float(%#v) rebuilt from its bits is not Same", a.v)
+		}
+	}
+	negZero, err := Neg(Float(0))
+	if err != nil || math.Float64bits(negZero.AsFloat()) != 1<<63 || !Same(negZero, Float(math.Copysign(0, -1))) {
+		t.Errorf("Neg(Float(0)) = %#v, %v; want the bits of -0", negZero, err)
 	}
 }
