@@ -76,7 +76,7 @@ func TestRelationBasics(t *testing.T) {
 	}
 	c := r.Clone()
 	c.Tuples[0][0] = types.Int(99)
-	if r.Tuples[0][0] != types.Int(1) {
+	if !types.Same(r.Tuples[0][0], types.Int(1)) {
 		t.Error("Clone aliases tuples")
 	}
 	if !strings.Contains(r.String(), "x5") {
@@ -90,7 +90,7 @@ func TestSortAndEqual(t *testing.T) {
 	r.Add(row(1), 2)
 	r.Add(row(2), 1)
 	r.Sort()
-	if r.Tuples[0][0] != types.Int(1) || r.Counts[0] != 2 {
+	if !types.Same(r.Tuples[0][0], types.Int(1)) || r.Counts[0] != 2 {
 		t.Error("Sort keeps counts aligned")
 	}
 	o := New(schema.New("a"))
@@ -276,13 +276,13 @@ func TestAggregationNoGroupByAndEmpty(t *testing.T) {
 		t.Fatalf("empty agg rows: %d", out.Len())
 	}
 	got := out.Tuples[0]
-	if got[0] != types.Int(0) || got[1] != types.Int(0) {
+	if !types.Same(got[0], types.Int(0)) || !types.Same(got[1], types.Int(0)) {
 		t.Errorf("empty count/sum: %v", got)
 	}
 	if got[2].Kind() != types.KindPosInf {
 		t.Errorf("empty min should be +inf: %v", got[2])
 	}
-	if got[3] != types.Float(0) {
+	if !types.Same(got[3], types.Float(0)) {
 		t.Errorf("empty avg: %v", got[3])
 	}
 	// Empty input WITH group-by: no rows.
@@ -332,11 +332,11 @@ func TestCountNullSkipping(t *testing.T) {
 func TestOrderBy(t *testing.T) {
 	db := testDB()
 	out := mustExec(t, &ra.OrderBy{Child: &ra.Scan{Table: "s"}, Keys: []int{1}, Desc: true}, db)
-	if out.Tuples[0][1] != types.Int(90) {
+	if !types.Same(out.Tuples[0][1], types.Int(90)) {
 		t.Errorf("order by desc:\n%s", out)
 	}
 	out = mustExec(t, &ra.OrderBy{Child: &ra.Scan{Table: "s"}, Keys: []int{1}}, db)
-	if out.Tuples[0][1] != types.Int(10) {
+	if !types.Same(out.Tuples[0][1], types.Int(10)) {
 		t.Errorf("order by asc:\n%s", out)
 	}
 }

@@ -269,7 +269,7 @@ func TestAggregationFigure7b(t *testing.T) {
 		t.Errorf("annotation %v", got.M)
 	}
 	v := got.Vals[0]
-	if v.Lo != types.Int(6) || v.SG != types.Int(7) || v.Hi != types.Int(14) {
+	if !types.Same(v.Lo, types.Int(6)) || !types.Same(v.SG, types.Int(7)) || !types.Same(v.Hi, types.Int(14)) {
 		t.Errorf("pop = %v, want [6/7/14]", v)
 	}
 }
@@ -313,7 +313,7 @@ func TestAggregationFigure7c(t *testing.T) {
 		t.Fatal("no State group")
 	}
 	cnt := state.Vals[1]
-	if cnt.Lo != types.Int(2) || cnt.SG != types.Int(2) || cnt.Hi != types.Int(4) {
+	if !types.Same(cnt.Lo, types.Int(2)) || !types.Same(cnt.SG, types.Int(2)) || !types.Same(cnt.Hi, types.Int(4)) {
 		t.Errorf("State count %v, want [2/2/4]", cnt)
 	}
 	if state.M != (Mult{1, 1, 3}) {
@@ -340,7 +340,7 @@ func TestAggregationEmptyInput(t *testing.T) {
 		t.Fatalf("empty agg: %s", out)
 	}
 	vals := out.Tuples[0].Vals
-	if vals[0].SG != types.Int(0) || vals[1].SG != types.Int(0) {
+	if !types.Same(vals[0].SG, types.Int(0)) || !types.Same(vals[1].SG, types.Int(0)) {
 		t.Errorf("neutral sum/count: %v", vals)
 	}
 	if vals[2].SG.Kind() != types.KindPosInf {

@@ -31,10 +31,10 @@ func mustRange(t *testing.T, e Expr, tup rangeval.Tuple) rangeval.V {
 
 func TestConstAndAttr(t *testing.T) {
 	tup := types.Tuple{types.Int(10), types.String("a")}
-	if mustEval(t, CInt(3), tup) != types.Int(3) {
+	if !types.Same(mustEval(t, CInt(3), tup), types.Int(3)) {
 		t.Error("const")
 	}
-	if mustEval(t, Col(0, "x"), tup) != types.Int(10) {
+	if !types.Same(mustEval(t, Col(0, "x"), tup), types.Int(10)) {
 		t.Error("attr")
 	}
 	if _, err := Col(5, "oob").Eval(tup); err == nil {
@@ -58,16 +58,16 @@ func TestConstAndAttr(t *testing.T) {
 func TestArithmeticDetEval(t *testing.T) {
 	tup := types.Tuple{types.Int(6), types.Int(4)}
 	a, b := Col(0, "a"), Col(1, "b")
-	if mustEval(t, Add(a, b), tup) != types.Int(10) {
+	if !types.Same(mustEval(t, Add(a, b), tup), types.Int(10)) {
 		t.Error("add")
 	}
-	if mustEval(t, Sub(a, b), tup) != types.Int(2) {
+	if !types.Same(mustEval(t, Sub(a, b), tup), types.Int(2)) {
 		t.Error("sub")
 	}
-	if mustEval(t, Mul(a, b), tup) != types.Int(24) {
+	if !types.Same(mustEval(t, Mul(a, b), tup), types.Int(24)) {
 		t.Error("mul")
 	}
-	if mustEval(t, Div(a, b), tup) != types.Float(1.5) {
+	if !types.Same(mustEval(t, Div(a, b), tup), types.Float(1.5)) {
 		t.Error("div")
 	}
 	if _, err := Div(a, CInt(0)).Eval(tup); err == nil {
@@ -156,10 +156,10 @@ func TestIfDetEval(t *testing.T) {
 func TestLeastGreatest(t *testing.T) {
 	tup := types.Tuple{types.Int(4), types.Int(2), types.Int(9)}
 	cols := []Expr{Col(0, ""), Col(1, ""), Col(2, "")}
-	if mustEval(t, Least(cols...), tup) != types.Int(2) {
+	if !types.Same(mustEval(t, Least(cols...), tup), types.Int(2)) {
 		t.Error("least")
 	}
-	if mustEval(t, Greatest(cols...), tup) != types.Int(9) {
+	if !types.Same(mustEval(t, Greatest(cols...), tup), types.Int(9)) {
 		t.Error("greatest")
 	}
 	if _, err := Least().Eval(tup); err == nil {

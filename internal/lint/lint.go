@@ -17,6 +17,7 @@ func Analyzers() []*analysis.Analyzer {
 		Nocloneiter,
 		Gatedoc,
 		Obsspan,
+		Valueeq,
 		Nilness,
 	}
 }

@@ -54,6 +54,16 @@ func TestNocloneiter(t *testing.T) {
 	)
 }
 
+// TestValueeq: == on a Value, or on a struct or array holding one, is
+// flagged outside internal/types (test files included) and allowed
+// inside it.
+func TestValueeq(t *testing.T) {
+	linttest.Run(t, lint.Valueeq,
+		linttest.Pkg{Dir: "testdata/src/valueeq", Path: "github.com/audb/audb/internal/lintfixture/valueeq"},
+		linttest.Pkg{Dir: "testdata/src/valueeq_types", Path: "github.com/audb/audb/internal/types"},
+	)
+}
+
 func TestGatedoc(t *testing.T) {
 	linttest.Run(t, lint.Gatedoc,
 		linttest.Pkg{Dir: "testdata/src/gatedoc", Path: "github.com/audb/audb/internal/opt"},

@@ -172,11 +172,11 @@ func TestCaseBetweenInDistinctOrder(t *testing.T) {
 		t.Errorf("distinct:\n%s", out)
 	}
 	out = runSQL(t, "SELECT name, salary FROM emp ORDER BY salary DESC LIMIT 2")
-	if out.Len() != 2 || out.Tuples[0][1] != types.Int(100) {
+	if out.Len() != 2 || !types.Same(out.Tuples[0][1], types.Int(100)) {
 		t.Errorf("order/limit:\n%s", out)
 	}
 	out = runSQL(t, "SELECT name, salary FROM emp ORDER BY 2")
-	if out.Tuples[0][1] != types.Int(60) {
+	if !types.Same(out.Tuples[0][1], types.Int(60)) {
 		t.Errorf("positional order:\n%s", out)
 	}
 }

@@ -196,12 +196,17 @@ func TestCompactEncoding(t *testing.T) {
 	}
 }
 
-// TestValueKindsRoundTrip: every kind of domain value survives.
+// TestValueKindsRoundTrip: every kind of domain value survives, bit for
+// bit (Same).
 func TestValueKindsRoundTrip(t *testing.T) {
 	vals := []types.Value{
 		types.Null(), types.Bool(true), types.Bool(false),
 		types.Int(0), types.Int(-1), types.Int(math.MaxInt64), types.Int(math.MinInt64),
 		types.Float(0), types.Float(-1.5), types.Float(math.Inf(1)), types.Float(math.SmallestNonzeroFloat64),
+		// Float edge cases: the bits, not just the order, survive.
+		types.Float(math.Copysign(0, -1)), types.Float(math.NaN()),
+		types.Float(math.Float64frombits(math.Float64bits(math.NaN()) | 1<<63)),
+		types.Float(math.Inf(-1)), types.Float(math.MaxFloat64),
 		types.String(""), types.String("héllo\x00world"),
 		types.NegInf(), types.PosInf(),
 	}
@@ -212,7 +217,7 @@ func TestValueKindsRoundTrip(t *testing.T) {
 		if err := d.finish("value"); err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}
-		if got != v {
+		if !types.Same(got, v) {
 			t.Errorf("value round trip: in %#v out %#v", v, got)
 		}
 	}
