@@ -151,7 +151,7 @@ func (s *selectIter) Next() (*vec.Batch, error) {
 		if err := s.poll.Due(); err != nil {
 			return nil, err
 		}
-		if s.prog != nil && s.flatCols(b) {
+		if s.prog != nil && flatCols(s.prog, b, &s.flat) {
 			sel, err := s.prog.SelectInto(s.flat, b.N, b.Sel, s.sel[:0])
 			if err == nil {
 				s.sel = sel
@@ -177,15 +177,17 @@ func (s *selectIter) Next() (*vec.Batch, error) {
 	}
 }
 
-// flatCols gates the vectorized path on the batch at hand: every column
-// the predicate references must be flat and null-free (the precondition
+// flatCols gates a vectorized program on the batch at hand: every column
+// the program references must be flat and null-free (the precondition
 // under which deterministic evaluation is bit-identical to range
-// evaluation), and binds those columns for the program.
-func (s *selectIter) flatCols(b *vec.Batch) bool {
-	if len(s.flat) < len(b.Cols) {
-		s.flat = make([][]types.Value, len(b.Cols))
+// evaluation). It binds those columns in *scratch, growing it to the
+// batch's width, for the program to read.
+func flatCols(prog *expr.Prog, b *vec.Batch, scratch *[][]types.Value) bool {
+	if len(*scratch) < len(b.Cols) {
+		*scratch = make([][]types.Value, len(b.Cols))
 	}
-	for _, a := range s.prog.Attrs() {
+	flat := *scratch
+	for _, a := range prog.Attrs() {
 		if a < 0 || a >= len(b.Cols) {
 			return false
 		}
@@ -193,7 +195,7 @@ func (s *selectIter) flatCols(b *vec.Batch) bool {
 		if !c.IsFlat() || c.HasNulls() {
 			return false
 		}
-		s.flat[a] = c.Flat
+		flat[a] = c.Flat
 	}
 	return true
 }
@@ -315,7 +317,7 @@ func (p *projectIter) columnar(b *vec.Batch) error {
 			p.out.Cols[j] = b.Cols[a]
 			continue
 		}
-		if p.progs[j] != nil && p.flatCols(p.progs[j], b) {
+		if p.progs[j] != nil && flatCols(p.progs[j], b, &p.flat) {
 			if len(p.flatOut[j]) < b.N {
 				p.flatOut[j] = make([]types.Value, b.N)
 			}
@@ -367,24 +369,6 @@ func (p *projectIter) columnar(b *vec.Batch) error {
 		p.out.Cols[j] = rangeval.ColFromDense(p.denseOut[j][:b.N])
 	}
 	return nil
-}
-
-// flatCols gates one program on the batch's columns, binding p.flat.
-func (p *projectIter) flatCols(prog *expr.Prog, b *vec.Batch) bool {
-	if len(p.flat) < len(b.Cols) {
-		p.flat = make([][]types.Value, len(b.Cols))
-	}
-	for _, a := range prog.Attrs() {
-		if a < 0 || a >= len(b.Cols) {
-			return false
-		}
-		c := b.Cols[a]
-		if !c.IsFlat() || c.HasNulls() {
-			return false
-		}
-		p.flat[a] = c.Flat
-	}
-	return true
 }
 
 // fallback densifies the batch and re-runs the canonical per-row kernel,
