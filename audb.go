@@ -613,6 +613,11 @@ func (l *TableLoader) Arity() int { return l.b.Arity() }
 // Len returns the number of rows accepted so far.
 func (l *TableLoader) Len() int { return l.b.Len() }
 
+// Grow reserves room for n more rows. A caller that receives its rows in
+// batches (COPY does) reserves each batch before adding it, so a table
+// that arrives in one batch is stored without spare capacity.
+func (l *TableLoader) Grow(n int) { l.b.Grow(n) }
+
 // Add appends one row. Rows with a non-positive upper multiplicity are
 // dropped, exactly as registration would; vals must match the arity. The
 // row is copied — callers may reuse the backing slice.

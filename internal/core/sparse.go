@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"github.com/audb/audb/internal/rangeval"
 	"github.com/audb/audb/internal/schema"
 )
@@ -290,12 +292,25 @@ type RelationBuilder struct {
 func NewRelationBuilder(s schema.Schema, sizeHint int) *RelationBuilder {
 	b := &RelationBuilder{sch: s, cols: make([]rangeval.ColBuilder, s.Arity())}
 	if sizeHint > 0 {
-		for i := range b.cols {
-			b.cols[i].Grow(sizeHint)
-		}
-		b.mflat = make([]int64, 0, sizeHint)
+		b.Grow(sizeHint)
 	}
 	return b
+}
+
+// Grow reserves capacity for n more rows in every column and in the
+// multiplicities. Like ColBuilder.Grow it grows geometrically, so a
+// caller that knows its input batch by batch can reserve each batch:
+// rows that arrive in one batch then fill storage of exactly their
+// number, where append growth can leave up to half of it unused.
+func (b *RelationBuilder) Grow(n int) {
+	for i := range b.cols {
+		b.cols[i].Grow(n)
+	}
+	if b.mdense != nil {
+		b.mdense = slices.Grow(b.mdense, n)
+	} else {
+		b.mflat = slices.Grow(b.mflat, n)
+	}
 }
 
 // Arity returns the builder's schema arity.

@@ -17,6 +17,43 @@ func TestVLayout(t *testing.T) {
 	}
 }
 
+// TestColBuilderGrow: rows reserved in one call are stored without spare
+// capacity beyond the allocator's size-class rounding, also across the
+// promotion to dense; reserving batch by batch grows geometrically, with
+// a few reallocations rather than one per batch.
+func TestColBuilderGrow(t *testing.T) {
+	const n = 600
+	for _, promoteAt := range []int{-1, 0, n / 2} {
+		var b ColBuilder
+		b.Grow(n)
+		for i := 0; i < n; i++ {
+			v := Certain(types.Int(int64(i)))
+			if i == promoteAt {
+				v = New(types.Int(0), types.Int(int64(i)), types.Int(n))
+			}
+			b.Append(v)
+		}
+		if c := max(cap(b.flat), cap(b.dense)); c > n+n/8 {
+			t.Errorf("promote at %d: capacity %d for %d reserved rows", promoteAt, c, n)
+		}
+	}
+	var g ColBuilder
+	reallocs := 0
+	for batch := 0; batch < 1000; batch++ {
+		before := cap(g.flat)
+		g.Grow(10)
+		if cap(g.flat) != before {
+			reallocs++
+		}
+		for i := 0; i < 10; i++ {
+			g.Append(Certain(types.Int(1)))
+		}
+	}
+	if reallocs > 40 {
+		t.Errorf("%d reallocations over 1000 reserved batches; want geometric growth", reallocs)
+	}
+}
+
 func TestCertain(t *testing.T) {
 	v := Certain(types.Int(5))
 	if !v.IsCertain() || !v.Valid() {

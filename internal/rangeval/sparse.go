@@ -1,6 +1,10 @@
 package rangeval
 
-import "github.com/audb/audb/internal/types"
+import (
+	"slices"
+
+	"github.com/audb/audb/internal/types"
+)
 
 // Sparse column storage: the vertical-decomposition idea of U-relations
 // applied to the range-annotated domain. A column whose every row is
@@ -116,21 +120,16 @@ type ColBuilder struct {
 	nulls int
 }
 
-// Grow reserves capacity for n additional rows.
+// Grow reserves capacity for n additional rows. The storage grows
+// geometrically, as append grows it, so reserving batch by batch stays
+// linear; on an empty builder it reserves n rows, rounded up only to the
+// allocator's size class.
 func (b *ColBuilder) Grow(n int) {
 	if b.dense != nil {
-		if cap(b.dense)-len(b.dense) < n {
-			next := make([]V, len(b.dense), len(b.dense)+n)
-			copy(next, b.dense)
-			b.dense = next
-		}
+		b.dense = slices.Grow(b.dense, n)
 		return
 	}
-	if cap(b.flat)-len(b.flat) < n {
-		next := make([]types.Value, len(b.flat), len(b.flat)+n)
-		copy(next, b.flat)
-		b.flat = next
-	}
+	b.flat = slices.Grow(b.flat, n)
 }
 
 // Append adds one row. The first uncertain value promotes the column to

@@ -633,6 +633,7 @@ func (se *session) handleCopyData(m wire.CopyData) {
 		return
 	}
 	arity := cp.ld.Arity()
+	cp.ld.Grow(len(m.Tuples))
 	for _, t := range m.Tuples {
 		if err := cp.poll.Due(); err != nil {
 			se.failCopy(errCode(err), "copy aborted: %v", err)
