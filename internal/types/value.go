@@ -61,9 +61,9 @@ func (k Kind) String() string {
 // fields its kind does not use zero, so two Values are == exactly when
 // they are Same: the same kind and the same bits. That is not Equal:
 // struct == and map-key identity tell Int(2) from Float(2) and Float(0)
-// from Float(-0), and make every NaN with one payload equal to itself.
-// Grouping and hashing therefore go through AppendKey, and code outside
-// this package compares Values with Equal or Same, never == (audblint's
+// from Float(-0), and a NaN equals a NaN with the same payload. Grouping
+// and hashing therefore go through AppendKey, and code outside this
+// package compares Values with Equal or Same, never with == (audblint's
 // valueeq rule).
 type Value struct {
 	kind Kind
