@@ -300,8 +300,8 @@ func NewRelationBuilder(s schema.Schema, sizeHint int) *RelationBuilder {
 // Grow reserves capacity for n more rows in every column and in the
 // multiplicities. Like ColBuilder.Grow it grows geometrically, so a
 // caller that knows its input batch by batch can reserve each batch:
-// rows that arrive in one batch then fill storage of exactly their
-// number, where append growth can leave up to half of it unused.
+// rows that arrive in one batch then fill storage sized to their number,
+// where append growth can leave up to half of it unused.
 func (b *RelationBuilder) Grow(n int) {
 	for i := range b.cols {
 		b.cols[i].Grow(n)
