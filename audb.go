@@ -47,9 +47,16 @@
 // cost-based planning pass: per-table statistics (collected lazily at
 // registration, refreshed with Analyze) feed a range-aware cardinality
 // estimator that reorders join chains, picks hash build sides and
-// pre-sizes the physical operators. WithCostModel(CostOff) keeps the
-// written join order; Explain and ExplainAnalyze show the per-operator
-// row estimates the decisions were based on.
+// pre-sizes the physical operators. The cost pass is skipped for
+// compressed executions. Explain and ExplainAnalyze show the
+// per-operator row estimates the decisions were based on. Both passes
+// are result-exact, so neither is a user option.
+//
+// Storage is chosen from the data: a table is stored sparse (one flat
+// value slice per certain, null-free column) when at least half its
+// columns, counting the multiplicity column, can be stored flat, and
+// dense otherwise. Analyze re-picks the representation after in-place
+// mutation.
 //
 // Performance is tuned per query with functional options (WithWorkers,
 // WithJoinCompression, WithAggCompression) or database-wide with
@@ -145,8 +152,10 @@ func NewTable(name string, cols ...string) *Table {
 	return &Table{Name: name, rel: bag.New(schema.New(cols...))}
 }
 
-// AddRow appends a row with multiplicity 1.
+// AddRow appends a row with multiplicity 1. It panics when the row's
+// length differs from the table's column count.
 func (t *Table) AddRow(vals ...Value) *Table {
+	checkArity(t.Name, len(vals), t.rel.Schema.Arity())
 	t.rel.Add(types.Tuple(vals), 1)
 	return t
 }
@@ -165,16 +174,29 @@ func NewUncertainTable(name string, cols ...string) *UncertainTable {
 	return &UncertainTable{Name: name, rel: core.New(schema.New(cols...))}
 }
 
-// AddRow appends a range-annotated row.
+// AddRow appends a range-annotated row. It panics when the row's length
+// differs from the table's column count.
 func (t *UncertainTable) AddRow(vals RangeRow, m Multiplicity) *UncertainTable {
+	checkArity(t.Name, len(vals), t.rel.Schema.Arity())
 	t.rel.Add(core.Tuple{Vals: vals, M: m})
 	return t
 }
 
-// AddCertainRow appends a fully certain row.
+// AddCertainRow appends a fully certain row. It panics when the row's
+// length differs from the table's column count.
 func (t *UncertainTable) AddCertainRow(vals ...Value) *UncertainTable {
+	checkArity(t.Name, len(vals), t.rel.Schema.Arity())
 	t.rel.Add(core.Tuple{Vals: rangeval.CertainTuple(types.Tuple(vals)), M: core.One})
 	return t
+}
+
+// checkArity rejects a row of the wrong length before it is stored: every
+// query, statistics pass and storage rebuild indexes rows by the schema,
+// so a short or long row would corrupt results long after it was added.
+func checkArity(table string, got, want int) {
+	if got != want {
+		panic(fmt.Sprintf("audb: table %q: row has %d values, want %d columns", table, got, want))
+	}
 }
 
 // Rel exposes the underlying AU-relation (advanced use).
@@ -265,82 +287,12 @@ func (m ExecMode) String() string {
 	return "pipelined"
 }
 
-// OptimizerMode switches the logical optimizer for a query.
-type OptimizerMode int
-
-const (
-	// OptimizerOn runs the rule-based logical optimizer (internal/opt)
-	// over the compiled plan before execution. The default: every rule is
-	// result-exact under AU-DB bound semantics, so answers are identical
-	// to the unoptimized plan's.
-	OptimizerOn OptimizerMode = iota
-	// OptimizerOff executes the plan exactly as compiled. Useful for
-	// debugging and plan inspection.
-	OptimizerOff
-)
-
-// String names the mode ("on", "off").
-func (m OptimizerMode) String() string {
-	if m == OptimizerOff {
-		return "off"
-	}
-	return "on"
-}
-
-// CostModel switches cost-based planning for a query.
-type CostModel int
-
-const (
-	// CostOn applies the cost-based planning pass after the rule-based
-	// optimizer: catalog statistics drive greedy join reordering, hash
-	// build-side selection and size hints for the physical operators, and
-	// every operator carries a row estimate shown by Explain and
-	// ExplainAnalyze. The default. Results are bit-identical to CostOff —
-	// the reorder rule is result-exact under AU-DB bound semantics and
-	// the physical hints never affect results — with one presentation
-	// caveat: like any plan change in a conventional DBMS, reordering may
-	// change the order in which ORDER BY rows with EQUAL sort keys
-	// appear (ties keep arrival order per core.OrderCompare; the row
-	// multiset, ranges and multiplicities are identical). LIMIT results
-	// are protected outright: the planner never reorders or flips build
-	// sides below a Limit, whose first-N truncation observes arrival
-	// order. Cost-based planning applies to the native engine with the
-	// rule optimizer on; it is skipped for compressed executions
-	// (JoinCompression/AggCompression), whose merge granularity the
-	// restoring projection would perturb.
-	CostOn CostModel = iota
-	// CostOff executes the rule-optimized plan in the written join order,
-	// with default build sides and no pre-sizing.
-	CostOff
-)
-
-// String names the mode ("on", "off").
-func (m CostModel) String() string {
-	if m == CostOff {
-		return "off"
-	}
-	return "on"
-}
-
-// ParseCostModel resolves a cost model name as printed by String.
-func ParseCostModel(name string) (CostModel, error) {
-	switch strings.ToLower(name) {
-	case "on", "":
-		return CostOn, nil
-	case "off":
-		return CostOff, nil
-	}
-	return CostOn, fmt.Errorf("audb: unknown cost model %q (want on or off)", name)
-}
-
 // queryConfig is the resolved per-query configuration: the database
 // defaults overlaid with this query's functional options.
 type queryConfig struct {
-	engine    Engine
-	opts      Options
-	optimizer OptimizerMode
-	execMode  ExecMode
-	cost      CostModel
+	engine   Engine
+	opts     Options
+	execMode ExecMode
 }
 
 // QueryOption customizes a single query execution, overriding the
@@ -350,21 +302,6 @@ type QueryOption func(*queryConfig)
 // WithEngine routes the query to the given engine.
 func WithEngine(e Engine) QueryOption {
 	return func(c *queryConfig) { c.engine = e }
-}
-
-// WithOptimizer switches the logical optimizer for this query.
-// Optimization is on by default; WithOptimizer(OptimizerOff) runs the
-// plan exactly as the SQL front end compiled it.
-func WithOptimizer(m OptimizerMode) QueryOption {
-	return func(c *queryConfig) { c.optimizer = m }
-}
-
-// WithCostModel switches cost-based planning for this query. It is on by
-// default; WithCostModel(CostOff) keeps the written join order and the
-// default physical lowering (the rule-based optimizer still runs unless
-// WithOptimizer(OptimizerOff) disables it too).
-func WithCostModel(m CostModel) QueryOption {
-	return func(c *queryConfig) { c.cost = m }
 }
 
 // WithExecMode selects the executor for this query. The native engine
@@ -500,66 +437,37 @@ func (d *Database) TableStats(name string) (*TableStats, error) {
 	return nil, schema.UnknownTable("audb", name, d.cat.Tables())
 }
 
-// StoragePolicy decides the storage representation of registered tables:
-// mostly-certain tables compact to a sparse columnar form (flat value
-// slices for certain columns) that the certain-only kernel fast paths
-// read directly. See internal/core.StoragePolicy.
+// StoragePolicy is a storage representation policy. Registered tables
+// always follow the automatic rule (see the package doc), which is the
+// zero policy.
 type StoragePolicy = core.StoragePolicy
 
-// StorageMode selects how a table's representation is chosen.
-type StorageMode = core.ReprMode
-
-// Storage representation modes for SetStoragePolicy and SetTableStorage.
-const (
-	// StorageAuto compacts a table when its flat-column fraction reaches
-	// the policy threshold. The default.
-	StorageAuto = core.ReprAuto
-	// StorageForceDense keeps every relation in the row-major layout.
-	StorageForceDense = core.ReprForceDense
-	// StorageForceSparse compacts every non-empty relation.
-	StorageForceSparse = core.ReprForceSparse
-)
-
-// SetStoragePolicy installs the storage representation policy applied to
-// tables registered from now on. Already registered tables keep their
-// representation until re-registered, re-analyzed (Analyze re-evaluates
-// under the current policy) or overridden with SetTableStorage.
-func (d *Database) SetStoragePolicy(p StoragePolicy) { d.cat.SetStoragePolicy(p) }
-
-// StoragePolicy returns the current storage representation policy.
-func (d *Database) StoragePolicy() StoragePolicy { return d.cat.StoragePolicy() }
+// StoragePolicy returns the storage representation policy: always the
+// zero (automatic) policy. Callers that compact a relation themselves
+// pass it to Relation.Compact to get the representation registration
+// would pick.
+func (d *Database) StoragePolicy() StoragePolicy { return StoragePolicy{} }
 
 // Analyze recollects the statistics for a registered table immediately
 // and returns them. Registration already (lazily) collects statistics, so
 // Analyze is only needed after mutating a registered relation's rows in
 // place — or to pay the collection cost eagerly at load time.
 //
-// Analyze also re-evaluates the table's storage representation under the
-// current policy: a table whose rows went uncertain (mutation densified
-// it) or certain enough to compact is flipped by atomically registering a
-// freshly built replacement, never by mutating the relation queries may
-// be scanning.
+// Analyze also re-picks the table's storage representation: a table whose
+// rows went uncertain (mutation densified it) or certain enough to
+// compact is flipped by atomically registering a freshly built
+// replacement, never by mutating the relation queries may be scanning.
 func (d *Database) Analyze(name string) (*TableStats, error) {
-	return d.restorage(name, d.cat.StoragePolicy())
+	return d.restorage(name)
 }
 
-// SetTableStorage re-evaluates one table's representation under an
-// explicit mode override (the policy threshold still applies to
-// StorageAuto), returning the refreshed statistics. Use it to pin a table
-// dense or sparse regardless of the database-wide policy.
-func (d *Database) SetTableStorage(name string, mode StorageMode) (*TableStats, error) {
-	pol := d.cat.StoragePolicy()
-	pol.Mode = mode
-	return d.restorage(name, pol)
-}
-
-// restorage is the shared body of Analyze and SetTableStorage: one pass
-// over the table feeds a statistics collector and a relation builder, the
-// builder's choice under pol decides the representation, and a change is
-// applied with a compare-and-swap replacement so a concurrent Register or
-// Drop is never clobbered. The refreshed statistics are primed into the
-// registry (guarded the same way, see stats.Registry.Prime).
-func (d *Database) restorage(name string, pol StoragePolicy) (*TableStats, error) {
+// restorage is the body of Analyze: one pass over the table feeds a
+// statistics collector and a relation builder, the builder's automatic
+// choice decides the representation, and a change is applied with a
+// compare-and-swap replacement so a concurrent Register or Drop is never
+// clobbered. The refreshed statistics are primed into the registry
+// (guarded the same way, see stats.Registry.Prime).
+func (d *Database) restorage(name string) (*TableStats, error) {
 	rel, ok := d.cat.Lookup(name)
 	if !ok {
 		return nil, schema.UnknownTable("audb", name, d.cat.Tables())
@@ -573,7 +481,7 @@ func (d *Database) restorage(name string, pol StoragePolicy) (*TableStats, error
 	})
 	ts := col.Finish()
 	cur := rel
-	if fresh := b.Finish(pol); fresh.Repr() != rel.Repr() {
+	if fresh := b.Finish(StoragePolicy{}); fresh.Repr() != rel.Repr() {
 		if d.cat.ReplaceIf(name, rel, fresh) {
 			cur = fresh
 		}
@@ -585,7 +493,7 @@ func (d *Database) restorage(name string, pol StoragePolicy) (*TableStats, error
 
 // TableLoader streams rows into a new table: the rows accumulate in a
 // core.RelationBuilder (so the table materializes directly in its final
-// storage representation, chosen by the database policy at Commit) and
+// storage representation, chosen by the automatic rule at Commit) and
 // feed a statistics collector in the same pass, so the committed table
 // arrives with primed statistics — no separate Analyze, no second scan.
 // The server's COPY ingest is built on this. Not safe for concurrent use.
@@ -633,7 +541,7 @@ func (l *TableLoader) Add(vals RangeRow, m Multiplicity) {
 // name) with its statistics primed, and returns the relation. The loader
 // must not be used afterwards.
 func (l *TableLoader) Commit() *core.Relation {
-	rel := l.b.Finish(l.db.cat.StoragePolicy())
+	rel := l.b.Finish(StoragePolicy{})
 	l.db.cat.RegisterPrebuilt(l.name, rel)
 	ts := l.c.Finish()
 	ts.SetStorage(rel)
@@ -694,11 +602,11 @@ func (e *PlanExplanation) String() string {
 
 // Explain compiles a SQL query and runs the logical optimizer and the
 // cost-based planning pass with tracing, without executing anything. The
-// same final plan is what QueryContext executes by default. With cost-
-// based planning active (the default), the optimized plan is rendered
-// with each operator's estimated row count, and join reorderings appear
-// in the rule trace; options (WithOptimizer, WithCostModel, WithEngine,
-// the compression knobs) select the same planning path they select for
+// same final plan is what QueryContext executes. When the cost pass runs
+// (the native engine without compression), the optimized plan is
+// rendered with each operator's estimated row count, and join
+// reorderings appear in the rule trace; options (WithEngine, the
+// compression knobs) select the same planning path they select for
 // execution.
 func (d *Database) Explain(q string, opts ...QueryOption) (*PlanExplanation, error) {
 	snap := d.cat.Snapshot()
@@ -711,8 +619,8 @@ func (d *Database) Explain(q string, opts ...QueryOption) (*PlanExplanation, err
 	return exp, err
 }
 
-// ExplainAnalyze is the ANALYZE mode of Explain: it compiles and (by
-// default) optimizes the query like Explain, then actually executes it
+// ExplainAnalyze is the ANALYZE mode of Explain: it compiles and
+// optimizes the query like Explain, then actually executes it
 // through the instrumented physical plan layer and attaches per-operator
 // rows/batches/time counters (Stats) to the explanation. Options compose
 // as for QueryContext — WithWorkers and the compression knobs shape the
@@ -777,12 +685,20 @@ func (c queryConfig) instrumented(op string) error {
 }
 
 // costEnabled reports whether the cost-based planning pass runs for this
-// configuration: cost model on, over a rule-optimized plan, and not
-// compressed (the reorder rule's restoring projection is a merge point,
-// observable under split+compress — the same gate the pipelined executor
-// applies to streaming projections).
-func (d *Database) costEnabled(cfg queryConfig) bool {
-	return cfg.cost == CostOn && cfg.optimizer == OptimizerOn && !cfg.opts.Compressed()
+// configuration: it is skipped for compressed executions (the reorder
+// rule's restoring projection is a merge point, observable under
+// split+compress — the same gate the pipelined executor applies to
+// streaming projections). Only the native engine plans by cost.
+//
+// The pass is result-exact, with one presentation caveat: like any plan
+// change in a conventional DBMS, reordering may change the order in which
+// ORDER BY rows with EQUAL sort keys appear (ties keep arrival order per
+// core.OrderCompare; the row multiset, ranges and multiplicities are
+// identical). LIMIT results are protected outright: the planner never
+// reorders or flips build sides below a Limit, whose first-N truncation
+// observes arrival order.
+func (c queryConfig) costEnabled() bool {
+	return c.engine == EngineNative && !c.opts.Compressed()
 }
 
 // explainPlan runs the optimizer (with tracing) and, for the native
@@ -790,26 +706,17 @@ func (d *Database) costEnabled(cfg queryConfig) bool {
 // also returns the final plan and its cost annotations for callers that
 // go on to execute it (ExplainAnalyze).
 func (d *Database) explainPlan(q string, plan ra.Node, cat ra.CatalogMap, cfg queryConfig) (*PlanExplanation, ra.Node, *opt.Annotations, error) {
-	exp := &PlanExplanation{Query: q}
-	cur := plan
-	if cfg.optimizer == OptimizerOn {
-		optimized, trace, err := opt.OptimizeTrace(plan, cat)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		exp.Plan, exp.Optimized, exp.Passes = trace.Input, trace.Output, trace.Passes
-		for _, s := range trace.Steps {
-			exp.Rules = append(exp.Rules, RuleApplication{Rule: s.Rule, Pass: s.Pass, Plan: s.Plan})
-		}
-		cur = optimized
-	} else {
-		rendered := ra.Render(plan)
-		exp.Plan, exp.Optimized = rendered, rendered
+	cur, trace, err := opt.OptimizeTrace(plan, cat)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	exp := &PlanExplanation{Query: q, Plan: trace.Input, Optimized: trace.Output, Passes: trace.Passes}
+	for _, s := range trace.Steps {
+		exp.Rules = append(exp.Rules, RuleApplication{Rule: s.Rule, Pass: s.Pass, Plan: s.Plan})
 	}
 	var ann *opt.Annotations
-	if cfg.engine == EngineNative && d.costEnabled(cfg) {
+	if cfg.costEnabled() {
 		var steps []opt.Step
-		var err error
 		cur, ann, steps, err = opt.CostOptimizeTrace(cur, cat, d.st)
 		if err != nil {
 			return nil, nil, nil, err
@@ -853,8 +760,8 @@ func (d *Database) ExecPlan(ctx context.Context, plan ra.Node, opts ...QueryOpti
 }
 
 // dispatch is the single execution path behind QueryContext, ExecPlan and
-// Stmt.Exec: resolve options, optimize the plan (unless switched off),
-// and route to an engine, executing over the given catalog snapshot.
+// Stmt.Exec: resolve options, optimize the plan, and route to an engine,
+// executing over the given catalog snapshot.
 // q is the statement text when the caller has it ("" for pre-compiled
 // plans) — it feeds the query hook, never execution. The wrapper
 // records the session metrics and, when a hook is installed, assembles
@@ -900,15 +807,13 @@ func (d *Database) dispatch(ctx context.Context, snap core.DB, plan ra.Node, st 
 // reports the cost model's root-cardinality estimate so the query hook
 // can surface est-vs-actual drift.
 func (d *Database) run(ctx context.Context, snap core.DB, plan ra.Node, st *Stmt, cfg queryConfig) (res *Result, estRows int64, hasEst bool, err error) {
-	if cfg.optimizer == OptimizerOn {
-		if st != nil {
-			plan, err = st.optimizedPlan(snap)
-		} else {
-			plan, err = opt.OptimizeObserved(plan, ra.CatalogMap(snap.Schemas()), d.met.onRule)
-		}
-		if err != nil {
-			return nil, 0, false, err
-		}
+	if st != nil {
+		plan, err = st.optimizedPlan(snap)
+	} else {
+		plan, err = opt.OptimizeObserved(plan, ra.CatalogMap(snap.Schemas()), d.met.onRule)
+	}
+	if err != nil {
+		return nil, 0, false, err
 	}
 	switch cfg.engine {
 	case EngineNative:
@@ -916,7 +821,7 @@ func (d *Database) run(ctx context.Context, snap core.DB, plan ra.Node, st *Stmt
 		// pass) so prepared statements always plan against the current
 		// statistics; only the rule-based optimization is cached.
 		var est *opt.Annotations
-		if d.costEnabled(cfg) {
+		if cfg.costEnabled() {
 			plan, est, err = opt.CostOptimize(plan, ra.CatalogMap(snap.Schemas()), d.st)
 			if err != nil {
 				return nil, 0, false, err
@@ -938,7 +843,7 @@ func (d *Database) run(ctx context.Context, snap core.DB, plan ra.Node, st *Stmt
 			return nil, 0, false, err
 		}
 		if st != nil {
-			rp, rs, err := st.rewritten(db, plan, cfg.optimizer)
+			rp, rs, err := st.rewritten(db, plan)
 			if err != nil {
 				return nil, 0, false, err
 			}
@@ -1015,9 +920,7 @@ type Stmt struct {
 	optPlan ra.Node
 
 	rewriteMu sync.Mutex
-	// One Section 10 rewrite cache per optimizer mode, so toggling
-	// WithOptimizer per execution never serves the wrong plan.
-	rewrites [2]*rewriteEntry
+	rewrite   *rewriteEntry
 }
 
 // rewriteEntry is one cached Section 10 rewrite.
@@ -1068,29 +971,23 @@ func (s *Stmt) optimizedPlan(snap core.DB) (ra.Node, error) {
 	return plan, nil
 }
 
-// rewritten caches the Section 10 rewrite of the plan this execution
-// runs (the optimized plan by default, the raw plan under
-// WithOptimizer(OptimizerOff)). The rewrite depends only on the
-// referenced schemas, so one successful rewrite per optimizer mode
-// serves every execution. Failures are not cached: a rewrite that fails
-// against the current catalog (e.g. a referenced table was dropped) is
-// retried on the next execution, keeping Stmt.Exec equivalent to
+// rewritten caches the Section 10 rewrite of the optimized plan. The
+// rewrite depends only on the referenced schemas, so one successful
+// rewrite serves every execution. Failures are not cached: a rewrite that
+// fails against the current catalog (e.g. a referenced table was dropped)
+// is retried on the next execution, keeping Stmt.Exec equivalent to
 // unprepared execution over time.
-func (s *Stmt) rewritten(snap core.DB, plan ra.Node, mode OptimizerMode) (ra.Node, schema.Schema, error) {
-	slot := 0
-	if mode == OptimizerOff {
-		slot = 1
-	}
+func (s *Stmt) rewritten(snap core.DB, plan ra.Node) (ra.Node, schema.Schema, error) {
 	s.rewriteMu.Lock()
 	defer s.rewriteMu.Unlock()
-	if e := s.rewrites[slot]; e != nil {
+	if e := s.rewrite; e != nil {
 		return e.plan, e.sch, nil
 	}
 	rp, sch, err := encoding.Rewrite(plan, ra.CatalogMap(snap.Schemas()))
 	if err != nil {
 		return nil, schema.Schema{}, err
 	}
-	s.rewrites[slot] = &rewriteEntry{plan: rp, sch: sch}
+	s.rewrite = &rewriteEntry{plan: rp, sch: sch}
 	return rp, sch, nil
 }
 

@@ -2,6 +2,7 @@ package audb
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -79,6 +80,54 @@ func TestQueryPathsAgree(t *testing.T) {
 	}
 	if !native.SGW().Equal(sgw.SGW()) {
 		t.Fatal("SGW embedding broken")
+	}
+}
+
+// TestAddRowArity: a row whose length differs from the schema panics in
+// AddRow, naming the table and both counts, instead of being stored and
+// corrupting later queries and Analyze.
+func TestAddRowArity(t *testing.T) {
+	cases := []struct {
+		name string
+		got  int
+		load func(db *Database)
+	}{
+		{"certain row, short", 1, func(db *Database) {
+			ut := NewUncertainTable("t", "a", "b")
+			ut.AddCertainRow(Int(1))
+			ut.AddCertainRow(Int(2), Int(3))
+			db.Add(ut)
+		}},
+		{"range row, long", 3, func(db *Database) {
+			ut := NewUncertainTable("t", "a", "b")
+			ut.AddRow(RangeRow{CertainOf(Int(1)), CertainOf(Int(2)), CertainOf(Int(3))}, CertainMult(1))
+			db.Add(ut)
+		}},
+		{"deterministic row, short", 1, func(db *Database) {
+			tb := NewTable("t", "a", "b")
+			tb.AddRow(Int(1))
+			tb.AddRow(Int(2), Int(3))
+			db.AddDeterministic(tb)
+		}},
+	}
+	for _, c := range cases {
+		msg := func() (msg string) {
+			defer func() {
+				if r := recover(); r != nil {
+					msg = fmt.Sprint(r)
+				}
+			}()
+			db := New()
+			c.load(db)
+			if _, err := db.Analyze("t"); err != nil {
+				return err.Error()
+			}
+			return "no panic"
+		}()
+		want := fmt.Sprintf(`audb: table "t": row has %d values, want 2 columns`, c.got)
+		if msg != want {
+			t.Errorf("%s: got %q, want panic %q", c.name, msg, want)
+		}
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 
 // One benchmark per table/figure of the paper's evaluation. Each runs the
 // corresponding experiment of the harness (quick sizes; `cmd/audbench
-// -full` regenerates the full-size tables recorded in EXPERIMENTS.md).
+// -full` regenerates the full-size tables).
 
 func benchFigure(b *testing.B, id string) {
 	e, ok := bench.Find(id)
@@ -280,23 +280,19 @@ func joinReorderDB() (*audb.Database, string) {
 	return db, q
 }
 
-func benchJoinReorder(b *testing.B, cost audb.CostModel) {
+// BenchmarkJoinReorderCostOn measures the cost-based planner on an
+// adversarial 3-table join order.
+func BenchmarkJoinReorderCostOn(b *testing.B) {
 	db, q := joinReorderDB()
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.QueryContext(ctx, q, audb.WithCostModel(cost)); err != nil {
+		if _, err := db.QueryContext(ctx, q); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-// BenchmarkJoinReorderCostOn/CostOff measure the cost-based planner on an
-// adversarial 3-table join order (the `cbo` experiment's shape); CostOff
-// runs the rule-optimized plan in the written order.
-func BenchmarkJoinReorderCostOn(b *testing.B)  { benchJoinReorder(b, audb.CostOn) }
-func BenchmarkJoinReorderCostOff(b *testing.B) { benchJoinReorder(b, audb.CostOff) }
 
 // BenchmarkJoinReorderPlanOnly isolates the planning overhead the cost
 // pass adds per execution (statistics are cached; the pass is tree work).

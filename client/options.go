@@ -44,16 +44,6 @@ func WithAggCompression(target int) QueryOption {
 	return func(o *wire.ExecOptions) { o.AggCompression = target }
 }
 
-// WithOptimizer switches the logical optimizer for this query.
-func WithOptimizer(m audb.OptimizerMode) QueryOption {
-	return func(o *wire.ExecOptions) { o.OptimizerOff = m == audb.OptimizerOff }
-}
-
-// WithCostModel switches cost-based planning for this query.
-func WithCostModel(m audb.CostModel) QueryOption {
-	return func(o *wire.ExecOptions) { o.CostOff = m == audb.CostOff }
-}
-
 // WithTimeout bounds the query's execution server-side. Unlike a
 // context deadline — which cancels from the client on round-trip time —
 // this deadline is enforced where the work runs.

@@ -1,6 +1,8 @@
 // Command audbench regenerates the tables and figures of the paper's
 // evaluation (Section 12). Each experiment prints the same rows/series the
-// paper reports; EXPERIMENTS.md discusses paper-vs-measured shapes.
+// paper reports, on in-memory stand-ins for the paper's Postgres setup
+// and datasets (README, "Substitutions"); the shapes, not the absolute
+// numbers, are the reproduction target.
 //
 // Usage:
 //

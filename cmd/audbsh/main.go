@@ -7,17 +7,15 @@
 // Queries run through the session API (audb.QueryContext) with an
 // interrupt-aware context: Ctrl-C cancels the running query instead of
 // killing the process mid-computation. The engine is selected with
-// -engine (native, rewrite, sgw); the older -rewrite and -sgw flags
-// remain as shorthands.
+// -engine (native, rewrite, sgw).
 //
-// Plans are optimized by the rule-based logical optimizer by default;
-// -opt=off executes the plan exactly as compiled. On top of the rules,
-// the cost-based planner uses per-table statistics to reorder join
-// chains, pick hash build sides and pre-size operators; -cost=off keeps
-// the written join order. -explain (or prefixing the query with
-// `\explain `) prints the compiled plan, the per-rule rewrite trace and
-// the optimized plan — with per-operator row estimates when the cost
-// model is on — instead of executing.
+// Plans are optimized by the rule-based logical optimizer. On the native
+// engine, the cost-based planner then uses per-table statistics to
+// reorder join chains, pick hash build sides and pre-size operators
+// (skipped under -join-ct/-agg-ct compression). -explain (or prefixing
+// the query with `\explain `) prints the compiled plan, the per-rule
+// rewrite trace and the optimized plan — with per-operator row estimates
+// when the cost planner ran — instead of executing.
 //
 // -analyze (or prefixing the query with `\analyze `) executes the query
 // and prints per-operator est/rows/batches/time counters (EXPLAIN
@@ -84,16 +82,12 @@ func main() {
 		auTables listFlag
 		repairs  listFlag
 		engine   = flag.String("engine", "", "query engine: native (default), rewrite (Section 10 middleware) or sgw (selected-guess world)")
-		sgw      = flag.Bool("sgw", false, "shorthand for -engine sgw")
-		rewrite  = flag.Bool("rewrite", false, "shorthand for -engine rewrite")
 		joinCT   = flag.Int("join-ct", 0, "join compression target (0 = exact)")
 		aggCT    = flag.Int("agg-ct", 0, "aggregation compression target (0 = exact)")
 		workers  = flag.Int("workers", 0, "executor worker goroutines (0 = one per CPU, 1 = serial)")
 		showPlan = flag.Bool("plan", false, "print the loaded tables and the compiled plan")
 		explain  = flag.Bool("explain", false, "print the compiled plan, optimizer trace and optimized plan instead of executing")
 		analyze  = flag.Bool("analyze", false, "EXPLAIN ANALYZE: execute and print per-operator est/rows/batches/time instead of the result")
-		optMode  = flag.String("opt", "on", "logical optimizer: on (default) or off")
-		costMode = flag.String("cost", "on", "cost-based planner (statistics, join reordering, build sides): on (default) or off")
 		connect  = flag.String("connect", "", "host:port of an audbd server: run remotely instead of in-process (CSV tables are uploaded first)")
 	)
 	flag.Var(&tables, "table", "name=file.csv: load a certain CSV table (repeatable)")
@@ -136,34 +130,9 @@ func main() {
 		}
 	}
 
-	optimizer := audb.OptimizerOn
-	switch strings.ToLower(*optMode) {
-	case "on", "":
-	case "off":
-		optimizer = audb.OptimizerOff
-	default:
-		fatal(fmt.Errorf("audbsh: -opt must be on or off, got %q", *optMode))
-	}
-	cost, err := audb.ParseCostModel(*costMode)
-	if err != nil {
-		fatal(fmt.Errorf("audbsh: -cost must be on or off, got %q", *costMode))
-	}
-
 	eng, err := audb.ParseEngine(*engine)
 	if err != nil {
 		fatal(err)
-	}
-	if *engine != "" && (*sgw || *rewrite) {
-		fatal(fmt.Errorf("audbsh: use either -engine or the -sgw/-rewrite shorthands, not both"))
-	}
-	if *sgw && *rewrite {
-		fatal(fmt.Errorf("audbsh: -sgw and -rewrite are mutually exclusive"))
-	}
-	if *rewrite {
-		eng = audb.EngineRewrite
-	}
-	if *sgw {
-		eng = audb.EngineSGW
 	}
 
 	if *connect != "" {
@@ -180,8 +149,6 @@ func main() {
 			statsTable:   statsTable,
 			analyzeTable: analyzeTable,
 			eng:          eng,
-			optimizer:    optimizer,
-			cost:         cost,
 			workers:      *workers,
 			joinCT:       *joinCT,
 			aggCT:        *aggCT,
@@ -264,17 +231,16 @@ func main() {
 		return
 	}
 
+	qopts := []audb.QueryOption{
+		audb.WithEngine(eng),
+		audb.WithWorkers(*workers),
+		audb.WithJoinCompression(*joinCT),
+		audb.WithAggCompression(*aggCT),
+	}
 	if trace {
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 		defer stop()
-		qt, err := db.Trace(ctx, query,
-			audb.WithEngine(eng),
-			audb.WithOptimizer(optimizer),
-			audb.WithCostModel(cost),
-			audb.WithWorkers(*workers),
-			audb.WithJoinCompression(*joinCT),
-			audb.WithAggCompression(*aggCT),
-		)
+		qt, err := db.Trace(ctx, query, qopts...)
 		stop()
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
@@ -297,13 +263,7 @@ func main() {
 		fmt.Fprint(os.Stderr, ra.Render(plan))
 	}
 	if *explain {
-		exp, err := db.Explain(query,
-			audb.WithEngine(eng),
-			audb.WithOptimizer(optimizer),
-			audb.WithCostModel(cost),
-			audb.WithJoinCompression(*joinCT),
-			audb.WithAggCompression(*aggCT),
-		)
+		exp, err := db.Explain(query, qopts...)
 		if err != nil {
 			fatal(err)
 		}
@@ -315,14 +275,7 @@ func main() {
 	defer stop()
 
 	if *analyze {
-		exp, err := db.ExplainAnalyze(ctx, query,
-			audb.WithEngine(eng),
-			audb.WithOptimizer(optimizer),
-			audb.WithCostModel(cost),
-			audb.WithWorkers(*workers),
-			audb.WithJoinCompression(*joinCT),
-			audb.WithAggCompression(*aggCT),
-		)
+		exp, err := db.ExplainAnalyze(ctx, query, qopts...)
 		stop()
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
@@ -337,14 +290,7 @@ func main() {
 		return
 	}
 
-	res, err := db.ExecPlan(ctx, plan,
-		audb.WithEngine(eng),
-		audb.WithOptimizer(optimizer),
-		audb.WithCostModel(cost),
-		audb.WithWorkers(*workers),
-		audb.WithJoinCompression(*joinCT),
-		audb.WithAggCompression(*aggCT),
-	)
+	res, err := db.ExecPlan(ctx, plan, qopts...)
 	// Restore default SIGINT handling once execution is done, so Ctrl-C
 	// still kills the process while the result is being sorted/printed.
 	stop()

@@ -22,12 +22,10 @@ type remoteOpts struct {
 	trace, serverStats       bool
 	statsTable, analyzeTable string
 
-	eng       audb.Engine
-	optimizer audb.OptimizerMode
-	cost      audb.CostModel
-	workers   int
-	joinCT    int
-	aggCT     int
+	eng     audb.Engine
+	workers int
+	joinCT  int
+	aggCT   int
 
 	tables, auTables, repairs []string
 }
@@ -126,8 +124,6 @@ func runRemote(o remoteOpts) error {
 
 	qopts := []client.QueryOption{
 		client.WithEngine(o.eng),
-		client.WithOptimizer(o.optimizer),
-		client.WithCostModel(o.cost),
 		client.WithWorkers(o.workers),
 		client.WithJoinCompression(o.joinCT),
 		client.WithAggCompression(o.aggCT),

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"github.com/audb/audb/internal/core"
 )
 
 // TestExecModeEquivalence is the session-level acceptance property of the
@@ -123,15 +125,6 @@ func TestExplainAnalyze(t *testing.T) {
 		t.Fatalf("Trace under ExecMaterialized: err = %v, want rejection", err)
 	}
 
-	// Optimizer off analyzes the raw plan.
-	exp, err = db.ExplainAnalyze(ctx, q, WithOptimizer(OptimizerOff))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(exp.Rules) != 0 {
-		t.Fatal("optimizer-off analyze should not report rules")
-	}
-
 	// Non-native engines are not instrumented.
 	if _, err := db.ExplainAnalyze(ctx, q, WithEngine(EngineSGW)); err == nil {
 		t.Fatal("ExplainAnalyze on EngineSGW should error")
@@ -149,9 +142,7 @@ func TestExplainAnalyze(t *testing.T) {
 func TestExplainAnalyzeColumnar(t *testing.T) {
 	ctx := context.Background()
 	db := randomDB(rand.New(rand.NewSource(12)), 12)
-	if _, err := db.SetTableStorage("r", StorageForceSparse); err != nil {
-		t.Fatal(err)
-	}
+	forceStorage(db, "r", core.ReprForceSparse)
 	q := `SELECT a, b FROM r WHERE a <= 3`
 	exp, err := db.ExplainAnalyze(ctx, q)
 	if err != nil {
@@ -161,9 +152,7 @@ func TestExplainAnalyzeColumnar(t *testing.T) {
 	if !strings.Contains(text, "rep=col") || !strings.Contains(text, "vec=1.00") {
 		t.Fatalf("sparse-scan trace missing columnar representation:\n%s", text)
 	}
-	if _, err := db.SetTableStorage("r", StorageForceDense); err != nil {
-		t.Fatal(err)
-	}
+	forceStorage(db, "r", core.ReprForceDense)
 	exp, err = db.ExplainAnalyze(ctx, q)
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
 // Package bag implements the deterministic bag-relational substrate: an
 // in-memory N-relation (multiset) engine executing RA_agg plans. It plays
 // the role of the conventional DBMS the paper's middleware runs on top of
-// (the paper used Postgres; see DESIGN.md, substitution 1) and is also used
+// (the paper used Postgres; this is the in-memory stand-in) and is also used
 // directly to evaluate queries over individual possible worlds.
 package bag
 

@@ -10,8 +10,8 @@ import (
 )
 
 // Symb reimplements the symbolic aggregation strategy (aggregate
-// semimodule expressions à la Amsterdamer et al., with bound extraction
-// standing in for the paper's Z3 usage; DESIGN.md substitution 4).
+// semimodule expressions à la Amsterdamer et al.; the paper extracted
+// bounds with Z3, and this extracts them directly from the expressions).
 // Aggregation results are kept as symbolic sums of guarded terms — one
 // term per input tuple — so the representation scales with the aggregate
 // INPUT, not the output. Chained aggregations nest: every step walks and

@@ -4,7 +4,8 @@
 // possible-answer computation, Trio-style aggregate bounds, and symbolic
 // aggregate encodings (Symb). Each reimplementation preserves the
 // asymptotic behaviour of the original system's strategy on the shared
-// deterministic substrate (see DESIGN.md, substitution 3).
+// deterministic substrate (the paper ran the original systems; these are
+// in-repository stand-ins).
 package baselines
 
 import (

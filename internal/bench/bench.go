@@ -2,8 +2,8 @@
 // of the paper's evaluation (Section 12), each regenerating the same
 // rows/series the paper reports. Absolute numbers differ from the paper's
 // Postgres-on-2011-hardware setup; the shape — which system wins, growth
-// trends, crossover points — is the reproduction target (EXPERIMENTS.md
-// records paper-vs-measured for every experiment).
+// trends, crossover points — is the reproduction target (the README's
+// "Substitutions" list names each in-memory stand-in).
 package bench
 
 import (

@@ -84,7 +84,7 @@ func Fig10a(ctx context.Context, cfg Config) (*Table, error) {
 		Title:   "PDBench SPJ workload, runtime / Det-runtime, varying uncertainty",
 		Headers: append([]string{"uncertainty"}, fig10Systems...),
 		Notes: []string{
-			fmt.Sprintf("scale=%.3f (in-memory engine; see EXPERIMENTS.md for the SF mapping)", scale),
+			fmt.Sprintf("scale=%.3f (in-memory engine; see internal/tpch for the SF mapping)", scale),
 			"alternatives span the whole domain (PDBench worst case)",
 		},
 	}

@@ -91,8 +91,8 @@ func keyViolationX(rel *bag.Relation, keyCol int) *worlds.XRelation {
 }
 
 // Fig17 reproduces the real-world-data table (Figure 17) on synthetic
-// datasets matching the published uncertainty profiles (DESIGN.md
-// substitution 5): runtime plus accuracy against (approximate) ground
+// datasets matching the published uncertainty profiles (the paper used
+// the real datasets; these are synthetic stand-ins): runtime plus accuracy against (approximate) ground
 // truth for AU-DB, Trio, MCDB and UA-DB.
 func Fig17(ctx context.Context, cfg Config) (*Table, error) {
 	profiles := []synth.KeyViolationProfile{
@@ -104,7 +104,7 @@ func Fig17(ctx context.Context, cfg Config) (*Table, error) {
 		Headers: []string{"dataset", "query", "system", "time(s)",
 			"cert.recall", "bounds(min..max)", "poss.by-key", "poss.by-val"},
 		Notes: []string{
-			"datasets synthesized to the uncertainty profiles of Figure 17 (see DESIGN.md)",
+			"datasets synthesized to the uncertainty profiles of Figure 17 (see internal/synth)",
 			"ground truth: exact possible answers (monotone expansion); certain answers from 25 sampled repairs",
 		},
 	}

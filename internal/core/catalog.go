@@ -20,7 +20,6 @@ type Catalog struct {
 	mu   sync.RWMutex
 	rels DB
 	obs  CatalogObserver
-	pol  StoragePolicy
 	// seen tracks relations this catalog has already compacted, so
 	// re-registering a relation that queries may be reading never
 	// mutates its representation again (Compact runs once, before the
@@ -45,25 +44,9 @@ type CatalogObserver interface {
 	Dropped(name string)
 }
 
-// NewCatalog creates an empty catalog with the default storage policy.
+// NewCatalog creates an empty catalog.
 func NewCatalog() *Catalog {
 	return &Catalog{rels: DB{}, seen: map[*Relation]struct{}{}}
-}
-
-// SetStoragePolicy installs the representation policy applied to future
-// registrations. Already registered relations keep their representation
-// until re-registered or re-analyzed.
-func (c *Catalog) SetStoragePolicy(p StoragePolicy) {
-	c.mu.Lock()
-	c.pol = p
-	c.mu.Unlock()
-}
-
-// StoragePolicy returns the current representation policy.
-func (c *Catalog) StoragePolicy() StoragePolicy {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.pol
 }
 
 // SetObserver installs the mutation observer (nil uninstalls). Install it
@@ -80,11 +63,11 @@ func (c *Catalog) SetObserver(o CatalogObserver) {
 // name replaces it, so the catalog never holds two tables a query could
 // not tell apart.
 //
-// The first time a relation is registered, the catalog compacts it per
-// the storage policy (see Compact). This happens under the catalog lock
-// before the relation becomes visible, so queries — which snapshot under
-// the same lock — only ever see a settled representation; re-registering
-// the same relation never re-compacts it.
+// The first time a relation is registered, the catalog compacts it by
+// the automatic storage rule (see Compact). This happens under the
+// catalog lock before the relation becomes visible, so queries — which
+// snapshot under the same lock — only ever see a settled representation;
+// re-registering the same relation never re-compacts it.
 func (c *Catalog) Register(name string, r *Relation) {
 	c.registerWith(name, r, true)
 }
@@ -102,7 +85,7 @@ func (c *Catalog) registerWith(name string, r *Relation, compact bool) {
 	defer c.mu.Unlock()
 	if _, done := c.seen[r]; !done {
 		if compact {
-			r.Compact(c.pol)
+			r.Compact(StoragePolicy{})
 		}
 		c.seen[r] = struct{}{}
 	}

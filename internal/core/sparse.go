@@ -45,8 +45,8 @@ func (r Repr) String() string {
 type ReprMode uint8
 
 const (
-	// ReprAuto picks sparse when the flat-column fraction reaches the
-	// policy threshold.
+	// ReprAuto picks sparse when the flat-column fraction reaches
+	// sparseThreshold.
 	ReprAuto ReprMode = iota
 	// ReprForceDense keeps every relation dense.
 	ReprForceDense
@@ -54,26 +54,16 @@ const (
 	ReprForceSparse
 )
 
-// DefaultSparseThreshold is the flat-column fraction (the multiplicity
-// column counts as one more column) at which ReprAuto compacts a table.
-const DefaultSparseThreshold = 0.5
+// sparseThreshold is the flat-column fraction (the multiplicity column
+// counts as one more column) at which ReprAuto compacts a table.
+const sparseThreshold = 0.5
 
-// StoragePolicy decides the storage representation of registered
-// relations. The zero value is ReprAuto with DefaultSparseThreshold.
+// StoragePolicy decides the storage representation of a relation. The
+// zero value is ReprAuto, the engine's own choice from the data; the
+// forced modes exist for the dense/sparse reference tests.
 type StoragePolicy struct {
-	// Mode selects automatic choice or a manual override.
+	// Mode selects automatic choice or a forced representation.
 	Mode ReprMode
-	// Threshold is the minimum fraction of flat columns (out of
-	// arity+1, counting multiplicities) for ReprAuto to pick sparse;
-	// <= 0 means DefaultSparseThreshold.
-	Threshold float64
-}
-
-func (p StoragePolicy) threshold() float64 {
-	if p.Threshold <= 0 {
-		return DefaultSparseThreshold
-	}
-	return p.Threshold
 }
 
 // sparseRows is the columnar payload of a compacted relation.
@@ -263,7 +253,7 @@ func (r *Relation) Compact(pol StoragePolicy) Repr {
 		return ReprDense
 	}
 	frac := flatFrac(r)
-	if frac < 0 || (pol.Mode == ReprAuto && frac < pol.threshold()) {
+	if frac < 0 || (pol.Mode == ReprAuto && frac < sparseThreshold) {
 		return ReprDense
 	}
 	b := NewRelationBuilder(r.Schema, len(r.Tuples))
@@ -346,7 +336,7 @@ func (b *RelationBuilder) Add(t Tuple) {
 }
 
 // FlatFrac returns the current flat-column fraction (multiplicities count
-// as one more column), the quantity the storage policy thresholds.
+// as one more column), the quantity the automatic storage rule thresholds.
 func (b *RelationBuilder) FlatFrac() float64 {
 	flat := 0
 	for i := range b.cols {
@@ -376,7 +366,7 @@ func (b *RelationBuilder) Finish(pol StoragePolicy) *Relation {
 		return out
 	}
 	sparse := pol.Mode == ReprForceSparse ||
-		(pol.Mode == ReprAuto && b.FlatFrac() >= pol.threshold())
+		(pol.Mode == ReprAuto && b.FlatFrac() >= sparseThreshold)
 	sp := b.buildSparse()
 	if sparse {
 		out.sp = sp

@@ -27,7 +27,8 @@ type OpStats struct {
 	// drift is visible in one trace.
 	EstRows int64
 	// HasEst reports whether the cost model produced an estimate for
-	// this operator (false when cost-based planning was off).
+	// this operator (false when cost-based planning was skipped, as for
+	// compressed executions).
 	HasEst bool
 	// Batches is the number of non-empty batches this operator emitted.
 	// Materialized operators stream their result too, so they report

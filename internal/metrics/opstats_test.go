@@ -93,8 +93,9 @@ func TestOpStatsRep(t *testing.T) {
 }
 
 // TestOpStatsEstColumn: operators without an estimate render est=-, ones
-// with an estimate render the number — so a cost-off trace is visibly
-// distinct from an est-0 trace.
+// with an estimate render the number — so a trace without estimates (a
+// compressed execution, which skips the cost pass) is visibly distinct
+// from an est-0 trace.
 func TestOpStatsEstColumn(t *testing.T) {
 	with := &OpStats{Op: "Scan(t)", Strategy: "stream", Rows: 3, EstRows: 0, HasEst: true}
 	s := &ExecStats{BatchSize: 1, Root: with}

@@ -13,6 +13,7 @@ import (
 	"github.com/audb/audb/internal/rangeval"
 	"github.com/audb/audb/internal/schema"
 	"github.com/audb/audb/internal/sql"
+	"github.com/audb/audb/internal/stats"
 	"github.com/audb/audb/internal/types"
 )
 
@@ -56,6 +57,47 @@ func randomAUDB(rng *rand.Rand, rows int) core.DB {
 	return core.DB{"r": mk("a", "b"), "s": mk("c", "d")}
 }
 
+// addChainTable adds a small third table u(e, f) to db, so the cost pass
+// has three-input join chains to reorder.
+func addChainTable(rng *rand.Rand, db core.DB) {
+	rel := core.New(schema.New("e", "f"))
+	for i := 0; i < 2+rng.Intn(3); i++ {
+		sg := int64(rng.Intn(6))
+		v := rangeval.Certain(types.Int(sg))
+		if rng.Intn(3) == 0 {
+			v = rangeval.New(types.Int(sg), types.Int(sg), types.Int(sg+1))
+		}
+		rel.Add(core.Tuple{Vals: rangeval.Tuple{v, rangeval.Certain(types.Int(int64(rng.Intn(6))))}, M: core.One})
+	}
+	db["u"] = rel
+}
+
+// collectStats registers every table of db with a statistics registry,
+// as the session's catalog does, so the cost pass plans from the same
+// statistics it sees in a session.
+func collectStats(db core.DB) *stats.Registry {
+	reg := stats.NewRegistry()
+	for name, rel := range db {
+		reg.Registered(name, rel)
+	}
+	return reg
+}
+
+// chainCorpus is the join-chain corpus over r, s and u: the shapes the
+// cost pass reorders, flips build sides in, or must freeze below a Limit.
+func chainCorpus(rng *rand.Rand) []string {
+	k := func() int { return rng.Intn(6) }
+	return []string{
+		fmt.Sprintf(`SELECT r.b, s.d, u.f FROM r, s, u WHERE r.a = s.c AND s.d = u.e AND u.f <= %d`, k()),
+		fmt.Sprintf(`SELECT r.a, u.e FROM r JOIN s ON r.a = s.c JOIN u ON s.d = u.e WHERE r.b >= %d`, k()),
+		fmt.Sprintf(`SELECT u.e, count(*) AS n FROM r, s, u WHERE r.a = s.c AND s.d = u.e GROUP BY u.e HAVING count(*) > %d`, k()),
+		fmt.Sprintf(`SELECT DISTINCT s.d FROM r, s, u WHERE r.a = s.c AND s.d = u.e AND r.b < %d`, k()),
+		fmt.Sprintf(`SELECT r.b, u.f FROM r, s, u WHERE r.a = s.c AND s.d = u.e AND u.f <= %d LIMIT 3`, k()+2),
+		`SELECT r.b, u.f FROM r, s, u WHERE r.a = s.c AND s.d = u.e ORDER BY r.b`,
+		`SELECT r.a FROM r, s, u WHERE r.a = s.c AND s.c = u.e EXCEPT SELECT e FROM u`,
+	}
+}
+
 // propertyCorpus is a randomized query corpus covering every operator:
 // streaming chains, pipeline breakers, merge points (project/union), the
 // gated operators, and ORDER BY/LIMIT in both fused and standalone form.
@@ -96,9 +138,11 @@ var physOptionGrid = []struct {
 }
 
 // TestPipelinedMatchesReference is the pipeline's core guarantee: on a
-// random query corpus (compiled plans and their optimized forms), the
-// pipelined executor produces bit-identical results to the materializing
-// reference executor (core.Exec) for every worker count and batch size.
+// random query corpus (compiled plans, their rule-optimized forms, and
+// the cost-optimized plans lowered with their annotations, as the
+// session runs them), the pipelined executor produces bit-identical
+// results to the materializing reference executor (core.Exec) for every
+// worker count and batch size.
 func TestPipelinedMatchesReference(t *testing.T) {
 	ctx := context.Background()
 	trials := 6
@@ -108,8 +152,12 @@ func TestPipelinedMatchesReference(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(4000 + trial*131)))
 		db := randomAUDB(rng, 3+rng.Intn(6))
+		queries := propertyCorpus(rng)
+		addChainTable(rng, db)
+		queries = append(queries, chainCorpus(rng)...)
 		cat := ra.CatalogMap(db.Schemas())
-		for _, q := range propertyCorpus(rng) {
+		prov := collectStats(db)
+		for _, q := range queries {
 			compiled, err := sql.Compile(q, cat)
 			if err != nil {
 				t.Fatalf("[trial %d] compile %s: %v", trial, q, err)
@@ -118,7 +166,16 @@ func TestPipelinedMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("[trial %d] optimize %s: %v", trial, q, err)
 			}
-			for pi, plan := range []ra.Node{compiled, optimized} {
+			costed, ann, err := opt.CostOptimize(optimized, cat, prov)
+			if err != nil {
+				t.Fatalf("[trial %d] cost-optimize %s: %v", trial, q, err)
+			}
+			plans := []struct {
+				plan ra.Node
+				est  *opt.Annotations
+			}{{compiled, nil}, {optimized, nil}, {costed, ann}}
+			for pi, p := range plans {
+				plan := p.plan
 				want, err := core.Exec(ctx, plan, db, core.Options{Workers: 1})
 				if err != nil {
 					t.Fatalf("[trial %d] %s (plan %d): reference: %v", trial, q, pi, err)
@@ -128,6 +185,7 @@ func TestPipelinedMatchesReference(t *testing.T) {
 					got, err := Exec(ctx, plan, db, Options{
 						BatchSize: g.batch,
 						Exec:      core.Options{Workers: g.workers},
+						Est:       p.est,
 					})
 					if err != nil {
 						t.Fatalf("[trial %d] %s (plan %d, w=%d b=%d): %v",
@@ -137,6 +195,57 @@ func TestPipelinedMatchesReference(t *testing.T) {
 						t.Fatalf("[trial %d] %s (plan %d, w=%d b=%d): result differs\nreference:\n%s\ngot:\n%s\nplan:\n%s",
 							trial, q, pi, g.workers, g.batch, wantS, gotS, ra.Render(plan))
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestCostModelLimitRawIdentity pins the cost pass's Limit freeze gate
+// with a RAW (unsorted) comparison: below a Limit the cost pass must leave
+// the plan alone, so the pipelined execution of the cost plan with its
+// annotations returns the reference rows of the rule-only plan in the
+// exact same order, not merely the same multiset. (Plain ORDER BY is
+// compared canonically elsewhere: sort-key ties keep arrival order, which
+// a reordered plan may legitimately change.)
+func TestCostModelLimitRawIdentity(t *testing.T) {
+	ctx := context.Background()
+	queries := []string{
+		`SELECT r.b, u.f FROM r, s, u WHERE r.a = s.c AND s.d = u.e LIMIT 4`,
+		`SELECT r.b, s.d FROM r, s, u WHERE r.a = u.e AND s.c = u.f LIMIT 3`,
+		`SELECT r.a, u.f FROM r, s, u WHERE r.a = s.c AND s.d = u.e ORDER BY u.f LIMIT 3`,
+	}
+	for trial := 0; trial < 3; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial*311 + 13)))
+		db := randomAUDB(rng, 4+rng.Intn(5))
+		addChainTable(rng, db)
+		cat := ra.CatalogMap(db.Schemas())
+		prov := collectStats(db)
+		for _, q := range queries {
+			compiled, err := sql.Compile(q, cat)
+			if err != nil {
+				t.Fatalf("[%d] compile %s: %v", trial, q, err)
+			}
+			ruleOnly, err := opt.Optimize(compiled, cat)
+			if err != nil {
+				t.Fatalf("[%d] optimize %s: %v", trial, q, err)
+			}
+			costed, ann, err := opt.CostOptimize(ruleOnly, cat, prov)
+			if err != nil {
+				t.Fatalf("[%d] cost-optimize %s: %v", trial, q, err)
+			}
+			for _, workers := range []int{1, 4} {
+				want, err := core.Exec(ctx, ruleOnly, db, core.Options{Workers: workers})
+				if err != nil {
+					t.Fatalf("[%d] %s: reference: %v", trial, q, err)
+				}
+				got, err := Exec(ctx, costed, db, Options{Exec: core.Options{Workers: workers}, Est: ann})
+				if err != nil {
+					t.Fatalf("[%d] %s: %v", trial, q, err)
+				}
+				if want.String() != got.String() {
+					t.Fatalf("[%d] %s (workers=%d): cost pass changed a LIMIT result's rows or order:\n%s\nvs\n%s",
+						trial, q, workers, want, got)
 				}
 			}
 		}

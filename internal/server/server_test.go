@@ -113,15 +113,18 @@ func (rc *rawConn) expectClosed() {
 	}
 }
 
-// TestHandshakeVersionMismatch: an unsupported protocol version is
+// TestHandshakeVersionMismatch: an unsupported protocol version — a
+// future one, or the previous one an old client still speaks — is
 // refused with a proto error and the connection closes.
 func TestHandshakeVersionMismatch(t *testing.T) {
 	testutil.NoLeaks(t)
 	addr, _ := startServer(t, server.Config{})
-	rc := dialRaw(t, addr)
-	rc.send(wire.Hello{Version: 999, Client: "future"})
-	rc.wantError(0, wire.CodeProto)
-	rc.expectClosed()
+	for _, v := range []uint32{999, wire.Version - 1} {
+		rc := dialRaw(t, addr)
+		rc.send(wire.Hello{Version: v, Client: "mismatched"})
+		rc.wantError(0, wire.CodeProto)
+		rc.expectClosed()
+	}
 }
 
 // TestHandshakeWrongFirstFrame: anything but Hello first is refused.

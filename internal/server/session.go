@@ -364,12 +364,6 @@ func queryOptions(o wire.ExecOptions) []audb.QueryOption {
 	if o.AggCompression > 0 {
 		opts = append(opts, audb.WithAggCompression(o.AggCompression))
 	}
-	if o.OptimizerOff {
-		opts = append(opts, audb.WithOptimizer(audb.OptimizerOff))
-	}
-	if o.CostOff {
-		opts = append(opts, audb.WithCostModel(audb.CostOff))
-	}
 	return opts
 }
 

@@ -2,7 +2,8 @@
 // evaluation (Section 12.2-12.3): PDBench-style attribute-level
 // uncertainty injection, the wide 100-attribute microbenchmark table, join
 // workloads, and key-violation datasets whose uncertainty profiles match
-// the real-world datasets of Figure 17 (DESIGN.md substitution 5).
+// the real-world datasets of Figure 17 (the paper used the real datasets;
+// these are synthetic stand-ins with the same uncertainty profiles).
 package synth
 
 import (

@@ -2,8 +2,8 @@
 // paper's evaluation (Section 12.1): the PDBench select-project-join
 // queries and TPC-H Q1, Q3, Q5, Q7 and Q10, expressed in the SQL subset of
 // this repository. Row counts scale with a configurable factor mapped to
-// in-memory sizes (DESIGN.md substitution 2; EXPERIMENTS.md records the
-// mapping).
+// in-memory sizes (the paper used TPC-H scale factors on Postgres; this
+// scale factor is 1/100 of TPC-H's, see Config.Scale).
 package tpch
 
 import (

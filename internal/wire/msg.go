@@ -16,8 +16,9 @@ type Msg interface {
 
 // ExecOptions carries the per-query execution options across the wire,
 // mirroring the session API's functional options. The zero value selects
-// every default (native engine, optimizer and cost model on, workers per
-// CPU, no compression, no deadline).
+// every default (native engine, workers per CPU, no compression, no
+// deadline). Planning is not an option: rule optimization always runs,
+// and the cost pass runs on the native engine unless compression is on.
 type ExecOptions struct {
 	// Engine is the audb.Engine (0 native, 1 rewrite, 2 sgw).
 	Engine uint8
@@ -26,9 +27,6 @@ type ExecOptions struct {
 	// JoinCompression / AggCompression are the Section 10.4/10.5 targets.
 	JoinCompression int
 	AggCompression  int
-	// OptimizerOff / CostOff flip the on-by-default modes.
-	OptimizerOff bool
-	CostOff      bool
 	// TimeoutMS bounds execution server-side; 0 means no deadline beyond
 	// the server's own cap.
 	TimeoutMS uint64
@@ -39,8 +37,6 @@ func (o ExecOptions) encode(b []byte) []byte {
 	b = encVarint(b, int64(o.Workers))
 	b = encVarint(b, int64(o.JoinCompression))
 	b = encVarint(b, int64(o.AggCompression))
-	b = encBool(b, o.OptimizerOff)
-	b = encBool(b, o.CostOff)
 	return encUvarint(b, o.TimeoutMS)
 }
 
@@ -50,8 +46,6 @@ func (d *dec) execOptions() ExecOptions {
 		Workers:         int(d.varint()),
 		JoinCompression: int(d.varint()),
 		AggCompression:  int(d.varint()),
-		OptimizerOff:    d.bool(),
-		CostOff:         d.bool(),
 		TimeoutMS:       d.uvarint(),
 	}
 }

@@ -55,8 +55,9 @@ import (
 
 // Version is the protocol version spoken by this package. Hello carries
 // it; the server rejects mismatched clients with CodeProto. Version 2
-// dropped ExecOptions' executor-mode flag.
-const Version = 2
+// dropped ExecOptions' executor-mode flag; version 3 dropped its
+// optimizer and cost-model flags.
+const Version = 3
 
 // DefaultMaxFrame is the payload-size cap a Reader enforces unless
 // configured otherwise: large enough for a hefty result relation, small

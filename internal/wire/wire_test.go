@@ -62,8 +62,6 @@ func allMessages() []Msg {
 		Workers:         4,
 		JoinCompression: 16,
 		AggCompression:  8,
-		OptimizerOff:    true,
-		CostOff:         true,
 		TimeoutMS:       1500,
 	}
 	return []Msg{

@@ -27,69 +27,9 @@ func optCorpus(rng *rand.Rand) []string {
 	}
 }
 
-// TestOptimizerEngineEquivalence is the session-level acceptance
-// property: for a random query corpus, WithOptimizer(OptimizerOn) and
-// WithOptimizer(OptimizerOff) produce bit-identical results on all three
-// engines, with serial and parallel workers.
-func TestOptimizerEngineEquivalence(t *testing.T) {
-	ctx := context.Background()
-	trials := 6
-	if testing.Short() {
-		trials = 2
-	}
-	engines := []Engine{EngineNative, EngineRewrite, EngineSGW}
-	for trial := 0; trial < trials; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial*997 + 5)))
-		db := randomDB(rng, 2+rng.Intn(6))
-		for _, q := range optCorpus(rng) {
-			for _, eng := range engines {
-				for _, workers := range []int{1, 4} {
-					off, errOff := db.QueryContext(ctx, q,
-						WithEngine(eng), WithWorkers(workers), WithOptimizer(OptimizerOff))
-					on, errOn := db.QueryContext(ctx, q,
-						WithEngine(eng), WithWorkers(workers), WithOptimizer(OptimizerOn))
-					if (errOff == nil) != (errOn == nil) {
-						t.Fatalf("[trial %d] %s [%s workers=%d]: optimizer changed acceptance: off=%v on=%v",
-							trial, q, eng, workers, errOff, errOn)
-					}
-					if errOff != nil {
-						continue // e.g. DISTINCT on the rewrite middleware
-					}
-					if off.Sort().String() != on.Sort().String() {
-						t.Fatalf("[trial %d] %s [%s workers=%d]: optimizer changed the result:\n%s\nvs\n%s",
-							trial, q, eng, workers, off, on)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestOptimizerOnByDefault: a plain QueryContext call must behave as
-// WithOptimizer(OptimizerOn).
-func TestOptimizerOnByDefault(t *testing.T) {
-	ctx := context.Background()
-	db := randomDB(rand.New(rand.NewSource(21)), 6)
-	q := `SELECT r.b, s.d FROM r, s WHERE r.a = s.c`
-	def, err := db.QueryContext(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	on, err := db.QueryContext(ctx, q, WithOptimizer(OptimizerOn))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if def.Sort().String() != on.Sort().String() {
-		t.Fatal("default execution differs from WithOptimizer(OptimizerOn)")
-	}
-	if OptimizerOn.String() != "on" || OptimizerOff.String() != "off" {
-		t.Fatal("OptimizerMode.String")
-	}
-}
-
 // TestStmtCachesOptimizedPlan: prepared statements must serve the
-// optimized plan (and stay bit-identical to unprepared execution) in
-// both optimizer modes, on every engine, under concurrency.
+// optimized plan and stay bit-identical to unprepared execution, on
+// every engine.
 func TestStmtCachesOptimizedPlan(t *testing.T) {
 	ctx := context.Background()
 	db := randomDB(rand.New(rand.NewSource(33)), 8)
@@ -99,19 +39,17 @@ func TestStmtCachesOptimizedPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, eng := range []Engine{EngineNative, EngineRewrite, EngineSGW} {
-		for _, mode := range []OptimizerMode{OptimizerOn, OptimizerOff} {
-			want, err := db.QueryContext(ctx, q, WithEngine(eng), WithOptimizer(mode))
+		want, err := db.QueryContext(ctx, q, WithEngine(eng))
+		if err != nil {
+			t.Fatalf("[%s] unprepared: %v", eng, err)
+		}
+		for i := 0; i < 3; i++ {
+			got, err := stmt.Exec(ctx, WithEngine(eng))
 			if err != nil {
-				t.Fatalf("[%s %s] unprepared: %v", eng, mode, err)
+				t.Fatalf("[%s] prepared: %v", eng, err)
 			}
-			for i := 0; i < 3; i++ {
-				got, err := stmt.Exec(ctx, WithEngine(eng), WithOptimizer(mode))
-				if err != nil {
-					t.Fatalf("[%s %s] prepared: %v", eng, mode, err)
-				}
-				if want.Sort().String() != got.Sort().String() {
-					t.Fatalf("[%s %s] prepared result differs from unprepared", eng, mode)
-				}
+			if want.Sort().String() != got.Sort().String() {
+				t.Fatalf("[%s] prepared result differs from unprepared", eng)
 			}
 		}
 	}
@@ -160,175 +98,5 @@ func TestExplain(t *testing.T) {
 	// Errors propagate.
 	if _, err := db.Explain(`SELECT nope FROM r`); err == nil {
 		t.Fatal("unknown column should error")
-	}
-}
-
-// randomDB3 extends randomDB with a small third table so cost-based join
-// reordering has 3-input chains to work with.
-func randomDB3(rng *rand.Rand, rows int) *Database {
-	db := randomDB(rng, rows)
-	u := NewUncertainTable("u", "e", "f")
-	for i := 0; i < 2+rng.Intn(3); i++ {
-		sg := int64(rng.Intn(6))
-		v := CertainOf(Int(sg))
-		if rng.Intn(3) == 0 {
-			v = Range(Int(sg), Int(sg), Int(sg+1))
-		}
-		u.AddRow(RangeRow{v, CertainOf(Int(int64(rng.Intn(6))))}, CertainMult(1))
-	}
-	db.Add(u)
-	return db
-}
-
-// costCorpus is the session-level corpus for the cost-model equivalence
-// property: multi-table chains the reorder rule restructures, plus
-// shapes where cost-based planning only annotates.
-func costSessionCorpus(rng *rand.Rand) []string {
-	k := func() int { return rng.Intn(6) }
-	return []string{
-		fmt.Sprintf(`SELECT r.b, s.d, u.f FROM r, s, u WHERE r.a = s.c AND s.d = u.e AND u.f <= %d`, k()),
-		fmt.Sprintf(`SELECT r.a, u.e FROM r JOIN s ON r.a = s.c JOIN u ON s.d = u.e WHERE r.b >= %d`, k()),
-		fmt.Sprintf(`SELECT u.e, count(*) AS n FROM r, s, u WHERE r.a = s.c AND s.d = u.e GROUP BY u.e HAVING count(*) > %d`, k()),
-		fmt.Sprintf(`SELECT DISTINCT s.d FROM r, s, u WHERE r.a = s.c AND s.d = u.e AND r.b < %d`, k()),
-		fmt.Sprintf(`SELECT r.b, s.d FROM r, s WHERE r.a = s.c AND s.d >= %d`, k()),
-		fmt.Sprintf(`SELECT a, b FROM r WHERE a <= %d ORDER BY b LIMIT 4`, k()),
-		// LIMIT above a join chain: arrival order is result-visible, so
-		// the cost pass must freeze the subtree (multisets still match;
-		// TestCostModelLimitRawIdentity additionally pins the raw order).
-		fmt.Sprintf(`SELECT r.b, u.f FROM r, s, u WHERE r.a = s.c AND s.d = u.e AND u.f <= %d LIMIT 3`, k()+2),
-		`SELECT r.b, s.d FROM r, s WHERE r.a = s.c LIMIT 2`,
-		// ORDER BY with heavy sort-key ties over a reorderable chain:
-		// tie presentation order may differ (documented at CostOn), but
-		// the canonical multiset must not.
-		`SELECT r.b, u.f FROM r, s, u WHERE r.a = s.c AND s.d = u.e ORDER BY r.b`,
-		fmt.Sprintf(`SELECT b, sum(a) AS t FROM r WHERE a < %d GROUP BY b`, k()),
-		`SELECT r.a FROM r, s, u WHERE r.a = s.c AND s.c = u.e EXCEPT SELECT e FROM u`,
-	}
-}
-
-// TestCostModelEngineEquivalence is the session-level acceptance property
-// for cost-based planning: WithCostModel(CostOn) and CostOff produce
-// bit-identical results on all three engines, with serial and parallel
-// workers, in both execution modes of the native engine.
-func TestCostModelEngineEquivalence(t *testing.T) {
-	ctx := context.Background()
-	trials := 5
-	if testing.Short() {
-		trials = 2
-	}
-	for trial := 0; trial < trials; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial*773 + 19)))
-		db := randomDB3(rng, 3+rng.Intn(6))
-		for _, q := range costSessionCorpus(rng) {
-			for _, eng := range []Engine{EngineNative, EngineRewrite, EngineSGW} {
-				for _, workers := range []int{1, 4} {
-					modes := []ExecMode{ExecPipelined}
-					if eng == EngineNative {
-						modes = append(modes, ExecMaterialized)
-					}
-					for _, em := range modes {
-						off, errOff := db.QueryContext(ctx, q,
-							WithEngine(eng), WithWorkers(workers), WithExecMode(em), WithCostModel(CostOff))
-						on, errOn := db.QueryContext(ctx, q,
-							WithEngine(eng), WithWorkers(workers), WithExecMode(em), WithCostModel(CostOn))
-						if (errOff == nil) != (errOn == nil) {
-							t.Fatalf("[trial %d] %s [%s workers=%d %s]: cost model changed acceptance: off=%v on=%v",
-								trial, q, eng, workers, em, errOff, errOn)
-						}
-						if errOff != nil {
-							continue // e.g. EXCEPT on the rewrite middleware
-						}
-						if off.Sort().String() != on.Sort().String() {
-							t.Fatalf("[trial %d] %s [%s workers=%d %s]: cost model changed the result:\n%s\nvs\n%s",
-								trial, q, eng, workers, em, off, on)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestCostModelOnByDefault: a plain QueryContext call behaves as
-// WithCostModel(CostOn), and the mode names render.
-func TestCostModelOnByDefault(t *testing.T) {
-	ctx := context.Background()
-	db := randomDB3(rand.New(rand.NewSource(77)), 6)
-	q := `SELECT r.b, u.f FROM r, s, u WHERE r.a = s.c AND s.d = u.e`
-	def, err := db.QueryContext(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	on, err := db.QueryContext(ctx, q, WithCostModel(CostOn))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if def.Sort().String() != on.Sort().String() {
-		t.Fatal("default execution differs from WithCostModel(CostOn)")
-	}
-	if CostOn.String() != "on" || CostOff.String() != "off" {
-		t.Fatal("CostModel.String")
-	}
-	if m, err := ParseCostModel("off"); err != nil || m != CostOff {
-		t.Fatal("ParseCostModel off")
-	}
-	if _, err := ParseCostModel("bogus"); err == nil {
-		t.Fatal("ParseCostModel should reject bogus")
-	}
-}
-
-// TestCostModelCompressionGate: compressed executions skip the reorder
-// pass (merge granularity is observable) but still run and still match
-// the cost-off result bit for bit.
-func TestCostModelCompressionGate(t *testing.T) {
-	ctx := context.Background()
-	db := randomDB3(rand.New(rand.NewSource(99)), 8)
-	q := `SELECT r.b, u.f FROM r, s, u WHERE r.a = s.c AND s.d = u.e`
-	off, err := db.QueryContext(ctx, q, WithJoinCompression(4), WithCostModel(CostOff))
-	if err != nil {
-		t.Fatal(err)
-	}
-	on, err := db.QueryContext(ctx, q, WithJoinCompression(4), WithCostModel(CostOn))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off.Sort().String() != on.Sort().String() {
-		t.Fatal("cost model changed a compressed execution's result")
-	}
-}
-
-// TestCostModelLimitRawIdentity pins the Limit freeze gate at the
-// session level with RAW (unsorted) output comparison: below a Limit the
-// cost pass must leave the plan alone, so cost-on and cost-off return
-// the exact same rows in the exact same order — not merely the same
-// multiset. (Plain ORDER BY is compared canonically elsewhere: sort-key
-// ties keep arrival order, which a reordered plan may legitimately
-// change, as documented at CostOn.)
-func TestCostModelLimitRawIdentity(t *testing.T) {
-	ctx := context.Background()
-	for trial := 0; trial < 3; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial*311 + 13)))
-		db := randomDB3(rng, 4+rng.Intn(5))
-		queries := []string{
-			`SELECT r.b, u.f FROM r, s, u WHERE r.a = s.c AND s.d = u.e LIMIT 4`,
-			`SELECT r.b, s.d FROM r, s, u WHERE r.a = u.e AND s.c = u.f LIMIT 3`,
-			`SELECT r.a, u.f FROM r, s, u WHERE r.a = s.c AND s.d = u.e ORDER BY u.f LIMIT 3`,
-		}
-		for _, q := range queries {
-			for _, workers := range []int{1, 4} {
-				off, err := db.QueryContext(ctx, q, WithWorkers(workers), WithCostModel(CostOff))
-				if err != nil {
-					t.Fatalf("[%d] %s: %v", trial, q, err)
-				}
-				on, err := db.QueryContext(ctx, q, WithWorkers(workers), WithCostModel(CostOn))
-				if err != nil {
-					t.Fatalf("[%d] %s: %v", trial, q, err)
-				}
-				if off.String() != on.String() {
-					t.Fatalf("[%d] %s (workers=%d): cost model changed a LIMIT result's rows or order:\n%s\nvs\n%s",
-						trial, q, workers, off, on)
-				}
-			}
-		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/audb/audb/internal/core"
+	"github.com/audb/audb/internal/schema"
 )
 
 // mostlyCertainRows generates rows for a two-column table where the first
@@ -43,25 +44,39 @@ func mostlyCertainRows(rows int, rng *rand.Rand) []testRow {
 }
 
 // storageDB builds a database holding tables r(a,b) and s(c,d) from the
-// given row sets under an explicit storage mode. Each call builds fresh
-// UncertainTables: a relation is compacted in place on first registration,
-// so two databases with different policies must never share one.
-func storageDB(mode StorageMode, rrows, srows []testRow) *Database {
+// given row sets, each built in the given representation (core.ReprAuto
+// is the representation registration picks).
+func storageDB(mode core.ReprMode, rrows, srows []testRow) *Database {
 	db := New()
-	db.SetStoragePolicy(StoragePolicy{Mode: mode})
 	mk := func(name string, rows []testRow, cols ...string) {
-		t := NewUncertainTable(name, cols...)
+		b := core.NewRelationBuilder(schema.New(cols...), len(rows))
 		for _, row := range rows {
-			t.AddRow(row.vals, row.m)
+			b.Add(core.Tuple{Vals: row.vals, M: row.m})
 		}
-		db.Add(t)
+		db.cat.RegisterPrebuilt(name, b.Finish(core.StoragePolicy{Mode: mode}))
 	}
 	mk("r", rrows, "a", "b")
 	mk("s", srows, "c", "d")
 	return db
 }
 
-// TestSparseDenseEquivalence is the tentpole acceptance property: on
+// forceStorage rebuilds a registered table in a forced representation and
+// swaps it in with a compare-and-swap replacement, the way Analyze flips
+// one.
+func forceStorage(db *Database, name string, mode core.ReprMode) {
+	rel, ok := db.cat.Lookup(name)
+	if !ok {
+		return
+	}
+	b := core.NewRelationBuilder(rel.Schema, rel.Len())
+	_ = rel.EachTuple(func(t core.Tuple) error {
+		b.Add(t)
+		return nil
+	})
+	db.cat.ReplaceIf(name, rel, b.Finish(core.StoragePolicy{Mode: mode}))
+}
+
+// TestSparseDenseEquivalence is the storage layer's acceptance property: on
 // mostly-certain data, a force-sparse database and a force-dense database
 // produce bit-identical results for the full optimizer corpus across all
 // three engines, serial and parallel, pipelined and materialized. The
@@ -79,8 +94,8 @@ func TestSparseDenseEquivalence(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(trial*877 + 29)))
 		rrows := mostlyCertainRows(8+rng.Intn(20), rng)
 		srows := mostlyCertainRows(8+rng.Intn(20), rng)
-		dense := storageDB(StorageForceDense, rrows, srows)
-		sparse := storageDB(StorageForceSparse, rrows, srows)
+		dense := storageDB(core.ReprForceDense, rrows, srows)
+		sparse := storageDB(core.ReprForceSparse, rrows, srows)
 
 		// The representations must actually differ, or the test is vacuous.
 		if rel, _ := dense.Relation("r"); rel.IsSparse() {
@@ -118,8 +133,8 @@ func TestSparseDenseEquivalence(t *testing.T) {
 
 // TestStorageRepresentationFlip covers the representation lifecycle: a
 // certain table compacts on registration, goes dense the moment in-place
-// updates make it uncertain, is re-evaluated by Analyze in both
-// directions, and honors per-table overrides — with every state change
+// updates make it uncertain, is re-evaluated by Analyze, and flips back
+// when a certain replacement is registered — with every state change
 // visible in the reported statistics and none of them changing a query's
 // answer.
 func TestStorageRepresentationFlip(t *testing.T) {
@@ -172,27 +187,6 @@ func TestStorageRepresentationFlip(t *testing.T) {
 		t.Fatalf("stats rendering lacks the dense storage line:\n%s", ts)
 	}
 
-	// Manual override pins it sparse (partially flat: column a went
-	// uncertain, column b is still flat), and back.
-	ts, err = db.SetTableStorage("t", StorageForceSparse)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ts.Storage != core.ReprSparse || ts.FlatCols != 1 || ts.MultFlat {
-		t.Fatalf("force-sparse override: %+v", ts)
-	}
-	rel, _ := db.Relation("t")
-	if repr, flat, multFlat := rel.StorageDetail(); repr != core.ReprSparse || flat != 1 || multFlat {
-		t.Fatalf("override storage = %v, %d flat cols, flat mults %v; want sparse, 1, false", repr, flat, multFlat)
-	}
-	ts, err = db.SetTableStorage("t", StorageForceDense)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ts.Storage != core.ReprDense {
-		t.Fatalf("force-dense override: %+v", ts)
-	}
-
 	// Re-registering a fully certain replacement flips back to sparse
 	// under the auto policy, every column and the multiplicities flat.
 	repl := NewUncertainTable("t", "a", "b")
@@ -200,7 +194,7 @@ func TestStorageRepresentationFlip(t *testing.T) {
 		repl.AddRow(RangeRow{CertainOf(Int(int64(i % 7))), CertainOf(Int(int64(i)))}, CertainMult(1))
 	}
 	db.Add(repl)
-	rel, _ = db.Relation("t")
+	rel, _ := db.Relation("t")
 	if repr, flat, multFlat := rel.StorageDetail(); repr != core.ReprSparse || flat != 2 || !multFlat {
 		t.Fatalf("certain replacement storage = %v, %d flat cols, flat mults %v; want sparse, 2, true", repr, flat, multFlat)
 	}
@@ -212,14 +206,13 @@ func TestStorageRepresentationFlip(t *testing.T) {
 		t.Fatalf("representation lifecycle changed the query answer:\n%s\nvs\n%s", wantText, got)
 	}
 
-	// Unknown tables error through both new entry points.
-	if _, err := db.SetTableStorage("nope", StorageForceSparse); err == nil {
-		t.Fatal("SetTableStorage on an unknown table should error")
+	if _, err := db.Analyze("nope"); err == nil {
+		t.Fatal("Analyze on an unknown table should error")
 	}
 }
 
-// TestStorageFlipRace races representation flips (Analyze, SetTableStorage,
-// re-registration) against concurrent queries and statistics reads, run
+// TestStorageFlipRace races representation flips (Analyze, forced
+// replacements, re-registration) against concurrent queries and statistics reads, run
 // under -race: flips happen by atomically registering replacement
 // relations, so queries must keep executing over consistent snapshots and
 // must never observe a half-flipped table. Goroutines never mutate a
@@ -229,7 +222,7 @@ func TestStorageFlipRace(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	rrows := mostlyCertainRows(40, rng)
 	srows := mostlyCertainRows(40, rng)
-	db := storageDB(StorageAuto, rrows, srows)
+	db := storageDB(core.ReprAuto, rrows, srows)
 
 	// Pre-built replacements alternating between mostly-certain (compacts)
 	// and mostly-uncertain (stays dense), so re-registration keeps flipping
@@ -260,9 +253,9 @@ func TestStorageFlipRace(t *testing.T) {
 				case 1:
 					db.Analyze("r") // may race a re-registration; only data races matter
 				case 2:
-					db.SetTableStorage("r", StorageForceSparse)
+					forceStorage(db, "r", core.ReprForceSparse)
 				default:
-					db.SetTableStorage("r", StorageForceDense)
+					forceStorage(db, "r", core.ReprForceDense)
 				}
 			}
 		}(w)

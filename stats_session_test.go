@@ -6,6 +6,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/audb/audb/internal/core"
+	"github.com/audb/audb/internal/opt"
+	"github.com/audb/audb/internal/ra"
+	"github.com/audb/audb/internal/sql"
 )
 
 // statsTable builds an uncertain table with rows over a small key domain.
@@ -173,25 +178,26 @@ func TestExplainShowsEstimatesAndReorder(t *testing.T) {
 	if text := exp.String(); !strings.Contains(text, "reorder-joins") || !strings.Contains(text, "(est ") {
 		t.Fatalf("rendered explanation lacks cost info:\n%s", text)
 	}
-	// Cost off: no estimates, no reorder.
-	exp, err = db.Explain(adversarialJoinQuery, WithCostModel(CostOff))
+	// A compressed execution skips the cost pass: no estimates, no
+	// reorder.
+	exp, err = db.Explain(adversarialJoinQuery, WithJoinCompression(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(exp.Optimized, "(est ") {
-		t.Fatalf("cost-off explanation still has estimates:\n%s", exp.Optimized)
+		t.Fatalf("compressed explanation still has estimates:\n%s", exp.Optimized)
 	}
 	for _, r := range exp.Rules {
 		if r.Rule == "reorder-joins" {
-			t.Fatal("reorder-joins fired with the cost model off")
+			t.Fatal("reorder-joins fired under compression")
 		}
 	}
 }
 
-// TestExplainAnalyzeShowsEstimates is the satellite regression: with the
-// cost model on, EVERY operator row of the ExplainAnalyze trace carries
-// an est value next to the actual rows; with it off, the column shows
-// the "-" placeholder.
+// TestExplainAnalyzeShowsEstimates: when the cost pass runs, EVERY
+// operator row of the ExplainAnalyze trace carries an est value next to
+// the actual rows; under compression, which skips the pass, the column
+// shows the "-" placeholder.
 func TestExplainAnalyzeShowsEstimates(t *testing.T) {
 	db := adversarialJoinDB(rand.New(rand.NewSource(5)))
 	queries := []string{
@@ -219,32 +225,42 @@ func TestExplainAnalyzeShowsEstimates(t *testing.T) {
 			}
 		}
 	}
-	// Cost off: the est column renders the placeholder.
-	exp, err := db.ExplainAnalyze(context.Background(), queries[1], WithCostModel(CostOff))
+	// Compressed: the est column renders the placeholder.
+	exp, err := db.ExplainAnalyze(context.Background(), queries[1], WithAggCompression(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out := exp.Stats.String(); !strings.Contains(out, "est=-") {
-		t.Fatalf("cost-off trace should show est=-:\n%s", out)
+		t.Fatalf("compressed trace should show est=-:\n%s", out)
 	}
 }
 
-// TestCostOnAdversarialJoinFaster is a coarse sanity check (not a
-// benchmark): on the adversarial order, the cost-based plan must not
-// produce a different answer. The speedup is measured by
-// BenchmarkJoinReorderCostOn/CostOff.
+// TestCostOnAdversarialJoinResultsIdentical is a coarse sanity check
+// (not a benchmark): on the adversarial order, the session's cost-based
+// plan must give the answer the reference executor gives for the
+// rule-only plan. The speedup is measured by BenchmarkJoinReorderCostOn.
 func TestCostOnAdversarialJoinResultsIdentical(t *testing.T) {
+	ctx := context.Background()
 	db := adversarialJoinDB(rand.New(rand.NewSource(9)))
-	fmtRes := func(r *Result) string { return r.Sort().String() }
-	off, err := db.QueryContext(context.Background(), adversarialJoinQuery, WithCostModel(CostOff))
+	snap := db.cat.Snapshot()
+	cat := ra.CatalogMap(snap.Schemas())
+	plan, err := sql.Compile(adversarialJoinQuery, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, err := db.QueryContext(context.Background(), adversarialJoinQuery)
+	ruleOnly, err := opt.Optimize(plan, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fmtRes(off) != fmtRes(on) {
+	want, err := core.Exec(ctx, ruleOnly, snap, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := db.QueryContext(ctx, adversarialJoinQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Sort().String() != got.Sort().String() {
 		t.Fatal("cost-based plan changed the adversarial join's result")
 	}
 }

@@ -51,24 +51,21 @@ func (d *Database) Trace(ctx context.Context, q string, opts ...QueryOption) (*Q
 		return nil, err
 	}
 
-	if cfg.optimizer == OptimizerOn {
-		sp = root.StartChild("optimize")
-		optimized, tr, err := opt.OptimizeTrace(plan, cat)
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
-		sp.SetInt("passes", int64(tr.Passes))
-		for _, s := range tr.Steps {
-			rule := &obs.Span{Name: "rule " + s.Rule, Dur: s.Elapsed}
-			rule.SetInt("pass", int64(s.Pass))
-			sp.Attach(rule)
-		}
-		plan = optimized
+	sp = root.StartChild("optimize")
+	plan, tr, err := opt.OptimizeTrace(plan, cat)
+	sp.End()
+	if err != nil {
+		return nil, err
+	}
+	sp.SetInt("passes", int64(tr.Passes))
+	for _, s := range tr.Steps {
+		rule := &obs.Span{Name: "rule " + s.Rule, Dur: s.Elapsed}
+		rule.SetInt("pass", int64(s.Pass))
+		sp.Attach(rule)
 	}
 
 	var est *opt.Annotations
-	if d.costEnabled(cfg) {
+	if cfg.costEnabled() {
 		sp = root.StartChild("cost")
 		var steps []opt.Step
 		plan, est, steps, err = opt.CostOptimizeTrace(plan, cat, d.st)
