@@ -238,7 +238,7 @@ func TestExplainAnalyzeShowsEstimates(t *testing.T) {
 // TestCostOnAdversarialJoinResultsIdentical is a coarse sanity check
 // (not a benchmark): on the adversarial order, the session's cost-based
 // plan must give the answer the reference executor gives for the
-// rule-only plan. The speedup is measured by BenchmarkJoinReorderCostOn.
+// rule-only plan. BenchmarkJoinReorderCostOn times the planned query.
 func TestCostOnAdversarialJoinResultsIdentical(t *testing.T) {
 	ctx := context.Background()
 	db := adversarialJoinDB(rand.New(rand.NewSource(9)))
