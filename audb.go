@@ -52,11 +52,11 @@
 // per-operator row estimates the decisions were based on. Both passes
 // are result-exact, so neither is a user option.
 //
-// Storage is chosen from the data: a table is stored sparse (one flat
-// value slice per certain, null-free column) when at least half its
-// columns, counting the multiplicity column, can be stored flat, and
-// dense otherwise. Analyze re-picks the representation after in-place
-// mutation.
+// Every non-empty registered table, COPY-loaded table and decoded wire
+// result is stored by columns: a certain, null-free column is one flat
+// value slice, any other column keeps its triples. A registered table
+// that rows are added to in place is held row by row until Analyze stores
+// it columnar again.
 //
 // Performance is tuned per query with functional options (WithWorkers,
 // WithJoinCompression, WithAggCompression) or database-wide with
@@ -383,23 +383,38 @@ func (d *Database) defaults() Options {
 	return d.opts
 }
 
-// Add registers an uncertain table.
+// Add registers an uncertain table. It panics when a row's length
+// differs from the table's column count.
 func (d *Database) Add(t *UncertainTable) *Database {
+	checkRows(t.Name, t.rel)
 	d.cat.Register(t.Name, t.rel)
 	return d
 }
 
 // AddDeterministic registers a deterministic table (lifted to certain
-// annotations).
+// annotations). It panics when a row's length differs from the table's
+// column count.
 func (d *Database) AddDeterministic(t *Table) *Database {
-	d.cat.Register(t.Name, core.FromDeterministic(t.rel))
+	rel := core.FromDeterministic(t.rel)
+	checkRows(t.Name, rel)
+	d.cat.Register(t.Name, rel)
 	return d
 }
 
-// AddRelation registers a pre-built AU-relation under the given name.
+// AddRelation registers a pre-built AU-relation under the given name. It
+// panics when a row's length differs from the schema's column count.
 func (d *Database) AddRelation(name string, rel *core.Relation) *Database {
+	checkRows(name, rel)
 	d.cat.Register(name, rel)
 	return d
+}
+
+// checkRows applies checkArity to every row a dense relation holds (a
+// columnar one holds one column per attribute by construction).
+func checkRows(table string, rel *core.Relation) {
+	for _, t := range rel.Tuples {
+		checkArity(table, len(t.Vals), rel.Schema.Arity())
+	}
 }
 
 // Drop removes a table; unknown names are a no-op.
@@ -437,15 +452,12 @@ func (d *Database) TableStats(name string) (*TableStats, error) {
 	return nil, schema.UnknownTable("audb", name, d.cat.Tables())
 }
 
-// StoragePolicy is a storage representation policy. Registered tables
-// always follow the automatic rule (see the package doc), which is the
-// zero policy.
+// StoragePolicy is the argument of Relation.Compact. It carries no
+// choice: every non-empty registered table is stored columnar.
 type StoragePolicy = core.StoragePolicy
 
-// StoragePolicy returns the storage representation policy: always the
-// zero (automatic) policy. Callers that compact a relation themselves
-// pass it to Relation.Compact to get the representation registration
-// would pick.
+// StoragePolicy returns the empty policy, for callers that compact a
+// relation themselves with Relation.Compact (the benchmark does).
 func (d *Database) StoragePolicy() StoragePolicy { return StoragePolicy{} }
 
 // Analyze recollects the statistics for a registered table immediately
@@ -453,47 +465,34 @@ func (d *Database) StoragePolicy() StoragePolicy { return StoragePolicy{} }
 // Analyze is only needed after mutating a registered relation's rows in
 // place — or to pay the collection cost eagerly at load time.
 //
-// Analyze also re-picks the table's storage representation: a table whose
-// rows went uncertain (mutation densified it) or certain enough to
-// compact is flipped by atomically registering a freshly built
-// replacement, never by mutating the relation queries may be scanning.
+// Analyze also restores the columnar layout: a non-empty table that
+// in-place mutation left dense is replaced by a columnar copy with a
+// compare-and-swap, so a concurrent Register or Drop is never clobbered
+// and the relation queries may be scanning is never mutated. A table
+// handle registered before keeps the replaced relation: rows it adds
+// afterwards reach queries only once the handle is added again. The
+// refreshed statistics are primed into the registry (guarded the same
+// way, see stats.Registry.Prime).
 func (d *Database) Analyze(name string) (*TableStats, error) {
-	return d.restorage(name)
-}
-
-// restorage is the body of Analyze: one pass over the table feeds a
-// statistics collector and a relation builder, the builder's automatic
-// choice decides the representation, and a change is applied with a
-// compare-and-swap replacement so a concurrent Register or Drop is never
-// clobbered. The refreshed statistics are primed into the registry
-// (guarded the same way, see stats.Registry.Prime).
-func (d *Database) restorage(name string) (*TableStats, error) {
 	rel, ok := d.cat.Lookup(name)
 	if !ok {
 		return nil, schema.UnknownTable("audb", name, d.cat.Tables())
 	}
-	col := stats.NewCollector(name, rel.Schema)
-	b := core.NewRelationBuilder(rel.Schema, rel.Len())
-	_ = rel.EachTuple(func(t core.Tuple) error {
-		col.Add(t)
-		b.Add(t)
-		return nil
-	})
-	ts := col.Finish()
-	cur := rel
-	if fresh := b.Finish(StoragePolicy{}); fresh.Repr() != rel.Repr() {
+	if !rel.IsSparse() && rel.Len() > 0 {
+		fresh := rel.ShallowClone()
+		fresh.Compact(StoragePolicy{})
 		if d.cat.ReplaceIf(name, rel, fresh) {
-			cur = fresh
+			rel = fresh
 		}
 	}
-	ts.SetStorage(cur)
-	d.st.Prime(name, cur, ts)
+	ts := stats.Collect(name, rel)
+	d.st.Prime(name, rel, ts)
 	return ts, nil
 }
 
 // TableLoader streams rows into a new table: the rows accumulate in a
-// core.RelationBuilder (so the table materializes directly in its final
-// storage representation, chosen by the automatic rule at Commit) and
+// core.RelationBuilder (so the table materializes directly in the
+// columnar layout, with no conversion at Commit) and
 // feed a statistics collector in the same pass, so the committed table
 // arrives with primed statistics — no separate Analyze, no second scan.
 // The server's COPY ingest is built on this. Not safe for concurrent use.
@@ -527,9 +526,11 @@ func (l *TableLoader) Len() int { return l.b.Len() }
 func (l *TableLoader) Grow(n int) { l.b.Grow(n) }
 
 // Add appends one row. Rows with a non-positive upper multiplicity are
-// dropped, exactly as registration would; vals must match the arity. The
-// row is copied — callers may reuse the backing slice.
+// dropped, exactly as registration would. It panics when the row's length
+// differs from the column count. The row is copied — callers may reuse
+// the backing slice.
 func (l *TableLoader) Add(vals RangeRow, m Multiplicity) {
+	checkArity(l.name, len(vals), l.b.Arity())
 	t := core.Tuple{Vals: vals, M: m}
 	if m.Hi > 0 {
 		l.c.Add(t)
@@ -541,8 +542,8 @@ func (l *TableLoader) Add(vals RangeRow, m Multiplicity) {
 // name) with its statistics primed, and returns the relation. The loader
 // must not be used afterwards.
 func (l *TableLoader) Commit() *core.Relation {
-	rel := l.b.Finish(StoragePolicy{})
-	l.db.cat.RegisterPrebuilt(l.name, rel)
+	rel := l.b.Finish()
+	l.db.cat.Register(l.name, rel)
 	ts := l.c.Finish()
 	ts.SetStorage(rel)
 	l.db.st.Prime(l.name, rel, ts)

@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/audb/audb/internal/core"
 	"github.com/audb/audb/internal/expr"
+	"github.com/audb/audb/internal/schema"
 	"github.com/audb/audb/internal/types"
 )
 
@@ -108,6 +110,64 @@ func TestAddRowArity(t *testing.T) {
 			tb.AddRow(Int(1))
 			tb.AddRow(Int(2), Int(3))
 			db.AddDeterministic(tb)
+		}},
+	}
+	for _, c := range cases {
+		msg := func() (msg string) {
+			defer func() {
+				if r := recover(); r != nil {
+					msg = fmt.Sprint(r)
+				}
+			}()
+			db := New()
+			c.load(db)
+			if _, err := db.Analyze("t"); err != nil {
+				return err.Error()
+			}
+			return "no panic"
+		}()
+		want := fmt.Sprintf(`audb: table "t": row has %d values, want 2 columns`, c.got)
+		if msg != want {
+			t.Errorf("%s: got %q, want panic %q", c.name, msg, want)
+		}
+	}
+}
+
+// TestRegisterArity: rows of the wrong length that bypass AddRow — added
+// to the underlying relation, handed over pre-built, or streamed through
+// a loader — are rejected before they reach storage, with AddRow's
+// message, by every registration entry point.
+func TestRegisterArity(t *testing.T) {
+	short := core.Tuple{Vals: RangeRow{CertainOf(Int(1))}, M: CertainMult(1)}
+	cases := []struct {
+		name string
+		got  int
+		load func(db *Database)
+	}{
+		{"Add, short row in the relation", 1, func(db *Database) {
+			ut := NewUncertainTable("t", "a", "b")
+			ut.Rel().Add(short)
+			db.Add(ut)
+		}},
+		{"AddDeterministic, long row in the relation", 3, func(db *Database) {
+			tb := NewTable("t", "a", "b")
+			tb.Rel().Add(Row{Int(1), Int(2), Int(3)}, 1)
+			db.AddDeterministic(tb)
+		}},
+		{"AddRelation, short row", 1, func(db *Database) {
+			rel := core.New(schema.New("a", "b"))
+			rel.Add(short)
+			db.AddRelation("t", rel)
+		}},
+		{"loader, long row", 3, func(db *Database) {
+			ld := db.NewLoader("t", "a", "b")
+			ld.Add(RangeRow{CertainOf(Int(1)), CertainOf(Int(2)), CertainOf(Int(3))}, CertainMult(1))
+			ld.Commit()
+		}},
+		{"loader, short row", 1, func(db *Database) {
+			ld := db.NewLoader("t", "a", "b")
+			ld.Add(short.Vals, short.M)
+			ld.Commit()
 		}},
 	}
 	for _, c := range cases {

@@ -6,11 +6,14 @@
 // multi-aggregate monitoring query. On this small instance it also
 // enumerates every possible world and verifies the bounds empirically —
 // the library's bound-preservation guarantee (Corollary 2) made tangible.
+// It exits with status 1 when a world escapes the bounds or the two
+// engines disagree.
 package main
 
 import (
 	"context"
 	"fmt"
+	"os"
 
 	"github.com/audb/audb"
 	"github.com/audb/audb/internal/bag"
@@ -81,8 +84,12 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("rewrite middleware agrees with the native engine: %v\n",
-		sameSize(res, res2))
+	agree := sameSize(res, res2)
+	fmt.Printf("rewrite middleware agrees with the native engine: %v\n", agree)
+	if covered != len(worldsList) || !agree {
+		fmt.Fprintln(os.Stderr, "sensors: the AU-DB result failed its check")
+		os.Exit(1)
+	}
 }
 
 func sameSize(a, b *core.Relation) bool {

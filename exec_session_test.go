@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-
-	"github.com/audb/audb/internal/core"
 )
 
 // TestExecModeEquivalence is the session-level acceptance property of the
@@ -135,14 +133,14 @@ func TestExplainAnalyze(t *testing.T) {
 	}
 }
 
-// TestExplainAnalyzeColumnar: over a sparse table, the trace reports the
-// columnar batch representation and its selection-vector density (a scan
-// emits full batches, density 1.00); the same table pinned dense takes
-// row batches and every operator reports rep=row.
+// TestExplainAnalyzeColumnar: over a registered (columnar) table, the
+// trace reports the columnar batch representation and its selection-vector
+// density (a scan emits full batches, density 1.00); the same rows
+// registered empty and filled row by row stay dense, take row batches, and
+// every operator reports rep=row.
 func TestExplainAnalyzeColumnar(t *testing.T) {
 	ctx := context.Background()
 	db := randomDB(rand.New(rand.NewSource(12)), 12)
-	forceStorage(db, "r", core.ReprForceSparse)
 	q := `SELECT a, b FROM r WHERE a <= 3`
 	exp, err := db.ExplainAnalyze(ctx, q)
 	if err != nil {
@@ -152,7 +150,7 @@ func TestExplainAnalyzeColumnar(t *testing.T) {
 	if !strings.Contains(text, "rep=col") || !strings.Contains(text, "vec=1.00") {
 		t.Fatalf("sparse-scan trace missing columnar representation:\n%s", text)
 	}
-	forceStorage(db, "r", core.ReprForceDense)
+	registerDense(db, "r")
 	exp, err = db.ExplainAnalyze(ctx, q)
 	if err != nil {
 		t.Fatal(err)

@@ -181,7 +181,7 @@ func encodeAggInput(rng *rand.Rand, rows int, boxFrac float64, keys int) []byte 
 // exactly the rows it holds, for the oracle.
 func mixedInput(rng *rand.Rand, r *Relation) (*AggInput, *Relation) {
 	sparse := r.Clone()
-	sparse.Compact(StoragePolicy{Mode: ReprForceSparse})
+	sparse.Compact(StoragePolicy{})
 	cols, mflat, mdense, _ := sparse.SparseView()
 	in := NewAggInput(0)
 	want := New(r.Schema)
@@ -270,7 +270,7 @@ func checkAggRelation(t *testing.T, in *Relation, groupBy []int, specs []ra.AggS
 	}
 	out := schema.New(names...)
 	sparse := in.Clone()
-	sparse.Compact(StoragePolicy{Mode: ReprForceSparse})
+	sparse.Compact(StoragePolicy{})
 	mixed, mixedRel := mixedInput(rand.New(rand.NewSource(seed)), in)
 	// The kernel only reads its input: a stored tuple that changed would
 	// change the table it came from.

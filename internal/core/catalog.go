@@ -15,18 +15,12 @@ import (
 //
 // The catalog guards the name → relation mapping only; the relations
 // themselves are shared. Mutating a registered relation (e.g. adding rows
-// to its table) while queries are in flight is the caller's race to avoid.
+// to its table) while queries are in flight, or registering one relation
+// in two catalogs at once, is the caller's race to avoid.
 type Catalog struct {
 	mu   sync.RWMutex
 	rels DB
 	obs  CatalogObserver
-	// seen tracks relations this catalog has already compacted, so
-	// re-registering a relation that queries may be reading never
-	// mutates its representation again (Compact runs once, before the
-	// relation's first publication, under the same lock readers take
-	// snapshots under). Only registered relations are tracked: Drop and
-	// every replacement forget the relation they unregister (forget).
-	seen map[*Relation]struct{}
 }
 
 // CatalogObserver is notified of catalog mutations — the hook the
@@ -46,7 +40,7 @@ type CatalogObserver interface {
 
 // NewCatalog creates an empty catalog.
 func NewCatalog() *Catalog {
-	return &Catalog{rels: DB{}, seen: map[*Relation]struct{}{}}
+	return &Catalog{rels: DB{}}
 }
 
 // SetObserver installs the mutation observer (nil uninstalls). Install it
@@ -63,54 +57,35 @@ func (c *Catalog) SetObserver(o CatalogObserver) {
 // name replaces it, so the catalog never holds two tables a query could
 // not tell apart.
 //
-// The first time a relation is registered, the catalog compacts it by
-// the automatic storage rule (see Compact). This happens under the
-// catalog lock before the relation becomes visible, so queries — which
-// snapshot under the same lock — only ever see a settled representation;
-// re-registering the same relation never re-compacts it.
+// The first time a relation is registered, the catalog compacts it into
+// the columnar layout (see Compact; an empty relation stays dense). This
+// happens under the catalog lock before the relation becomes visible, so
+// queries — which snapshot under the same lock — only ever see a settled
+// representation. A relation is never compacted again, even after it was
+// replaced or dropped and rows were added to it: a query's older snapshot
+// may still be scanning it.
 func (c *Catalog) Register(name string, r *Relation) {
-	c.registerWith(name, r, true)
-}
-
-// RegisterPrebuilt registers a relation whose representation was already
-// chosen (e.g. by RelationBuilder.Finish or a replacement built for a
-// flip), skipping compaction.
-func (c *Catalog) RegisterPrebuilt(name string, r *Relation) {
-	c.registerWith(name, r, false)
-}
-
-// registerWith is the insertion step shared by the Register variants.
-func (c *Catalog) registerWith(name string, r *Relation, compact bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, done := c.seen[r]; !done {
-		if compact {
-			r.Compact(StoragePolicy{})
-		}
-		c.seen[r] = struct{}{}
+	if !r.published {
+		r.Compact(StoragePolicy{})
+		r.published = true
 	}
-	var prev *Relation
-	if k, ok := schema.ResolveFold(c.rels, name); ok {
-		prev = c.rels[k]
-		if k != name {
-			delete(c.rels, k)
-			if c.obs != nil {
-				c.obs.Dropped(k)
-			}
+	if k, ok := schema.ResolveFold(c.rels, name); ok && k != name {
+		delete(c.rels, k)
+		if c.obs != nil {
+			c.obs.Dropped(k)
 		}
 	}
 	c.rels[name] = r
 	if c.obs != nil {
 		c.obs.Registered(name, r)
 	}
-	if prev != nil && prev != r {
-		c.forget(prev)
-	}
 }
 
 // ReplaceIf atomically replaces the relation registered under name with
 // repl, but only when the current entry is still old — the compare-and-
-// swap a representation flip needs so it cannot resurrect a table that a
+// swap Analyze needs so a columnar rebuild cannot resurrect a table that a
 // concurrent Register or Drop changed meanwhile. It reports whether the
 // swap happened.
 func (c *Catalog) ReplaceIf(name string, old, repl *Relation) bool {
@@ -120,13 +95,10 @@ func (c *Catalog) ReplaceIf(name string, old, repl *Relation) bool {
 	if !ok || c.rels[k] != old {
 		return false
 	}
-	c.seen[repl] = struct{}{}
+	repl.published = true
 	c.rels[k] = repl
 	if c.obs != nil {
 		c.obs.Registered(k, repl)
-	}
-	if old != repl {
-		c.forget(old)
 	}
 	return true
 }
@@ -137,27 +109,11 @@ func (c *Catalog) Drop(name string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if k, ok := schema.ResolveFold(c.rels, name); ok {
-		r := c.rels[k]
 		delete(c.rels, k)
 		if c.obs != nil {
 			c.obs.Dropped(k)
 		}
-		c.forget(r)
 	}
-}
-
-// forget drops r's compaction marker once r is no longer registered under
-// any name, so seen stays bounded by the live table count however often
-// tables are replaced. Callers hold c.mu.
-func (c *Catalog) forget(r *Relation) {
-	//lint:allow audblint-catalogsnap runs under the caller's c.mu.Lock
-	for _, other := range c.rels {
-		if other == r {
-			return
-		}
-	}
-	//lint:allow audblint-catalogsnap runs under the caller's c.mu.Lock
-	delete(c.seen, r)
 }
 
 // Lookup returns the relation registered under name, resolving it the

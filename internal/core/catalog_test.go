@@ -117,42 +117,45 @@ func TestCatalogConcurrentAccess(t *testing.T) {
 	}
 }
 
-// TestCatalogForgetsReplaced: replacing a table — by Register onto the
-// same name (any spelling) or by ReplaceIf — must forget the displaced
-// relation's compaction marker, so a catalog under replace-heavy load
-// (COPY-replace) retains only its live tables.
-func TestCatalogForgetsReplaced(t *testing.T) {
+// TestCatalogCompactsOnce: registration compacts a relation only before
+// its first publication. A relation displaced from the catalog — by
+// Register onto its name (any spelling), by ReplaceIf or by Drop — may
+// still be scanned through an older snapshot, so registering it again
+// after rows were added to it must leave it as it is, not rewrite it in
+// place; the catalog keeps no per-relation state for the displaced one.
+func TestCatalogCompactsOnce(t *testing.T) {
 	c := NewCatalog()
-	c.Register("other", catRel(-1))
-	for i := 0; i < 100; i++ {
-		name := "t"
-		if i%2 == 1 {
-			name = "T"
+	first := catRel(1)
+	c.Register("t", first)
+	if !first.IsSparse() {
+		t.Fatal("first registration did not compact a non-empty relation")
+	}
+	displace := map[string]func(rel *Relation){
+		"register": func(*Relation) { c.Register("T", catRel(2)) },
+		"replace": func(rel *Relation) {
+			if !c.ReplaceIf("t", rel, catRel(3)) {
+				t.Fatal("ReplaceIf lost the swap")
+			}
+		},
+		"drop": func(*Relation) { c.Drop("t") },
+	}
+	for name, fn := range displace {
+		// Registered empty, then filled: published and dense.
+		rel := New(schema.New("a"))
+		c.Register("t", rel)
+		rel.Add(catRel(4).Dense().Tuples[0])
+		snap := c.Snapshot()
+		fn(rel)
+		c.Register("t", rel)
+		if rel.IsSparse() {
+			t.Fatalf("%s: re-registration compacted a relation a snapshot may be scanning", name)
 		}
-		c.Register(name, catRel(int64(i)))
-	}
-	for i := 0; i < 100; i++ {
-		old, _ := c.Lookup("t")
-		if !c.ReplaceIf("t", old, catRel(int64(i))) {
-			t.Fatalf("ReplaceIf %d lost the swap", i)
+		if got, _ := snap.LookupFold("t"); got != rel || got.Len() != 1 {
+			t.Fatalf("%s: the older snapshot lost its relation", name)
 		}
 	}
-	if c.Len() != 2 {
-		t.Fatalf("catalog holds %v, want 2 tables", c.Tables())
-	}
-	if len(c.seen) > c.Len() {
-		t.Fatalf("seen retains %d relations for %d live tables", len(c.seen), c.Len())
-	}
-	// A relation registered under two names survives replacing one of them.
-	shared := catRel(7)
-	c.Register("a", shared)
-	c.Register("b", shared)
-	c.Register("a", catRel(8))
-	if _, ok := c.seen[shared]; !ok {
-		t.Fatal("relation still registered as b was forgotten")
-	}
-	if len(c.seen) > c.Len() {
-		t.Fatalf("seen retains %d relations for %d live tables", len(c.seen), c.Len())
+	if c.Len() != 1 {
+		t.Fatalf("catalog holds %v, want 1 table", c.Tables())
 	}
 }
 

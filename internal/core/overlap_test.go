@@ -147,8 +147,8 @@ func checkOverlapInputs(t *testing.T, data []byte) {
 	l, r, cond := decodeOverlapInputs(data)
 	for _, sparse := range []bool{false, true} {
 		if sparse {
-			l.Compact(StoragePolicy{Mode: ReprForceSparse})
-			r.Compact(StoragePolicy{Mode: ReprForceSparse})
+			l.Compact(StoragePolicy{})
+			r.Compact(StoragePolicy{})
 		}
 		want, err := naiveDiff(ctx, l.Dense(), r.Dense())
 		if err != nil {

@@ -73,7 +73,7 @@ func TestParallelMatchesSerialLarge(t *testing.T) {
 	rRel := genIncomplete(rng, schema.New("a", "b"), 1500)
 	sRel := genIncomplete(rng, schema.New("c", "d"), 60)
 	rc := rRel.auRelation()
-	rc.Compact(StoragePolicy{Mode: ReprForceSparse})
+	rc.Compact(StoragePolicy{})
 	db := DB{
 		"r": rRel.auRelation(), "s": sRel.auRelation(), "rc": rc,
 		"u": uncertainJoinInput("u", 1200), "v": uncertainJoinInput("v", 900),

@@ -47,6 +47,10 @@ type Relation struct {
 	// sp holds the columnar storage of a compacted relation; nil for
 	// dense relations. Invariant: sp != nil implies Tuples == nil.
 	sp *sparseRows
+	// published is set by the relation's first catalog registration,
+	// under that catalog's lock. From then on queries may be reading the
+	// relation, so registration never compacts it again.
+	published bool
 }
 
 // New creates an empty AU-relation with the given schema.

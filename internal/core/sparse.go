@@ -7,21 +7,25 @@ import (
 	"github.com/audb/audb/internal/schema"
 )
 
-// Sparse relation storage. A Relation normally stores its rows as a slice
-// of Tuples — a full [lb/sg/ub] triple per attribute and a multiplicity
-// triple per row — but on realistic workloads most values are certain, so
-// the dense layout pays 3x memory and per-attribute range arithmetic for
-// bounds that are all equal. A compacted relation instead stores columns
-// (rangeval.Col): a fully certain column is one flat value slice, an
-// uncertain column keeps its triples; multiplicities get the same
-// treatment (one int64 per row when every row's triple is (m,m,m)).
+// Columnar relation storage. Every non-empty relation the catalog holds
+// is stored by columns (rangeval.Col): a fully certain, null-free column
+// is one flat value slice, any other column keeps its [lb/sg/ub] triples,
+// and multiplicities get the same treatment (one int64 per row when every
+// row's triple is (m,m,m)). AU-DB bounds are per attribute, so a column
+// that is certain costs one value per row whatever its neighbours hold.
+//
+// The dense layout — a slice of Tuples, a full triple per attribute and a
+// multiplicity triple per row — is not a storage choice. It is the layout
+// of relations built row by row: kernel intermediates, an empty table
+// that rows are being added to, and a registered table mutated in place
+// until the next Database.Analyze stores it columnar again.
 //
 // The representation is invisible to query semantics: the pipelined
 // executor's columnar scans read the columns directly (SparseView), the
 // materialized kernels read a fresh dense view made at operator entry
-// (Dense), and any in-place mutation densifies first. A sparse relation
+// (Dense), and any in-place mutation densifies first. A columnar relation
 // is never converted back to dense in place while it may be shared (see
-// Compact); flips go through replacement registration in the catalog.
+// Compact); Analyze swaps in a rebuilt replacement in the catalog.
 
 // Repr identifies a relation's storage representation.
 type Repr uint8
@@ -41,30 +45,11 @@ func (r Repr) String() string {
 	return "dense"
 }
 
-// ReprMode selects how a relation's representation is chosen.
-type ReprMode uint8
-
-const (
-	// ReprAuto picks sparse when the flat-column fraction reaches
-	// sparseThreshold.
-	ReprAuto ReprMode = iota
-	// ReprForceDense keeps every relation dense.
-	ReprForceDense
-	// ReprForceSparse compacts every non-empty relation.
-	ReprForceSparse
-)
-
-// sparseThreshold is the flat-column fraction (the multiplicity column
-// counts as one more column) at which ReprAuto compacts a table.
-const sparseThreshold = 0.5
-
-// StoragePolicy decides the storage representation of a relation. The
-// zero value is ReprAuto, the engine's own choice from the data; the
-// forced modes exist for the dense/sparse reference tests.
-type StoragePolicy struct {
-	// Mode selects automatic choice or a forced representation.
-	Mode ReprMode
-}
+// StoragePolicy is the argument of Relation.Compact. It carries no
+// choice: every non-empty relation is stored columnar. It stays a type so
+// callers that compact a relation themselves (the benchmark passes
+// Database.StoragePolicy) keep compiling.
+type StoragePolicy struct{}
 
 // sparseRows is the columnar payload of a compacted relation.
 type sparseRows struct {
@@ -201,59 +186,18 @@ func (r *Relation) densifyInPlace() {
 	r.sp = nil
 }
 
-// flatFrac returns the fraction of the relation's columns (multiplicities
-// count as one more) that are entirely certain, or -1 when rows disagree
-// with the schema arity and the relation must stay dense.
-func flatFrac(r *Relation) float64 {
-	arity := r.Schema.Arity()
-	colFlat := make([]bool, arity)
-	for i := range colFlat {
-		colFlat[i] = true
-	}
-	multFlat := true
-	for i := range r.Tuples {
-		t := &r.Tuples[i]
-		if len(t.Vals) != arity {
-			return -1
-		}
-		if multFlat && !(t.M.Lo == t.M.SG && t.M.SG == t.M.Hi) {
-			multFlat = false
-		}
-		for c := range t.Vals {
-			if colFlat[c] && !t.Vals[c].IsCertain() {
-				colFlat[c] = false
-			}
-		}
-	}
-	flat := 0
-	for _, f := range colFlat {
-		if f {
-			flat++
-		}
-	}
-	if multFlat {
-		flat++
-	}
-	return float64(flat) / float64(arity+1)
-}
-
-// Compact converts a dense relation to the sparse representation in place
-// when the policy calls for it, returning the representation in effect.
-// An already sparse relation is left as is even under ReprForceDense:
-// compaction runs before a relation becomes visible to queries, and a
-// visible sparse relation may have concurrent readers, so sparse→dense
-// flips are done by building a replacement (see Database.Analyze), never
+// Compact converts a dense relation to the columnar representation in
+// place, returning the representation in effect. Rows must match the
+// schema's arity. An already columnar relation is left as is: compaction
+// runs before a relation becomes visible to queries, and a visible
+// columnar relation may have concurrent readers, so it is never rewritten
 // in place. Empty relations stay dense so the register-then-add-rows
 // pattern keeps appending to []Tuple.
-func (r *Relation) Compact(pol StoragePolicy) Repr {
+func (r *Relation) Compact(StoragePolicy) Repr {
 	if r.sp != nil {
 		return ReprSparse
 	}
-	if pol.Mode == ReprForceDense || len(r.Tuples) == 0 {
-		return ReprDense
-	}
-	frac := flatFrac(r)
-	if frac < 0 || (pol.Mode == ReprAuto && frac < sparseThreshold) {
+	if len(r.Tuples) == 0 {
 		return ReprDense
 	}
 	b := NewRelationBuilder(r.Schema, len(r.Tuples))
@@ -335,21 +279,6 @@ func (b *RelationBuilder) Add(t Tuple) {
 	b.n++
 }
 
-// FlatFrac returns the current flat-column fraction (multiplicities count
-// as one more column), the quantity the automatic storage rule thresholds.
-func (b *RelationBuilder) FlatFrac() float64 {
-	flat := 0
-	for i := range b.cols {
-		if b.cols[i].IsFlat() {
-			flat++
-		}
-	}
-	if b.mdense == nil {
-		flat++
-	}
-	return float64(flat) / float64(len(b.cols)+1)
-}
-
 func (b *RelationBuilder) buildSparse() *sparseRows {
 	sp := &sparseRows{n: b.n, cols: make([]rangeval.Col, len(b.cols)), mflat: b.mflat, mdense: b.mdense}
 	for i := range b.cols {
@@ -358,20 +287,12 @@ func (b *RelationBuilder) buildSparse() *sparseRows {
 	return sp
 }
 
-// Finish builds the relation, choosing the representation by policy. The
-// builder must not be reused afterwards.
-func (b *RelationBuilder) Finish(pol StoragePolicy) *Relation {
+// Finish builds the relation: columnar when it has rows, an empty dense
+// relation otherwise. The builder must not be reused afterwards.
+func (b *RelationBuilder) Finish() *Relation {
 	out := New(b.sch)
-	if b.n == 0 {
-		return out
-	}
-	sparse := pol.Mode == ReprForceSparse ||
-		(pol.Mode == ReprAuto && b.FlatFrac() >= sparseThreshold)
-	sp := b.buildSparse()
-	if sparse {
-		out.sp = sp
-	} else {
-		out.Tuples = sp.denseTuples(0, sp.n)
+	if b.n > 0 {
+		out.sp = b.buildSparse()
 	}
 	return out
 }

@@ -12,7 +12,7 @@ import (
 // representations.
 func certainRelations(rows int) (dense, sparse *Relation) {
 	sch := schema.New("a", "b")
-	bd := NewRelationBuilder(sch, rows)
+	dense = New(sch)
 	bs := NewRelationBuilder(sch, rows)
 	for i := 0; i < rows; i++ {
 		t := Tuple{
@@ -22,16 +22,14 @@ func certainRelations(rows int) (dense, sparse *Relation) {
 			},
 			M: Mult{Lo: 1, SG: 1, Hi: 1},
 		}
-		bd.Add(t)
+		dense.Add(t)
 		bs.Add(t)
 	}
-	dense = bd.Finish(StoragePolicy{Mode: ReprForceDense})
-	sparse = bs.Finish(StoragePolicy{Mode: ReprForceSparse})
-	return dense, sparse
+	return dense, bs.Finish()
 }
 
-// TestBuilderRepresentations: the builder's Finish honors the policy and
-// both representations agree tuple for tuple.
+// TestBuilderRepresentations: the builder's Finish stores columnar, and a
+// relation built row by row agrees with it tuple for tuple.
 func TestBuilderRepresentations(t *testing.T) {
 	dense, sparse := certainRelations(100)
 	if dense.IsSparse() || !sparse.IsSparse() {

@@ -3,6 +3,7 @@ package phys
 import (
 	"container/heap"
 	"context"
+	"slices"
 	"sort"
 
 	"github.com/audb/audb/internal/core"
@@ -109,9 +110,9 @@ func (s *scanIter) Schema() schema.Schema { return s.sch }
 // and annotations pass through unchanged (a certainly-true predicate
 // multiplies by the semiring one; everything else is dropped, exactly
 // FilterTuple's certain-input behavior). Any other columnar batch — and
-// any batch whose vectorized evaluation errors — is densified and re-run
-// through the per-row kernel, which also surfaces the canonical row-order
-// error.
+// any batch whose vectorized evaluation errors — is filtered in place by
+// the per-row kernel (colFilter), which also surfaces the canonical
+// row-order error.
 type selectIter struct {
 	child iter
 	pred  expr.Expr
@@ -119,16 +120,19 @@ type selectIter struct {
 
 	poll  *ctxpoll.Poll
 	prog  *expr.Prog
+	attrs []int
 	flat  [][]types.Value
 	sel   []int
+	row   rangeval.Tuple
+	mult  []core.Mult
 	buf   []core.Tuple
-	dense []core.Tuple
 	out   vec.Batch
 }
 
 func (s *selectIter) Open(ctx context.Context) error {
 	s.poll = ctxpoll.New(ctx)
 	s.prog, _ = expr.CompileVec(s.pred)
+	s.attrs = expr.Attrs(s.pred)
 	return s.child.Open(ctx)
 }
 
@@ -166,15 +170,62 @@ func (s *selectIter) Next() (*vec.Batch, error) {
 			// fall through to the per-row kernel, which reproduces
 			// the exact row-order error the reference executor reports.
 		}
-		s.dense = b.AppendTuples(s.dense[:0])
-		if err := s.rowFilter(s.dense); err != nil {
+		if err := s.colFilter(b); err != nil {
 			return nil, err
 		}
-		if len(s.buf) > 0 {
-			s.out.SetRows(s.buf)
+		if len(s.sel) > 0 {
 			return &s.out, nil
 		}
 	}
+}
+
+// colFilter runs the per-row selection kernel over a columnar batch in
+// place. Each live row gathers only the attributes the predicate reads
+// into a scratch row as wide as the batch; survivors are marked in the
+// selection vector and their multiplicities, which an uncertain predicate
+// scales, are written by physical index into a reused buffer. The columns
+// stay aliased, and when no multiplicity changed the input's pass through
+// too. Rows are visited in order, so an evaluation error is the one the
+// reference executor reports.
+func (s *selectIter) colFilter(b *vec.Batch) error {
+	width := len(b.Cols)
+	if len(s.row) < width {
+		s.row = make(rangeval.Tuple, width)
+	}
+	if len(s.mult) < b.N {
+		s.mult = make([]core.Mult, b.N)
+	}
+	row := s.row[:width]
+	s.sel = s.sel[:0]
+	scaled := false
+	filter := func(i int) error {
+		if err := s.poll.Due(); err != nil {
+			return err
+		}
+		for _, a := range s.attrs {
+			if a >= 0 && a < width {
+				row[a] = b.Cols[a].At(i)
+			}
+		}
+		m := b.MultAt(i)
+		ot, keep, err := core.FilterTuple(core.Tuple{Vals: row, M: m}, s.pred)
+		if err != nil || !keep {
+			return err
+		}
+		s.sel = append(s.sel, i)
+		s.mult[i] = ot.M
+		scaled = scaled || ot.M != m
+		return nil
+	}
+	if err := b.EachLive(filter); err != nil {
+		return err
+	}
+	s.out = *b
+	s.out.Sel = s.sel
+	if scaled {
+		s.out.MFlat, s.out.MDense = nil, s.mult[:b.N]
+	}
+	return nil
 }
 
 // flatCols gates a vectorized program on the batch at hand: every column
@@ -235,9 +286,10 @@ func (s *selectIter) Schema() schema.Schema { return s.sch }
 // permutation costs nothing), an expression that compiles and reads only
 // flat null-free columns is evaluated column-at-a-time into a reused flat
 // buffer, and everything else evaluates per row into a reused dense
-// buffer. The multiplicities and the selection vector pass through
-// untouched. Any evaluation error re-runs the batch through the canonical
-// per-row kernel, surfacing the exact row-order error.
+// buffer, gathering only the attributes the computed columns read. The
+// multiplicities and the selection vector pass through untouched. Any
+// evaluation error re-runs the batch through the canonical per-row
+// kernel, surfacing the exact row-order error.
 type projectIter struct {
 	child iter
 	cols  []ra.ProjCol
@@ -250,6 +302,7 @@ type projectIter struct {
 	planned  bool
 	alias    []int
 	progs    []*expr.Prog
+	need     []int
 	flat     [][]types.Value
 	flatOut  [][]types.Value
 	denseOut [][]rangeval.V
@@ -273,6 +326,11 @@ func (p *projectIter) Open(ctx context.Context) error {
 				continue
 			}
 			p.progs[j], _ = expr.CompileVec(c.E)
+			for _, a := range expr.Attrs(c.E) {
+				if !slices.Contains(p.need, a) {
+					p.need = append(p.need, a)
+				}
+			}
 		}
 	}
 	return p.child.Open(ctx)
@@ -338,13 +396,22 @@ func (p *projectIter) columnar(b *vec.Batch) error {
 			p.denseOut[j] = make([]rangeval.V, b.N)
 		}
 	}
+	width := len(b.Cols)
+	if len(p.scratch) < width {
+		p.scratch = make(rangeval.Tuple, width)
+	}
+	row := p.scratch[:width]
 	evalRow := func(i int) error {
 		if err := p.poll.Due(); err != nil {
 			return err
 		}
-		p.scratch = b.AppendRow(p.scratch[:0], i)
+		for _, a := range p.need {
+			if a >= 0 && a < width {
+				row[a] = b.Cols[a].At(i)
+			}
+		}
 		for _, j := range p.perRow {
-			v, err := p.cols[j].E.EvalRange(p.scratch)
+			v, err := p.cols[j].E.EvalRange(row)
 			if err != nil {
 				return p.fallback(b)
 			}
@@ -352,18 +419,8 @@ func (p *projectIter) columnar(b *vec.Batch) error {
 		}
 		return nil
 	}
-	if b.Sel != nil {
-		for _, i := range b.Sel {
-			if err := evalRow(i); err != nil {
-				return err
-			}
-		}
-	} else {
-		for i := 0; i < b.N; i++ {
-			if err := evalRow(i); err != nil {
-				return err
-			}
-		}
+	if err := b.EachLive(evalRow); err != nil {
+		return err
 	}
 	for _, j := range p.perRow {
 		p.out.Cols[j] = rangeval.ColFromDense(p.denseOut[j][:b.N])
@@ -553,20 +610,7 @@ func (l *limitIter) consume(b *vec.Batch) error {
 		}
 		return nil
 	}
-	if b.Sel != nil {
-		for _, i := range b.Sel {
-			if err := take(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for i := 0; i < b.N; i++ {
-		if err := take(i); err != nil {
-			return err
-		}
-	}
-	return nil
+	return b.EachLive(take)
 }
 
 func (l *limitIter) Close() error          { return l.child.Close() }
@@ -690,18 +734,8 @@ func (t *topkIter) consume() error {
 			seq++
 			return err
 		}
-		if b.Sel != nil {
-			for _, i := range b.Sel {
-				if err := offer(i); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		for i := 0; i < b.N; i++ {
-			if err := offer(i); err != nil {
-				return err
-			}
+		if err := b.EachLive(offer); err != nil {
+			return err
 		}
 	}
 	es := t.h.es

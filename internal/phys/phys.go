@@ -5,16 +5,17 @@
 //
 // Scan→Select→Project→Limit chains stream in fixed-size batches
 // (vec.Batch) without materializing any intermediate relation and without
-// cloning. Over a sparse base table the batches are columnar:
+// cloning. Over a stored (columnar) base table the batches are columnar:
 // struct-of-arrays views aliasing the stored rangeval.Col columns (flat
-// slices where the source column is certain) with zero densification,
-// filtered by column-at-a-time predicate programs (expr.CompileVec) that
-// mark survivors in a selection vector instead of copying them, and
-// projected by column permutation and vectorized per-column evaluation.
-// Over a dense table batches are row batches of core.Tuple and take the
-// per-row kernels: selection rewrites only the multiplicity triple, scans
-// emit views into base-table storage, and buffers are reused batch to
-// batch. LIMIT keeps O(n) state instead of merging the whole input, and
+// slices where the source column is certain, triples otherwise) with
+// zero densification, filtered in place — by column-at-a-time predicate
+// programs (expr.CompileVec) over flat columns, per row otherwise — with
+// survivors marked in a selection vector instead of copied, and projected
+// by column permutation and vectorized per-column evaluation. Over a
+// table that rows were added to in place since its last Analyze, batches
+// are row batches of core.Tuple and take the per-row kernels: selection
+// rewrites only the multiplicity triple, scans emit views into base-table
+// storage, and buffers are reused batch to batch. LIMIT keeps O(n) state instead of merging the whole input, and
 // LIMIT over ORDER BY fuses into a bounded top-k heap instead of a full
 // sort. With Workers > 1, streaming chains over a scan are partitioned
 // into contiguous ranges that run on worker goroutines and re-merge in

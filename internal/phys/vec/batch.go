@@ -1,17 +1,17 @@
 // Package vec defines the columnar batch format of the pipelined
-// executor: struct-of-arrays batches that carry the sparse storage's
+// executor: struct-of-arrays batches that carry the stored tables'
 // rangeval.Col columns (one slice per column, flat when the source column
-// is certain) and flat-or-dense multiplicities straight out of base-table
-// storage, plus a selection vector so selection marks survivors instead
-// of copying them.
+// is certain, triples otherwise) and flat-or-dense multiplicities straight
+// out of base-table storage, plus a selection vector so selection marks
+// survivors instead of copying them.
 //
 // A Batch has two representations:
 //
 //   - Row batches (Columnar == false) wrap a []core.Tuple slice — the
-//     format of dense-table scans and of everything a pipeline breaker or
-//     top-k/limit re-emits. Row batches behave exactly like the
-//     pre-columnar pipeline: appending the Tuple structs is a copy,
-//     attribute ranges stay shared and immutable.
+//     format of everything a pipeline breaker or top-k/limit re-emits,
+//     and of scans over a table that rows were added to in place since
+//     its last Analyze. Appending the Tuple structs is a copy; attribute
+//     ranges stay shared and immutable.
 //   - Columnar batches (Columnar == true) hold N physical rows as
 //     rangeval.Col column views plus one multiplicity per row (MFlat
 //     when every multiplicity is certain, MDense otherwise), with Sel
@@ -92,6 +92,25 @@ func (b *Batch) Len() int {
 		return len(b.Sel)
 	}
 	return b.N
+}
+
+// EachLive calls fn with the physical index of every live row of a
+// columnar batch, in ascending order, and stops at the first error.
+func (b *Batch) EachLive(fn func(i int) error) error {
+	if b.Sel != nil {
+		for _, i := range b.Sel {
+			if err := fn(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for i := 0; i < b.N; i++ {
+		if err := fn(i); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // MultAt returns physical row i's multiplicity triple (for a row batch, i

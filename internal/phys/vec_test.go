@@ -30,7 +30,7 @@ func certDB(t testing.TB, rows, mod int) core.DB {
 			M: core.One,
 		})
 	}
-	if rel.Compact(core.StoragePolicy{Mode: core.ReprForceSparse}) != core.ReprSparse {
+	if rel.Compact(core.StoragePolicy{}) != core.ReprSparse {
 		t.Fatal("relation did not compact to sparse")
 	}
 	if repr, flat, multFlat := rel.StorageDetail(); repr != core.ReprSparse || flat != 2 || !multFlat {
@@ -47,7 +47,7 @@ func sparsify(t testing.TB, db core.DB, names ...string) core.DB {
 		if !ok {
 			t.Fatalf("sparsify: no table %q", n)
 		}
-		if rel.Compact(core.StoragePolicy{Mode: core.ReprForceSparse}) != core.ReprSparse {
+		if rel.Compact(core.StoragePolicy{}) != core.ReprSparse {
 			t.Fatalf("sparsify: %q did not compact", n)
 		}
 	}

@@ -55,9 +55,9 @@ type session struct {
 }
 
 // copyState is an open COPY stream. Rows stream into a TableLoader, so
-// the table materializes directly in its final storage representation
-// with statistics collected in the same pass — CopyEnd publishes a fully
-// analyzed table without a second scan.
+// the table materializes directly in the columnar layout with statistics
+// collected in the same pass — CopyEnd publishes a fully analyzed table
+// without a second scan.
 type copyState struct {
 	id     uint64
 	table  string

@@ -338,11 +338,9 @@ func (d *dec) tuples() []core.Tuple {
 	return out
 }
 
-// relation decodes an AU-relation, materializing it straight into its
-// storage representation: the rows stream through a RelationBuilder, so a
-// mostly-certain result arrives in sparse columnar form without ever
-// holding the dense triples (the default auto policy decides, exactly as
-// catalog registration would).
+// relation decodes an AU-relation straight into the columnar layout
+// catalog registration uses: the rows stream through a RelationBuilder,
+// so the result never holds dense triples.
 func (d *dec) relation() *core.Relation {
 	attrs := d.strings()
 	n := d.count(2)
@@ -357,7 +355,7 @@ func (d *dec) relation() *core.Relation {
 		}
 		b.Add(t)
 	}
-	return b.Finish(core.StoragePolicy{})
+	return b.Finish()
 }
 
 // finish fails on trailing bytes, so every decoder is exact.

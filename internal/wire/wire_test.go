@@ -117,7 +117,8 @@ func TestRoundTripAllMessages(t *testing.T) {
 }
 
 // normalize maps nil and empty slices/relations to a comparable shape:
-// the wire cannot distinguish nil from empty, and does not need to.
+// the wire cannot distinguish nil from empty, and does not need to. A
+// relation is compared by its dense rows, whatever its storage layout.
 func normalize(m Msg) Msg {
 	switch m := m.(type) {
 	case HelloOK:
@@ -135,11 +136,17 @@ func normalize(m Msg) Msg {
 		m.Names = orEmpty(m.Names)
 		return m
 	case Result:
-		if m.Rel != nil && len(m.Rel.Tuples) == 0 {
-			m.Rel.Tuples = nil
-		}
-		if m.Rel != nil && len(m.Rel.Schema.Attrs) == 0 {
-			m.Rel.Schema.Attrs = nil
+		if m.Rel != nil {
+			// The decoder stores a non-empty result columnar; compare
+			// the rows, not the layout.
+			rel := *m.Rel.Dense()
+			if len(rel.Tuples) == 0 {
+				rel.Tuples = nil
+			}
+			if len(rel.Schema.Attrs) == 0 {
+				rel.Schema.Attrs = nil
+			}
+			m.Rel = &rel
 		}
 		return m
 	}

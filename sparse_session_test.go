@@ -13,10 +13,9 @@ import (
 
 // mostlyCertainRows generates rows for a two-column table where the first
 // column is always certain and the second is uncertain in roughly one row
-// out of ten — the ≥90%-certain regime the sparse representation targets.
-// A sprinkling of certain nulls and uncertain multiplicities exercises the
-// fast-path disqualification gates (a flat column with nulls, a triple
-// multiplicity) without tipping the table dense.
+// out of ten. A sprinkling of certain nulls and uncertain multiplicities
+// exercises the fast-path disqualification gates (a flat column with
+// nulls, a triple multiplicity).
 type testRow struct {
 	vals RangeRow
 	m    Multiplicity
@@ -44,41 +43,45 @@ func mostlyCertainRows(rows int, rng *rand.Rand) []testRow {
 }
 
 // storageDB builds a database holding tables r(a,b) and s(c,d) from the
-// given row sets, each built in the given representation (core.ReprAuto
-// is the representation registration picks).
-func storageDB(mode core.ReprMode, rrows, srows []testRow) *Database {
+// given row sets. Registration stores a table columnar; with dense set,
+// each table is registered empty and filled row by row afterwards, which
+// keeps it in the dense layout until the next Analyze.
+func storageDB(dense bool, rrows, srows []testRow) *Database {
 	db := New()
 	mk := func(name string, rows []testRow, cols ...string) {
-		b := core.NewRelationBuilder(schema.New(cols...), len(rows))
-		for _, row := range rows {
-			b.Add(core.Tuple{Vals: row.vals, M: row.m})
+		rel := core.New(schema.New(cols...))
+		if dense {
+			db.AddRelation(name, rel)
 		}
-		db.cat.RegisterPrebuilt(name, b.Finish(core.StoragePolicy{Mode: mode}))
+		for _, row := range rows {
+			rel.Add(core.Tuple{Vals: row.vals, M: row.m})
+		}
+		if !dense {
+			db.AddRelation(name, rel)
+		}
 	}
 	mk("r", rrows, "a", "b")
 	mk("s", srows, "c", "d")
 	return db
 }
 
-// forceStorage rebuilds a registered table in a forced representation and
-// swaps it in with a compare-and-swap replacement, the way Analyze flips
-// one.
-func forceStorage(db *Database, name string, mode core.ReprMode) {
+// registerDense re-registers a table's rows in the dense layout: an empty
+// relation is registered, then filled row by row.
+func registerDense(db *Database, name string) {
 	rel, ok := db.cat.Lookup(name)
 	if !ok {
 		return
 	}
-	b := core.NewRelationBuilder(rel.Schema, rel.Len())
-	_ = rel.EachTuple(func(t core.Tuple) error {
-		b.Add(t)
-		return nil
-	})
-	db.cat.ReplaceIf(name, rel, b.Finish(core.StoragePolicy{Mode: mode}))
+	fresh := core.New(rel.Schema)
+	db.AddRelation(name, fresh)
+	for _, t := range rel.Dense().Tuples {
+		fresh.Add(t)
+	}
 }
 
 // TestSparseDenseEquivalence is the storage layer's acceptance property: on
-// mostly-certain data, a force-sparse database and a force-dense database
-// produce bit-identical results for the full optimizer corpus across all
+// mostly-certain data, a columnar database and one whose tables were
+// filled row by row after registration (dense) produce bit-identical results for the full optimizer corpus across all
 // three engines, serial and parallel, pipelined and materialized. The
 // sparse side takes the certain-only fast paths wherever its gates allow;
 // any divergence from the dense kernels fails here before the sparse
@@ -94,15 +97,15 @@ func TestSparseDenseEquivalence(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(trial*877 + 29)))
 		rrows := mostlyCertainRows(8+rng.Intn(20), rng)
 		srows := mostlyCertainRows(8+rng.Intn(20), rng)
-		dense := storageDB(core.ReprForceDense, rrows, srows)
-		sparse := storageDB(core.ReprForceSparse, rrows, srows)
+		dense := storageDB(true, rrows, srows)
+		sparse := storageDB(false, rrows, srows)
 
 		// The representations must actually differ, or the test is vacuous.
 		if rel, _ := dense.Relation("r"); rel.IsSparse() {
-			t.Fatal("force-dense database compacted a table")
+			t.Fatal("row-by-row database compacted a table")
 		}
 		if rel, _ := sparse.Relation("r"); !rel.IsSparse() {
-			t.Fatal("force-sparse database kept a table dense")
+			t.Fatal("registration kept a table dense")
 		}
 
 		corpus := append(optCorpus(rng), sessionCorpus...)
@@ -132,11 +135,10 @@ func TestSparseDenseEquivalence(t *testing.T) {
 }
 
 // TestStorageRepresentationFlip covers the representation lifecycle: a
-// certain table compacts on registration, goes dense the moment in-place
-// updates make it uncertain, is re-evaluated by Analyze, and flips back
-// when a certain replacement is registered — with every state change
-// visible in the reported statistics and none of them changing a query's
-// answer.
+// table is stored columnar on registration, goes dense the moment in-place
+// updates add rows to it, and is stored columnar again by Analyze — with
+// every state change visible in the reported statistics and none of them
+// changing a query's answer.
 func TestStorageRepresentationFlip(t *testing.T) {
 	ctx := context.Background()
 	const q = `SELECT a, b FROM t WHERE a <= 3`
@@ -158,11 +160,6 @@ func TestStorageRepresentationFlip(t *testing.T) {
 	if !strings.Contains(ts.String(), "storage: sparse (2/2 flat columns, flat multiplicities)") {
 		t.Fatalf("stats rendering lacks the storage line:\n%s", ts)
 	}
-	want, err := db.QueryContext(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantText := want.Sort().String()
 
 	// In-place updates that introduce uncertainty densify the relation
 	// immediately — the flat columns are gone before the next query can
@@ -173,30 +170,27 @@ func TestStorageRepresentationFlip(t *testing.T) {
 	if rel, _ := db.Relation("t"); rel.IsSparse() {
 		t.Fatal("uncertain updates left the relation sparse")
 	}
+	want, err := db.QueryContext(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantText := want.Sort().String()
 
-	// Analyze re-evaluates: now mostly uncertain, the table stays dense
-	// and the statistics say so.
+	// Analyze stores the now mostly uncertain table columnar again: the
+	// certain column stays flat, the uncertain one and the multiplicities
+	// keep their triples, and the statistics say so.
 	ts, err = db.Analyze("t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ts.Rows != 100 || ts.Storage != core.ReprDense {
+	if ts.Rows != 100 || ts.Storage != core.ReprSparse || ts.FlatCols != 1 || ts.MultFlat {
 		t.Fatalf("post-update Analyze: %+v", ts)
 	}
-	if !strings.Contains(ts.String(), "storage: dense") {
-		t.Fatalf("stats rendering lacks the dense storage line:\n%s", ts)
+	if !strings.Contains(ts.String(), "storage: sparse (1/2 flat columns, triple multiplicities)") {
+		t.Fatalf("stats rendering lacks the storage line:\n%s", ts)
 	}
-
-	// Re-registering a fully certain replacement flips back to sparse
-	// under the auto policy, every column and the multiplicities flat.
-	repl := NewUncertainTable("t", "a", "b")
-	for i := 0; i < 40; i++ {
-		repl.AddRow(RangeRow{CertainOf(Int(int64(i % 7))), CertainOf(Int(int64(i)))}, CertainMult(1))
-	}
-	db.Add(repl)
-	rel, _ := db.Relation("t")
-	if repr, flat, multFlat := rel.StorageDetail(); repr != core.ReprSparse || flat != 2 || !multFlat {
-		t.Fatalf("certain replacement storage = %v, %d flat cols, flat mults %v; want sparse, 2, true", repr, flat, multFlat)
+	if rel, _ := db.Relation("t"); !rel.IsSparse() {
+		t.Fatal("Analyze left the relation dense")
 	}
 	got, err := db.QueryContext(ctx, q)
 	if err != nil {
@@ -211,91 +205,62 @@ func TestStorageRepresentationFlip(t *testing.T) {
 	}
 }
 
-// TestStorageFlipRace races representation flips (Analyze, forced
-// replacements, re-registration) against concurrent queries and statistics reads, run
-// under -race: flips happen by atomically registering replacement
-// relations, so queries must keep executing over consistent snapshots and
-// must never observe a half-flipped table. Goroutines never mutate a
-// shared relation — only re-register different ones (the supported
-// pattern, as in TestStatsLifecycleRace).
+// TestStorageFlipRace races the one remaining representation change —
+// Analyze swapping a columnar rebuild in for a table that in-place updates
+// left dense — against concurrent Analyze calls, queries and statistics
+// reads, run under -race. Each round fills a freshly registered table
+// before any reader starts (mutating a table queries may be reading is the
+// caller's race to avoid); the racing Analyze calls settle on one
+// replacement, and every query answers over a consistent snapshot.
 func TestStorageFlipRace(t *testing.T) {
+	ctx := context.Background()
+	const q = `SELECT r.a, s.d FROM r JOIN s ON r.a = s.c WHERE r.b < 4`
 	rng := rand.New(rand.NewSource(11))
 	rrows := mostlyCertainRows(40, rng)
 	srows := mostlyCertainRows(40, rng)
-	db := storageDB(core.ReprAuto, rrows, srows)
-
-	// Pre-built replacements alternating between mostly-certain (compacts)
-	// and mostly-uncertain (stays dense), so re-registration keeps flipping
-	// the representation back and forth.
-	repl := make([]*UncertainTable, 4)
-	for i := range repl {
-		tb := NewUncertainTable("r", "a", "b")
-		for j := 0; j < 30; j++ {
-			if i%2 == 0 {
-				tb.AddRow(RangeRow{CertainOf(Int(int64(j % 5))), CertainOf(Int(int64(j)))}, CertainMult(1))
-			} else {
-				tb.AddRow(RangeRow{Range(Int(0), Int(int64(j%5)), Int(9)), CertainOf(Int(int64(j)))}, Mult(0, 1, 2))
-			}
+	want, err := storageDB(false, rrows, srows).QueryContext(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantText := want.Sort().String()
+	for round := 0; round < 8; round++ {
+		db := storageDB(true, rrows, srows)
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < 5; i++ {
+					if w%2 == 0 {
+						if _, err := db.Analyze("r"); err != nil {
+							t.Error(err)
+						}
+						db.TableStats("s")
+						continue
+					}
+					res, err := db.QueryContext(ctx, q, WithWorkers(2))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if got := res.Sort().String(); got != wantText {
+						t.Errorf("round %d: answer changed during the flip:\n%s\nvs\n%s", round, wantText, got)
+						return
+					}
+				}
+			}(w)
 		}
-		repl[i] = tb
-	}
-
-	const q = `SELECT r.a, s.d FROM r JOIN s ON r.a = s.c WHERE r.b < 4`
-	var mutators sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		mutators.Add(1)
-		go func(w int) {
-			defer mutators.Done()
-			for i := 0; i < 50; i++ {
-				switch (w + i) % 4 {
-				case 0:
-					db.Add(repl[i%len(repl)])
-				case 1:
-					db.Analyze("r") // may race a re-registration; only data races matter
-				case 2:
-					forceStorage(db, "r", core.ReprForceSparse)
-				default:
-					forceStorage(db, "r", core.ReprForceDense)
-				}
-			}
-		}(w)
-	}
-	stop := make(chan struct{})
-	var readers sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		readers.Add(1)
-		go func() {
-			defer readers.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				res, err := db.QueryContext(context.Background(), q, WithWorkers(2))
-				if err == nil && res == nil {
-					t.Error("nil result without error")
-					return
-				}
-				db.TableStats("r")
-			}
-		}()
-	}
-	mutators.Wait()
-	close(stop)
-	readers.Wait()
-
-	// The catalog settles on whichever replacement won; a final Analyze
-	// must serve statistics consistent with the registered relation.
-	ts, err := db.Analyze("r")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel, err := db.Relation("r")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if (ts.Storage == core.ReprSparse) != rel.IsSparse() {
-		t.Fatalf("statistics disagree with the relation: stats=%v sparse=%v", ts.Storage, rel.IsSparse())
+		wg.Wait()
+		ts, err := db.Analyze("r")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, err := db.Relation("r")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rel.IsSparse() || ts.Storage != core.ReprSparse {
+			t.Fatalf("round %d: after Analyze the table is %v, its statistics say %v; want sparse", round, rel.Repr(), ts.Storage)
+		}
 	}
 }
