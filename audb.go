@@ -199,8 +199,12 @@ func checkArity(table string, got, want int) {
 	}
 }
 
-// Rel exposes the underlying AU-relation (advanced use).
-func (t *UncertainTable) Rel() *core.Relation { return t.rel }
+// Rel exposes the underlying AU-relation (advanced use): the one the
+// catalog holds, also after Analyze rebuilt the table (see Analyze).
+func (t *UncertainTable) Rel() *core.Relation {
+	t.rel = t.rel.Live()
+	return t.rel
+}
 
 // Result is an AU-relation produced by a query. Each tuple pairs
 // range-annotated values with a multiplicity triple.
@@ -386,8 +390,9 @@ func (d *Database) defaults() Options {
 // Add registers an uncertain table. It panics when a row's length
 // differs from the table's column count.
 func (d *Database) Add(t *UncertainTable) *Database {
-	checkRows(t.Name, t.rel)
-	d.cat.Register(t.Name, t.rel)
+	rel := t.Rel()
+	checkRows(t.Name, rel)
+	d.cat.Register(t.Name, rel)
 	return d
 }
 
@@ -468,11 +473,12 @@ func (d *Database) StoragePolicy() StoragePolicy { return StoragePolicy{} }
 // Analyze also restores the columnar layout: a non-empty table that
 // in-place mutation left dense is replaced by a columnar copy with a
 // compare-and-swap, so a concurrent Register or Drop is never clobbered
-// and the relation queries may be scanning is never mutated. A table
-// handle registered before keeps the replaced relation: rows it adds
-// afterwards reach queries only once the handle is added again. The
-// refreshed statistics are primed into the registry (guarded the same
-// way, see stats.Registry.Prime).
+// and the relation queries may be scanning is never mutated. The replaced
+// relation forwards to the copy (core.Relation.Live), so rows added
+// afterwards through an UncertainTable or a relation handle taken before
+// the swap reach the registered table. The refreshed statistics are
+// primed into the registry (guarded the same way, see
+// stats.Registry.Prime).
 func (d *Database) Analyze(name string) (*TableStats, error) {
 	rel, ok := d.cat.Lookup(name)
 	if !ok {

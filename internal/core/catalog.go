@@ -63,10 +63,12 @@ func (c *Catalog) SetObserver(o CatalogObserver) {
 // queries — which snapshot under the same lock — only ever see a settled
 // representation. A relation is never compacted again, even after it was
 // replaced or dropped and rows were added to it: a query's older snapshot
-// may still be scanning it.
+// may still be scanning it. Registering a relation that ReplaceIf retired
+// registers its live replacement.
 func (c *Catalog) Register(name string, r *Relation) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	r = r.Live()
 	if !r.published {
 		r.Compact(StoragePolicy{})
 		r.published = true
@@ -87,7 +89,9 @@ func (c *Catalog) Register(name string, r *Relation) {
 // repl, but only when the current entry is still old — the compare-and-
 // swap Analyze needs so a columnar rebuild cannot resurrect a table that a
 // concurrent Register or Drop changed meanwhile. It reports whether the
-// swap happened.
+// swap happened. On a swap old forwards to repl (see Relation.Live): repl
+// is a copy of old's rows, and rows added through a handle on old must
+// reach the table, not the retired copy.
 func (c *Catalog) ReplaceIf(name string, old, repl *Relation) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -96,6 +100,7 @@ func (c *Catalog) ReplaceIf(name string, old, repl *Relation) bool {
 		return false
 	}
 	repl.published = true
+	old.successor = repl
 	c.rels[k] = repl
 	if c.obs != nil {
 		c.obs.Registered(k, repl)

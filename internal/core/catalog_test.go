@@ -159,6 +159,38 @@ func TestCatalogCompactsOnce(t *testing.T) {
 	}
 }
 
+// TestCatalogReplaceForwards: a relation ReplaceIf retired forwards to its
+// replacement. Rows added to it land in the registered table, registering
+// it registers the replacement, and a snapshot taken before the swap keeps
+// the retired relation's rows unchanged.
+func TestCatalogReplaceForwards(t *testing.T) {
+	c := NewCatalog()
+	old := New(schema.New("a"))
+	c.Register("t", old)
+	old.Add(catRel(1).Dense().Tuples[0])
+	snap := c.Snapshot()
+	repl := old.ShallowClone()
+	repl.Compact(StoragePolicy{})
+	if !c.ReplaceIf("t", old, repl) {
+		t.Fatal("ReplaceIf lost the swap")
+	}
+	if old.Live() != repl || repl.Live() != repl {
+		t.Fatal("the retired relation does not forward to its replacement")
+	}
+	old.Add(catRel(1).Dense().Tuples[0])
+	if got, _ := c.Lookup("t"); got != repl || got.Len() != 2 {
+		t.Fatalf("a row added to the retired relation missed the table (%d rows)", got.Len())
+	}
+	if got, _ := snap.LookupFold("t"); got != old || got.Len() != 1 {
+		t.Fatal("the older snapshot's relation changed")
+	}
+	c.Drop("t")
+	c.Register("t", old)
+	if got, _ := c.Lookup("t"); got != repl {
+		t.Fatal("registering the retired relation did not register its replacement")
+	}
+}
+
 // eventObserver records catalog mutation notifications in order.
 type eventObserver struct {
 	mu     sync.Mutex

@@ -51,6 +51,11 @@ type Relation struct {
 	// under that catalog's lock. From then on queries may be reading the
 	// relation, so registration never compacts it again.
 	published bool
+	// successor is the relation that replaced this one in a catalog
+	// (Catalog.ReplaceIf, Analyze's columnar rebuild), set under that
+	// catalog's lock; nil while the relation is live. Add and Live follow
+	// it, so a handle kept across the swap keeps reaching queries.
+	successor *Relation
 }
 
 // New creates an empty AU-relation with the given schema.
@@ -68,15 +73,28 @@ func FromDeterministic(r *bag.Relation) *Relation {
 }
 
 // Add appends a tuple unless its annotation is zero or invalid-by-zero.
-// Adding to a sparse relation densifies it first: a mutated table can no
-// longer trust its compaction-time certainty analysis, so it flips back
-// to dense until the next registration or Analyze re-evaluates it.
+// Adding to a columnar relation densifies it first: rows appended in
+// place are stored dense until the next Analyze rebuilds the table
+// columnar. Adding to a relation that a catalog replaced appends to its
+// replacement (see Live), so the row reaches the registered table.
 func (r *Relation) Add(t Tuple) {
 	if t.M.Hi <= 0 {
 		return
 	}
+	r = r.Live()
 	r.densifyInPlace()
 	r.Tuples = append(r.Tuples, t)
+}
+
+// Live returns the relation that currently stands for r: r itself, or,
+// when a catalog replaced r with a rebuilt copy (Analyze), the latest
+// replacement. A replaced relation keeps its rows for the snapshots that
+// may still scan it but takes no new ones.
+func (r *Relation) Live() *Relation {
+	for r.successor != nil {
+		r = r.successor
+	}
+	return r
 }
 
 // Len returns the number of stored AU-tuples.

@@ -205,6 +205,65 @@ func TestStorageRepresentationFlip(t *testing.T) {
 	}
 }
 
+// TestRowsAfterAnalyzeReachQueries adds rows through handles taken before
+// Analyze swapped a columnar copy into the catalog: an UncertainTable, on
+// mostly uncertain and on certain data, and a relation handle from
+// Database.Relation, across two Analyze calls. Every row must reach
+// queries, also after the table handle is dropped and added again.
+func TestRowsAfterAnalyzeReachQueries(t *testing.T) {
+	ctx := context.Background()
+	for _, uncertain := range []bool{true, false} {
+		db := New()
+		tbl := NewUncertainTable("t", "a", "b")
+		n := 0
+		add := func(k int) {
+			for i := 0; i < k; i++ {
+				b := CertainOf(Int(int64(n)))
+				if uncertain {
+					b = Range(Int(0), Int(int64(n)), Int(int64(n+5)))
+				}
+				tbl.AddRow(RangeRow{CertainOf(Int(int64(n))), b}, CertainMult(1))
+				n++
+			}
+		}
+		check := func(step string) {
+			t.Helper()
+			res, err := db.QueryContext(ctx, `SELECT a FROM t`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Len() != n {
+				t.Fatalf("uncertain=%v, %s: query sees %d rows, %d were added", uncertain, step, res.Len(), n)
+			}
+		}
+		db.Add(tbl)
+		add(3)
+		for round := 0; round < 2; round++ {
+			if _, err := db.Analyze("t"); err != nil {
+				t.Fatal(err)
+			}
+			if rel, _ := db.Relation("t"); !rel.IsSparse() {
+				t.Fatalf("uncertain=%v: Analyze left the table dense", uncertain)
+			}
+			add(2)
+			check("AddRow after Analyze")
+		}
+		rel, _ := db.Relation("t")
+		if _, err := db.Analyze("t"); err != nil {
+			t.Fatal(err)
+		}
+		rel.Add(core.Tuple{Vals: RangeRow{CertainOf(Int(int64(n))), CertainOf(Int(0))}, M: CertainMult(1)})
+		n++
+		check("Relation.Add after Analyze")
+		if tbl.Rel() != rel.Live() {
+			t.Fatalf("uncertain=%v: table handle does not follow the swap", uncertain)
+		}
+		db.Drop("t")
+		db.Add(tbl)
+		check("re-adding the handle")
+	}
+}
+
 // TestStorageFlipRace races the one remaining representation change —
 // Analyze swapping a columnar rebuild in for a table that in-place updates
 // left dense — against concurrent Analyze calls, queries and statistics
