@@ -672,7 +672,7 @@ func (k *aggKernel) foldRow(pt *aggPart, i, r int, args []rangeval.V, w *walker,
 		ms.lo += c.m.Lo
 	}
 	ms.sg += c.m.SG
-	ms.hi += c.m.Hi
+	ms.hi = addHi(ms.hi, c.m.Hi)
 
 	switch {
 	case k.compression > 0:
@@ -994,7 +994,7 @@ func compressContribs(cs []contrib, n int) []contrib {
 		}
 		for _, c := range sorted[start+1 : end] {
 			merged.gb = merged.gb.Union(c.gb)
-			merged.m.Hi += c.m.Hi
+			merged.m.Hi = addHi(merged.m.Hi, c.m.Hi)
 			for j := range merged.args {
 				merged.args[j] = merged.args[j].Union(c.args[j])
 			}

@@ -30,8 +30,9 @@ import (
 // their SG keys are equal, so both sums are one lookup each, plus the
 // probed boxes that overlap t on every attribute. A box left tuple is
 // certainly equal to nothing; its overlap sum comes from probing an index
-// over all of r, again checking every attribute. The sums are int64, so
-// the order rows are added in cannot change them.
+// over all of r, again checking every attribute. The sums are int64, and
+// the upper-bound sums saturate at MaxInt64 (addHi), so the order rows are
+// added in cannot change them.
 func DiffRelations(ctx context.Context, l, r *Relation) (*Relation, error) {
 	if l.Schema.Arity() != r.Schema.Arity() {
 		return nil, fmt.Errorf("core: difference arity mismatch %s vs %s", l.Schema, r.Schema)
@@ -55,7 +56,7 @@ func diffRelations(ctx context.Context, l, r *Relation) (*Relation, error) {
 		rSG[k] += rt.M.SG
 		if rt.Vals.IsCertain() {
 			pointLo[k] += rt.M.Lo
-			pointHi[k] += rt.M.Hi
+			pointHi[k] = addHi(pointHi[k], rt.M.Hi)
 		} else {
 			boxes = append(boxes, j)
 		}
@@ -88,7 +89,7 @@ func diffRelations(ctx context.Context, l, r *Relation) (*Relation, error) {
 				return nil, err
 			}
 			if rt := r.Tuples[j]; lt.Vals.Overlaps(rt.Vals) { // t ≃ t'
-				overlapHi += rt.M.Hi
+				overlapHi = addHi(overlapHi, rt.M.Hi)
 			}
 		}
 		m := Mult{

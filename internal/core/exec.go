@@ -207,14 +207,18 @@ func exec(ctx context.Context, n ra.Node, db DB, cat ra.Catalog, opt Options) (*
 
 // condMult maps a range-annotated boolean to an N^AU element (Definition 19
 // and 20): true components become 1, false components 0.
-func condMult(v rangeval.V) Mult {
-	b2i := func(x types.Value) int64 {
-		if x.Kind() == types.KindBool && x.AsBool() {
+func condMult(v rangeval.V) Mult { return TruthMult(expr.TruthOf(v)) }
+
+// TruthMult is condMult over a condition's truths, as the range-vector
+// program returns them.
+func TruthMult(t expr.Truth) Mult {
+	b2i := func(b bool) int64 {
+		if b {
 			return 1
 		}
 		return 0
 	}
-	return Mult{b2i(v.Lo), b2i(v.SG), b2i(v.Hi)}
+	return Mult{b2i(t.Lo), b2i(t.SG), b2i(t.Hi)}
 }
 
 // FilterTuple is the per-tuple selection kernel (Section 7): the tuple's

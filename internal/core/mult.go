@@ -10,7 +10,11 @@
 // (Theorems 3, 4, 6 and Corollary 2).
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"math/bits"
+)
 
 // Mult is an element of N^AU (Definition 11 for K = N): a triple
 // (Lo, SG, Hi) with 0 <= Lo <= SG <= Hi in the natural order of N.
@@ -30,14 +34,41 @@ func (m Mult) Valid() bool { return 0 <= m.Lo && m.Lo <= m.SG && m.SG <= m.Hi }
 // IsZero reports whether m is the zero annotation.
 func (m Mult) IsZero() bool { return m == Zero }
 
-// Add is pointwise semiring addition in N^AU.
+// Add is pointwise semiring addition in N^AU. The upper bound saturates
+// at MaxInt64 (see addHi).
 func (m Mult) Add(o Mult) Mult {
-	return Mult{m.Lo + o.Lo, m.SG + o.SG, m.Hi + o.Hi}
+	return Mult{m.Lo + o.Lo, m.SG + o.SG, addHi(m.Hi, o.Hi)}
 }
 
-// Mul is pointwise semiring multiplication in N^AU.
+// Mul is pointwise semiring multiplication in N^AU. The upper bound
+// saturates at MaxInt64 (see mulHi).
 func (m Mult) Mul(o Mult) Mult {
-	return Mult{m.Lo * o.Lo, m.SG * o.SG, m.Hi * o.Hi}
+	return Mult{m.Lo * o.Lo, m.SG * o.SG, mulHi(m.Hi, o.Hi)}
+}
+
+// addHi adds two multiplicity upper bounds, saturating at MaxInt64 where
+// the sum of two non-negative bounds would wrap. A saturated bound is
+// loose, but it still bounds the multiplicity in every world; a wrapped
+// one does not.
+func addHi(a, b int64) int64 {
+	s := a + b
+	if a >= 0 && b >= 0 && s < 0 {
+		return math.MaxInt64
+	}
+	return s
+}
+
+// mulHi multiplies two multiplicity upper bounds, saturating at MaxInt64
+// as addHi does.
+func mulHi(a, b int64) int64 {
+	if a < 0 || b < 0 {
+		return a * b
+	}
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	if hi != 0 || lo > math.MaxInt64 {
+		return math.MaxInt64
+	}
+	return int64(lo)
 }
 
 // MonusBounds is the bound-preserving difference of Section 8.2: the lower

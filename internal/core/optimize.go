@@ -206,7 +206,7 @@ func CompressWithBoundaries(r *Relation, attr int, bounds []types.Value) *Relati
 		b := bucketOf(t.Vals[attr].Lo)
 		if cur, ok := acc[b]; ok {
 			cur.Vals = cur.Vals.Union(t.Vals)
-			cur.M.Hi += t.M.Hi
+			cur.M.Hi = addHi(cur.M.Hi, t.M.Hi)
 			continue
 		}
 		cp := t.Clone()

@@ -1,0 +1,108 @@
+package core
+
+import (
+	"context"
+	"math"
+	"testing"
+
+	"github.com/audb/audb/internal/ra"
+	"github.com/audb/audb/internal/rangeval"
+	"github.com/audb/audb/internal/schema"
+	"github.com/audb/audb/internal/types"
+)
+
+// half is just over half of MaxInt64: two of them overflow a sum, and
+// their product overflows many times over.
+const half = math.MaxInt64/2 + 5
+
+// TestMultHiSaturates: every place that sums or multiplies multiplicity
+// upper bounds saturates at MaxInt64 instead of wrapping, so the possible
+// multiplicity stays bounded. Each case is one such site, fed bounds that
+// overflow int64.
+func TestMultHiSaturates(t *testing.T) {
+	ctx := context.Background()
+	big := Mult{Lo: 0, SG: 1, Hi: half}
+	one := func(m Mult, vals ...rangeval.V) *Relation {
+		attrs := []string{"a", "b"}[:len(vals)]
+		r := New(schema.New(attrs...))
+		r.Add(Tuple{Vals: vals, M: m})
+		return r
+	}
+	cases := []struct {
+		name string
+		got  func(t *testing.T) Mult
+		want Mult
+	}{
+		{"Mult.Add", func(*testing.T) Mult { return big.Add(big) }, Mult{0, 2, math.MaxInt64}},
+		{"Mult.Add at MaxInt64", func(*testing.T) Mult {
+			return Mult{0, 0, math.MaxInt64}.Add(Mult{0, 0, 1})
+		}, Mult{0, 0, math.MaxInt64}},
+		{"Mult.Mul", func(*testing.T) Mult { return big.Mul(big) }, Mult{0, 1, math.MaxInt64}},
+		{"Mult.Mul at MaxInt64", func(*testing.T) Mult {
+			return Mult{1, 1, math.MaxInt64}.Mul(Mult{1, 1, 2})
+		}, Mult{1, 1, math.MaxInt64}},
+		{"Mult.Mul exact below MaxInt64", func(*testing.T) Mult {
+			return Mult{1, 1, math.MaxInt64 / 3}.Mul(Mult{0, 1, 3})
+		}, Mult{0, 1, math.MaxInt64 / 3 * 3}},
+		{"join", func(t *testing.T) Mult {
+			// The reproducer: at the parent the join returned (0,1,16).
+			out, err := JoinRelations(ctx, one(big, civ(1)), one(big, civ(1)), nil, Options{Workers: 1})
+			if err != nil || len(out.Tuples) != 1 {
+				t.Fatalf("join: %v, %v", out, err)
+			}
+			return out.Tuples[0].M
+		}, Mult{0, 1, math.MaxInt64}},
+		{"aggregation group annotation", func(t *testing.T) Mult {
+			in := New(schema.New("g"))
+			in.Add(Tuple{Vals: rangeval.Tuple{civ(1)}, M: big})
+			in.Add(Tuple{Vals: rangeval.Tuple{civ(1)}, M: big})
+			out, err := AggRelations(ctx, in, []int{0}, []ra.AggSpec{{Fn: ra.AggCount, Name: "n"}}, schema.New("g", "n"), Options{Workers: 1})
+			if err != nil || len(out.Tuples) != 1 {
+				t.Fatalf("aggregation: %v, %v", out, err)
+			}
+			return out.Tuples[0].M
+		}, Mult{0, 1, math.MaxInt64}},
+		{"compressContribs", func(*testing.T) Mult {
+			c := contrib{gb: rangeval.Tuple{civ(1)}, m: big}
+			return compressContribs([]contrib{c, c, c}, 1)[0].m
+		}, Mult{0, 0, math.MaxInt64}},
+		{"CompressWithBoundaries", func(t *testing.T) Mult {
+			r := New(schema.New("a"))
+			r.Add(Tuple{Vals: rangeval.Tuple{civ(1)}, M: big})
+			r.Add(Tuple{Vals: rangeval.Tuple{civ(2)}, M: big})
+			out := CompressWithBoundaries(r, 0, []types.Value{types.Int(10)})
+			if len(out.Tuples) != 1 {
+				t.Fatalf("compression: %v", out)
+			}
+			return out.Tuples[0].M
+		}, Mult{0, 0, math.MaxInt64}},
+		{"difference over points", func(t *testing.T) Mult {
+			// Two certain right rows equal to the left one: their upper
+			// bounds sum past MaxInt64, so nothing of the left row is
+			// certain. A wrapped sum made its Lo 5.
+			r := one(Mult{0, 0, half}, civ(1))
+			r.Add(Tuple{Vals: rangeval.Tuple{civ(1)}, M: Mult{0, 0, half}})
+			out, err := DiffRelations(ctx, one(Mult{1, 5, 5}, civ(1)), r)
+			if err != nil || len(out.Tuples) != 1 {
+				t.Fatalf("difference: %v, %v", out, err)
+			}
+			return out.Tuples[0].M
+		}, Mult{0, 5, 5}},
+		{"difference over boxes", func(t *testing.T) Mult {
+			r := one(Mult{0, 0, half}, iv(0, 2, 3))
+			r.Add(Tuple{Vals: rangeval.Tuple{iv(-1, 0, 1)}, M: Mult{0, 0, half}})
+			out, err := DiffRelations(ctx, one(Mult{1, 5, 5}, civ(1)), r)
+			if err != nil || len(out.Tuples) != 1 {
+				t.Fatalf("difference: %v, %v", out, err)
+			}
+			return out.Tuples[0].M
+		}, Mult{0, 5, 5}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if got := c.got(t); got != c.want {
+				t.Errorf("%v, want %v", got, c.want)
+			}
+		})
+	}
+}

@@ -39,7 +39,7 @@ func naiveDiff(ctx context.Context, l, r *Relation) (*Relation, error) {
 				return nil, err
 			}
 			if lt.Vals.Overlaps(rt.Vals) {
-				overlapHi += rt.M.Hi
+				overlapHi = addHi(overlapHi, rt.M.Hi)
 			}
 			if lt.Vals.CertainlyEqual(rt.Vals) {
 				certLo += rt.M.Lo

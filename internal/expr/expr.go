@@ -8,6 +8,16 @@
 //   - range-annotated evaluation over tuples of [lb/sg/ub] triples
 //     (Definition 9), which is bound preserving (Theorem 1).
 //
+// Each semantics has a per-row evaluator (Eval, EvalRange) and a
+// column-at-a-time one for the pipelined executor's columnar batches:
+// Prog (CompileVec) evaluates deterministically over flat, null-free
+// columns, where it agrees with EvalRange, and RangeProg (CompileRange)
+// evaluates the range semantics over any columns, calling the rule
+// functions EvalRange calls (RangeCmp, RangeLogic, RangeNot, RangeIsNull,
+// RangeArith, RangeNAry, RangeIf). When a program fails on a batch, the
+// executor re-evaluates it per row, which reports the reference
+// executor's row-order error.
+//
 // Null handling in the deterministic semantics follows the pragmatics of the
 // paper's implementation: arithmetic propagates null, comparisons against
 // null are false, and logical connectives treat null as false. Completely
@@ -150,12 +160,16 @@ func (l Logic) EvalRange(t rangeval.Tuple) (rangeval.V, error) {
 	if err != nil {
 		return rangeval.V{}, err
 	}
-	alo, asg, ahi := truth(a.Lo), truth(a.SG), truth(a.Hi)
-	blo, bsg, bhi := truth(b.Lo), truth(b.SG), truth(b.Hi)
-	if l.Op == OpAnd {
-		return boolRange(alo && blo, asg && bsg, ahi && bhi), nil
+	return RangeLogic(l.Op, TruthOf(a), TruthOf(b)).V(), nil
+}
+
+// RangeLogic applies op to two range booleans: the rule Logic.EvalRange
+// applies once both operands are evaluated.
+func RangeLogic(op LogicOp, a, b Truth) Truth {
+	if op == OpAnd {
+		return newTruth(a.Lo && b.Lo, a.SG && b.SG, a.Hi && b.Hi)
 	}
-	return boolRange(alo || blo, asg || bsg, ahi || bhi), nil
+	return newTruth(a.Lo || b.Lo, a.SG || b.SG, a.Hi || b.Hi)
 }
 
 func (l Logic) String() string {
@@ -183,13 +197,33 @@ func (n Not) EvalRange(t rangeval.Tuple) (rangeval.V, error) {
 	if err != nil {
 		return rangeval.V{}, err
 	}
-	return boolRange(!truth(v.Hi), !truth(v.SG), !truth(v.Lo)), nil
+	return RangeNot(TruthOf(v)).V(), nil
 }
+
+// RangeNot negates a range boolean per Definition 9: lb := ¬ub, ub := ¬lb.
+func RangeNot(t Truth) Truth { return newTruth(!t.Hi, !t.SG, !t.Lo) }
 
 func (n Not) String() string { return "NOT " + n.E.String() }
 
-func boolRange(lo, sg, hi bool) rangeval.V {
-	return rangeval.New(types.Bool(lo), types.Bool(sg), types.Bool(hi))
+// Truth is a range-annotated boolean as the truth of its three
+// components: Lo holds in every world, SG in the selected-guess world and
+// Hi in some world. The boolean nodes (Cmp, Logic, Not, IsNull) produce
+// it normalized, as rangeval.New normalizes [lo/sg/hi]: Lo implies SG
+// and SG implies Hi.
+type Truth struct{ Lo, SG, Hi bool }
+
+// newTruth normalizes three truths as rangeval.New normalizes the
+// booleans [lo/sg/hi] (false < true): lo ← lo∧sg, hi ← hi∨sg.
+func newTruth(lo, sg, hi bool) Truth { return Truth{Lo: lo && sg, SG: sg, Hi: hi || sg} }
+
+// TruthOf reads a range value as a range boolean: each component holds
+// when it is the boolean true. The result is normalized only when v is a
+// range boolean.
+func TruthOf(v rangeval.V) Truth { return Truth{Lo: truth(v.Lo), SG: truth(v.SG), Hi: truth(v.Hi)} }
+
+// V returns t as the range boolean [Lo/SG/Hi], normalized.
+func (t Truth) V() rangeval.V {
+	return rangeval.New(types.Bool(t.Lo), types.Bool(t.SG), types.Bool(t.Hi))
 }
 
 // ------------------------------------------------------------ comparison --
@@ -247,27 +281,29 @@ func (c Cmp) Eval(t types.Tuple) (types.Value, error) {
 	if err != nil {
 		return types.Null(), err
 	}
-	if lv.IsNull() || rv.IsNull() {
-		// SQL-style: comparisons with null do not hold.
-		return types.Bool(false), nil
+	return types.Bool(cmpHolds(c.Op, lv, rv)), nil
+}
+
+// cmpHolds is the deterministic comparison: SQL-style, a comparison with
+// null does not hold.
+func cmpHolds(op CmpOp, a, b types.Value) bool {
+	if a.IsNull() || b.IsNull() {
+		return false
 	}
-	cmp := types.Compare(lv, rv)
-	var out bool
-	switch c.Op {
+	cmp := types.Compare(a, b)
+	switch op {
 	case OpEq:
-		out = cmp == 0
+		return cmp == 0
 	case OpNeq:
-		out = cmp != 0
+		return cmp != 0
 	case OpLt:
-		out = cmp < 0
+		return cmp < 0
 	case OpLeq:
-		out = cmp <= 0
+		return cmp <= 0
 	case OpGt:
-		out = cmp > 0
-	case OpGeq:
-		out = cmp >= 0
+		return cmp > 0
 	}
-	return types.Bool(out), nil
+	return cmp >= 0
 }
 
 // EvalRange implements the comparison bounds of Definition 9.
@@ -280,20 +316,26 @@ func (c Cmp) EvalRange(t rangeval.Tuple) (rangeval.V, error) {
 	if err != nil {
 		return rangeval.V{}, err
 	}
-	sgv, err := c.Eval(rangeSG(t))
-	if err != nil {
-		return rangeval.V{}, err
-	}
-	sg := truth(sgv)
+	return RangeCmp(c.Op, &a, &b).V(), nil
+}
+
+// RangeCmp compares two range values under Definition 9: the rule
+// Cmp.EvalRange applies once both operands are evaluated. The SG truth is
+// the deterministic comparison of the two SG components: a successful
+// EvalRange's SG is what Eval returns over the selected-guess tuple, so
+// this is Eval's answer in that world without evaluating the operands
+// again. The operands are passed by pointer so that a column-at-a-time
+// caller compares them in place; they are only read.
+func RangeCmp(op CmpOp, a, b *rangeval.V) Truth {
 	var lo, hi bool
-	switch c.Op {
+	switch op {
 	case OpEq:
 		// Certainly equal iff both are certain and equal; possibly equal
 		// iff the intervals overlap.
 		lo = types.Equal(a.Hi, b.Lo) && types.Equal(b.Hi, a.Lo)
-		hi = a.Overlaps(b)
+		hi = a.Overlaps(*b)
 	case OpNeq:
-		lo = !a.Overlaps(b)
+		lo = !a.Overlaps(*b)
 		hi = !(types.Equal(a.Hi, b.Lo) && types.Equal(b.Hi, a.Lo))
 	case OpLt:
 		lo = types.Less(a.Hi, b.Lo)
@@ -308,16 +350,12 @@ func (c Cmp) EvalRange(t rangeval.Tuple) (rangeval.V, error) {
 		lo = !types.Less(a.Lo, b.Hi)
 		hi = !types.Less(a.Hi, b.Lo)
 	}
-	return boolRange(lo, sg, hi), nil
+	return newTruth(lo, cmpHolds(op, a.SG, b.SG), hi)
 }
 
 func (c Cmp) String() string {
 	return "(" + c.L.String() + " " + c.Op.String() + " " + c.R.String() + ")"
 }
-
-// rangeSG views a range tuple as the deterministic SG tuple without copying
-// attribute by attribute more than once.
-func rangeSG(t rangeval.Tuple) types.Tuple { return t.SG() }
 
 // ------------------------------------------------------------ arithmetic --
 
@@ -597,11 +635,11 @@ func (e If) EvalRange(t rangeval.Tuple) (rangeval.V, error) {
 	if err != nil {
 		return rangeval.V{}, err
 	}
-	clo, csg, chi := truth(c.Lo), truth(c.SG), truth(c.Hi)
+	ct := ifCond(TruthOf(c))
 	switch {
-	case clo && chi: // certainly true
+	case ct.Lo: // certainly true
 		return e.Then.EvalRange(t)
-	case !clo && !chi: // certainly false
+	case !ct.Hi: // certainly false
 		return e.Else.EvalRange(t)
 	}
 	tv, err := e.Then.EvalRange(t)
@@ -612,11 +650,24 @@ func (e If) EvalRange(t rangeval.Tuple) (rangeval.V, error) {
 	if err != nil {
 		return rangeval.V{}, err
 	}
+	return RangeIf(ct.SG, tv, ev), nil
+}
+
+// ifCond normalizes an If condition, so that a certainly true condition
+// holds in the selected-guess world and a certainly false one fails there.
+// A condition that is not a range boolean, such as the unknown boolean
+// [-inf/true/+inf], is then uncertain, and both branches bound the result.
+func ifCond(c Truth) Truth { return newTruth(c.Lo, c.SG, c.Hi) }
+
+// RangeIf joins the branches of an If whose condition is uncertain: the
+// bounds cover both branches, and the SG is the branch the condition's SG
+// truth selects.
+func RangeIf(csg bool, tv, ev rangeval.V) rangeval.V {
 	sg := tv.SG
 	if !csg {
 		sg = ev.SG
 	}
-	return rangeval.New(types.Min(tv.Lo, ev.Lo), sg, types.Max(tv.Hi, ev.Hi)), nil
+	return rangeval.New(types.Min(tv.Lo, ev.Lo), sg, types.Max(tv.Hi, ev.Hi))
 }
 
 func (e If) String() string {
@@ -641,10 +692,15 @@ func (n IsNull) EvalRange(t rangeval.Tuple) (rangeval.V, error) {
 	if err != nil {
 		return rangeval.V{}, err
 	}
+	return RangeIsNull(v).V(), nil
+}
+
+// RangeIsNull tests a range value for null: the rule IsNull.EvalRange
+// applies once its argument is evaluated.
+func RangeIsNull(v rangeval.V) Truth {
 	null := types.Null()
 	certainlyNull := types.Equal(v.Lo, null) && types.Equal(v.Hi, null)
-	possiblyNull := v.Contains(null)
-	return boolRange(certainlyNull, v.SG.IsNull(), possiblyNull), nil
+	return newTruth(certainlyNull, v.SG.IsNull(), v.Contains(null))
 }
 
 func (n IsNull) String() string { return n.E.String() + " IS NULL" }
@@ -705,13 +761,19 @@ func (n NAry) EvalRange(t rangeval.Tuple) (rangeval.V, error) {
 		if err != nil {
 			return rangeval.V{}, err
 		}
-		if n.Op == OpLeast {
-			acc = rangeval.New(types.Min(acc.Lo, v.Lo), types.Min(acc.SG, v.SG), types.Min(acc.Hi, v.Hi))
-		} else {
-			acc = rangeval.New(types.Max(acc.Lo, v.Lo), types.Max(acc.SG, v.SG), types.Max(acc.Hi, v.Hi))
-		}
+		acc = RangeNAry(n.Op, acc, v)
 	}
 	return acc, nil
+}
+
+// RangeNAry folds one more argument into a least/greatest: the rule
+// NAry.EvalRange applies argument by argument. Both are monotone, so the
+// fold is component-wise.
+func RangeNAry(op NAryOp, acc, v rangeval.V) rangeval.V {
+	if op == OpLeast {
+		return rangeval.New(types.Min(acc.Lo, v.Lo), types.Min(acc.SG, v.SG), types.Min(acc.Hi, v.Hi))
+	}
+	return rangeval.New(types.Max(acc.Lo, v.Lo), types.Max(acc.SG, v.SG), types.Max(acc.Hi, v.Hi))
 }
 
 func (n NAry) opName() string {

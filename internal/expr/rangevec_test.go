@@ -1,0 +1,408 @@
+package expr
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"github.com/audb/audb/internal/rangeval"
+	"github.com/audb/audb/internal/types"
+)
+
+// rangeAlphabet is the cell domain of the range-program tests: small ints
+// (zero among them, for divisions), signed float zeros, NaN, the
+// sentinels, null, a string and both booleans.
+var rangeAlphabet = []types.Value{
+	types.Int(0), types.Int(1), types.Int(-2), types.Int(3), types.Int(5), types.Int(-4),
+	types.Float(0), types.Float(math.Copysign(0, -1)), types.Float(2.5), types.Float(math.NaN()),
+	types.NegInf(), types.PosInf(), types.Null(), types.String("s"),
+	types.Bool(true), types.Bool(false),
+}
+
+// rangeCell draws one cell: mostly a small int, sometimes any value of
+// the alphabet, and, when uncertain is set, a range around it whose
+// bounds are drawn from the same alphabet, or an unknown boolean such as
+// [-inf/true/+inf].
+func rangeCell(r *rand.Rand, uncertain bool) rangeval.V {
+	v := types.Int(int64(r.Intn(11) - 5))
+	if r.Intn(4) == 0 {
+		v = rangeAlphabet[r.Intn(len(rangeAlphabet))]
+	}
+	if !uncertain || r.Intn(3) == 0 {
+		return rangeval.Certain(v)
+	}
+	if r.Intn(8) == 0 {
+		return rangeval.Full(types.Bool(r.Intn(2) == 0))
+	}
+	cs := []types.Value{v, types.Int(int64(r.Intn(11) - 5)), types.Int(int64(r.Intn(11) - 5))}
+	if r.Intn(5) == 0 {
+		cs[1], cs[2] = rangeAlphabet[r.Intn(len(rangeAlphabet))], rangeAlphabet[r.Intn(len(rangeAlphabet))]
+	}
+	slices.SortFunc(cs, types.Compare)
+	return rangeval.New(cs[0], v, cs[2])
+}
+
+// rangeBatch builds n rows of arity columns, each stored flat or dense per
+// layout: 'f' flat (certain cells), 'd' dense (uncertain cells), 'c' dense
+// but every cell certain.
+func rangeBatch(r *rand.Rand, layout string, n int) []rangeval.Col {
+	cols := make([]rangeval.Col, len(layout))
+	for c, l := range layout {
+		if l == 'f' {
+			flat := make([]types.Value, n)
+			for i := range flat {
+				flat[i] = rangeCell(r, false).SG
+			}
+			cols[c] = rangeval.ColFromFlat(flat)
+			continue
+		}
+		dense := make([]rangeval.V, n)
+		for i := range dense {
+			dense[i] = rangeCell(r, l == 'd')
+		}
+		cols[c] = rangeval.ColFromDense(dense)
+	}
+	return cols
+}
+
+// rangeCorpus is vecCorpus plus the forms only the range program takes:
+// a null constant, boolean nodes read as values and values read as
+// booleans, an unguarded division in the right operand of AND, the
+// guarded division over an uncertain divisor, a condition read from a
+// column, and the expressions that always fail on a live row.
+func rangeCorpus() []Expr {
+	a, b, c := Col(0, "a"), Col(1, "b"), Col(2, "c")
+	return append(vecCorpus(),
+		Eq(a, C(types.Null())),
+		Add(b, C(types.Null())),
+		IsNull{E: Add(a, c)},
+		Least(Lt(a, b), Not{E: c}),
+		If{Cond: c, Then: Lt(a, CInt(2)), Else: IsNull{E: b}},
+		And(c, Or(a, Geq(b, c))),
+		And(Lt(a, CInt(1)), Gt(Div(CInt(1), CInt(0)), CInt(0))),
+		Or(Gt(a, CInt(2)), Gt(Div(b, c), CInt(1))),
+		If{Cond: Neq(c, CInt(0)), Then: Div(a, c), Else: Sub(b, a)},
+		If{Cond: Lt(a, b), Then: If{Cond: Gt(c, CInt(0)), Then: Mul(a, c), Else: b}, Else: Sub(CInt(0), a)},
+		Greatest(a, b, c, Mul(a, CFloat(0.5))),
+		Least(),
+		Col(7, "z"),
+		Not{E: Eq(Col(1, "b"), Col(1, "b"))},
+	)
+}
+
+// checkRangeProg compares the range program with EvalRange row by row on
+// the live rows of cols: EvalInto must write every live row's value bit
+// for bit and TruthInto its truths, and either must fail exactly when
+// EvalRange fails on some live row. Dead rows must stay untouched.
+func checkRangeProg(t *testing.T, e Expr, cols []rangeval.Col, n int, live []int) {
+	t.Helper()
+	p, ok := CompileRange(e)
+	if !ok {
+		t.Fatalf("%s did not compile", e)
+	}
+	idxs := live
+	if idxs == nil {
+		for i := range n {
+			idxs = append(idxs, i)
+		}
+	}
+	want := make([]rangeval.V, n)
+	var werr error
+	row := make(rangeval.Tuple, len(cols))
+	for _, i := range idxs {
+		for c := range cols {
+			row[c] = cols[c].At(i)
+		}
+		v, err := e.EvalRange(row)
+		if err != nil {
+			werr = err
+			break
+		}
+		want[i] = v
+	}
+
+	sentinel := rangeval.Certain(types.String("dead"))
+	got := make([]rangeval.V, n)
+	for i := range got {
+		got[i] = sentinel
+	}
+	gerr := p.EvalInto(cols, n, live, got)
+	truths := make([]Truth, n)
+	for i := range truths {
+		truths[i] = Truth{Lo: true}
+	}
+	terr := p.TruthInto(cols, n, live, truths)
+	if (werr != nil) != (gerr != nil) || (werr != nil) != (terr != nil) {
+		t.Fatalf("%s over %v (live %v): EvalRange error %v, EvalInto error %v, TruthInto error %v", e, cols, live, werr, gerr, terr)
+	}
+	if werr != nil {
+		return
+	}
+	isLive := make([]bool, n)
+	for _, i := range idxs {
+		isLive[i] = true
+	}
+	for i := range n {
+		if !isLive[i] {
+			if !sameV(got[i], sentinel) || truths[i] != (Truth{Lo: true}) {
+				t.Fatalf("%s: dead row %d written: %v, %v", e, i, got[i], truths[i])
+			}
+			continue
+		}
+		if !sameV(got[i], want[i]) {
+			t.Fatalf("%s: row %d = %#v, EvalRange %#v", e, i, got[i], want[i])
+		}
+		if truths[i] != TruthOf(want[i]) {
+			t.Fatalf("%s: row %d truths %+v, EvalRange %v", e, i, truths[i], want[i])
+		}
+	}
+}
+
+// TestRangeProgMatchesEvalRange runs the corpus and random expressions
+// over flat, dense and mixed columns, with and without a selection
+// vector, and over batches of several chunks.
+func TestRangeProgMatchesEvalRange(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	corpus := rangeCorpus()
+	for range 150 {
+		corpus = append(corpus, genExpr(r, 3, 3, r.Intn(2) == 0))
+	}
+	for trial := 0; trial < 24; trial++ {
+		layout := []string{"fff", "ddd", "fdd", "dfc", "cfd", "dcf"}[trial%6]
+		n := 1 + r.Intn(40)
+		if trial%4 == 3 {
+			n = 300 + r.Intn(500) // several chunks
+		}
+		cols := rangeBatch(r, layout, n)
+		var live []int
+		if trial%2 == 1 {
+			for i := 0; i < n; i += 1 + r.Intn(3) {
+				if trial%8 == 7 && i >= 256 && i < 512 {
+					continue // a chunk with no live rows
+				}
+				live = append(live, i)
+			}
+		}
+		for _, e := range corpus {
+			checkRangeProg(t, e, cols, n, live)
+		}
+	}
+}
+
+// TestRangeProgErrors pins the error cases: the program fails whenever
+// EvalRange fails on a live row, and not when the failing rows are dead
+// or an If's guard keeps the failing branch off them.
+func TestRangeProgErrors(t *testing.T) {
+	a, b := Col(0, "a"), Col(1, "b")
+	cols := []rangeval.Col{
+		rangeval.ColFromDense([]rangeval.V{
+			rangeval.Certain(types.Int(4)), rangeval.New(types.Int(1), types.Int(2), types.Int(3)), rangeval.Certain(types.Int(6)),
+		}),
+		rangeval.ColFromFlat([]types.Value{types.Int(2), types.Int(0), types.Int(3)}),
+	}
+	cases := []struct {
+		e    Expr
+		live []int
+		fail bool
+	}{
+		{Div(a, b), nil, true},
+		{Div(a, b), []int{0, 2}, false},
+		{If{Cond: Eq(b, CInt(0)), Then: CInt(-1), Else: Div(a, b)}, nil, false},
+		{And(Lt(a, CInt(0)), Gt(Div(CInt(1), CInt(0)), CInt(0))), nil, true},
+		{Eq(a, C(types.Null())), nil, false},
+		{Least(), []int{1}, true},
+		{Col(2, "c"), []int{2}, true},
+	}
+	for _, c := range cases {
+		p, _ := CompileRange(c.e)
+		err := p.EvalInto(cols, 3, c.live, make([]rangeval.V, 3))
+		if (err != nil) != c.fail {
+			t.Errorf("%s (live %v): error %v, want failure %v", c.e, c.live, err, c.fail)
+		}
+		checkRangeProg(t, c.e, cols, 3, c.live)
+	}
+}
+
+// cmpWithEvalSG is Cmp.EvalRange's earlier rule, kept as the oracle of
+// the current one: it took the SG truth from evaluating the whole
+// comparison again over the selected-guess tuple.
+func cmpWithEvalSG(c Cmp, t rangeval.Tuple) (rangeval.V, error) {
+	a, err := c.L.EvalRange(t)
+	if err != nil {
+		return rangeval.V{}, err
+	}
+	b, err := c.R.EvalRange(t)
+	if err != nil {
+		return rangeval.V{}, err
+	}
+	sgv, err := c.Eval(t.SG())
+	if err != nil {
+		return rangeval.V{}, err
+	}
+	sg := truth(sgv)
+	var lo, hi bool
+	switch c.Op {
+	case OpEq:
+		lo = types.Equal(a.Hi, b.Lo) && types.Equal(b.Hi, a.Lo)
+		hi = a.Overlaps(b)
+	case OpNeq:
+		lo = !a.Overlaps(b)
+		hi = !(types.Equal(a.Hi, b.Lo) && types.Equal(b.Hi, a.Lo))
+	case OpLt:
+		lo = types.Less(a.Hi, b.Lo)
+		hi = types.Less(a.Lo, b.Hi)
+	case OpLeq:
+		lo = !types.Less(b.Lo, a.Hi)
+		hi = !types.Less(b.Hi, a.Lo)
+	case OpGt:
+		lo = types.Less(b.Hi, a.Lo)
+		hi = types.Less(b.Lo, a.Hi)
+	case OpGeq:
+		lo = !types.Less(a.Lo, b.Hi)
+		hi = !types.Less(a.Hi, b.Lo)
+	}
+	return rangeval.New(types.Bool(lo), types.Bool(sg), types.Bool(hi)), nil
+}
+
+// TestRangeSGIsEvalOverSG checks the two facts Cmp's SG rule rests on,
+// over the corpus and random range tuples: every successful EvalRange has
+// the SG that Eval returns over the selected-guess tuple, bit for bit,
+// and Cmp.EvalRange returns what the earlier rule returned, with the same
+// error text.
+func TestRangeSGIsEvalOverSG(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	corpus := rangeCorpus()
+	for range 300 {
+		corpus = append(corpus, genExpr(r, 3, 3, r.Intn(2) == 0))
+	}
+	ops := []CmpOp{OpEq, OpNeq, OpLt, OpLeq, OpGt, OpGeq}
+	row := make(rangeval.Tuple, 3)
+	for trial := 0; trial < 400; trial++ {
+		for c := range row {
+			row[c] = rangeCell(r, true)
+		}
+		for _, e := range corpus {
+			if v, err := e.EvalRange(row); err == nil {
+				sg, err := e.Eval(row.SG())
+				if err != nil || !types.Same(sg, v.SG) {
+					t.Fatalf("%s over %v: EvalRange SG %#v, Eval over SG %#v, %v", e, row, v.SG, sg, err)
+				}
+			}
+			c := Cmp{Op: ops[trial%len(ops)], L: e, R: corpus[(trial+len(row))%len(corpus)]}
+			got, gerr := c.EvalRange(row)
+			want, werr := cmpWithEvalSG(c, row)
+			if fmt.Sprint(gerr) != fmt.Sprint(werr) || !sameV(got, want) {
+				t.Fatalf("%s over %v = %#v, %v; earlier rule %#v, %v", c, row, got, gerr, want, werr)
+			}
+		}
+	}
+}
+
+// decodeRangeCase decodes a fuzz input into an expression over three
+// columns and a batch of them: a header byte picks the layout of each
+// column and whether a selection vector follows, the expression is
+// decoded in prefix order, and the remaining bytes are the cells. Missing
+// bytes read as zero.
+func decodeRangeCase(data []byte) (Expr, []rangeval.Col, int, []int) {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	h := next()
+	n := 1 + int(next())
+	if h&64 != 0 {
+		n += 256 // a second chunk
+	}
+	var node func(depth int) Expr
+	node = func(depth int) Expr {
+		b := next()
+		if depth >= 4 {
+			b %= 2
+		}
+		switch b % 10 {
+		case 0:
+			return Col(int(b/10)%4, "") // 3 is out of range
+		case 1:
+			return C(rangeAlphabet[int(b/10)%len(rangeAlphabet)])
+		case 2:
+			return Arith{Op: ArithOp(b / 10 % 4), L: node(depth + 1), R: node(depth + 1)}
+		case 3:
+			return Cmp{Op: CmpOp(b / 10 % 6), L: node(depth + 1), R: node(depth + 1)}
+		case 4:
+			return Logic{Op: LogicOp(b / 10 % 2), L: node(depth + 1), R: node(depth + 1)}
+		case 5:
+			return Not{E: node(depth + 1)}
+		case 6:
+			return If{Cond: node(depth + 1), Then: node(depth + 1), Else: node(depth + 1)}
+		case 7:
+			return IsNull{E: node(depth + 1)}
+		default:
+			args := make([]Expr, int(b/10)%4)
+			for i := range args {
+				args[i] = node(depth + 1)
+			}
+			return NAry{Op: NAryOp(b / 10 % 2), Args: args}
+		}
+	}
+	e := node(0)
+	cell := func(uncertain bool) rangeval.V {
+		b := next()
+		v := rangeAlphabet[int(b)%len(rangeAlphabet)]
+		if !uncertain || b < 128 {
+			return rangeval.Certain(v)
+		}
+		y := next()
+		cs := []types.Value{v, rangeAlphabet[int(y&15)%len(rangeAlphabet)], rangeAlphabet[int(y>>4)%len(rangeAlphabet)]}
+		slices.SortFunc(cs, types.Compare)
+		return rangeval.New(cs[0], v, cs[2])
+	}
+	cols := make([]rangeval.Col, 3)
+	for c := range cols {
+		if h>>c&1 == 0 {
+			flat := make([]types.Value, n)
+			for i := range flat {
+				flat[i] = cell(false).SG
+			}
+			cols[c] = rangeval.ColFromFlat(flat)
+			continue
+		}
+		dense := make([]rangeval.V, n)
+		for i := range dense {
+			dense[i] = cell(true)
+		}
+		cols[c] = rangeval.ColFromDense(dense)
+	}
+	var live []int
+	if h&8 != 0 {
+		live = []int{}
+		for i := range n {
+			if next()&1 == 0 {
+				live = append(live, i)
+			}
+		}
+	}
+	return e, cols, n, live
+}
+
+// FuzzRangeProg checks the range-vector program against row-by-row
+// EvalRange on expressions and batches decoded from arbitrary bytes: the
+// same bits, or a failure where EvalRange fails on a live row. Seeds are
+// under testdata/fuzz/FuzzRangeProg.
+//
+//	go test ./internal/expr -run='^$' -fuzz FuzzRangeProg -fuzztime 30s
+func FuzzRangeProg(f *testing.F) {
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 4096 {
+			return // keep each input fast
+		}
+		e, cols, n, live := decodeRangeCase(data)
+		checkRangeProg(t, e, cols, n, live)
+	})
+}

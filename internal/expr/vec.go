@@ -51,7 +51,7 @@ type vnode struct {
 // CompileVec compiles e for vectorized evaluation over certain, null-free
 // flat columns. ok is false when e is outside the CertainFastSafe subset
 // (or uses a form the vectorized evaluator does not support); the caller
-// must then use the per-row path.
+// must then use the range-vector program (CompileRange).
 func CompileVec(e Expr) (*Prog, bool) {
 	if !CertainFastSafe(e) {
 		return nil, false

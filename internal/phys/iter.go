@@ -3,7 +3,6 @@ package phys
 import (
 	"container/heap"
 	"context"
-	"slices"
 	"sort"
 
 	"github.com/audb/audb/internal/core"
@@ -103,36 +102,43 @@ func (s *scanIter) Schema() schema.Schema { return s.sch }
 // selectIter applies σ per batch. Row batches take the per-row kernel
 // into a reused output buffer: steady-state selection allocates nothing
 // and never clones tuples (FilterTuple only rewrites the multiplicity
-// triple, which lives in the Tuple struct). Columnar batches whose
-// predicate compiles (expr.CompileVec) and whose referenced columns are
-// flat and null-free are filtered by the column-at-a-time program, which
-// only refines the selection vector — survivors are marked, never copied,
-// and annotations pass through unchanged (a certainly-true predicate
-// multiplies by the semiring one; everything else is dropped, exactly
-// FilterTuple's certain-input behavior). Any other columnar batch — and
-// any batch whose vectorized evaluation errors — is filtered in place by
-// the per-row kernel (colFilter), which also surfaces the canonical
-// row-order error.
+// triple, which lives in the Tuple struct). Columnar batches are filtered
+// in place, column at a time, and only refine the selection vector:
+// survivors are marked, never copied.
+//
+//   - When every column the predicate reads is flat and null-free, the
+//     flat program (expr.CompileVec) filters the batch and annotations
+//     pass through unchanged: a certainly-true predicate multiplies by the
+//     semiring one, and every other row is dropped, exactly FilterTuple's
+//     behavior on certain input.
+//   - Any other columnar batch takes the range-vector program
+//     (expr.CompileRange), whose truths scale each row's multiplicity as
+//     FilterTuple does. The scaled multiplicities go by physical index
+//     into a reused buffer; when none changed the input's pass through.
+//   - When a program fails on the batch, or the predicate is not
+//     compilable, the batch is densified and filtered by the per-row
+//     kernel, which reports the reference executor's row-order error.
 type selectIter struct {
 	child iter
 	pred  expr.Expr
 	sch   schema.Schema
 
-	poll  *ctxpoll.Poll
-	prog  *expr.Prog
-	attrs []int
-	flat  [][]types.Value
-	sel   []int
-	row   rangeval.Tuple
-	mult  []core.Mult
-	buf   []core.Tuple
-	out   vec.Batch
+	poll   *ctxpoll.Poll
+	prog   *expr.Prog
+	rprog  *expr.RangeProg
+	flat   [][]types.Value
+	truths []expr.Truth
+	sel    []int
+	mult   []core.Mult
+	dense  []core.Tuple
+	buf    []core.Tuple
+	out    vec.Batch
 }
 
 func (s *selectIter) Open(ctx context.Context) error {
 	s.poll = ctxpoll.New(ctx)
 	s.prog, _ = expr.CompileVec(s.pred)
-	s.attrs = expr.Attrs(s.pred)
+	s.rprog, _ = expr.CompileRange(s.pred)
 	return s.child.Open(ctx)
 }
 
@@ -166,65 +172,69 @@ func (s *selectIter) Next() (*vec.Batch, error) {
 				s.out.Sel = sel
 				return &s.out, nil
 			}
-			// The vectorized pass failed somewhere in the batch;
-			// fall through to the per-row kernel, which reproduces
-			// the exact row-order error the reference executor reports.
+		} else if s.rprog != nil && s.rangeFilter(b) {
+			if len(s.sel) > 0 {
+				return &s.out, nil
+			}
+			continue
 		}
-		if err := s.colFilter(b); err != nil {
+		if err := s.fallback(b); err != nil {
 			return nil, err
 		}
-		if len(s.sel) > 0 {
+		if len(s.buf) > 0 {
 			return &s.out, nil
 		}
 	}
 }
 
-// colFilter runs the per-row selection kernel over a columnar batch in
-// place. Each live row gathers only the attributes the predicate reads
-// into a scratch row as wide as the batch; survivors are marked in the
-// selection vector and their multiplicities, which an uncertain predicate
-// scales, are written by physical index into a reused buffer. The columns
-// stay aliased, and when no multiplicity changed the input's pass through
-// too. Rows are visited in order, so an evaluation error is the one the
-// reference executor reports.
-func (s *selectIter) colFilter(b *vec.Batch) error {
-	width := len(b.Cols)
-	if len(s.row) < width {
-		s.row = make(rangeval.Tuple, width)
-	}
-	if len(s.mult) < b.N {
+// rangeFilter filters a columnar batch in place through the range-vector
+// program into s.out, reporting false when the program fails on it.
+func (s *selectIter) rangeFilter(b *vec.Batch) bool {
+	if len(s.truths) < b.N {
+		s.truths = make([]expr.Truth, b.N)
 		s.mult = make([]core.Mult, b.N)
 	}
-	row := s.row[:width]
+	if s.rprog.TruthInto(b.Cols, b.N, b.Sel, s.truths) != nil {
+		return false
+	}
 	s.sel = s.sel[:0]
 	scaled := false
-	filter := func(i int) error {
-		if err := s.poll.Due(); err != nil {
-			return err
-		}
-		for _, a := range s.attrs {
-			if a >= 0 && a < width {
-				row[a] = b.Cols[a].At(i)
-			}
-		}
+	keep := func(i int) {
 		m := b.MultAt(i)
-		ot, keep, err := core.FilterTuple(core.Tuple{Vals: row, M: m}, s.pred)
-		if err != nil || !keep {
-			return err
+		sm := m.Mul(core.TruthMult(s.truths[i]))
+		if sm.Hi <= 0 {
+			return
 		}
 		s.sel = append(s.sel, i)
-		s.mult[i] = ot.M
-		scaled = scaled || ot.M != m
-		return nil
+		s.mult[i] = sm
+		scaled = scaled || sm != m
 	}
-	if err := b.EachLive(filter); err != nil {
-		return err
+	if b.Sel != nil {
+		for _, i := range b.Sel {
+			keep(i)
+		}
+	} else {
+		for i := 0; i < b.N; i++ {
+			keep(i)
+		}
 	}
 	s.out = *b
 	s.out.Sel = s.sel
 	if scaled {
 		s.out.MFlat, s.out.MDense = nil, s.mult[:b.N]
 	}
+	return true
+}
+
+// fallback densifies the batch and filters it with the per-row kernel,
+// which reproduces the exact error (and error message) the reference
+// executor reports.
+func (s *selectIter) fallback(b *vec.Batch) error {
+	s.dense = b.AppendTuples(s.dense[:0])
+	if err := s.rowFilter(s.dense); err != nil {
+		return err
+	}
+	s.out.SetRows(s.buf)
 	return nil
 }
 
@@ -282,14 +292,19 @@ func (s *selectIter) Schema() schema.Schema { return s.sch }
 // Project whenever compression makes merge granularity observable).
 //
 // On a columnar batch, each output column takes the cheapest sound path:
-// a bare attribute reference aliases the input column outright (a
-// permutation costs nothing), an expression that compiles and reads only
-// flat null-free columns is evaluated column-at-a-time into a reused flat
-// buffer, and everything else evaluates per row into a reused dense
-// buffer, gathering only the attributes the computed columns read. The
-// multiplicities and the selection vector pass through untouched. Any
-// evaluation error re-runs the batch through the canonical per-row
-// kernel, surfacing the exact row-order error.
+//
+//   - a bare attribute reference aliases the input column outright (a
+//     permutation costs nothing);
+//   - an expression that compiles to the flat program (expr.CompileVec)
+//     and reads only flat null-free columns is evaluated column at a time
+//     into a reused flat buffer;
+//   - every other expression is evaluated column at a time by the
+//     range-vector program (expr.CompileRange) into a reused dense buffer.
+//
+// The multiplicities and the selection vector pass through untouched. When
+// a program fails on the batch, or an expression is not compilable, the
+// batch is densified and re-run through the canonical per-row kernel,
+// surfacing the exact row-order error.
 type projectIter struct {
 	child iter
 	cols  []ra.ProjCol
@@ -302,12 +317,10 @@ type projectIter struct {
 	planned  bool
 	alias    []int
 	progs    []*expr.Prog
-	need     []int
+	rprogs   []*expr.RangeProg
 	flat     [][]types.Value
 	flatOut  [][]types.Value
 	denseOut [][]rangeval.V
-	perRow   []int
-	scratch  rangeval.Tuple
 	dense    []core.Tuple
 }
 
@@ -317,6 +330,7 @@ func (p *projectIter) Open(ctx context.Context) error {
 		p.planned = true
 		p.alias = make([]int, len(p.cols))
 		p.progs = make([]*expr.Prog, len(p.cols))
+		p.rprogs = make([]*expr.RangeProg, len(p.cols))
 		p.flatOut = make([][]types.Value, len(p.cols))
 		p.denseOut = make([][]rangeval.V, len(p.cols))
 		for j, c := range p.cols {
@@ -326,11 +340,7 @@ func (p *projectIter) Open(ctx context.Context) error {
 				continue
 			}
 			p.progs[j], _ = expr.CompileVec(c.E)
-			for _, a := range expr.Attrs(c.E) {
-				if !slices.Contains(p.need, a) {
-					p.need = append(p.need, a)
-				}
-			}
+			p.rprogs[j], _ = expr.CompileRange(c.E)
 		}
 	}
 	return p.child.Open(ctx)
@@ -358,7 +368,7 @@ func (p *projectIter) Next() (*vec.Batch, error) {
 }
 
 // columnar projects one columnar batch into p.out, falling back to the
-// canonical per-row kernel on any evaluation error.
+// canonical per-row kernel when a program fails or is missing.
 func (p *projectIter) columnar(b *vec.Batch) error {
 	p.out.Rows = nil
 	p.out.Columnar = true
@@ -369,7 +379,6 @@ func (p *projectIter) columnar(b *vec.Batch) error {
 	p.out.MFlat, p.out.MDense = b.MFlat, b.MDense
 	p.out.N, p.out.Sel = b.N, b.Sel
 
-	p.perRow = p.perRow[:0]
 	for j := range p.cols {
 		if a := p.alias[j]; a >= 0 && a < len(b.Cols) {
 			p.out.Cols[j] = b.Cols[a]
@@ -386,44 +395,17 @@ func (p *projectIter) columnar(b *vec.Batch) error {
 			p.out.Cols[j] = rangeval.ColFromFlat(out)
 			continue
 		}
-		p.perRow = append(p.perRow, j)
-	}
-	if len(p.perRow) == 0 {
-		return nil
-	}
-	for _, j := range p.perRow {
+		if p.rprogs[j] == nil {
+			return p.fallback(b)
+		}
 		if len(p.denseOut[j]) < b.N {
 			p.denseOut[j] = make([]rangeval.V, b.N)
 		}
-	}
-	width := len(b.Cols)
-	if len(p.scratch) < width {
-		p.scratch = make(rangeval.Tuple, width)
-	}
-	row := p.scratch[:width]
-	evalRow := func(i int) error {
-		if err := p.poll.Due(); err != nil {
-			return err
+		out := p.denseOut[j][:b.N]
+		if err := p.rprogs[j].EvalInto(b.Cols, b.N, b.Sel, out); err != nil {
+			return p.fallback(b)
 		}
-		for _, a := range p.need {
-			if a >= 0 && a < width {
-				row[a] = b.Cols[a].At(i)
-			}
-		}
-		for _, j := range p.perRow {
-			v, err := p.cols[j].E.EvalRange(row)
-			if err != nil {
-				return p.fallback(b)
-			}
-			p.denseOut[j][i] = v
-		}
-		return nil
-	}
-	if err := b.EachLive(evalRow); err != nil {
-		return err
-	}
-	for _, j := range p.perRow {
-		p.out.Cols[j] = rangeval.ColFromDense(p.denseOut[j][:b.N])
+		p.out.Cols[j] = rangeval.ColFromDense(out)
 	}
 	return nil
 }

@@ -8,11 +8,15 @@
 // cloning. Over a stored (columnar) base table the batches are columnar:
 // struct-of-arrays views aliasing the stored rangeval.Col columns (flat
 // slices where the source column is certain, triples otherwise) with
-// zero densification, filtered in place — by column-at-a-time predicate
-// programs (expr.CompileVec) over flat columns, per row otherwise — with
-// survivors marked in a selection vector instead of copied, and projected
-// by column permutation and vectorized per-column evaluation. Over a
-// table that rows were added to in place since its last Analyze, batches
+// zero densification, filtered in place and projected column at a time —
+// by the flat program (expr.CompileVec) when every column an expression
+// reads is flat and null-free, by the range-vector program
+// (expr.CompileRange) otherwise, and by the per-row kernel over a
+// densified copy only when a program fails on the batch, to report the
+// reference executor's error — with survivors marked in a selection
+// vector instead of copied, and source columns passed through by
+// permutation. Over a table that rows were added to in place since its
+// last Analyze, batches
 // are row batches of core.Tuple and take the per-row kernels: selection
 // rewrites only the multiplicity triple, scans emit views into base-table
 // storage, and buffers are reused batch to batch. LIMIT keeps O(n) state instead of merging the whole input, and

@@ -163,8 +163,8 @@ func firstChild(op *metrics.OpStats) *metrics.OpStats {
 
 // TestInPlaceSelectErrorText: a predicate that fails mid-batch reports the
 // reference executor's error text, whether the failing column is stored
-// with triples (per-row kernel) or flat (the vectorized program fails and
-// the batch is re-run per row).
+// with triples (the range-vector program fails) or flat (the flat program
+// fails); either way the batch is re-run per row.
 func TestInPlaceSelectErrorText(t *testing.T) {
 	ctx := context.Background()
 	db := uncertainColDB(t, 3*minPartitionRows+50, 37)
