@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 
@@ -37,7 +36,8 @@ func (m aggMonoid) neutral() types.Value {
 	}
 }
 
-// plus is +_M on domain values.
+// plus is +_M on domain values: SG arithmetic, where an int64 overflow is
+// an error.
 func (m aggMonoid) plus(a, b types.Value) (types.Value, error) {
 	switch m {
 	case monoidSum:
@@ -47,6 +47,13 @@ func (m aggMonoid) plus(a, b types.Value) (types.Value, error) {
 	default:
 		return types.Max(a, b), nil
 	}
+}
+
+// plusBound is +_M on the bounds of side dir (-1 lower, +1 upper): a sum
+// that overflows saturates (types.Bound).
+func (m aggMonoid) plusBound(a, b types.Value, dir int) (types.Value, error) {
+	x, err := m.plus(a, b)
+	return types.Bound(x, err, dir)
 }
 
 // star is k ∗_{N,M} m (Section 9.1): SUM scales by the multiplicity,
@@ -64,34 +71,41 @@ func (m aggMonoid) star(k int64, v types.Value) (types.Value, error) {
 	}
 }
 
+// starBound is k ∗ v read as a lower and an upper bound: one value,
+// unless the product overflows and each side saturates (types.Bound).
+func (m aggMonoid) starBound(k int64, v types.Value) (lo, hi types.Value, err error) {
+	x, xerr := m.star(k, v)
+	if lo, err = types.Bound(x, xerr, -1); err != nil {
+		return types.Null(), types.Null(), err
+	}
+	hi, _ = types.Bound(x, xerr, 1)
+	return lo, hi, nil
+}
+
 // starBounds computes the lower/upper components of ⊛_M (Definition 23):
 // min/max over the four combinations of multiplicity bounds and value
 // bounds.
 func (m aggMonoid) starBounds(k *Mult, v *rangeval.V) (lo, hi types.Value, err error) {
 	if k.Lo == k.Hi && types.Equal(v.Lo, v.Hi) {
 		// Certain multiplicity and value: all four combinations are the
-		// same star call, so one evaluation gives lo = hi (bit-identical
+		// same star call, so one evaluation gives lo and hi (bit-identical
 		// to the loop below, which would fold four equal results).
-		x, err := m.star(k.Lo, v.Lo)
-		if err != nil {
-			return types.Null(), types.Null(), err
-		}
-		return x, x, nil
+		return m.starBound(k.Lo, v.Lo)
 	}
 	first := true
-	for _, kk := range []int64{k.Lo, k.Hi} {
-		for _, vv := range []types.Value{v.Lo, v.Hi} {
-			x, err := m.star(kk, vv)
+	for _, kk := range [2]int64{k.Lo, k.Hi} {
+		for _, vv := range [2]types.Value{v.Lo, v.Hi} {
+			l, h, err := m.starBound(kk, vv)
 			if err != nil {
 				return types.Null(), types.Null(), err
 			}
 			if first {
-				lo, hi = x, x
+				lo, hi = l, h
 				first = false
 				continue
 			}
-			lo = types.Min(lo, x)
-			hi = types.Max(hi, x)
+			lo = types.Min(lo, l)
+			hi = types.Max(hi, h)
 		}
 	}
 	return lo, hi, nil
@@ -187,7 +201,8 @@ type contrib struct {
 
 // avgBounds derives AVG bounds from sum and count bound triples using
 // conservative interval division with the count clamped to at least one
-// (the bounds need only cover worlds in which the group is non-empty).
+// (the bounds need only cover worlds in which the group is non-empty). A
+// quotient of two saturated bounds, inf/inf, may be anything.
 func avgBounds(sum, cnt rangeval.V) rangeval.V {
 	cLo := types.Max(types.Int(1), cnt.Lo)
 	cHi := types.Max(types.Int(1), cnt.Hi)
@@ -201,18 +216,18 @@ func avgBounds(sum, cnt rangeval.V) rangeval.V {
 			sg = types.Float(0)
 		}
 	}
-	div := func(n, d types.Value) types.Value {
+	div := func(n, d types.Value) (lo, hi types.Value) {
 		v, err := types.Div(n, d)
 		if err != nil {
-			return types.Float(0)
+			return types.NegInf(), types.PosInf()
 		}
-		return v
+		return v, v
 	}
-	cands := []types.Value{div(sum.Lo, cLo), div(sum.Lo, cHi), div(sum.Hi, cLo), div(sum.Hi, cHi)}
-	lo, hi := cands[0], cands[0]
-	for _, c := range cands[1:] {
-		lo = types.Min(lo, c)
-		hi = types.Max(hi, c)
+	lo, hi := div(sum.Lo, cLo)
+	for _, q := range [3][2]types.Value{{sum.Lo, cHi}, {sum.Hi, cLo}, {sum.Hi, cHi}} {
+		l, h := div(q[0], q[1])
+		lo = types.Min(lo, l)
+		hi = types.Max(hi, h)
 	}
 	lo = types.Min(lo, sg)
 	hi = types.Max(hi, sg)
@@ -337,16 +352,22 @@ func gbOf(pt *aggPart, i int, groupBy []int, dst rangeval.Tuple) rangeval.Tuple 
 
 // aggKernel is the state of one aggregation after pass 1.
 //
-// Pass 2 folds each row in input order: its SG contribution and
-// multiplicity go to its α-group, and a point row whose group's box is
-// certain adds its ⊛ bounds (Definition 26) to that group at once. Only
-// rows that may reach a group whose box is uncertain (the set U) are kept
-// as contribs: box rows, and the point rows of keys that overlap a group
-// in U. The walk then folds those in the order every group folded before
-// rows were folded directly — point keys in first-seen order, then boxes
-// in input order — so each group still receives its point rows in input
-// order followed by the boxes that overlap it, every float + runs on the
-// same operands in the same order, and every answer is unchanged.
+// Pass 2 evaluates the arguments a chunk of rows at a time, one lane of
+// points with exceptions per slot (expr.Lane), and folds each row in
+// input order: its SG contribution and multiplicity go to its α-group,
+// and a point row whose group's box is certain adds its ⊛ bounds
+// (Definition 26) to that group at once. When that group's rows are not
+// kept either and the row's multiplicity is certainly positive, the row
+// folds straight from the lanes, slot by slot (foldPoint); a point value
+// under a certain multiplicity then costs one ⊛ for its SG and both
+// bounds. Only rows that may reach a group whose box is uncertain (the
+// set U) are kept as contribs: box rows, and the point rows of keys that
+// overlap a group in U. The walk then folds those in the order every
+// group folded before rows were folded directly — point keys in
+// first-seen order, then boxes in input order — so each group still
+// receives its point rows in input order followed by the boxes that
+// overlap it, every float + runs on the same operands in the same order,
+// and every answer is unchanged.
 //
 // With compression every row is kept and the walk runs over the
 // compressed side (Section 10.5), as it always has.
@@ -359,6 +380,9 @@ type aggKernel struct {
 	compression int
 	certBox     []bool // per group: its box is certain
 	unc         []int  // U, ascending
+	// direct is, per group, whether its point rows fold into it at once
+	// and no further: its box is certain and none of its rows is kept.
+	direct []bool
 
 	// Per point key: the walk position of its first point row, and the
 	// slot of its first kept row (-1 when none is kept). npoints is the
@@ -479,6 +503,7 @@ func newAggKernel(in *AggInput, groupBy []int, slots []slot, gs *aggGroups, comp
 	k := &aggKernel{
 		in: in, groupBy: groupBy, slots: slots, gs: gs, compression: compression,
 		certBox: make([]bool, ng),
+		direct:  make([]bool, ng),
 		walkAt:  make([]int, ng),
 		keptAt:  make([]int, ng),
 		acc:     make([]types.Value, 2*ns*ng),
@@ -516,6 +541,7 @@ func newAggKernel(in *AggInput, groupBy []int, slots []slot, gs *aggGroups, comp
 					break
 				}
 			}
+			k.direct[g] = k.certBox[g] && k.keptAt[g] < 0
 		}
 		nkeep = k.kept + gs.nbox
 	}
@@ -525,27 +551,40 @@ func newAggKernel(in *AggInput, groupBy []int, slots []slot, gs *aggGroups, comp
 	return k, nil
 }
 
-// argChunk is rows [lo, hi) of part pt, at most aggChunk of them; base is
-// the input row of the part's first row.
+// argChunk is rows [lo, hi) of part pt, at most expr.RangeChunk of them;
+// base is the input row of the part's first row.
 type argChunk struct {
 	pt           *aggPart
 	lo, hi, base int
 }
 
+// spanFold is one span's scratch for folding rows: foldRow's walker, a
+// row's argument triples, and foldPoint's results before they are stored.
+type spanFold struct {
+	w    walker
+	args []rangeval.V
+	next []types.Value
+}
+
 // foldRows is pass 2. It visits the input a block of chunks at a time:
 // a block's arguments are evaluated with its chunks split across workers,
-// and the block is folded with the groups split by spans, so every group
-// still receives its rows in input order. With more than one worker the
-// next block is evaluated while the current one folds. It returns the
-// first argument error in row-major order, or else the direct fold's
-// earliest error by walk position.
+// into one lane per chunk and slot (see argPrograms), and the block is
+// folded with the groups split by spans, so every group still receives
+// its rows in input order. A point row of a group that folds directly,
+// with a multiplicity that is certainly positive, folds from the lanes
+// slot by slot (foldPoint); every other row, and a point row whose fold
+// fails, reads its triples from the lanes and goes through foldRow. With
+// more than one worker the next block is evaluated into a second set of
+// lanes while the current one folds. It returns the first argument error
+// in row-major order, or else the direct fold's earliest error by walk
+// position.
 func (k *aggKernel) foldRows(ctx context.Context, workers int, spans []Span) (argErr, direct foldErr, err error) {
 	var chunks []argChunk
 	base := 0
 	for pi := range k.in.parts {
 		pt := &k.in.parts[pi]
-		for lo := 0; lo < pt.n; lo += aggChunk {
-			chunks = append(chunks, argChunk{pt: pt, lo: lo, hi: min(lo+aggChunk, pt.n), base: base})
+		for lo := 0; lo < pt.n; lo += expr.RangeChunk {
+			chunks = append(chunks, argChunk{pt: pt, lo: lo, hi: min(lo+expr.RangeChunk, pt.n), base: base})
 		}
 		base += pt.n
 	}
@@ -559,27 +598,30 @@ func (k *aggKernel) foldRows(ctx context.Context, workers int, spans []Span) (ar
 	}
 	nb := (len(chunks) + per - 1) / per
 	block := func(b int) []argChunk { return chunks[b*per : min((b+1)*per, len(chunks))] }
-	// With workers, two buffers: block b+1 is evaluated into one while
-	// block b folds from the other.
+	// With workers, two sets of lanes: block b+1 is evaluated into one
+	// while block b folds from the other. Each lane is sized by the first
+	// chunk it holds and reused after.
 	nbuf := min(workers, 2)
-	args := make([][]rangeval.V, nbuf)
+	lanes := make([][]expr.Lane, nbuf)
 	argErrs := make([][]foldErr, nbuf)
-	for x := range args {
-		args[x] = make([]rangeval.V, per*aggChunk*ns)
+	for x := range lanes {
+		lanes[x] = make([]expr.Lane, per*ns)
 		argErrs[x] = make([]foldErr, per)
 	}
-	evals := make([]argEval, per)
+	evals := make([]*argPrograms, per)
+	for c := range evals {
+		evals[c] = newArgPrograms(k.slots)
+	}
 	evalBlock := func(b int) error {
-		blk, out, errs := block(b), args[b%nbuf], argErrs[b%nbuf]
+		blk, out, errs := block(b), lanes[b%nbuf], argErrs[b%nbuf]
 		return runSpans(ctx, ChunkSpans(len(blk), workers, 1), func(c int, s Span, p *ctxpoll.Poll) error {
-			ev := &evals[c]
-			ev.slots = k.slots
+			ev := evals[c]
 			for ci := s.Lo; ci < s.Hi; ci++ {
 				if err := p.Due(); err != nil {
 					return err
 				}
 				ch := blk[ci]
-				if bad, err := ev.eval(ch.pt, ch.lo, ch.hi, out[ci*aggChunk*ns:(ci*aggChunk+ch.hi-ch.lo)*ns]); err != nil {
+				if bad, err := ev.eval(ch.pt, ch.lo, ch.hi, out[ci*ns:(ci+1)*ns]); err != nil {
 					errs[c] = foldErr{at: ch.base + ch.lo + bad, err: err}
 					return nil
 				}
@@ -587,24 +629,37 @@ func (k *aggKernel) foldRows(ctx context.Context, workers int, spans []Span) (ar
 			return nil
 		})
 	}
-	walkers := make([]walker, len(spans))
-	for c := range walkers {
-		walkers[c] = walker{slots: k.slots, acc: k.acc, bounds: make([]types.Value, 4*ns), targets: make([]target, 0, 1)}
+	folds := make([]spanFold, len(spans))
+	for c := range folds {
+		folds[c] = spanFold{
+			w:    walker{slots: k.slots, acc: k.acc, bounds: make([]types.Value, 4*ns), targets: make([]target, 0, 1)},
+			args: make([]rangeval.V, ns),
+			next: make([]types.Value, 3*ns),
+		}
 	}
 	directs := make([]foldErr, len(spans))
-	foldBlock := func(blk []argChunk, args []rangeval.V) error {
+	foldBlock := func(blk []argChunk, lanes []expr.Lane) error {
 		return runSpans(ctx, spans, func(c int, s Span, p *ctxpoll.Poll) error {
+			sf := &folds[c]
 			for ci, ch := range blk {
-				a := args[ci*aggChunk*ns:]
+				ls := lanes[ci*ns : (ci+1)*ns]
 				for i := ch.lo; i < ch.hi; i++ {
 					if err := p.Due(); err != nil {
 						return err
 					}
 					r := ch.base + i
-					if g := int(k.gs.grp[r]); g >= s.Lo && g < s.Hi {
-						n := i - ch.lo
-						k.foldRow(ch.pt, i, r, a[n*ns:(n+1)*ns:(n+1)*ns], &walkers[c], &directs[c])
+					g := int(k.gs.grp[r])
+					if g < s.Lo || g >= s.Hi {
+						continue
 					}
+					o, m := i-ch.lo, ch.pt.mult(i)
+					if k.direct[g] && m.Lo > 0 && k.gs.rank[r] >= 0 && k.sgErr[g] == nil && k.foldPoint(g, &m, ls, o, sf.next) {
+						continue
+					}
+					for j := range ls {
+						sf.args[j] = ls[j].At(o)
+					}
+					k.foldRow(ch.pt, i, r, m, sf.args, &sf.w, &directs[c])
 				}
 			}
 			return nil
@@ -631,7 +686,7 @@ func (k *aggKernel) foldRows(ctx context.Context, workers int, spans []Span) (ar
 			ahead = make(chan error, 1)
 			go func(done chan<- error) { done <- evalBlock(b + 1) }(ahead)
 		}
-		if err := foldBlock(block(b), args[x]); err != nil {
+		if err := foldBlock(block(b), lanes[x]); err != nil {
 			if ahead != nil {
 				<-ahead
 			}
@@ -641,11 +696,66 @@ func (k *aggKernel) foldRows(ctx context.Context, workers int, spans []Span) (ar
 	return foldErr{}, firstErr(directs), nil
 }
 
-// foldRow folds row r (row i of pt) with argument ranges args.
-func (k *aggKernel) foldRow(pt *aggPart, i, r int, args []rangeval.V, w *walker, direct *foldErr) {
+// foldPoint folds point row o of lanes, of group g (which folds directly)
+// and multiplicity m (m.Lo > 0), into g as foldRow would, without
+// building its triples. Slot by slot, a point value under a certain
+// multiplicity takes one ⊛ for its SG and both bounds — starBounds' own
+// shortcut — and any other value takes starBounds and the ⊛ of the SGs.
+// Every slot is computed into next before any is stored: on an error
+// nothing is stored and it returns false, and foldRow then folds the row
+// and reports the error as it always has.
+func (k *aggKernel) foldPoint(g int, m *Mult, lanes []expr.Lane, o int, next []types.Value) bool {
+	if m.SG == 0 {
+		return false // foldRow skips the SG of such a row
+	}
+	ns := len(k.slots)
+	sg, acc := k.sg[ns*g:ns*(g+1)], k.acc[2*ns*g:2*ns*(g+1)]
+	certain := m.Lo == m.SG && m.SG == m.Hi
+	for j := range k.slots {
+		mo := k.slots[j].monoid
+		l := &lanes[j]
+		var x, lo, hi types.Value
+		var err error
+		if e := l.Exc[o]; e < 0 && certain {
+			if x, err = mo.star(m.SG, l.SG[o]); err != nil {
+				return false
+			}
+			lo, hi = x, x
+		} else {
+			v := l.At(o)
+			if lo, hi, err = mo.starBounds(m, &v); err != nil {
+				return false
+			}
+			if x, err = mo.star(m.SG, v.SG); err != nil {
+				return false
+			}
+		}
+		if next[3*j], err = mo.plus(sg[j], x); err != nil {
+			return false
+		}
+		if next[3*j+1], err = mo.plusBound(acc[2*j], lo, -1); err != nil {
+			return false
+		}
+		if next[3*j+2], err = mo.plusBound(acc[2*j+1], hi, 1); err != nil {
+			return false
+		}
+	}
+	for j := range k.slots {
+		sg[j], acc[2*j], acc[2*j+1] = next[3*j], next[3*j+1], next[3*j+2]
+	}
+	ms := &k.mults[g]
+	ms.lo += m.Lo
+	ms.sg += m.SG
+	ms.hi = addHi(ms.hi, m.Hi)
+	return true
+}
+
+// foldRow folds row r (row i of pt) with multiplicity m and argument
+// ranges args.
+func (k *aggKernel) foldRow(pt *aggPart, i, r int, m Mult, args []rangeval.V, w *walker, direct *foldErr) {
 	g, rank := int(k.gs.grp[r]), int(k.gs.rank[r])
 	point := rank >= 0
-	c := contrib{m: pt.mult(i), args: args}
+	c := contrib{m: m, args: args}
 	c.ug = c.m.Lo == 0 || !point
 
 	// SG results: exactly the α-members, standard K-relational semantics
@@ -857,39 +967,106 @@ func (k *aggKernel) rows(out *Relation, plans []aggPlan, noGroup bool, p *ctxpol
 	return out, nil
 }
 
-// aggChunk is how many rows pass 2 evaluates arguments for at a time.
-const aggChunk = 256
-
-// argEval evaluates the slots' arguments over a chunk of rows of one
-// part, node by node: an attribute is read from its column, a constant is
-// broadcast, arithmetic applies Definition 9's rule row by row, and any
-// other node is evaluated per row with EvalRange.
-type argEval struct {
-	slots []slot
-	tmp   [][]rangeval.V // right operands, one buffer per arithmetic depth
-	row   rangeval.Tuple // scratch for a gathered columnar row
+// argPrograms evaluates the slots' arguments over one chunk of rows at a
+// time, for one worker: one range-vector program per slot, compiled
+// together so that they share their temporaries. A columnar part is read
+// in place. A row part first has the attributes the arguments read
+// gathered into dense columns, reused from chunk to chunk.
+type argPrograms struct {
+	slots    []slot
+	progs    []*expr.RangeProg // nil when an argument does not compile
+	attrs    []int             // the attributes the arguments read
+	gathered [][]rangeval.V    // per attribute of attrs: a row part's chunk
+	cols     []rangeval.Col    // a row part's chunk as columns
+	row      rangeval.Tuple    // scratch for a gathered columnar row
 }
 
-// errArgNode makes eval fall back to the row-at-a-time evaluation, which
-// reports the node's own error.
-var errArgNode = errors.New("core: argument node failed")
-
-// eval writes the arguments of rows [lo, hi) of pt to out, row-major: row
-// lo+n's slot j at n*len(slots)+j. On an error it evaluates the chunk
-// again row-major with EvalRange, so the error it returns, with its row's
-// offset from lo, is the one row-at-a-time evaluation reports.
-func (a *argEval) eval(pt *aggPart, lo, hi int, out []rangeval.V) (int, error) {
-	ns := len(a.slots)
-	for j := range a.slots {
-		if err := a.node(a.slots[j].eval, pt, lo, hi, out[j:], ns, 0); err != nil {
-			return a.rowMajor(pt, lo, hi, out)
+// newArgPrograms compiles the slots' arguments. When one does not
+// compile (an Expr outside package expr), every chunk is evaluated row by
+// row.
+func newArgPrograms(slots []slot) *argPrograms {
+	a := &argPrograms{slots: slots}
+	es := make([]expr.Expr, len(slots))
+	seen := map[int]bool{}
+	for j := range slots {
+		es[j] = slots[j].eval
+		for _, c := range expr.Attrs(es[j]) {
+			if !seen[c] {
+				seen[c] = true
+				a.attrs = append(a.attrs, c)
+			}
 		}
 	}
-	return 0, nil
+	a.progs, _ = expr.CompileRanges(es)
+	a.gathered = make([][]rangeval.V, len(a.attrs))
+	return a
 }
 
-func (a *argEval) rowMajor(pt *aggPart, lo, hi int, out []rangeval.V) (int, error) {
-	ns := len(a.slots)
+// eval writes the arguments of rows [lo, hi) of pt to lanes, one per
+// slot. On an error it evaluates the chunk again row-major with
+// EvalRange, so the error it returns, with its row's offset from lo, is
+// the one row-at-a-time evaluation reports.
+func (a *argPrograms) eval(pt *aggPart, lo, hi int, lanes []expr.Lane) (int, error) {
+	if a.progs != nil && a.lanes(pt, lo, hi, lanes) {
+		return 0, nil
+	}
+	return a.rowMajor(pt, lo, hi, lanes)
+}
+
+// lanes runs the programs over rows [lo, hi) of pt into lanes, and
+// reports whether every one succeeded.
+func (a *argPrograms) lanes(pt *aggPart, lo, hi int, lanes []expr.Lane) bool {
+	cols := pt.cols
+	if !pt.columnar {
+		var ok bool
+		if cols, ok = a.gather(pt, lo, hi); !ok {
+			return false
+		}
+		lo, hi = 0, hi-lo
+	}
+	for j, p := range a.progs {
+		if p.EvalLane(cols, lo, hi, &lanes[j]) != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// gather returns rows [lo, hi) of row part pt as columns: each attribute
+// the arguments read copied into its buffer, the others left empty. ok is
+// false when some row lacks one of them.
+func (a *argPrograms) gather(pt *aggPart, lo, hi int) (cols []rangeval.Col, ok bool) {
+	for x, c := range a.attrs {
+		if c < 0 {
+			return nil, false
+		}
+		buf := a.gathered[x][:0]
+		if cap(buf) < hi-lo {
+			buf = make([]rangeval.V, 0, max(hi-lo, min(2*cap(buf), expr.RangeChunk)))
+		}
+		for i := lo; i < hi; i++ {
+			vals := pt.rows[i].Vals
+			if c >= len(vals) {
+				return nil, false
+			}
+			buf = append(buf, vals[c])
+		}
+		a.gathered[x] = buf
+		for len(a.cols) <= c {
+			a.cols = append(a.cols, rangeval.Col{})
+		}
+		a.cols[c] = rangeval.ColFromDense(buf)
+	}
+	return a.cols, true
+}
+
+// rowMajor evaluates rows [lo, hi) of pt row by row with EvalRange, slot
+// by slot, into lanes. Its error, with its row's offset from lo, is the
+// one row-at-a-time evaluation reports.
+func (a *argPrograms) rowMajor(pt *aggPart, lo, hi int, lanes []expr.Lane) (int, error) {
+	for j := range lanes {
+		lanes[j].Reset(hi - lo)
+	}
 	for i := lo; i < hi; i++ {
 		row := a.tuple(pt, i)
 		for j := range a.slots {
@@ -897,7 +1074,7 @@ func (a *argEval) rowMajor(pt *aggPart, lo, hi int, out []rangeval.V) (int, erro
 			if err != nil {
 				return i - lo, fmt.Errorf("core: aggregate %s: %w", a.slots[j].name, err)
 			}
-			out[(i-lo)*ns+j] = v
+			lanes[j].Set(i-lo, &v)
 		}
 	}
 	return 0, nil
@@ -905,7 +1082,7 @@ func (a *argEval) rowMajor(pt *aggPart, lo, hi int, out []rangeval.V) (int, erro
 
 // tuple returns row i of pt: a row part's stored tuple, which is only
 // read, or a columnar row gathered into the evaluator's own scratch.
-func (a *argEval) tuple(pt *aggPart, i int) rangeval.Tuple {
+func (a *argPrograms) tuple(pt *aggPart, i int) rangeval.Tuple {
 	if !pt.columnar {
 		return pt.rows[i].Vals
 	}
@@ -914,52 +1091,6 @@ func (a *argEval) tuple(pt *aggPart, i int) rangeval.Tuple {
 		a.row = append(a.row, c.At(i))
 	}
 	return a.row
-}
-
-// node writes e's value for row lo+n of pt to out[n*stride], for every
-// row in [lo, hi).
-func (a *argEval) node(e expr.Expr, pt *aggPart, lo, hi int, out []rangeval.V, stride, depth int) error {
-	switch x := e.(type) {
-	case expr.Attr:
-		for i := lo; i < hi; i++ {
-			if x.Idx < 0 || (pt.columnar && x.Idx >= len(pt.cols)) || (!pt.columnar && x.Idx >= len(pt.rows[i].Vals)) {
-				return errArgNode
-			}
-			out[(i-lo)*stride] = pt.val(x.Idx, i)
-		}
-	case expr.Const:
-		v := rangeval.Certain(x.V)
-		for n := range hi - lo {
-			out[n*stride] = v
-		}
-	case expr.Arith:
-		if err := a.node(x.L, pt, lo, hi, out, stride, depth+1); err != nil {
-			return err
-		}
-		for len(a.tmp) <= depth {
-			a.tmp = append(a.tmp, make([]rangeval.V, aggChunk))
-		}
-		r := a.tmp[depth][:hi-lo]
-		if err := a.node(x.R, pt, lo, hi, r, 1, depth+1); err != nil {
-			return err
-		}
-		for n := range r {
-			v, err := expr.RangeArith(x.Op, out[n*stride], r[n])
-			if err != nil {
-				return err
-			}
-			out[n*stride] = v
-		}
-	default:
-		for i := lo; i < hi; i++ {
-			v, err := e.EvalRange(a.tuple(pt, i))
-			if err != nil {
-				return err
-			}
-			out[(i-lo)*stride] = v
-		}
-	}
-	return nil
 }
 
 // compressContribs merges contributions down to roughly n entries
@@ -1061,10 +1192,10 @@ func (w *walker) add(c *contrib) error {
 		for j := range w.slots {
 			m := w.slots[j].monoid
 			var err error
-			if acc[2*j], err = m.plus(acc[2*j], cb[2*j]); err != nil {
+			if acc[2*j], err = m.plusBound(acc[2*j], cb[2*j], -1); err != nil {
 				return err
 			}
-			if acc[2*j+1], err = m.plus(acc[2*j+1], cb[2*j+1]); err != nil {
+			if acc[2*j+1], err = m.plusBound(acc[2*j+1], cb[2*j+1], 1); err != nil {
 				return err
 			}
 		}

@@ -5,14 +5,17 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/audb/audb/internal/ctxpoll"
 	"github.com/audb/audb/internal/expr"
@@ -73,7 +76,10 @@ func aggSpecsAll(ng int) []ra.AggSpec {
 // zero divisors. Every row then takes one byte per group-by
 // attribute (low four bits pick the value; bit 4 makes it a box, whose
 // other corners come from a further byte), one for a (bit 5 makes it a
-// range), one for x and one for the multiplicity.
+// range), one for x and one for the multiplicity. Header bit 128 makes a
+// mostly points: its byte must then have bits 5, 6 and 7 all set to make
+// it a range, so the columnar copies store a dense column of points with
+// a few exceptions.
 func decodeAggInput(data []byte) (*Relation, []int, []ra.AggSpec) {
 	next := func() byte {
 		if len(data) == 0 {
@@ -85,7 +91,7 @@ func decodeAggInput(data []byte) (*Relation, []int, []ra.AggSpec) {
 	}
 	h, pick := next(), next()
 	ng := int(h % 3)
-	strs, sentinels, zeros := h&8 != 0, h&16 != 0, h&32 != 0
+	strs, sentinels, zeros, fewRanges := h&8 != 0, h&16 != 0, h&32 != 0, h&128 != 0
 	attrs := []string{"g0", "g1"}[:ng]
 	in := New(schema.New(append(attrs, "a", "x")...))
 	var specs []ra.AggSpec
@@ -124,7 +130,11 @@ func decodeAggInput(data []byte) (*Relation, []int, []ra.AggSpec) {
 		}
 		b := next()
 		a := rangeval.Certain(measure(b))
-		if b&32 != 0 {
+		ranged := b&32 != 0
+		if fewRanges {
+			ranged = b&0xe0 == 0xe0
+		}
+		if ranged {
 			y := next()
 			cs := []types.Value{measure(y), a.SG, measure(y >> 4)}
 			slices.SortFunc(cs, types.Compare)
@@ -149,9 +159,14 @@ func decodeAggInput(data []byte) (*Relation, []int, []ra.AggSpec) {
 
 // encodeAggInput draws bytes for decodeAggInput with a chosen share of box
 // keys, so that inputs with no boxes (every row folded directly), a few
-// widened groups and mostly widened groups all occur.
-func encodeAggInput(rng *rand.Rand, rows int, boxFrac float64, keys int) []byte {
-	h := byte(rng.Intn(256))
+// widened groups and mostly widened groups all occur, and a chosen share
+// of measures that are ranges: none (a flat column once compacted), a few
+// (under header bit 128, a dense column of mostly points) or many.
+func encodeAggInput(rng *rand.Rand, rows int, boxFrac, rangeFrac float64, keys int) []byte {
+	h := byte(rng.Intn(128))
+	if rangeFrac < 0.5 {
+		h |= 128
+	}
 	data := []byte{h, byte(rng.Intn(256))}
 	ng := int(h % 3)
 	for range rows {
@@ -163,7 +178,10 @@ func encodeAggInput(rng *rand.Rand, rows int, boxFrac float64, keys int) []byte 
 				data = append(data, b)
 			}
 		}
-		b := byte(rng.Intn(64))
+		b := byte(rng.Intn(16))
+		if rng.Float64() < rangeFrac {
+			b |= 0xe0 // a range under either header
+		}
 		data = append(data, b)
 		if b&32 != 0 {
 			data = append(data, byte(rng.Intn(256)))
@@ -226,6 +244,28 @@ func mixedInput(rng *rand.Rand, r *Relation) (*AggInput, *Relation) {
 	return in, want
 }
 
+// denseColumns feeds r to the kernel as one columnar run in which every
+// column is stored dense, certain cells as point triples: a column of
+// certain cells is then all points, and one with a few ranges is mostly
+// points, the lanes' two dense cases.
+func denseColumns(r *Relation) *AggInput {
+	cols := make([]rangeval.Col, len(r.Schema.Attrs))
+	for c := range cols {
+		d := make([]rangeval.V, len(r.Tuples))
+		for i, t := range r.Tuples {
+			d[i] = t.Vals[c]
+		}
+		cols[c] = rangeval.ColFromDense(d)
+	}
+	ms := make([]Mult, len(r.Tuples))
+	for i, t := range r.Tuples {
+		ms[i] = t.M
+	}
+	in := NewAggInput(0)
+	in.AppendColumns(cols, nil, ms, len(r.Tuples), nil)
+	return in
+}
+
 // aggResult renders a result or its error, the two things that must match.
 // String() prints a Compare-certain triple such as [-0/0/-0] as one value,
 // so every component's kind and bits are appended as well.
@@ -247,8 +287,9 @@ func aggResult(r *Relation, err error) string {
 }
 
 // checkAggInput asserts that the kernel matches the oracle byte for byte —
-// the result's String() or the error text — on dense, compacted and mixed
-// inputs, at workers {1, 4} and AggCompression {0, 3}.
+// the result's String() or the error text — on row, compacted (flat and
+// dense columns), all-dense-columns and mixed inputs, at workers {1, 4}
+// and AggCompression {0, 3}.
 func checkAggInput(t *testing.T, data []byte) {
 	t.Helper()
 	in, groupBy, specs := decodeAggInput(data)
@@ -285,8 +326,9 @@ func checkAggRelation(t *testing.T, in *Relation, groupBy []int, specs []ra.AggS
 		in     *AggInput
 		oracle *Relation
 	}{
-		{"dense", aggInputOf(in), in},
+		{"rows", aggInputOf(in), in},
 		{"compacted", aggInputOf(sparse), sparse},
+		{"dense columns", denseColumns(in), in},
 		{"mixed", mixed, mixedRel},
 	}
 	for _, x := range inputs {
@@ -309,8 +351,11 @@ func checkAggRelation(t *testing.T, in *Relation, groupBy []int, specs []ra.AggS
 // inputs with group-by arity 0-2, points and boxes (a box's SG may equal a
 // point key), multiplicities with Lo = 0 and SG = 0, every aggregate over
 // ints, floats, NaN, -0 and nulls, and failing sums (a string, both
-// infinity sentinels, 1/0). Some inputs have over 32 groups, so workers 4
-// splits both passes.
+// infinity sentinels, 1/0). Measures are all points, mostly points or
+// half ranges, and each input is read as rows, as flat and dense columns,
+// as all dense columns and mixed (see checkAggInput), so the argument
+// lanes are flat, all points, points with exceptions and gathered from
+// rows. Some inputs have over 32 groups, so workers 4 splits both passes.
 func TestAggMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	trials := 300
@@ -321,7 +366,8 @@ func TestAggMatchesOracle(t *testing.T) {
 	for trial := range trials {
 		boxFrac := []float64{0, 0, 0.05, 0.3}[trial%4]
 		keys := []int{3, 16}[trial/4%2]
-		data := encodeAggInput(rng, rng.Intn(1+trial%7*40), boxFrac, keys)
+		rangeFrac := []float64{0, 0.125, 0.5}[trial/8%3]
+		data := encodeAggInput(rng, rng.Intn(1+trial%7*40), boxFrac, rangeFrac, keys)
 		in, groupBy, specs := decodeAggInput(data)
 		plans, slots, _ := planAggs(specs)
 		if _, err := naiveAggregate(context.Background(), in, groupBy, plans, slots, schema.New(), Options{Workers: 1}); err != nil {
@@ -472,6 +518,27 @@ func FuzzAgg(f *testing.F) {
 // promises, so the corpus keeps covering them.
 func TestAggFuzzSeeds(t *testing.T) {
 	cases := map[string]func(*Relation) bool{
+		// Two upper bounds of a whose sum leaves int64: the sum's bound
+		// saturates, and its SG does not overflow.
+		"seed-overflow-sum": func(r *Relation) bool {
+			hi, sg := new(big.Int), new(big.Int)
+			for _, t := range r.Tuples {
+				hi.Add(hi, big.NewInt(t.Vals[0].Hi.AsInt()))
+				sg.Add(sg, big.NewInt(t.Vals[0].SG.AsInt()))
+			}
+			return len(r.Tuples) == 2 && !hi.IsInt64() && sg.IsInt64()
+		},
+		// Under header bit 128, a is mostly points with a range among
+		// them: a dense column of points with exceptions once compacted.
+		"seed-point-lane-mixed": func(r *Relation) bool {
+			ranges := 0
+			for _, t := range r.Tuples {
+				if !t.Vals[1].IsCertain() {
+					ranges++
+				}
+			}
+			return ranges > 0 && 2*ranges < len(r.Tuples)
+		},
 		"seed-negzero-key": func(r *Relation) bool {
 			return types.Same(r.Tuples[0].Vals[0].SG, types.Float(math.Copysign(0, -1)))
 		},
@@ -625,5 +692,67 @@ func TestAppendColumnsVerbatim(t *testing.T) {
 				t.Fatalf("sel %v, row %d: got %v %v %v, want %v %v %v", sel, k, pt.cols[0].Flat[k], d, pt.mult(k), flat[i], dense[i], mdense[i])
 			}
 		}
+	}
+}
+
+// TestAggPass2AllocatesPerChunk: pass 2 allocates O(chunk), not O(rows).
+// One aggregation over 600 and over 6,000 point rows, with the same groups
+// and slots, allocates within a small constant of each other in pass 2
+// (the kernel's state, the argument lanes and programs, and the fold),
+// and less than one chunk of argument triples would take. The inputs and
+// pass 1 are built outside the measured region.
+func TestAggPass2AllocatesPerChunk(t *testing.T) {
+	a, b := expr.Col(1, "a"), expr.Col(2, "b")
+	_, slots, err := planAggs([]ra.AggSpec{
+		{Fn: ra.AggSum, Arg: a, Name: "s"},
+		{Fn: ra.AggSum, Arg: expr.Mul(a, expr.Sub(expr.CInt(1), b)), Name: "d"},
+		{Fn: ra.AggAvg, Arg: b, Name: "m"},
+		{Fn: ra.AggMin, Arg: b, Name: "lo"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := func(n int) *AggInput {
+		g, av := make([]types.Value, n), make([]types.Value, n)
+		bv, m := make([]rangeval.V, n), make([]int64, n)
+		for i := range n {
+			g[i], av[i], m[i] = types.Int(int64(i%7)), types.Float(float64(i%97)), 1
+			bv[i] = rangeval.Certain(types.Float(float64(i%5) / 10))
+			if i%50 == 0 {
+				bv[i] = rangeval.New(types.Float(0), bv[i].SG, types.Float(0.5))
+			}
+		}
+		in := NewAggInput(0)
+		in.AppendColumns([]rangeval.Col{rangeval.ColFromFlat(g), rangeval.ColFromFlat(av), rangeval.ColFromDense(bv)}, m, nil, n, nil)
+		return in
+	}
+	ctx := context.Background()
+	pass2 := func(in *AggInput) uint64 {
+		gs, err := groupRows(in, []int{0}, 0, ctxpoll.New(ctx))
+		if err != nil {
+			t.Fatal(err)
+		}
+		spans := ChunkSpans(len(gs.gbox), 1, minParGroups)
+		least := uint64(math.MaxUint64)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			k, err := newAggKernel(in, []int{0}, slots, gs, 0, ctxpoll.New(ctx))
+			if err == nil {
+				_, _, err = k.foldRows(ctx, 1, spans)
+			}
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	small, large := pass2(input(600)), pass2(input(6000))
+	triples := uint64(expr.RangeChunk*len(slots)) * uint64(unsafe.Sizeof(rangeval.V{}))
+	t.Logf("pass 2: %d B over 600 rows, %d B over 6,000; one chunk of triples is %d B", small, large, triples)
+	if large > small+16<<10 || large >= triples {
+		t.Fatalf("pass 2 allocates %d B over 600 rows and %d B over 6,000; want within 16 KiB of each other and under %d B, one chunk of triples", small, large, triples)
 	}
 }

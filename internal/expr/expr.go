@@ -217,9 +217,11 @@ type Truth struct{ Lo, SG, Hi bool }
 func newTruth(lo, sg, hi bool) Truth { return Truth{Lo: lo && sg, SG: sg, Hi: hi || sg} }
 
 // TruthOf reads a range value as a range boolean: each component holds
-// when it is the boolean true. The result is normalized only when v is a
-// range boolean.
-func TruthOf(v rangeval.V) Truth { return Truth{Lo: truth(v.Lo), SG: truth(v.SG), Hi: truth(v.Hi)} }
+// when it is the boolean true, normalized as rangeval.New normalizes. A
+// value that is not a range boolean, such as the unknown boolean
+// [-inf/true/+inf], reads as uncertain: (F,T,F) becomes (F,T,T), so a
+// condition that holds in the selected-guess world may hold.
+func TruthOf(v rangeval.V) Truth { return newTruth(truth(v.Lo), truth(v.SG), truth(v.Hi)) }
 
 // V returns t as the range boolean [Lo/SG/Hi], normalized.
 func (t Truth) V() rangeval.V {
@@ -425,78 +427,83 @@ func (a Arith) EvalRange(t rangeval.Tuple) (rangeval.V, error) {
 	if err != nil {
 		return rangeval.V{}, err
 	}
-	return RangeArith(a.Op, lv, rv)
+	return RangeArith(a.Op, &lv, &rv)
 }
 
 // RangeArith applies op to two range values under Definition 9: the rule
-// Arith.EvalRange applies once both operands are evaluated.
-func RangeArith(op ArithOp, a, b rangeval.V) (rangeval.V, error) {
+// Arith.EvalRange applies once both operands are evaluated. The operands
+// are passed by pointer so that a column-at-a-time caller reads them in
+// place; they are only read.
+//
+// Add, Sub and Mul of two points take pointArith on their values. For
+// two points the corner rules compute that same operation three times,
+// so the shortcut returns exactly their value and their error.
+func RangeArith(op ArithOp, a, b *rangeval.V) (rangeval.V, error) {
+	if op != OpDiv && isPoint(a) && isPoint(b) {
+		v, err := pointArith(op, a.SG, b.SG)
+		if err != nil {
+			return rangeval.V{}, err
+		}
+		return rangeval.Certain(v), nil
+	}
 	switch op {
 	case OpAdd:
-		return RangeAdd(a, b)
+		return rangeAddCorners(a, b)
 	case OpSub:
-		return RangeSub(a, b)
+		return rangeSubCorners(a, b)
 	case OpMul:
-		return RangeMul(a, b)
-	default:
-		return RangeDiv(a, b)
+		return rangeMulCorners(a, b)
 	}
+	return rangeDiv(a, b)
+}
+
+// pointArith is Add, Sub or Mul on the values of two points.
+func pointArith(op ArithOp, x, y types.Value) (types.Value, error) {
+	switch op {
+	case OpAdd:
+		return types.Add(x, y)
+	case OpSub:
+		return types.Sub(x, y)
+	}
+	return types.Mul(x, y)
 }
 
 func (a Arith) String() string {
 	return "(" + a.L.String() + " " + a.Op.String() + " " + a.R.String() + ")"
 }
 
-// satAdd adds two bound values, saturating mixed infinities toward the
-// conservative direction dir (-1: lower bound, +1: upper bound).
-func satAdd(x, y types.Value, dir int) (types.Value, error) {
-	v, err := types.Add(x, y)
-	if err == nil {
-		return v, nil
-	}
+// boundOf reads v, err — the sum or difference of the bound values x and
+// y — as a bound on side dir (-1 lower, +1 upper): an integer overflow
+// saturates as types.Bound does, and opposite infinities saturate to
+// dir's sentinel.
+func boundOf(v types.Value, err error, x, y types.Value, dir int) (types.Value, error) {
 	if _, ok := err.(*types.ErrType); ok && (x.IsInf() || y.IsInf()) {
 		if dir < 0 {
 			return types.NegInf(), nil
 		}
 		return types.PosInf(), nil
 	}
-	return types.Null(), err
+	return types.Bound(v, err, dir)
 }
 
 // isPoint reports whether v is a point by representation: its three
 // components are the same value, bits included. For two such operands the
-// corner rules compute op(a.SG, b.SG) three times, so the shortcuts below
+// corner rules compute op(a.SG, b.SG) three times, so the shortcuts
 // return exactly that value and that error. A Compare-certain triple such
 // as [-0/0/-0] or [1/1.0/1] is not a point here and takes the corners.
-func isPoint(v rangeval.V) bool {
+func isPoint(v *rangeval.V) bool {
 	return types.Same(v.Lo, v.SG) && types.Same(v.SG, v.Hi)
 }
 
-// certainOf lifts a point operation's result: the corner rule's value and
-// error for two point operands.
-func certainOf(v types.Value, err error) (rangeval.V, error) {
-	if err != nil {
+// rangeAddCorners is [a] + [b] per Definition 9 for every operand: lower
+// bound a.lb + b.lb, upper a.ub + b.ub, each saturating (boundOf).
+func rangeAddCorners(a, b *rangeval.V) (rangeval.V, error) {
+	lo, err := types.Add(a.Lo, b.Lo)
+	if lo, err = boundOf(lo, err, a.Lo, b.Lo, -1); err != nil {
 		return rangeval.V{}, err
 	}
-	return rangeval.Certain(v), nil
-}
-
-// RangeAdd implements [a] + [b] per Definition 9.
-func RangeAdd(a, b rangeval.V) (rangeval.V, error) {
-	if isPoint(a) && isPoint(b) {
-		return certainOf(types.Add(a.SG, b.SG))
-	}
-	return rangeAddCorners(a, b)
-}
-
-// rangeAddCorners is RangeAdd's bound rule for every operand.
-func rangeAddCorners(a, b rangeval.V) (rangeval.V, error) {
-	lo, err := satAdd(a.Lo, b.Lo, -1)
-	if err != nil {
-		return rangeval.V{}, err
-	}
-	hi, err := satAdd(a.Hi, b.Hi, 1)
-	if err != nil {
+	hi, err := types.Add(a.Hi, b.Hi)
+	if hi, err = boundOf(hi, err, a.Hi, b.Hi, 1); err != nil {
 		return rangeval.V{}, err
 	}
 	sg, err := types.Add(a.SG, b.SG)
@@ -506,74 +513,58 @@ func rangeAddCorners(a, b rangeval.V) (rangeval.V, error) {
 	return rangeval.New(lo, sg, hi), nil
 }
 
-// RangeSub implements [a] - [b]: lower bound a.lb - b.ub, upper a.ub - b.lb.
-func RangeSub(a, b rangeval.V) (rangeval.V, error) {
-	if isPoint(a) && isPoint(b) {
-		// types.Sub is Add(a, Neg(b)), as rangeNeg then RangeAdd are.
-		return certainOf(types.Sub(a.SG, b.SG))
-	}
-	nb, err := rangeNeg(b)
-	if err != nil {
+// rangeSubCorners is [a] - [b] for every operand: lower bound a.lb -
+// b.ub, upper a.ub - b.lb, each saturating (boundOf).
+func rangeSubCorners(a, b *rangeval.V) (rangeval.V, error) {
+	lo, err := types.Sub(a.Lo, b.Hi)
+	if lo, err = boundOf(lo, err, a.Lo, b.Hi, -1); err != nil {
 		return rangeval.V{}, err
 	}
-	return RangeAdd(a, nb)
-}
-
-func rangeNeg(a rangeval.V) (rangeval.V, error) {
-	lo, err := types.Neg(a.Hi)
-	if err != nil {
+	hi, err := types.Sub(a.Hi, b.Lo)
+	if hi, err = boundOf(hi, err, a.Hi, b.Lo, 1); err != nil {
 		return rangeval.V{}, err
 	}
-	hi, err := types.Neg(a.Lo)
-	if err != nil {
-		return rangeval.V{}, err
-	}
-	sg, err := types.Neg(a.SG)
+	sg, err := types.Sub(a.SG, b.SG)
 	if err != nil {
 		return rangeval.V{}, err
 	}
 	return rangeval.New(lo, sg, hi), nil
 }
 
-// RangeMul implements [a] * [b]: min/max over the four bound products.
-func RangeMul(a, b rangeval.V) (rangeval.V, error) {
-	if isPoint(a) && isPoint(b) {
-		return certainOf(types.Mul(a.SG, b.SG))
-	}
-	return rangeMulCorners(a, b)
-}
-
-// rangeMulCorners is RangeMul's bound rule for every operand.
-func rangeMulCorners(a, b rangeval.V) (rangeval.V, error) {
+// rangeMulCorners is [a] * [b] for every operand: min/max over the four
+// bound products, an overflowing product saturating on each side.
+func rangeMulCorners(a, b *rangeval.V) (rangeval.V, error) {
 	sg, err := types.Mul(a.SG, b.SG)
 	if err != nil {
 		return rangeval.V{}, err
 	}
-	prods := make([]types.Value, 0, 4)
-	for _, x := range []types.Value{a.Lo, a.Hi} {
-		for _, y := range []types.Value{b.Lo, b.Hi} {
+	var lo, hi types.Value
+	for i, x := range [2]types.Value{a.Lo, a.Hi} {
+		for j, y := range [2]types.Value{b.Lo, b.Hi} {
 			p, err := types.Mul(x, y)
-			if err != nil {
-				return rangeval.V{}, err
+			l, err2 := types.Bound(p, err, -1)
+			if err2 != nil {
+				return rangeval.V{}, err2
 			}
-			prods = append(prods, p)
+			h, _ := types.Bound(p, err, 1)
+			if i == 0 && j == 0 {
+				lo, hi = l, h
+				continue
+			}
+			lo = types.Min(lo, l)
+			hi = types.Max(hi, h)
 		}
-	}
-	lo, hi := prods[0], prods[0]
-	for _, p := range prods[1:] {
-		lo = types.Min(lo, p)
-		hi = types.Max(hi, p)
 	}
 	return rangeval.New(lo, sg, hi), nil
 }
 
-// RangeDiv implements [a] / [b]. If the divisor interval contains zero the
+// rangeDiv implements [a] / [b]. If the divisor interval contains zero the
 // result is unbounded, [-inf/sg/+inf], which soundly over-approximates the
 // possible quotients (cf. the remark after Definition 9 that 1/e is
 // undefined when the range of e spans zero; returning the full range keeps
 // queries total). If the divisor is certainly zero, or zero in the selected
 // guess world, division fails as in the deterministic semantics.
-func RangeDiv(a, b rangeval.V) (rangeval.V, error) {
+func rangeDiv(a, b *rangeval.V) (rangeval.V, error) {
 	zero := types.Int(0)
 	spansZero := b.Contains(zero)
 	if spansZero && b.IsCertain() {
@@ -635,7 +626,7 @@ func (e If) EvalRange(t rangeval.Tuple) (rangeval.V, error) {
 	if err != nil {
 		return rangeval.V{}, err
 	}
-	ct := ifCond(TruthOf(c))
+	ct := TruthOf(c)
 	switch {
 	case ct.Lo: // certainly true
 		return e.Then.EvalRange(t)
@@ -652,12 +643,6 @@ func (e If) EvalRange(t rangeval.Tuple) (rangeval.V, error) {
 	}
 	return RangeIf(ct.SG, tv, ev), nil
 }
-
-// ifCond normalizes an If condition, so that a certainly true condition
-// holds in the selected-guess world and a certainly false one fails there.
-// A condition that is not a range boolean, such as the unknown boolean
-// [-inf/true/+inf], is then uncertain, and both branches bound the result.
-func ifCond(c Truth) Truth { return newTruth(c.Lo, c.SG, c.Hi) }
 
 // RangeIf joins the branches of an If whose condition is uncertain: the
 // bounds cover both branches, and the SG is the branch the condition's SG

@@ -1,6 +1,8 @@
 package expr
 
 import (
+	"math"
+	"math/big"
 	"strings"
 	"testing"
 
@@ -404,5 +406,110 @@ func TestEquiPair(t *testing.T) {
 	}
 	if _, _, ok := EquiPair(Eq(Col(0, ""), CInt(3)), 2); ok {
 		t.Error("attr=const should not be an equi pair")
+	}
+}
+
+// TestUnknownBooleanCondition: a value read as a condition is normalized,
+// so the unknown boolean [-inf/true/+inf] reads as uncertain (F,T,T) —
+// its selected-guess world keeps the row — whether it is read directly,
+// under NOT NOT, under AND/OR or as an If condition, row by row or by the
+// range-vector program.
+func TestUnknownBooleanCondition(t *testing.T) {
+	b := Col(0, "b")
+	cols := []rangeval.Col{rangeval.ColFromDense([]rangeval.V{rangeval.Full(types.Bool(true))})}
+	want := Truth{Lo: false, SG: true, Hi: true}
+	for _, e := range []Expr{b, Not{E: Not{E: b}}, And(b, CBool(true)), Or(b, CBool(false))} {
+		v := mustRange(t, e, rangeval.Tuple{rangeval.Full(types.Bool(true))})
+		if got := TruthOf(v); got != want {
+			t.Errorf("%s: TruthOf(EvalRange) = %+v, want %+v", e, got, want)
+		}
+		p, _ := CompileRange(e)
+		out := make([]Truth, 1)
+		if err := p.TruthInto(cols, 1, nil, out); err != nil || out[0] != want {
+			t.Errorf("%s: TruthInto = %+v, %v; want %+v", e, out[0], err, want)
+		}
+	}
+	// An If over it takes both branches, the Then branch in the SG world.
+	v := mustRange(t, If{Cond: b, Then: CInt(1), Else: CInt(2)}, rangeval.Tuple{rangeval.Full(types.Bool(true))})
+	if !sameV(v, rangeval.New(types.Int(1), types.Int(1), types.Int(2))) {
+		t.Errorf("IF b THEN 1 ELSE 2 = %v", v)
+	}
+}
+
+// TestRangeOverflowReproducers: with x = [0/5/MaxInt64-10], x + x and x * 3
+// saturate their upper bound to +inf instead of wrapping below the SG,
+// and an SG that overflows is an integer overflow error.
+func TestRangeOverflowReproducers(t *testing.T) {
+	x := rangeval.New(types.Int(0), types.Int(5), types.Int(math.MaxInt64-10))
+	tup := rangeval.Tuple{x}
+	a := Col(0, "x")
+	want := rangeval.New(types.Int(0), types.Int(10), types.PosInf())
+	if got := mustRange(t, Add(a, a), tup); !sameV(got, want) {
+		t.Errorf("x + x = %v, want %v", got, want)
+	}
+	want = rangeval.New(types.Int(0), types.Int(15), types.PosInf())
+	if got := mustRange(t, Mul(a, CInt(3)), tup); !sameV(got, want) {
+		t.Errorf("x * 3 = %v, want %v", got, want)
+	}
+	huge := rangeval.Tuple{rangeval.New(types.Int(0), types.Int(math.MaxInt64), types.Int(math.MaxInt64))}
+	if _, err := Add(a, CInt(1)).EvalRange(huge); err == nil || !strings.Contains(err.Error(), "integer overflow") {
+		t.Errorf("SG overflow: error %v", err)
+	}
+}
+
+// TestRangeArithAtInt64Extremes: for every operator, Neg (as 0 - x)
+// included, over triples whose corners sit at and near MinInt64 and
+// MaxInt64, RangeArith either fails because the SG overflows, or returns
+// bounds that contain the exact result of every combination of operand
+// values drawn from the corners, computed without overflow.
+func TestRangeArithAtInt64Extremes(t *testing.T) {
+	ints := []int64{math.MinInt64, math.MinInt64 + 1, -3, 0, 2, math.MaxInt64 - 1, math.MaxInt64}
+	var triples []rangeval.V
+	for _, lo := range ints {
+		for _, hi := range ints {
+			if lo <= hi {
+				triples = append(triples, rangeval.New(types.Int(lo), types.Int(lo), types.Int(hi)),
+					rangeval.New(types.Int(lo), types.Int(hi), types.Int(hi)))
+			}
+		}
+	}
+	exact := map[ArithOp]func(z, x, y *big.Int) *big.Int{OpAdd: (*big.Int).Add, OpSub: (*big.Int).Sub, OpMul: (*big.Int).Mul}
+	within := func(v types.Value, z *big.Int, dir int) bool {
+		switch v.Kind() {
+		case types.KindPosInf:
+			return dir > 0
+		case types.KindNegInf:
+			return dir < 0
+		}
+		return big.NewInt(v.AsInt()).Cmp(z)*dir >= 0
+	}
+	zero := rangeval.Certain(types.Int(0))
+	for _, a := range triples {
+		for _, b := range triples {
+			for op, f := range exact {
+				for _, pair := range [][2]rangeval.V{{a, b}, {zero, b}} {
+					l, r := pair[0], pair[1]
+					got, err := RangeArith(op, &l, &r)
+					sg := f(new(big.Int), big.NewInt(l.SG.AsInt()), big.NewInt(r.SG.AsInt()))
+					if err != nil {
+						if sg.IsInt64() || !strings.Contains(err.Error(), "integer overflow") {
+							t.Fatalf("%v %s %v: error %v, exact SG %s", l, op, r, err, sg)
+						}
+						continue
+					}
+					if !sg.IsInt64() || !types.Same(got.SG, types.Int(sg.Int64())) {
+						t.Fatalf("%v %s %v = %v, exact SG %s", l, op, r, got, sg)
+					}
+					for _, x := range []types.Value{l.Lo, l.SG, l.Hi} {
+						for _, y := range []types.Value{r.Lo, r.SG, r.Hi} {
+							z := f(new(big.Int), big.NewInt(x.AsInt()), big.NewInt(y.AsInt()))
+							if !within(got.Lo, z, -1) || !within(got.Hi, z, 1) {
+								t.Fatalf("%v %s %v = %v, which misses %s = %v %s %v", l, op, r, got, z, x, op, y)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }

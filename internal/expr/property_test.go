@@ -143,7 +143,7 @@ func TestTheorem1BoundPreservation(t *testing.T) {
 }
 
 // pointAlphabet is the value domain of TestPointShortcutMatchesCorners:
-// wrapping ints, signed zeros, NaN, float and sentinel infinities, null,
+// overflowing ints, signed zeros, NaN, float and sentinel infinities, null,
 // strings and ints beside the equal float.
 var pointAlphabet = []types.Value{
 	types.Int(0), types.Int(1), types.Int(-3), types.Int(math.MaxInt64), types.Int(math.MinInt64),
@@ -181,33 +181,27 @@ func sameV(a, b rangeval.V) bool {
 	return types.Same(a.Lo, b.Lo) && types.Same(a.SG, b.SG) && types.Same(a.Hi, b.Hi)
 }
 
-// TestPointShortcutMatchesCorners: RangeAdd, RangeSub and RangeMul take a
-// shortcut when both operands are points by representation. It must return
-// exactly what the corner rule returns — value bits and error text — for
-// every operand pair, points or not.
+// TestPointShortcutMatchesCorners: RangeArith takes a shortcut for Add,
+// Sub and Mul when both operands are points by representation. It must
+// return exactly what the corner rule returns — value bits and error text
+// — for every operand pair, points or not.
 func TestPointShortcutMatchesCorners(t *testing.T) {
 	ops := []struct {
-		name          string
-		fast, corners func(a, b rangeval.V) (rangeval.V, error)
+		op      ArithOp
+		corners func(a, b *rangeval.V) (rangeval.V, error)
 	}{
-		{"+", RangeAdd, rangeAddCorners},
-		{"-", RangeSub, func(a, b rangeval.V) (rangeval.V, error) {
-			nb, err := rangeNeg(b)
-			if err != nil {
-				return rangeval.V{}, err
-			}
-			return rangeAddCorners(a, nb)
-		}},
-		{"*", RangeMul, rangeMulCorners},
+		{OpAdd, rangeAddCorners},
+		{OpSub, rangeSubCorners},
+		{OpMul, rangeMulCorners},
 	}
 	r := rand.New(rand.NewSource(11))
 	for i := 0; i < 20000; i++ {
 		a, b := randTriple(r), randTriple(r)
 		for _, op := range ops {
-			got, gerr := op.fast(a, b)
-			want, werr := op.corners(a, b)
+			got, gerr := RangeArith(op.op, &a, &b)
+			want, werr := op.corners(&a, &b)
 			if fmt.Sprint(gerr) != fmt.Sprint(werr) || !sameV(got, want) {
-				t.Fatalf("[%#v] %s [%#v] = %#v, %v; corner rule %#v, %v", a, op.name, b, got, gerr, want, werr)
+				t.Fatalf("[%#v] %s [%#v] = %#v, %v; corner rule %#v, %v", a, op.op, b, got, gerr, want, werr)
 			}
 		}
 	}

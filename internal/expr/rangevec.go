@@ -11,9 +11,17 @@ import (
 // rangeval.Col columns of a columnar batch, one node at a time over a
 // chunk of rows instead of one row at a time over the whole tree.
 //
-//   - Value nodes (Attr, Const, Arith, If, NAry) produce a vector of range
-//     values. A leaf reads its column in place: a dense column is aliased,
-//     a flat one is lifted to [v/v/v] on read, a constant is broadcast.
+//   - Value nodes (Attr, Const, Arith, If, NAry) produce the values of the
+//     chunk's live rows. A leaf reads its column in place: a flat column
+//     as a lane of points, a dense one as its triples; a constant is
+//     broadcast. Every other value node writes a Lane: each row's SG
+//     value, plus the triple of each row that is not a point by
+//     representation (isPoint). So a certain row costs one 32 B value per
+//     node, not a 96 B triple.
+//   - Add, Sub and Mul of two point rows apply pointArith to their values,
+//     the operation RangeArith's own point shortcut applies; every other
+//     row applies RangeArith to its operands in place. Div applies
+//     RangeArith to every row.
 //   - Boolean nodes (Cmp, Logic, Not, IsNull) produce a vector of Truth:
 //     three truth lanes per row, exactly TruthOf the range boolean their
 //     EvalRange returns.
@@ -22,33 +30,41 @@ import (
 //
 // Every node applies the same rule function its EvalRange applies
 // (RangeCmp, RangeLogic, RangeNot, RangeIsNull, RangeArith, RangeNAry,
-// RangeIf), so the two agree bit for bit. Every node is evaluated on
+// RangeIf), and a point stored as its value reads back as the same
+// triple, so the two agree bit for bit. Every node is evaluated on
 // exactly the rows EvalRange evaluates it on: If partitions the live rows
 // into certainly true, certainly false and uncertain, runs Then on the
 // first and third and Else on the second and third, and Logic evaluates
 // both operands as EvalRange does. So the program fails whenever
 // EvalRange fails on some live row, and otherwise returns its values. On
-// an error the caller re-evaluates the batch row by row through the
+// an error the caller re-evaluates the chunk row by row through the
 // canonical kernel, which reports the reference executor's row-order
 // error.
 //
-// Temporaries are sized to rangeChunk rows and shared by the nodes of a
-// tree depth; each is allocated on first use and reused after. A
-// RangeProg is not safe for concurrent use; each operator instance
-// compiles its own.
+// Temporaries are sized to the chunk, grown up to RangeChunk rows, and
+// shared by the nodes of a tree depth; each is allocated on first use and
+// reused after. Programs compiled together by CompileRanges share them
+// too. A RangeProg is not safe for concurrent use; each operator instance
+// or worker compiles its own.
 
-// rangeChunk is how many physical rows a RangeProg evaluates at a time,
-// as core's aggregation evaluates its arguments in chunks of aggChunk.
-const rangeChunk = 256
+// RangeChunk is how many physical rows a RangeProg evaluates at a time.
+// Aggregation evaluates its arguments in chunks of it.
+const RangeChunk = 256
 
 // RangeProg is a compiled range-vector program over rangeval.Col columns.
 type RangeProg struct {
-	root   *rnode
-	frames []rframe     // scratch per tree depth
-	seq    []int        // the identity offsets [0, rangeChunk)
-	live   []int        // a chunk's live rows as offsets from its base
-	dst    []rangeval.V // EvalInto's output window for the chunk
-	conv   rframe       // the root's conversion buffers
+	root *rnode
+	s    *rscratch
+}
+
+// rscratch is the temporaries of the programs compiled together, which
+// run one after another.
+type rscratch struct {
+	frames []rframe // per tree depth
+	seq    []int    // the identity offsets [0, RangeChunk)
+	live   []int    // a chunk's live rows as offsets from its base
+	root   Lane     // the root's result
+	conv   rframe   // the root's conversion buffers
 }
 
 // rnode is one expression node and its depth in the tree.
@@ -60,26 +76,103 @@ type rnode struct {
 
 // rframe holds the temporaries of the nodes at one depth. A node writes
 // its result to a buffer its parent passes (a frame one level up, or the
-// caller's output), and its operands to its own frame, so the operands of
-// a node survive while its siblings' subtrees run deeper.
+// root's), and its operands to its own frame, so the operands of a node
+// survive while its siblings' subtrees run deeper.
 type rframe struct {
-	v1, v2 []rangeval.V // operand values
-	cv     []rangeval.V // a child value node read as a boolean
-	t      []Truth      // an operand's or a condition's truths
-	ct     []Truth      // a child boolean node read as a value
-	tu, fu []int        // If: the live rows Then and Else run on
+	l, r   Lane    // operand values
+	cv     Lane    // a child value node read as a boolean
+	t      []Truth // an operand's or a condition's truths
+	ct     []Truth // a child boolean node read as a value
+	tu, fu []int   // If: the live rows Then and Else run on
+}
+
+// Lane is a chunk of range values stored as points with exceptions. SG
+// holds every row's selected-guess value, which is the row's value when
+// the row is a point by representation (its three components the same
+// bits). Exc marks the rows that are not: Exc[o] >= 0 is the index of row
+// o's triple in Tri, and Exc[o] < 0 for a point.
+type Lane struct {
+	SG  []types.Value
+	Exc []int32
+	Tri []rangeval.V
+}
+
+// Reset readies l for n rows, reusing its buffers: SG and Exc of length
+// n, Tri empty.
+func (l *Lane) Reset(n int) {
+	if cap(l.SG) < n {
+		c := max(n, min(2*cap(l.SG), RangeChunk))
+		l.SG, l.Exc = make([]types.Value, c), make([]int32, c)
+	}
+	l.SG, l.Exc, l.Tri = l.SG[:n], l.Exc[:n], l.Tri[:0]
+}
+
+// Set writes v as row o. The triple of a row that is not a point is
+// appended, never written over another, so a node may fold a Lane into
+// itself row by row.
+func (l *Lane) Set(o int, v *rangeval.V) {
+	l.SG[o] = v.SG
+	if isPoint(v) {
+		l.Exc[o] = -1
+		return
+	}
+	l.Exc[o] = int32(len(l.Tri))
+	l.Tri = append(l.Tri, *v)
+}
+
+// At returns row o's value.
+func (l *Lane) At(o int) rangeval.V {
+	if e := l.Exc[o]; e >= 0 {
+		return l.Tri[e]
+	}
+	return rangeval.Certain(l.SG[o])
+}
+
+// vals returns l as a node result.
+func (l *Lane) vals() rvals { return rvals{pts: l.SG, exc: l.Exc, tri: l.Tri} }
+
+// holds reports whether r was written to l.
+func (l *Lane) holds(r *rvals) bool {
+	return len(r.pts) > 0 && len(l.SG) > 0 && &r.pts[0] == &l.SG[0]
+}
+
+// put writes row o of r to l. A row that is not a point is read in
+// place, never lifted, so ptr needs no scratch.
+func (l *Lane) put(o int, r *rvals) {
+	if x, ok := r.point(o); ok {
+		l.SG[o], l.Exc[o] = x, -1
+		return
+	}
+	l.Set(o, r.ptr(o, nil))
 }
 
 // CompileRange compiles e for range-vector evaluation. ok is false when
 // e contains an Expr implementation outside this package's nine node
 // types; the caller must then evaluate per row.
 func CompileRange(e Expr) (*RangeProg, bool) {
-	depth := 0
-	root, ok := compileRange(e, 0, &depth)
+	ps, ok := CompileRanges([]Expr{e})
 	if !ok {
 		return nil, false
 	}
-	return &RangeProg{root: root, frames: make([]rframe, depth+1)}, true
+	return ps[0], true
+}
+
+// CompileRanges compiles es as programs that share their temporaries: they
+// may run one after another, never at once. ok is as for CompileRange,
+// for every expression.
+func CompileRanges(es []Expr) ([]*RangeProg, bool) {
+	s := &rscratch{}
+	depth := 0
+	ps := make([]*RangeProg, len(es))
+	for i, e := range es {
+		root, ok := compileRange(e, 0, &depth)
+		if !ok {
+			return nil, false
+		}
+		ps[i] = &RangeProg{root: root, s: s}
+	}
+	s.frames = make([]rframe, depth+1)
+	return ps, true
 }
 
 func compileRange(e Expr, depth int, maxDepth *int) (*rnode, bool) {
@@ -122,13 +215,13 @@ func compileRange(e Expr, depth int, maxDepth *int) (*rnode, bool) {
 // must have length at least n; dead slots are left untouched. On error
 // the contents of out are unspecified.
 func (p *RangeProg) TruthInto(cols []rangeval.Col, n int, live []int, out []Truth) error {
-	for base, j := 0, 0; base < n; base += rangeChunk {
-		w := rwin{cols: cols, base: base, end: min(base+rangeChunk, n)}
+	for base, j := 0, 0; base < n; base += RangeChunk {
+		w := rwin{cols: cols, base: base, end: min(base+RangeChunk, n)}
 		offs := p.offsets(&w, live, &j)
 		if len(offs) == 0 {
 			continue
 		}
-		if err := p.truths(p.root, &w, offs, out[base:w.end], &p.conv); err != nil {
+		if err := p.truths(p.root, &w, offs, out[base:w.end], &p.s.conv); err != nil {
 			return err
 		}
 	}
@@ -141,22 +234,45 @@ func (p *RangeProg) TruthInto(cols []rangeval.Col, n int, live []int, out []Trut
 // have length at least n; dead slots are left untouched. On error the
 // contents of out are unspecified.
 func (p *RangeProg) EvalInto(cols []rangeval.Col, n int, live []int, out []rangeval.V) error {
-	for base, j := 0, 0; base < n; base += rangeChunk {
-		w := rwin{cols: cols, base: base, end: min(base+rangeChunk, n)}
+	for base, j := 0, 0; base < n; base += RangeChunk {
+		w := rwin{cols: cols, base: base, end: min(base+RangeChunk, n)}
 		offs := p.offsets(&w, live, &j)
 		if len(offs) == 0 {
 			continue
 		}
-		p.dst = out[base:w.end]
-		r, err := p.vals(p.root, &w, offs, &p.dst, &p.conv)
+		r, err := p.vals(p.root, &w, offs, &p.s.root, &p.s.conv)
 		if err != nil {
 			return err
 		}
-		if !r.in(p.dst) {
-			for _, o := range offs {
-				p.dst[o] = r.at(o)
-			}
+		dst := out[base:w.end]
+		for _, o := range offs {
+			dst[o] = r.at(o)
 		}
+	}
+	return nil
+}
+
+// EvalLane evaluates the program over rows [lo, hi) of cols, every one
+// live and at most RangeChunk of them, writing row lo+o's value — what
+// EvalRange returns for it — to row o of out, which is Reset first. On
+// error the contents of out are unspecified.
+func (p *RangeProg) EvalLane(cols []rangeval.Col, lo, hi int, out *Lane) error {
+	w := rwin{cols: cols, base: lo, end: hi}
+	offs := p.offsets(&w, nil, nil)
+	// The root writes straight into out; the buffers it grows stay there.
+	own := p.s.root
+	p.s.root = *out
+	r, err := p.vals(p.root, &w, offs, &p.s.root, &p.s.conv)
+	*out, p.s.root = p.s.root, own
+	if err != nil {
+		return err
+	}
+	if out.holds(&r) {
+		return nil
+	}
+	out.Reset(len(offs))
+	for _, o := range offs {
+		out.put(o, &r)
 	}
 	return nil
 }
@@ -170,28 +286,32 @@ type rwin struct {
 // offsets returns the live rows of w as offsets from w.base, advancing *j
 // past them in live.
 func (p *RangeProg) offsets(w *rwin, live []int, j *int) []int {
-	if p.seq == nil {
-		p.seq = make([]int, rangeChunk)
-		for i := range p.seq {
-			p.seq[i] = i
+	s := p.s
+	if s.seq == nil {
+		s.seq = make([]int, RangeChunk)
+		for i := range s.seq {
+			s.seq[i] = i
 		}
-		p.live = make([]int, 0, rangeChunk)
 	}
 	if live == nil {
-		return p.seq[:w.end-w.base]
+		return s.seq[:w.end-w.base]
 	}
-	p.live = p.live[:0]
+	s.live = grow(&s.live, w.end-w.base)[:0]
 	for ; *j < len(live) && live[*j] < w.end; *j++ {
-		p.live = append(p.live, live[*j]-w.base)
+		s.live = append(s.live, live[*j]-w.base)
 	}
-	return p.live
+	return s.live
 }
 
-// rvals is a value node's result over a chunk, indexed by offset: a dense
-// vector, a flat vector lifted on read, or a broadcast constant.
+// rvals is a value node's result over a chunk, indexed by offset: a lane
+// (pts, with exc and tri as in Lane; a flat column is a lane with exc
+// nil), a dense vector of triples, or, when both pts and dense are nil,
+// the broadcast constant c, a point.
 type rvals struct {
+	pts   []types.Value
+	exc   []int32
+	tri   []rangeval.V
 	dense []rangeval.V
-	flat  []types.Value
 	c     rangeval.V
 }
 
@@ -199,61 +319,58 @@ func (r *rvals) at(o int) rangeval.V {
 	switch {
 	case r.dense != nil:
 		return r.dense[o]
-	case r.flat != nil:
-		return rangeval.Certain(r.flat[o])
+	case r.pts == nil:
+		return r.c
+	case r.exc != nil && r.exc[o] >= 0:
+		return r.tri[r.exc[o]]
 	}
-	return r.c
+	return rangeval.Certain(r.pts[o])
 }
 
-// ptr returns a pointer to row o's value: into the vector or the
-// constant, or to tmp holding a flat value lifted to [v/v/v].
+// ptr returns a pointer to row o's value: into the vector, the
+// exceptions or the constant, or, for a point of a lane, to tmp holding
+// it lifted to [v/v/v].
 func (r *rvals) ptr(o int, tmp *rangeval.V) *rangeval.V {
 	switch {
 	case r.dense != nil:
 		return &r.dense[o]
-	case r.flat != nil:
-		*tmp = rangeval.Certain(r.flat[o])
-		return tmp
+	case r.pts == nil:
+		return &r.c
+	case r.exc != nil && r.exc[o] >= 0:
+		return &r.tri[r.exc[o]]
 	}
-	return &r.c
+	*tmp = rangeval.Certain(r.pts[o])
+	return tmp
 }
 
-// in reports whether r is the buffer buf.
-func (r *rvals) in(buf []rangeval.V) bool {
-	return len(r.dense) > 0 && len(buf) > 0 && &r.dense[0] == &buf[0]
+// point returns row o's value and true when row o is a point.
+func (r *rvals) point(o int) (types.Value, bool) {
+	switch {
+	case r.dense != nil:
+		return r.dense[o].SG, isPoint(&r.dense[o])
+	case r.pts == nil:
+		return r.c.SG, true
+	}
+	return r.pts[o], r.exc == nil || r.exc[o] < 0
 }
 
-// chunkV returns the value buffer *b, allocating it on first use.
-func chunkV(b *[]rangeval.V) []rangeval.V {
-	if *b == nil {
-		*b = make([]rangeval.V, rangeChunk)
+// grow returns *b with length n, reallocating it when it is too short:
+// to n, or to twice its capacity up to RangeChunk if that is more.
+func grow[T any](b *[]T, n int) []T {
+	if cap(*b) < n {
+		*b = make([]T, max(n, min(2*cap(*b), RangeChunk)))
 	}
+	*b = (*b)[:n]
 	return *b
-}
-
-// chunkT returns the truth buffer *b, allocating it on first use.
-func chunkT(b *[]Truth) []Truth {
-	if *b == nil {
-		*b = make([]Truth, rangeChunk)
-	}
-	return *b
-}
-
-// chunkIdx returns the index buffer *b emptied, allocating it on first
-// use.
-func chunkIdx(b *[]int) []int {
-	if *b == nil {
-		*b = make([]int, 0, rangeChunk)
-	}
-	return (*b)[:0]
 }
 
 // vals evaluates the value of n at the live offsets of w. A result the
-// node computes is written to *dst (allocated on first use); a leaf
-// returns a view of its column or constant instead. conv is the frame
-// whose conversion buffers n may use: its parent's, or the root's.
-func (p *RangeProg) vals(n *rnode, w *rwin, live []int, dst *[]rangeval.V, conv *rframe) (rvals, error) {
-	f := &p.frames[n.depth]
+// node computes is written to dst; a leaf returns a view of its column or
+// constant instead. conv is the frame whose conversion buffers n may use:
+// its parent's, or the root's.
+func (p *RangeProg) vals(n *rnode, w *rwin, live []int, dst *Lane, conv *rframe) (rvals, error) {
+	f := &p.s.frames[n.depth]
+	nw := w.end - w.base
 	switch t := n.e.(type) {
 	case Attr:
 		if t.Idx < 0 || t.Idx >= len(w.cols) {
@@ -261,7 +378,7 @@ func (p *RangeProg) vals(n *rnode, w *rwin, live []int, dst *[]rangeval.V, conv 
 		}
 		c := w.cols[t.Idx]
 		if c.IsFlat() {
-			return rvals{flat: c.Flat[w.base:w.end]}, nil
+			return rvals{pts: c.Flat[w.base:w.end]}, nil
 		}
 		return rvals{dense: c.Dense[w.base:w.end]}, nil
 
@@ -269,63 +386,76 @@ func (p *RangeProg) vals(n *rnode, w *rwin, live []int, dst *[]rangeval.V, conv 
 		return rvals{c: rangeval.Certain(t.V)}, nil
 
 	case Arith:
-		l, err := p.vals(n.kids[0], w, live, dst, f)
+		l, err := p.vals(n.kids[0], w, live, &f.l, f)
 		if err != nil {
 			return rvals{}, err
 		}
-		r, err := p.vals(n.kids[1], w, live, &f.v1, f)
+		r, err := p.vals(n.kids[1], w, live, &f.r, f)
 		if err != nil {
 			return rvals{}, err
 		}
-		out := chunkV(dst)
+		dst.Reset(nw)
+		var la, ra rangeval.V
 		for _, o := range live {
-			v, err := RangeArith(t.Op, l.at(o), r.at(o))
+			if t.Op != OpDiv {
+				if x, ok := l.point(o); ok {
+					if y, ok := r.point(o); ok {
+						v, err := pointArith(t.Op, x, y)
+						if err != nil {
+							return rvals{}, err
+						}
+						dst.SG[o], dst.Exc[o] = v, -1
+						continue
+					}
+				}
+			}
+			v, err := RangeArith(t.Op, l.ptr(o, &la), r.ptr(o, &ra))
 			if err != nil {
 				return rvals{}, err
 			}
-			out[o] = v
+			dst.Set(o, &v)
 		}
-		return rvals{dense: out}, nil
+		return dst.vals(), nil
 
 	case If:
-		cond := chunkT(&f.t)
+		cond := grow(&f.t, nw)
 		if err := p.truths(n.kids[0], w, live, cond, f); err != nil {
 			return rvals{}, err
 		}
-		tu, fu := chunkIdx(&f.tu), chunkIdx(&f.fu)
+		tu, fu := grow(&f.tu, nw)[:0], grow(&f.fu, nw)[:0]
 		for _, o := range live {
-			c := ifCond(cond[o])
-			if c.Hi {
+			if cond[o].Hi {
 				tu = append(tu, o)
 			}
-			if !c.Lo {
+			if !cond[o].Lo {
 				fu = append(fu, o)
 			}
 		}
 		var tv, ev rvals
 		var err error
 		if len(tu) > 0 {
-			if tv, err = p.vals(n.kids[1], w, tu, dst, f); err != nil {
+			if tv, err = p.vals(n.kids[1], w, tu, &f.l, f); err != nil {
 				return rvals{}, err
 			}
 		}
 		if len(fu) > 0 {
-			if ev, err = p.vals(n.kids[2], w, fu, &f.v1, f); err != nil {
+			if ev, err = p.vals(n.kids[2], w, fu, &f.r, f); err != nil {
 				return rvals{}, err
 			}
 		}
-		out := chunkV(dst)
+		dst.Reset(nw)
 		for _, o := range live {
-			switch c := ifCond(cond[o]); {
+			switch c := cond[o]; {
 			case c.Lo:
-				out[o] = tv.at(o)
+				dst.put(o, &tv)
 			case !c.Hi:
-				out[o] = ev.at(o)
+				dst.put(o, &ev)
 			default:
-				out[o] = RangeIf(c.SG, tv.at(o), ev.at(o))
+				v := RangeIf(c.SG, tv.at(o), ev.at(o))
+				dst.Set(o, &v)
 			}
 		}
-		return rvals{dense: out}, nil
+		return dst.vals(), nil
 
 	case NAry:
 		if len(n.kids) == 0 {
@@ -336,42 +466,48 @@ func (p *RangeProg) vals(n *rnode, w *rwin, live []int, dst *[]rangeval.V, conv 
 			return rvals{}, err
 		}
 		for _, k := range n.kids[1:] {
-			v, err := p.vals(k, w, live, &f.v1, f)
+			v, err := p.vals(k, w, live, &f.l, f)
 			if err != nil {
 				return rvals{}, err
 			}
-			out := chunkV(dst)
-			for _, o := range live {
-				out[o] = RangeNAry(t.Op, acc.at(o), v.at(o))
+			// The fold runs in place once acc is dst: Set appends the
+			// triples it writes, so row o's old triple is read first.
+			if !dst.holds(&acc) {
+				dst.Reset(nw)
 			}
-			acc = rvals{dense: out}
+			for _, o := range live {
+				x := RangeNAry(t.Op, acc.at(o), v.at(o))
+				dst.Set(o, &x)
+			}
+			acc = dst.vals()
 		}
 		return acc, nil
 	}
 
 	// A boolean node read as a value.
-	ts := chunkT(&conv.ct)
+	ts := grow(&conv.ct, nw)
 	if err := p.truths(n, w, live, ts, f); err != nil {
 		return rvals{}, err
 	}
-	out := chunkV(dst)
+	dst.Reset(nw)
 	for _, o := range live {
-		out[o] = ts[o].V()
+		v := ts[o].V()
+		dst.Set(o, &v)
 	}
-	return rvals{dense: out}, nil
+	return dst.vals(), nil
 }
 
 // truths evaluates n as a boolean at the live offsets of w, writing each
 // row's truths to dst. conv is as for vals.
 func (p *RangeProg) truths(n *rnode, w *rwin, live []int, dst []Truth, conv *rframe) error {
-	f := &p.frames[n.depth]
+	f := &p.s.frames[n.depth]
 	switch t := n.e.(type) {
 	case Cmp:
-		l, err := p.vals(n.kids[0], w, live, &f.v1, f)
+		l, err := p.vals(n.kids[0], w, live, &f.l, f)
 		if err != nil {
 			return err
 		}
-		r, err := p.vals(n.kids[1], w, live, &f.v2, f)
+		r, err := p.vals(n.kids[1], w, live, &f.r, f)
 		if err != nil {
 			return err
 		}
@@ -385,7 +521,7 @@ func (p *RangeProg) truths(n *rnode, w *rwin, live []int, dst []Truth, conv *rfr
 		if err := p.truths(n.kids[0], w, live, dst, f); err != nil {
 			return err
 		}
-		r := chunkT(&f.t)
+		r := grow(&f.t, w.end-w.base)
 		if err := p.truths(n.kids[1], w, live, r, f); err != nil {
 			return err
 		}
@@ -404,7 +540,7 @@ func (p *RangeProg) truths(n *rnode, w *rwin, live []int, dst []Truth, conv *rfr
 		return nil
 
 	case IsNull:
-		v, err := p.vals(n.kids[0], w, live, &f.v1, f)
+		v, err := p.vals(n.kids[0], w, live, &f.l, f)
 		if err != nil {
 			return err
 		}

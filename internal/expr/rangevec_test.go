@@ -4,7 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/audb/audb/internal/rangeval"
@@ -44,9 +48,26 @@ func rangeCell(r *rand.Rand, uncertain bool) rangeval.V {
 	return rangeval.New(cs[0], v, cs[2])
 }
 
+// negZeroTriple is Compare-certain but not a point by representation: its
+// bounds are -0 and its SG is 0.
+var negZeroTriple = rangeval.New(types.Float(math.Copysign(0, -1)), types.Float(0), types.Float(math.Copysign(0, -1)))
+
+// lanePointCell draws a cell of a dense column that is mostly points: a
+// point of the alphabet (-0 and NaN among them), and one time in eight an
+// exception, either a genuine range or [-0/0/-0].
+func lanePointCell(r *rand.Rand) rangeval.V {
+	switch r.Intn(16) {
+	case 0:
+		return negZeroTriple
+	case 1:
+		return rangeCell(r, true)
+	}
+	return rangeCell(r, false)
+}
+
 // rangeBatch builds n rows of arity columns, each stored flat or dense per
 // layout: 'f' flat (certain cells), 'd' dense (uncertain cells), 'c' dense
-// but every cell certain.
+// but every cell certain, 'p' dense and mostly points (lanePointCell).
 func rangeBatch(r *rand.Rand, layout string, n int) []rangeval.Col {
 	cols := make([]rangeval.Col, len(layout))
 	for c, l := range layout {
@@ -60,7 +81,11 @@ func rangeBatch(r *rand.Rand, layout string, n int) []rangeval.Col {
 		}
 		dense := make([]rangeval.V, n)
 		for i := range dense {
-			dense[i] = rangeCell(r, l == 'd')
+			if l == 'p' {
+				dense[i] = lanePointCell(r)
+			} else {
+				dense[i] = rangeCell(r, l == 'd')
+			}
 		}
 		cols[c] = rangeval.ColFromDense(dense)
 	}
@@ -89,13 +114,26 @@ func rangeCorpus() []Expr {
 		Least(),
 		Col(7, "z"),
 		Not{E: Eq(Col(1, "b"), Col(1, "b"))},
+		// Lanes: a flat or mostly-point column against a constant, Div's
+		// general rule, signed zeros and NaN as points, and lanes as
+		// operands of lanes.
+		Add(a, CInt(3)),
+		Sub(CFloat(math.Copysign(0, -1)), b),
+		Mul(c, CFloat(math.Copysign(0, -1))),
+		Add(b, CFloat(math.NaN())),
+		Div(a, CInt(2)),
+		Div(Add(a, b), Sub(c, CFloat(0.5))),
+		Mul(Add(a, CInt(1)), Sub(b, c)),
 	)
 }
 
 // checkRangeProg compares the range program with EvalRange row by row on
 // the live rows of cols: EvalInto must write every live row's value bit
 // for bit and TruthInto its truths, and either must fail exactly when
-// EvalRange fails on some live row. Dead rows must stay untouched.
+// EvalRange fails on some live row. Dead rows must stay untouched. With
+// every row live, EvalLane must write each chunk's values, a row kept as
+// a point exactly when its value is one, and fail exactly on the chunks
+// where EvalRange fails on some row.
 func checkRangeProg(t *testing.T, e Expr, cols []rangeval.Col, n int, live []int) {
 	t.Helper()
 	p, ok := CompileRange(e)
@@ -109,6 +147,7 @@ func checkRangeProg(t *testing.T, e Expr, cols []rangeval.Col, n int, live []int
 		}
 	}
 	want := make([]rangeval.V, n)
+	failed := make([]bool, n)
 	var werr error
 	row := make(rangeval.Tuple, len(cols))
 	for _, i := range idxs {
@@ -117,10 +156,16 @@ func checkRangeProg(t *testing.T, e Expr, cols []rangeval.Col, n int, live []int
 		}
 		v, err := e.EvalRange(row)
 		if err != nil {
-			werr = err
-			break
+			failed[i] = true
+			if werr == nil {
+				werr = err
+			}
+			continue
 		}
 		want[i] = v
+	}
+	if live == nil {
+		checkLanes(t, p, e, cols, n, want, failed)
 	}
 
 	sentinel := rangeval.Certain(types.String("dead"))
@@ -160,17 +205,44 @@ func checkRangeProg(t *testing.T, e Expr, cols []rangeval.Col, n int, live []int
 	}
 }
 
+// checkLanes runs EvalLane over every chunk of cols, all rows live, into
+// one reused Lane, against EvalRange's values want and failing rows.
+func checkLanes(t *testing.T, p *RangeProg, e Expr, cols []rangeval.Col, n int, want []rangeval.V, failed []bool) {
+	t.Helper()
+	var lane Lane
+	for lo := 0; lo < n; lo += RangeChunk {
+		hi := min(lo+RangeChunk, n)
+		err := p.EvalLane(cols, lo, hi, &lane)
+		if fail := slices.Contains(failed[lo:hi], true); fail != (err != nil) {
+			t.Fatalf("%s, rows [%d, %d): EvalLane error %v, EvalRange fails %v", e, lo, hi, err, fail)
+		}
+		if err != nil {
+			continue
+		}
+		if len(lane.SG) != hi-lo {
+			t.Fatalf("%s: lane of %d rows for a chunk of %d", e, len(lane.SG), hi-lo)
+		}
+		for o := range hi - lo {
+			w := want[lo+o]
+			if got := lane.At(o); !sameV(got, w) || !types.Same(lane.SG[o], w.SG) || (lane.Exc[o] < 0) != isPoint(&w) {
+				t.Fatalf("%s: lane row %d = %#v (SG %#v, exception %d), EvalRange %#v", e, lo+o, got, lane.SG[o], lane.Exc[o], w)
+			}
+		}
+	}
+}
+
 // TestRangeProgMatchesEvalRange runs the corpus and random expressions
-// over flat, dense and mixed columns, with and without a selection
-// vector, and over batches of several chunks.
+// over flat, dense, mostly-point and mixed columns, with and without a
+// selection vector, and over batches of several chunks.
 func TestRangeProgMatchesEvalRange(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	corpus := rangeCorpus()
 	for range 150 {
 		corpus = append(corpus, genExpr(r, 3, 3, r.Intn(2) == 0))
 	}
-	for trial := 0; trial < 24; trial++ {
-		layout := []string{"fff", "ddd", "fdd", "dfc", "cfd", "dcf"}[trial%6]
+	layouts := []string{"fff", "ddd", "fdd", "dfc", "cfd", "dcf", "ppf", "fpd", "pcp"}
+	for trial := 0; trial < 36; trial++ {
+		layout := layouts[trial%len(layouts)]
 		n := 1 + r.Intn(40)
 		if trial%4 == 3 {
 			n = 300 + r.Intn(500) // several chunks
@@ -300,11 +372,19 @@ func TestRangeSGIsEvalOverSG(t *testing.T) {
 	}
 }
 
+// extremeAlphabet is rangeAlphabet behind three ints at and near the ends
+// of int64, so that the corner bytes of a range can reach them too.
+var extremeAlphabet = append([]types.Value{
+	types.Int(math.MaxInt64), types.Int(math.MinInt64), types.Int(math.MaxInt64/2 + 1),
+}, rangeAlphabet...)
+
 // decodeRangeCase decodes a fuzz input into an expression over three
 // columns and a batch of them: a header byte picks the layout of each
 // column and whether a selection vector follows, the expression is
-// decoded in prefix order, and the remaining bytes are the cells. Missing
-// bytes read as zero.
+// decoded in prefix order, and the remaining bytes are the cells. Header
+// bit 16 draws constants and cells from extremeAlphabet, and bit 32 makes
+// a dense column mostly points (a cell byte must be at least 240 to make
+// a range). Missing bytes read as zero.
 func decodeRangeCase(data []byte) (Expr, []rangeval.Col, int, []int) {
 	next := func() byte {
 		if len(data) == 0 {
@@ -319,6 +399,13 @@ func decodeRangeCase(data []byte) (Expr, []rangeval.Col, int, []int) {
 	if h&64 != 0 {
 		n += 256 // a second chunk
 	}
+	alphabet, rangeFrom := rangeAlphabet, byte(128)
+	if h&16 != 0 {
+		alphabet = extremeAlphabet
+	}
+	if h&32 != 0 {
+		rangeFrom = 240
+	}
 	var node func(depth int) Expr
 	node = func(depth int) Expr {
 		b := next()
@@ -329,7 +416,7 @@ func decodeRangeCase(data []byte) (Expr, []rangeval.Col, int, []int) {
 		case 0:
 			return Col(int(b/10)%4, "") // 3 is out of range
 		case 1:
-			return C(rangeAlphabet[int(b/10)%len(rangeAlphabet)])
+			return C(alphabet[int(b/10)%len(alphabet)])
 		case 2:
 			return Arith{Op: ArithOp(b / 10 % 4), L: node(depth + 1), R: node(depth + 1)}
 		case 3:
@@ -353,12 +440,12 @@ func decodeRangeCase(data []byte) (Expr, []rangeval.Col, int, []int) {
 	e := node(0)
 	cell := func(uncertain bool) rangeval.V {
 		b := next()
-		v := rangeAlphabet[int(b)%len(rangeAlphabet)]
-		if !uncertain || b < 128 {
+		v := alphabet[int(b)%len(alphabet)]
+		if !uncertain || b < rangeFrom {
 			return rangeval.Certain(v)
 		}
 		y := next()
-		cs := []types.Value{v, rangeAlphabet[int(y&15)%len(rangeAlphabet)], rangeAlphabet[int(y>>4)%len(rangeAlphabet)]}
+		cs := []types.Value{v, alphabet[int(y&15)%len(alphabet)], alphabet[int(y>>4)%len(alphabet)]}
 		slices.SortFunc(cs, types.Compare)
 		return rangeval.New(cs[0], v, cs[2])
 	}
@@ -388,6 +475,72 @@ func decodeRangeCase(data []byte) (Expr, []rangeval.Col, int, []int) {
 		}
 	}
 	return e, cols, n, live
+}
+
+// TestRangeFuzzSeeds: each committed seed of FuzzRangeProg decodes to the
+// case its name promises, so the corpus keeps covering them.
+func TestRangeFuzzSeeds(t *testing.T) {
+	// rows evaluates e over every live row of cols, as FuzzRangeProg does.
+	rows := func(e Expr, cols []rangeval.Col, n int, live []int, f func(rangeval.Tuple, rangeval.V, error)) {
+		if live == nil {
+			for i := range n {
+				live = append(live, i)
+			}
+		}
+		for _, i := range live {
+			row := make(rangeval.Tuple, len(cols))
+			for c := range cols {
+				row[c] = cols[c].At(i)
+			}
+			v, err := e.EvalRange(row)
+			f(row, v, err)
+		}
+	}
+	cases := map[string]func(Expr, []rangeval.Col, int, []int) bool{
+		// An arithmetic root over a dense column of points with a few
+		// exceptions, and no failing row.
+		"seed-lane-exceptions": func(e Expr, cols []rangeval.Col, n int, live []int) bool {
+			points, ranges := 0, 0
+			for _, c := range cols {
+				for i := 0; i < n && !c.IsFlat(); i++ {
+					if v := c.At(i); isPoint(&v) {
+						points++
+					} else {
+						ranges++
+					}
+				}
+			}
+			ok := true
+			rows(e, cols, n, live, func(_ rangeval.Tuple, _ rangeval.V, err error) { ok = ok && err == nil })
+			_, arith := e.(Arith)
+			return arith && ok && ranges > 0 && points > 4*ranges
+		},
+		// A product whose upper bound saturates over int cells, with no
+		// failing row.
+		"seed-overflow-mul": func(e Expr, cols []rangeval.Col, n int, live []int) bool {
+			saturated, ok := false, true
+			rows(e, cols, n, live, func(_ rangeval.Tuple, v rangeval.V, err error) {
+				ok = ok && err == nil
+				saturated = saturated || err == nil && v.Hi.Kind() == types.KindPosInf && v.SG.Kind() == types.KindInt
+			})
+			a, mul := e.(Arith)
+			return mul && a.Op == OpMul && ok && saturated
+		},
+	}
+	for name, check := range cases {
+		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzRangeProg", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit := strings.TrimSuffix(strings.TrimPrefix(strings.Split(string(raw), "\n")[1], "[]byte("), ")")
+		data, err := strconv.Unquote(lit)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if e, cols, n, live := decodeRangeCase([]byte(data)); !check(e, cols, n, live) {
+			t.Errorf("%s decodes to %s over %v", name, e, cols)
+		}
+	}
 }
 
 // FuzzRangeProg checks the range-vector program against row-by-row

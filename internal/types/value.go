@@ -13,6 +13,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -305,6 +306,81 @@ func (e *ErrType) Error() string {
 		e.Op, e.A, e.A.kind, e.B, e.B.kind)
 }
 
+// ErrOverflow is returned by Add, Sub, Mul and Neg when the exact result
+// of integer arithmetic lies outside int64. Sign is +1 when it lies above
+// MaxInt64 and -1 when it lies below MinInt64.
+type ErrOverflow struct {
+	Op   string
+	A, B Value
+	Sign int
+}
+
+func (e *ErrOverflow) Error() string {
+	if e.Op == "neg" {
+		return fmt.Sprintf("types: integer overflow: -(%s)", e.A)
+	}
+	return fmt.Sprintf("types: integer overflow: %s %s %s", e.A, e.Op, e.B)
+}
+
+// Bound reads the result v, err of arithmetic on bound values as a bound
+// on side dir (-1 lower, +1 upper). An integer overflow saturates, so the
+// bound stays valid: past its own end to that end's sentinel (PosInf for
+// an upper bound, NegInf for a lower one), past the other end to the
+// int64 extreme there. Any other error is returned as it is.
+func Bound(v Value, err error, dir int) (Value, error) {
+	o, ok := err.(*ErrOverflow)
+	switch {
+	case !ok:
+		return v, err
+	case o.Sign > 0 && dir > 0:
+		return PosInf(), nil
+	case o.Sign > 0:
+		return Int(math.MaxInt64), nil
+	case dir < 0:
+		return NegInf(), nil
+	}
+	return Int(math.MinInt64), nil
+}
+
+// signOf is +1 for x >= 0 and -1 otherwise: the side an int64 result
+// leaves on when it overflows with x's sign.
+func signOf(x int64) int {
+	if x < 0 {
+		return -1
+	}
+	return 1
+}
+
+// addInt returns a + b, or an *ErrOverflow when it leaves int64.
+func addInt(a, b int64) (Value, error) {
+	s := a + b
+	if (s^a)&(s^b) < 0 {
+		return Null(), &ErrOverflow{Op: "+", A: Int(a), B: Int(b), Sign: signOf(a)}
+	}
+	return Int(s), nil
+}
+
+// subInt returns a - b, or an *ErrOverflow when it leaves int64.
+func subInt(a, b int64) (Value, error) {
+	d := a - b
+	if (a^b)&(a^d) < 0 {
+		return Null(), &ErrOverflow{Op: "-", A: Int(a), B: Int(b), Sign: signOf(a)}
+	}
+	return Int(d), nil
+}
+
+// mulInt returns a * b, or an *ErrOverflow when it leaves int64: the
+// signed high word of the 128-bit product must be the sign extension of
+// its low word.
+func mulInt(a, b int64) (Value, error) {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	shi := int64(hi) - a>>63&b - b>>63&a
+	if shi != int64(lo)>>63 {
+		return Null(), &ErrOverflow{Op: "*", A: Int(a), B: Int(b), Sign: signOf(shi)}
+	}
+	return Int(int64(lo)), nil
+}
+
 // ErrDivisionByZero is returned by Div when the divisor is zero.
 type ErrDivisionByZero struct{}
 
@@ -320,14 +396,15 @@ func numericPair(op string, a, b Value) error {
 }
 
 // Add returns a + b. Null propagates; infinities absorb (inf + x = inf).
-// Adding opposite infinities is an error.
+// Adding opposite infinities is an error, and so is an int64 overflow
+// (*ErrOverflow).
 func Add(a, b Value) (Value, error) {
 	// The numeric pairs return what addGeneral returns, without its checks.
 	switch {
 	case a.kind == KindFloat && b.kind == KindFloat:
 		return Float(a.fl() + b.fl()), nil
 	case a.kind == KindInt && b.kind == KindInt:
-		return Int(a.i + b.i), nil
+		return addInt(a.i, b.i)
 	case a.kind == KindInt && b.kind == KindFloat:
 		return Float(float64(a.i) + b.fl()), nil
 	case a.kind == KindFloat && b.kind == KindInt:
@@ -347,7 +424,7 @@ func addGeneral(a, b Value) (Value, error) {
 		return addInf(a, b)
 	}
 	if a.kind == KindInt && b.kind == KindInt {
-		return Int(a.i + b.i), nil
+		return addInt(a.i, b.i)
 	}
 	return Float(a.AsFloat() + b.AsFloat()), nil
 }
@@ -373,8 +450,16 @@ func infSign(v Value) int {
 	return 0
 }
 
-// Sub returns a - b.
+// Sub returns a - b: Add(a, Neg(b)), except that two ints subtract
+// directly and MinInt64 is negated as a float, so only a result outside
+// int64 overflows.
 func Sub(a, b Value) (Value, error) {
+	switch {
+	case a.kind == KindInt && b.kind == KindInt:
+		return subInt(a.i, b.i)
+	case b.kind == KindInt && b.i == math.MinInt64:
+		return Add(a, Float(-float64(b.i)))
+	}
 	nb, err := Neg(b)
 	if err != nil {
 		return Null(), err
@@ -388,6 +473,9 @@ func Neg(a Value) (Value, error) {
 	case KindNull:
 		return Null(), nil
 	case KindInt:
+		if a.i == math.MinInt64 {
+			return Null(), &ErrOverflow{Op: "neg", A: a, Sign: 1}
+		}
 		return Int(-a.i), nil
 	case KindFloat:
 		return Float(-a.fl()), nil
@@ -401,13 +489,14 @@ func Neg(a Value) (Value, error) {
 
 // Mul returns a * b. Inf times zero yields zero (the convention needed for
 // multiplicity-weighted aggregation, where a zero multiplicity annihilates).
+// An int64 overflow is an *ErrOverflow.
 func Mul(a, b Value) (Value, error) {
 	// The numeric pairs return what mulGeneral returns, without its checks.
 	switch {
 	case a.kind == KindFloat && b.kind == KindFloat:
 		return Float(a.fl() * b.fl()), nil
 	case a.kind == KindInt && b.kind == KindInt:
-		return Int(a.i * b.i), nil
+		return mulInt(a.i, b.i)
 	case a.kind == KindInt && b.kind == KindFloat:
 		return Float(float64(a.i) * b.fl()), nil
 	case a.kind == KindFloat && b.kind == KindInt:
@@ -427,7 +516,7 @@ func mulGeneral(a, b Value) (Value, error) {
 		return mulInf(a, b)
 	}
 	if a.kind == KindInt && b.kind == KindInt {
-		return Int(a.i * b.i), nil
+		return mulInt(a.i, b.i)
 	}
 	return Float(a.AsFloat() * b.AsFloat()), nil
 }

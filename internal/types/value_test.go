@@ -7,6 +7,7 @@ import (
 	"math/big"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -263,8 +264,10 @@ func TestFloatFastPath(t *testing.T) {
 
 // TestNumericFastPath: the int×int, int×float and float×int branches of
 // Add and Mul return exactly what the general path returns — kind, bits
-// and error text — over wrapping ints, signed zeros, NaN, float and
-// sentinel infinities, null and strings.
+// and error text — over overflowing ints, signed zeros, NaN, float and
+// sentinel infinities, null and strings. An int pair whose exact result
+// leaves int64 no longer wraps: both paths report an *ErrOverflow on the
+// side it leaves.
 func TestNumericFastPath(t *testing.T) {
 	vals := []Value{
 		Int(0), Int(1), Int(-1), Int(7), Int(math.MaxInt64), Int(math.MinInt64),
@@ -291,8 +294,88 @@ func TestNumericFastPath(t *testing.T) {
 				if !Same(got, want) {
 					t.Errorf("%#v %s %#v = %#v, general path %#v", x, op.name, y, got, want)
 				}
+				if x.Kind() != KindInt || y.Kind() != KindInt {
+					continue
+				}
+				exact := new(big.Int)
+				if op.name == "+" {
+					exact.Add(big.NewInt(x.AsInt()), big.NewInt(y.AsInt()))
+				} else {
+					exact.Mul(big.NewInt(x.AsInt()), big.NewInt(y.AsInt()))
+				}
+				checkOverflow(t, x.String()+" "+op.name+" "+y.String(), got, gerr, exact)
 			}
 		}
+	}
+}
+
+// checkOverflow asserts that v, err is the exact int64 result, or an
+// *ErrOverflow on the side the exact result leaves int64.
+func checkOverflow(t *testing.T, what string, v Value, err error, exact *big.Int) {
+	t.Helper()
+	if exact.IsInt64() {
+		if err != nil || !Same(v, Int(exact.Int64())) {
+			t.Errorf("%s = %#v, %v; want %s", what, v, err, exact)
+		}
+		return
+	}
+	o, ok := err.(*ErrOverflow)
+	if !ok || o.Sign != exact.Sign() || !strings.Contains(err.Error(), "integer overflow") {
+		t.Errorf("%s = %#v, %v; want an integer overflow of sign %d", what, v, err, exact.Sign())
+	}
+}
+
+// TestIntOverflow: Add, Sub, Mul and Neg at and around MinInt64 and
+// MaxInt64 return the exact result or an *ErrOverflow with its side, and
+// Bound saturates that overflow into a valid bound on either side.
+func TestIntOverflow(t *testing.T) {
+	ints := []int64{0, 1, -1, 2, -2, 3, 1 << 32, -(1 << 32), math.MaxInt64, math.MinInt64,
+		math.MaxInt64 - 1, math.MinInt64 + 1, math.MaxInt64 / 2, math.MinInt64 / 2}
+	ops := []struct {
+		name  string
+		f     func(a, b Value) (Value, error)
+		exact func(z, x, y *big.Int) *big.Int
+	}{
+		{"+", Add, (*big.Int).Add},
+		{"-", Sub, (*big.Int).Sub},
+		{"*", Mul, (*big.Int).Mul},
+	}
+	for _, a := range ints {
+		v, err := Neg(Int(a))
+		checkOverflow(t, fmt.Sprintf("-(%d)", a), v, err, new(big.Int).Neg(big.NewInt(a)))
+		for _, b := range ints {
+			for _, op := range ops {
+				v, err := op.f(Int(a), Int(b))
+				checkOverflow(t, fmt.Sprintf("%d %s %d", a, op.name, b), v, err, op.exact(new(big.Int), big.NewInt(a), big.NewInt(b)))
+			}
+		}
+	}
+	// A float minus MinInt64 is a float sum, not an overflow.
+	if v, err := Sub(Float(-1), Int(math.MinInt64)); err != nil || v.Kind() != KindFloat || v.AsFloat() != 0x1p63-1 {
+		t.Errorf("-1.0 - MinInt64 = %#v, %v", v, err)
+	}
+	up, upErr := Add(Int(math.MaxInt64), Int(1))
+	down, downErr := Mul(Int(math.MinInt64), Int(2))
+	cases := []struct {
+		v    Value
+		err  error
+		dir  int
+		want Value
+	}{
+		{up, upErr, 1, PosInf()},
+		{up, upErr, -1, Int(math.MaxInt64)},
+		{down, downErr, -1, NegInf()},
+		{down, downErr, 1, Int(math.MinInt64)},
+		{Int(5), nil, 1, Int(5)},
+	}
+	for _, c := range cases {
+		if got, err := Bound(c.v, c.err, c.dir); err != nil || !Same(got, c.want) {
+			t.Errorf("Bound(%v, %v, %d) = %v, %v; want %v", c.v, c.err, c.dir, got, err, c.want)
+		}
+	}
+	_, typeErr := Add(String("a"), Int(1))
+	if _, err := Bound(Null(), typeErr, 1); err != typeErr {
+		t.Errorf("Bound passed a type error as %v", err)
 	}
 }
 
