@@ -52,11 +52,11 @@
 // per-operator row estimates the decisions were based on. Both passes
 // are result-exact, so neither is a user option.
 //
-// Every non-empty registered table, COPY-loaded table and decoded wire
-// result is stored by columns: a certain, null-free column is one flat
-// value slice, any other column keeps its triples. A registered table
-// that rows are added to in place is held row by row until Analyze stores
-// it columnar again.
+// Every registered table, COPY-loaded table and decoded wire result is
+// stored by columns: a certain, null-free column is one flat value slice,
+// any other column keeps its triples. Storage is append-only: rows added
+// to a registered table are appended to its columns, and each query
+// reads the rows appended before it started.
 //
 // Performance is tuned per query with functional options (WithWorkers,
 // WithJoinCompression, WithAggCompression) or database-wide with
@@ -199,12 +199,9 @@ func checkArity(table string, got, want int) {
 	}
 }
 
-// Rel exposes the underlying AU-relation (advanced use): the one the
-// catalog holds, also after Analyze rebuilt the table (see Analyze).
-func (t *UncertainTable) Rel() *core.Relation {
-	t.rel = t.rel.Live()
-	return t.rel
-}
+// Rel exposes the underlying AU-relation (advanced use): once the table
+// is added to a database, the one its catalog holds.
+func (t *UncertainTable) Rel() *core.Relation { return t.rel }
 
 // Result is an AU-relation produced by a query. Each tuple pairs
 // range-annotated values with a multiplicity triple.
@@ -342,9 +339,9 @@ func WithAggCompression(target int) QueryOption {
 
 // Database is a collection of AU-relations queryable with SQL. All methods
 // are safe for concurrent use: registration goes through a mutex-guarded
-// catalog and every query executes over an immutable snapshot of it.
-// (Mutating a registered table's rows while queries are in flight remains
-// the caller's race to avoid.)
+// catalog, and every query executes over an immutable snapshot of it that
+// pins each table's rows, so rows appended to a registered table while a
+// query runs reach the next query, not that one.
 type Database struct {
 	cat *core.Catalog
 	// st caches per-table statistics for the cost-based planner. The
@@ -389,37 +386,35 @@ func (d *Database) defaults() Options {
 
 // Add registers an uncertain table. It panics when a row's length
 // differs from the table's column count.
+//
+// The table is registered by reference: rows added to it afterwards
+// (AddRow, or Add on its relation) reach every later query. A table added
+// to two databases is shared by both: each sees every row added through
+// it, and dropping it from one leaves the other untouched.
 func (d *Database) Add(t *UncertainTable) *Database {
-	rel := t.Rel()
-	checkRows(t.Name, rel)
-	d.cat.Register(t.Name, rel)
-	return d
+	return d.register(t.Name, t.rel)
 }
 
 // AddDeterministic registers a deterministic table (lifted to certain
 // annotations). It panics when a row's length differs from the table's
 // column count.
 func (d *Database) AddDeterministic(t *Table) *Database {
-	rel := core.FromDeterministic(t.rel)
-	checkRows(t.Name, rel)
-	d.cat.Register(t.Name, rel)
-	return d
+	return d.register(t.Name, core.FromDeterministic(t.rel))
 }
 
 // AddRelation registers a pre-built AU-relation under the given name. It
 // panics when a row's length differs from the schema's column count.
 func (d *Database) AddRelation(name string, rel *core.Relation) *Database {
-	checkRows(name, rel)
-	d.cat.Register(name, rel)
-	return d
+	return d.register(name, rel)
 }
 
-// checkRows applies checkArity to every row a dense relation holds (a
-// columnar one holds one column per attribute by construction).
-func checkRows(table string, rel *core.Relation) {
-	for _, t := range rel.Tuples {
-		checkArity(table, len(t.Vals), rel.Schema.Arity())
+// register registers rel under name, panicking with checkArity's message
+// when the catalog rejects a row of the wrong length.
+func (d *Database) register(name string, rel *core.Relation) *Database {
+	if err := d.cat.Register(name, rel); err != nil {
+		panic(fmt.Sprintf("audb: table %q: %v", name, err))
 	}
+	return d
 }
 
 // Drop removes a table; unknown names are a no-op.
@@ -449,7 +444,7 @@ type ColStats = stats.ColStats
 
 // TableStats returns the current statistics for a registered table,
 // collecting them on first use. Statistics reflect the rows at collection
-// time; use Analyze after mutating a registered relation in place.
+// time; use Analyze after appending rows to a registered table.
 func (d *Database) TableStats(name string) (*TableStats, error) {
 	if ts, ok := d.st.TableStats(name); ok {
 		return ts, nil
@@ -467,33 +462,14 @@ func (d *Database) StoragePolicy() StoragePolicy { return StoragePolicy{} }
 
 // Analyze recollects the statistics for a registered table immediately
 // and returns them. Registration already (lazily) collects statistics, so
-// Analyze is only needed after mutating a registered relation's rows in
-// place — or to pay the collection cost eagerly at load time.
-//
-// Analyze also restores the columnar layout: a non-empty table that
-// in-place mutation left dense is replaced by a columnar copy with a
-// compare-and-swap, so a concurrent Register or Drop is never clobbered
-// and the relation queries may be scanning is never mutated. The replaced
-// relation forwards to the copy (core.Relation.Live), so rows added
-// afterwards through an UncertainTable or a relation handle taken before
-// the swap reach the registered table. The refreshed statistics are
-// primed into the registry (guarded the same way, see
-// stats.Registry.Prime).
+// Analyze is only needed after appending rows to a registered table, or
+// to pay the collection cost eagerly at load time. It leaves the table's
+// storage as it is.
 func (d *Database) Analyze(name string) (*TableStats, error) {
-	rel, ok := d.cat.Lookup(name)
-	if !ok {
-		return nil, schema.UnknownTable("audb", name, d.cat.Tables())
+	if ts, ok := d.st.Analyze(name); ok {
+		return ts, nil
 	}
-	if !rel.IsSparse() && rel.Len() > 0 {
-		fresh := rel.ShallowClone()
-		fresh.Compact(StoragePolicy{})
-		if d.cat.ReplaceIf(name, rel, fresh) {
-			rel = fresh
-		}
-	}
-	ts := stats.Collect(name, rel)
-	d.st.Prime(name, rel, ts)
-	return ts, nil
+	return nil, schema.UnknownTable("audb", name, d.cat.Tables())
 }
 
 // TableLoader streams rows into a new table: the rows accumulate in a
@@ -549,7 +525,7 @@ func (l *TableLoader) Add(vals RangeRow, m Multiplicity) {
 // must not be used afterwards.
 func (l *TableLoader) Commit() *core.Relation {
 	rel := l.b.Finish()
-	l.db.cat.Register(l.name, rel)
+	l.db.register(l.name, rel)
 	ts := l.c.Finish()
 	ts.SetStorage(rel)
 	l.db.st.Prime(l.name, rel, ts)

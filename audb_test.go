@@ -136,39 +136,49 @@ func TestAddRowArity(t *testing.T) {
 // TestRegisterArity: rows of the wrong length that bypass AddRow — added
 // to the underlying relation, handed over pre-built, or streamed through
 // a loader — are rejected before they reach storage, with AddRow's
-// message, by every registration entry point.
+// message, by every registration entry point. A row appended to a
+// registered table's relation is rejected by the columnar append itself,
+// with a message naming both arities.
 func TestRegisterArity(t *testing.T) {
 	short := core.Tuple{Vals: RangeRow{CertainOf(Int(1))}, M: CertainMult(1)}
 	cases := []struct {
 		name string
 		got  int
 		load func(db *Database)
+		want string // the panic, when not AddRow's
 	}{
 		{"Add, short row in the relation", 1, func(db *Database) {
 			ut := NewUncertainTable("t", "a", "b")
 			ut.Rel().Add(short)
 			db.Add(ut)
-		}},
+		}, ""},
 		{"AddDeterministic, long row in the relation", 3, func(db *Database) {
 			tb := NewTable("t", "a", "b")
 			tb.Rel().Add(Row{Int(1), Int(2), Int(3)}, 1)
 			db.AddDeterministic(tb)
-		}},
+		}, ""},
 		{"AddRelation, short row", 1, func(db *Database) {
 			rel := core.New(schema.New("a", "b"))
 			rel.Add(short)
 			db.AddRelation("t", rel)
-		}},
+		}, ""},
 		{"loader, long row", 3, func(db *Database) {
 			ld := db.NewLoader("t", "a", "b")
 			ld.Add(RangeRow{CertainOf(Int(1)), CertainOf(Int(2)), CertainOf(Int(3))}, CertainMult(1))
 			ld.Commit()
-		}},
+		}, ""},
 		{"loader, short row", 1, func(db *Database) {
 			ld := db.NewLoader("t", "a", "b")
 			ld.Add(short.Vals, short.M)
 			ld.Commit()
-		}},
+		}, ""},
+		{"append to a registered table, short row", 1, func(db *Database) {
+			ut := NewUncertainTable("t", "a", "b")
+			ut.AddCertainRow(Int(1), Int(2))
+			db.Add(ut)
+			rel, _ := db.Relation("t")
+			rel.Add(core.Tuple{Vals: RangeRow{CertainOf(Int(7))}, M: CertainMult(1)})
+		}, "core: row has 1 values, want 2 columns"},
 	}
 	for _, c := range cases {
 		msg := func() (msg string) {
@@ -184,7 +194,10 @@ func TestRegisterArity(t *testing.T) {
 			}
 			return "no panic"
 		}()
-		want := fmt.Sprintf(`audb: table "t": row has %d values, want 2 columns`, c.got)
+		want := c.want
+		if want == "" {
+			want = fmt.Sprintf(`audb: table "t": row has %d values, want 2 columns`, c.got)
+		}
 		if msg != want {
 			t.Errorf("%s: got %q, want panic %q", c.name, msg, want)
 		}

@@ -135,9 +135,9 @@ func TestExplainAnalyze(t *testing.T) {
 
 // TestExplainAnalyzeColumnar: over a registered (columnar) table, the
 // trace reports the columnar batch representation and its selection-vector
-// density (a scan emits full batches, density 1.00); the same rows
-// registered empty and filled row by row stay dense, take row batches, and
-// every operator reports rep=row.
+// density (a scan emits full batches, density 1.00). Every registered
+// table is columnar, so the row batches of a dense scan are covered by
+// internal/phys's tests over dense core.DBs.
 func TestExplainAnalyzeColumnar(t *testing.T) {
 	ctx := context.Background()
 	db := randomDB(rand.New(rand.NewSource(12)), 12)
@@ -149,13 +149,5 @@ func TestExplainAnalyzeColumnar(t *testing.T) {
 	text := exp.String()
 	if !strings.Contains(text, "rep=col") || !strings.Contains(text, "vec=1.00") {
 		t.Fatalf("sparse-scan trace missing columnar representation:\n%s", text)
-	}
-	registerDense(db, "r")
-	exp, err = db.ExplainAnalyze(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if text := exp.String(); !strings.Contains(text, "rep=row") || strings.Contains(text, "rep=col") {
-		t.Fatalf("dense-scan trace should report row batches only:\n%s", text)
 	}
 }

@@ -579,7 +579,11 @@ type spanFold struct {
 // in row-major order, or else the direct fold's earliest error by walk
 // position.
 func (k *aggKernel) foldRows(ctx context.Context, workers int, spans []Span) (argErr, direct foldErr, err error) {
-	var chunks []argChunk
+	nc := 0
+	for _, pt := range k.in.parts {
+		nc += (pt.n + expr.RangeChunk - 1) / expr.RangeChunk
+	}
+	chunks := make([]argChunk, 0, nc)
 	base := 0
 	for pi := range k.in.parts {
 		pt := &k.in.parts[pi]
@@ -612,22 +616,36 @@ func (k *aggKernel) foldRows(ctx context.Context, workers int, spans []Span) (ar
 	for c := range evals {
 		evals[c] = newArgPrograms(k.slots)
 	}
-	evalBlock := func(b int) error {
-		blk, out, errs := block(b), lanes[b%nbuf], argErrs[b%nbuf]
-		return runSpans(ctx, ChunkSpans(len(blk), workers, 1), func(c int, s Span, p *ctxpoll.Poll) error {
-			ev := evals[c]
-			for ci := s.Lo; ci < s.Hi; ci++ {
-				if err := p.Due(); err != nil {
-					return err
-				}
-				ch := blk[ci]
-				if bad, err := ev.eval(ch.pt, ch.lo, ch.hi, out[ci*ns:(ci+1)*ns]); err != nil {
-					errs[c] = foldErr{at: ch.base + ch.lo + bad, err: err}
-					return nil
-				}
+	// The span bodies and span lists are built once per call; each block
+	// only points the bodies at its chunks and lanes, so what a block
+	// allocates is runSpans' polls.
+	evalSpans := ChunkSpans(per, workers, 1)
+	lastSpans := ChunkSpans(len(block(nb-1)), workers, 1)
+	var (
+		evalBlk  []argChunk
+		evalOut  []expr.Lane
+		evalErrs []foldErr
+	)
+	evalBody := func(c int, s Span, p *ctxpoll.Poll) error {
+		ev := evals[c]
+		for ci := s.Lo; ci < s.Hi; ci++ {
+			if err := p.Due(); err != nil {
+				return err
 			}
-			return nil
-		})
+			ch := evalBlk[ci]
+			if bad, err := ev.eval(ch.pt, ch.lo, ch.hi, evalOut[ci*ns:(ci+1)*ns]); err != nil {
+				evalErrs[c] = foldErr{at: ch.base + ch.lo + bad, err: err}
+				return nil
+			}
+		}
+		return nil
+	}
+	evalBlock := func(b int) error {
+		evalBlk, evalOut, evalErrs = block(b), lanes[b%nbuf], argErrs[b%nbuf]
+		if b == nb-1 {
+			return runSpans(ctx, lastSpans, evalBody)
+		}
+		return runSpans(ctx, evalSpans, evalBody)
 	}
 	folds := make([]spanFold, len(spans))
 	for c := range folds {
@@ -638,32 +656,34 @@ func (k *aggKernel) foldRows(ctx context.Context, workers int, spans []Span) (ar
 		}
 	}
 	directs := make([]foldErr, len(spans))
-	foldBlock := func(blk []argChunk, lanes []expr.Lane) error {
-		return runSpans(ctx, spans, func(c int, s Span, p *ctxpoll.Poll) error {
-			sf := &folds[c]
-			for ci, ch := range blk {
-				ls := lanes[ci*ns : (ci+1)*ns]
-				for i := ch.lo; i < ch.hi; i++ {
-					if err := p.Due(); err != nil {
-						return err
-					}
-					r := ch.base + i
-					g := int(k.gs.grp[r])
-					if g < s.Lo || g >= s.Hi {
-						continue
-					}
-					o, m := i-ch.lo, ch.pt.mult(i)
-					if k.direct[g] && m.Lo > 0 && k.gs.rank[r] >= 0 && k.sgErr[g] == nil && k.foldPoint(g, &m, ls, o, sf.next) {
-						continue
-					}
-					for j := range ls {
-						sf.args[j] = ls[j].At(o)
-					}
-					k.foldRow(ch.pt, i, r, m, sf.args, &sf.w, &directs[c])
+	var (
+		foldBlk   []argChunk
+		foldLanes []expr.Lane
+	)
+	foldBody := func(c int, s Span, p *ctxpoll.Poll) error {
+		sf := &folds[c]
+		for ci, ch := range foldBlk {
+			ls := foldLanes[ci*ns : (ci+1)*ns]
+			for i := ch.lo; i < ch.hi; i++ {
+				if err := p.Due(); err != nil {
+					return err
 				}
+				r := ch.base + i
+				g := int(k.gs.grp[r])
+				if g < s.Lo || g >= s.Hi {
+					continue
+				}
+				o, m := i-ch.lo, ch.pt.mult(i)
+				if k.direct[g] && m.Lo > 0 && k.gs.rank[r] >= 0 && k.sgErr[g] == nil && k.foldPoint(g, &m, ls, o, sf.next) {
+					continue
+				}
+				for j := range ls {
+					sf.args[j] = ls[j].At(o)
+				}
+				k.foldRow(ch.pt, i, r, m, sf.args, &sf.w, &directs[c])
 			}
-			return nil
-		})
+		}
+		return nil
 	}
 
 	var ahead chan error // block b+1's evaluation, running while block b folds
@@ -686,7 +706,8 @@ func (k *aggKernel) foldRows(ctx context.Context, workers int, spans []Span) (ar
 			ahead = make(chan error, 1)
 			go func(done chan<- error) { done <- evalBlock(b + 1) }(ahead)
 		}
-		if err := foldBlock(block(b), lanes[x]); err != nil {
+		foldBlk, foldLanes = block(b), lanes[x]
+		if err := runSpans(ctx, spans, foldBody); err != nil {
 			if ahead != nil {
 				<-ahead
 			}

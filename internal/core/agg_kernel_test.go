@@ -699,8 +699,11 @@ func TestAppendColumnsVerbatim(t *testing.T) {
 // One aggregation over 600 and over 6,000 point rows, with the same groups
 // and slots, allocates within a small constant of each other in pass 2
 // (the kernel's state, the argument lanes and programs, and the fold),
-// and less than one chunk of argument triples would take. The inputs and
-// pass 1 are built outside the measured region.
+// and less than one chunk of argument triples would take. What still
+// grows with the input is the chunk list (40 B a chunk) and runSpans' two
+// polls per block: 1,808 B between the two sizes on linux/amd64, so the
+// bound is that gap plus 1 KiB. The inputs and pass 1 are built outside
+// the measured region.
 func TestAggPass2AllocatesPerChunk(t *testing.T) {
 	a, b := expr.Col(1, "a"), expr.Col(2, "b")
 	_, slots, err := planAggs([]ra.AggSpec{
@@ -752,7 +755,8 @@ func TestAggPass2AllocatesPerChunk(t *testing.T) {
 	small, large := pass2(input(600)), pass2(input(6000))
 	triples := uint64(expr.RangeChunk*len(slots)) * uint64(unsafe.Sizeof(rangeval.V{}))
 	t.Logf("pass 2: %d B over 600 rows, %d B over 6,000; one chunk of triples is %d B", small, large, triples)
-	if large > small+16<<10 || large >= triples {
-		t.Fatalf("pass 2 allocates %d B over 600 rows and %d B over 6,000; want within 16 KiB of each other and under %d B, one chunk of triples", small, large, triples)
+	const slack = 1808 + 1<<10
+	if large > small+slack || large >= triples {
+		t.Fatalf("pass 2 allocates %d B over 600 rows and %d B over 6,000; want within %d B of each other and under %d B, one chunk of triples", small, large, slack, triples)
 	}
 }

@@ -33,11 +33,12 @@ func NewAggInput(sizeHint int) *AggInput { return &AggInput{hint: sizeHint} }
 // copying it: a dense relation is one run of tuples, a sparse one one run
 // of its stored columns.
 func aggInputOf(r *Relation) *AggInput {
-	in := &AggInput{n: r.Len()}
-	switch {
-	case r.sp != nil:
-		in.parts = []aggPart{{columnar: true, cols: r.sp.cols, mflat: r.sp.mflat, mdense: r.sp.mdense, n: r.sp.n}}
-	case len(r.Tuples) > 0:
+	sp := r.header()
+	if sp != nil {
+		return &AggInput{n: sp.n, parts: []aggPart{{columnar: true, cols: sp.cols, mflat: sp.mflat, mdense: sp.mdense, n: sp.n}}}
+	}
+	in := &AggInput{n: len(r.Tuples)}
+	if len(r.Tuples) > 0 {
 		in.parts = []aggPart{{rows: r.Tuples, n: len(r.Tuples)}}
 	}
 	return in

@@ -13,10 +13,12 @@ import (
 // Enumeration (Tables, and every diagnostic built on it) is always in
 // sorted name order, never Go map order.
 //
-// The catalog guards the name → relation mapping only; the relations
-// themselves are shared. Mutating a registered relation (e.g. adding rows
-// to its table) while queries are in flight, or registering one relation
-// in two catalogs at once, is the caller's race to avoid.
+// The catalog guards the name → relation mapping; each registered
+// relation is columnar and append-only, and a snapshot pins a read-only
+// view of it (Relation.View). So rows may be appended to a registered
+// table while queries run, and one relation may be registered in several
+// catalogs: each sees every append, and a snapshot sees the rows
+// appended before it was taken.
 type Catalog struct {
 	mu   sync.RWMutex
 	rels DB
@@ -57,22 +59,16 @@ func (c *Catalog) SetObserver(o CatalogObserver) {
 // name replaces it, so the catalog never holds two tables a query could
 // not tell apart.
 //
-// The first time a relation is registered, the catalog compacts it into
-// the columnar layout (see Compact; an empty relation stays dense). This
-// happens under the catalog lock before the relation becomes visible, so
-// queries — which snapshot under the same lock — only ever see a settled
-// representation. A relation is never compacted again, even after it was
-// replaced or dropped and rows were added to it: a query's older snapshot
-// may still be scanning it. Registering a relation that ReplaceIf retired
-// registers its live replacement.
-func (c *Catalog) Register(name string, r *Relation) {
+// A dense or empty relation is compacted into the columnar layout first
+// (see Compact), under the relation's lock, after its rows' arity is
+// checked; a row of the wrong length is reported as an error and nothing
+// is registered. A columnar relation is registered as it is.
+func (c *Catalog) Register(name string, r *Relation) error {
+	if err := r.compact(); err != nil {
+		return err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r = r.Live()
-	if !r.published {
-		r.Compact(StoragePolicy{})
-		r.published = true
-	}
 	if k, ok := schema.ResolveFold(c.rels, name); ok && k != name {
 		delete(c.rels, k)
 		if c.obs != nil {
@@ -83,29 +79,7 @@ func (c *Catalog) Register(name string, r *Relation) {
 	if c.obs != nil {
 		c.obs.Registered(name, r)
 	}
-}
-
-// ReplaceIf atomically replaces the relation registered under name with
-// repl, but only when the current entry is still old — the compare-and-
-// swap Analyze needs so a columnar rebuild cannot resurrect a table that a
-// concurrent Register or Drop changed meanwhile. It reports whether the
-// swap happened. On a swap old forwards to repl (see Relation.Live): repl
-// is a copy of old's rows, and rows added through a handle on old must
-// reach the table, not the retired copy.
-func (c *Catalog) ReplaceIf(name string, old, repl *Relation) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	k, ok := schema.ResolveFold(c.rels, name)
-	if !ok || c.rels[k] != old {
-		return false
-	}
-	repl.published = true
-	old.successor = repl
-	c.rels[k] = repl
-	if c.obs != nil {
-		c.obs.Registered(k, repl)
-	}
-	return true
+	return nil
 }
 
 // Drop removes a relation, resolving the name the way queries do
@@ -144,14 +118,15 @@ func (c *Catalog) Tables() []string {
 }
 
 // Snapshot returns an immutable point-in-time view of the catalog for one
-// query execution. The map is copied (so later Register/Drop calls cannot
-// race with the executor); the relations are shared.
+// query execution: the map is copied, so later Register/Drop calls cannot
+// race with the executor, and each table is pinned (Relation.View), so
+// later appends cannot either.
 func (c *Catalog) Snapshot() DB {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	out := make(DB, len(c.rels))
 	for n, r := range c.rels {
-		out[n] = r
+		out[n] = r.View()
 	}
 	return out
 }

@@ -117,12 +117,12 @@ func TestCatalogConcurrentAccess(t *testing.T) {
 	}
 }
 
-// TestCatalogCompactsOnce: registration compacts a relation only before
-// its first publication. A relation displaced from the catalog — by
-// Register onto its name (any spelling), by ReplaceIf or by Drop — may
-// still be scanned through an older snapshot, so registering it again
-// after rows were added to it must leave it as it is, not rewrite it in
-// place; the catalog keeps no per-relation state for the displaced one.
+// TestCatalogCompactsOnce: registration compacts a dense or empty
+// relation once, and from then on the relation is columnar and
+// append-only. A snapshot taken before later appends, and before the
+// relation is displaced from the catalog (by Register onto its name in
+// any spelling, or by Drop) and registered again, keeps exactly the rows
+// it pinned, while the catalog's later snapshots see every append.
 func TestCatalogCompactsOnce(t *testing.T) {
 	c := NewCatalog()
 	first := catRel(1)
@@ -130,64 +130,35 @@ func TestCatalogCompactsOnce(t *testing.T) {
 	if !first.IsSparse() {
 		t.Fatal("first registration did not compact a non-empty relation")
 	}
-	displace := map[string]func(rel *Relation){
-		"register": func(*Relation) { c.Register("T", catRel(2)) },
-		"replace": func(rel *Relation) {
-			if !c.ReplaceIf("t", rel, catRel(3)) {
-				t.Fatal("ReplaceIf lost the swap")
-			}
-		},
-		"drop": func(*Relation) { c.Drop("t") },
+	row := catRel(4).Dense().Tuples[0]
+	displace := map[string]func(){
+		"register": func() { c.Register("T", catRel(2)) },
+		"drop":     func() { c.Drop("t") },
 	}
 	for name, fn := range displace {
-		// Registered empty, then filled: published and dense.
 		rel := New(schema.New("a"))
 		c.Register("t", rel)
-		rel.Add(catRel(4).Dense().Tuples[0])
-		snap := c.Snapshot()
-		fn(rel)
-		c.Register("t", rel)
-		if rel.IsSparse() {
-			t.Fatalf("%s: re-registration compacted a relation a snapshot may be scanning", name)
+		if !rel.IsSparse() {
+			t.Fatalf("%s: registration left an empty relation dense", name)
 		}
-		if got, _ := snap.LookupFold("t"); got != rel || got.Len() != 1 {
-			t.Fatalf("%s: the older snapshot lost its relation", name)
+		rel.Add(row)
+		snap := c.Snapshot()
+		rel.Add(row)
+		fn()
+		c.Register("t", rel)
+		rel.Add(row)
+		if !rel.IsSparse() || rel.Len() != 3 {
+			t.Fatalf("%s: relation columnar=%v with %d rows, want columnar with 3", name, rel.IsSparse(), rel.Len())
+		}
+		if got, _ := snap.LookupFold("t"); got.Len() != 1 {
+			t.Fatalf("%s: the older snapshot holds %d rows, want the 1 it pinned", name, got.Len())
+		}
+		if got, _ := c.Snapshot().LookupFold("t"); got.Len() != 3 {
+			t.Fatalf("%s: a fresh snapshot holds %d rows, want 3", name, got.Len())
 		}
 	}
 	if c.Len() != 1 {
 		t.Fatalf("catalog holds %v, want 1 table", c.Tables())
-	}
-}
-
-// TestCatalogReplaceForwards: a relation ReplaceIf retired forwards to its
-// replacement. Rows added to it land in the registered table, registering
-// it registers the replacement, and a snapshot taken before the swap keeps
-// the retired relation's rows unchanged.
-func TestCatalogReplaceForwards(t *testing.T) {
-	c := NewCatalog()
-	old := New(schema.New("a"))
-	c.Register("t", old)
-	old.Add(catRel(1).Dense().Tuples[0])
-	snap := c.Snapshot()
-	repl := old.ShallowClone()
-	repl.Compact(StoragePolicy{})
-	if !c.ReplaceIf("t", old, repl) {
-		t.Fatal("ReplaceIf lost the swap")
-	}
-	if old.Live() != repl || repl.Live() != repl {
-		t.Fatal("the retired relation does not forward to its replacement")
-	}
-	old.Add(catRel(1).Dense().Tuples[0])
-	if got, _ := c.Lookup("t"); got != repl || got.Len() != 2 {
-		t.Fatalf("a row added to the retired relation missed the table (%d rows)", got.Len())
-	}
-	if got, _ := snap.LookupFold("t"); got != old || got.Len() != 1 {
-		t.Fatal("the older snapshot's relation changed")
-	}
-	c.Drop("t")
-	c.Register("t", old)
-	if got, _ := c.Lookup("t"); got != repl {
-		t.Fatal("registering the retired relation did not register its replacement")
 	}
 }
 

@@ -634,10 +634,6 @@ func TestFromDeterministicRoundtrip(t *testing.T) {
 	if !dbs.SGW()["t"].Equal(d) {
 		t.Error("db SGW")
 	}
-	lifted := FromDeterministicDB(bag.DB{"t": d})
-	if lifted["t"].Len() != 2 {
-		t.Error("lift DB")
-	}
 	if au.String() == "" || au.Tuples[0].String() == "" {
 		t.Error("render")
 	}

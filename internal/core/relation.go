@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"github.com/audb/audb/internal/bag"
 	"github.com/audb/audb/internal/ctxpoll"
@@ -34,28 +36,34 @@ func (t Tuple) String() string {
 // from range-annotated tuples to multiplicity triples, stored as a slice.
 // Tuples with zero annotations are never stored.
 //
-// A relation holds its rows in exactly one of two representations: the
-// dense Tuples slice, or the columnar sparse form (sp, see sparse.go)
-// that a Catalog compacts mostly-certain tables into. Code that reads
-// Tuples directly must first obtain a dense view via Dense()/DenseRange()
-// or iterate with EachTuple; the accessors on *Relation (Len, Repr,
-// IsSparse, ...) work on either representation.
+// A relation holds its rows in exactly one of two layouts: the dense
+// Tuples slice, built row by row by kernels and by callers filling a
+// table before registering it, or the columnar layout of sparse.go, which
+// every registered table, COPY load and decoded result is stored in.
+// Code that reads Tuples directly must first obtain a dense view via
+// Dense()/DenseRange() or iterate with EachTuple; the accessors on
+// *Relation (Len, IsSparse, ...) work on either layout.
+//
+// A columnar relation is append-only: Add appends through its builder
+// and never rewrites a row, and View pins the rows appended so far. So a
+// registered table may take rows while queries run over the views their
+// snapshots pinned.
 type Relation struct {
 	Schema schema.Schema
 	Tuples []Tuple
 
-	// sp holds the columnar storage of a compacted relation; nil for
-	// dense relations. Invariant: sp != nil implies Tuples == nil.
+	// sp is the header of a read-only columnar relation (a view), fixed
+	// when the relation is made; nil otherwise.
 	sp *sparseRows
-	// published is set by the relation's first catalog registration,
-	// under that catalog's lock. From then on queries may be reading the
-	// relation, so registration never compacts it again.
-	published bool
-	// successor is the relation that replaced this one in a catalog
-	// (Catalog.ReplaceIf, Analyze's columnar rebuild), set under that
-	// catalog's lock; nil while the relation is live. Add and Live follow
-	// it, so a handle kept across the swap keeps reaching queries.
-	successor *Relation
+	// b is the builder of a columnar relation that takes rows in place
+	// (Compact, Finish, or a view's first Add). Once it is set, the rows
+	// are read through the pinned view and sp is unused.
+	b atomic.Pointer[RelationBuilder]
+	// mu serializes Add, compaction and pinning, and guards view: the
+	// pinned header of b's rows, nil from an append until View rebuilds
+	// it.
+	mu   sync.Mutex
+	view *Relation
 }
 
 // New creates an empty AU-relation with the given schema.
@@ -73,34 +81,39 @@ func FromDeterministic(r *bag.Relation) *Relation {
 }
 
 // Add appends a tuple unless its annotation is zero or invalid-by-zero.
-// Adding to a columnar relation densifies it first: rows appended in
-// place are stored dense until the next Analyze rebuilds the table
-// columnar. Adding to a relation that a catalog replaced appends to its
-// replacement (see Live), so the row reaches the registered table.
+// A dense relation appends to Tuples. A columnar relation appends through
+// its builder and stays columnar: a flat column takes triples at its first
+// uncertain cell, and views pinned earlier keep their rows. A view
+// appends to a copy of its columns, so it never writes into the storage
+// it shares. A columnar append panics on a row whose length differs from
+// the schema's.
 func (r *Relation) Add(t Tuple) {
 	if t.M.Hi <= 0 {
 		return
 	}
-	r = r.Live()
-	r.densifyInPlace()
-	r.Tuples = append(r.Tuples, t)
-}
-
-// Live returns the relation that currently stands for r: r itself, or,
-// when a catalog replaced r with a rebuilt copy (Analyze), the latest
-// replacement. A replaced relation keeps its rows for the snapshots that
-// may still scan it but takes no new ones.
-func (r *Relation) Live() *Relation {
-	for r.successor != nil {
-		r = r.successor
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	b := r.b.Load()
+	if b == nil && r.sp != nil {
+		b = NewRelationBuilder(r.Schema, r.sp.n+1)
+		_ = r.EachTuple(func(t Tuple) error {
+			b.Add(t)
+			return nil
+		})
+		r.b.Store(b)
 	}
-	return r
+	if b == nil {
+		r.Tuples = append(r.Tuples, t)
+		return
+	}
+	b.Add(t)
+	r.view = nil
 }
 
 // Len returns the number of stored AU-tuples.
 func (r *Relation) Len() int {
-	if r.sp != nil {
-		return r.sp.n
+	if sp := r.header(); sp != nil {
+		return sp.n
 	}
 	return len(r.Tuples)
 }
@@ -109,36 +122,26 @@ func (r *Relation) Len() int {
 // over-approximation size reported in Figure 14b.
 func (r *Relation) PossibleSize() int64 {
 	var n int64
-	if r.sp != nil {
-		for i := 0; i < r.sp.n; i++ {
-			n += r.sp.multAt(i).Hi
-		}
-		return n
-	}
-	for _, t := range r.Tuples {
+	_ = r.EachTuple(func(t Tuple) error {
 		n += t.M.Hi
-	}
+		return nil
+	})
 	return n
 }
 
 // CertainSize returns the total lower-bound multiplicity.
 func (r *Relation) CertainSize() int64 {
 	var n int64
-	if r.sp != nil {
-		for i := 0; i < r.sp.n; i++ {
-			n += r.sp.multAt(i).Lo
-		}
-		return n
-	}
-	for _, t := range r.Tuples {
+	_ = r.EachTuple(func(t Tuple) error {
 		n += t.M.Lo
-	}
+		return nil
+	})
 	return n
 }
 
 // Clone returns a deep copy (dense, regardless of r's representation).
 func (r *Relation) Clone() *Relation {
-	if r.sp != nil {
+	if r.header() != nil {
 		// Dense materialization is already a deep copy: fresh Vals
 		// slices over immutable values.
 		return r.Dense()
@@ -159,7 +162,7 @@ func (r *Relation) Clone() *Relation {
 // sparse relation yields a fresh dense materialization, which owns
 // everything.
 func (r *Relation) ShallowClone() *Relation {
-	if r.sp != nil {
+	if r.header() != nil {
 		return r.Dense()
 	}
 	out := New(r.Schema)
@@ -325,13 +328,4 @@ func (db DB) SGWContext(ctx context.Context) (bag.DB, error) {
 		out[n] = sgw
 	}
 	return out, nil
-}
-
-// FromDeterministicDB lifts a whole deterministic database.
-func FromDeterministicDB(db bag.DB) DB {
-	out := DB{}
-	for n, r := range db {
-		out[n] = FromDeterministic(r)
-	}
-	return out
 }

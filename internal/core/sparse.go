@@ -1,31 +1,30 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 
 	"github.com/audb/audb/internal/rangeval"
 	"github.com/audb/audb/internal/schema"
 )
 
-// Columnar relation storage. Every non-empty relation the catalog holds
-// is stored by columns (rangeval.Col): a fully certain, null-free column
-// is one flat value slice, any other column keeps its [lb/sg/ub] triples,
-// and multiplicities get the same treatment (one int64 per row when every
+// Columnar relation storage. Every registered table is stored by
+// columns (rangeval.Col): a fully certain, null-free column is one flat
+// value slice, any other column keeps its [lb/sg/ub] triples, and
+// multiplicities get the same treatment (one int64 per row when every
 // row's triple is (m,m,m)). AU-DB bounds are per attribute, so a column
 // that is certain costs one value per row whatever its neighbours hold.
+// The dense layout (a Tuple per row) is only that of relations built row
+// by row: kernel intermediates and tables filled before registration.
 //
-// The dense layout — a slice of Tuples, a full triple per attribute and a
-// multiplicity triple per row — is not a storage choice. It is the layout
-// of relations built row by row: kernel intermediates, an empty table
-// that rows are being added to, and a registered table mutated in place
-// until the next Database.Analyze stores it columnar again.
-//
-// The representation is invisible to query semantics: the pipelined
-// executor's columnar scans read the columns directly (SparseView), the
-// materialized kernels read a fresh dense view made at operator entry
-// (Dense), and any in-place mutation densifies first. A columnar relation
-// is never converted back to dense in place while it may be shared (see
-// Compact); Analyze swaps in a rebuilt replacement in the catalog.
+// Columnar storage is append-only. A relation made by Compact or Finish
+// keeps its RelationBuilder and Add appends through it, never rewriting a
+// row, so a header (sparseRows) taken earlier stays valid. View pins the
+// current header as a read-only relation, cached until the next append;
+// a catalog snapshot holds one view per table, so a query sees exactly
+// the rows appended before it started. Columnar scans read the columns
+// directly (SparseView); the materialized kernels read a fresh dense copy
+// (Dense).
 
 // Repr identifies a relation's storage representation.
 type Repr uint8
@@ -51,13 +50,13 @@ func (r Repr) String() string {
 // Database.StoragePolicy) keep compiling.
 type StoragePolicy struct{}
 
-// sparseRows is the columnar payload of a compacted relation.
+// sparseRows is a columnar header: the first n rows of a relation's
+// columns. It is never modified once built.
 type sparseRows struct {
 	n    int
 	cols []rangeval.Col
 	// mflat holds per-row certain multiplicities (the triple (m,m,m)
-	// stored once); mdense holds full triples. Exactly one is non-nil
-	// for n > 0.
+	// stored once); mdense holds full triples. At most one is non-nil.
 	mflat  []int64
 	mdense []Mult
 }
@@ -88,30 +87,50 @@ func (sp *sparseRows) denseTuples(lo, hi int) []Tuple {
 	return out
 }
 
-// Repr returns the relation's current storage representation.
-func (r *Relation) Repr() Repr {
-	if r.sp != nil {
-		return ReprSparse
+// header returns the relation's columnar header, or nil for a dense
+// relation.
+func (r *Relation) header() *sparseRows {
+	if r.b.Load() == nil {
+		return r.sp
 	}
-	return ReprDense
+	return r.View().sp
+}
+
+// View returns a read-only view of the relation's rows as they are now:
+// for a columnar relation that takes appends, a relation over its current
+// header, which later appends never change; r itself otherwise. The view
+// is cached until the next append, so pinning an unchanged table costs
+// one lock and no allocation.
+func (r *Relation) View() *Relation {
+	b := r.b.Load()
+	if b == nil {
+		return r
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.view == nil {
+		r.view = &Relation{Schema: r.Schema, sp: b.header()}
+	}
+	return r.view
 }
 
 // IsSparse reports whether the relation is in the columnar representation.
-func (r *Relation) IsSparse() bool { return r.sp != nil }
+func (r *Relation) IsSparse() bool { return r.header() != nil }
 
 // StorageDetail describes the representation for statistics reporting:
 // how many of the relation's columns are flat and whether multiplicities
 // are stored flat. For a dense relation flatCols and multFlat are zero.
 func (r *Relation) StorageDetail() (repr Repr, flatCols int, multFlat bool) {
-	if r.sp == nil {
+	sp := r.header()
+	if sp == nil {
 		return ReprDense, 0, false
 	}
-	for _, c := range r.sp.cols {
+	for _, c := range sp.cols {
 		if c.IsFlat() {
 			flatCols++
 		}
 	}
-	return ReprSparse, flatCols, r.sp.mflat != nil
+	return ReprSparse, flatCols, sp.mflat != nil
 }
 
 // SparseView exposes the sparse storage for zero-copy batched iteration
@@ -121,10 +140,11 @@ func (r *Relation) StorageDetail() (repr Repr, flatCols int, multFlat bool) {
 // slices alias the relation's storage and are read-only, like the columns
 // themselves (see rangeval.Col).
 func (r *Relation) SparseView() (cols []rangeval.Col, mflat []int64, mdense []Mult, ok bool) {
-	if r.sp == nil {
+	sp := r.header()
+	if sp == nil {
 		return nil, nil, nil, false
 	}
-	return r.sp.cols, r.sp.mflat, r.sp.mdense, true
+	return sp.cols, sp.mflat, sp.mdense, true
 }
 
 // Dense returns a dense view of the relation: r itself when already
@@ -132,28 +152,31 @@ func (r *Relation) SparseView() (cols []rangeval.Col, mflat []int64, mdense []Mu
 // with r. Operators without a sparse-aware path call this at entry; the
 // result is transient and never cached back onto r.
 func (r *Relation) Dense() *Relation {
-	if r.sp == nil {
+	sp := r.header()
+	if sp == nil {
 		return r
 	}
 	out := New(r.Schema)
-	out.Tuples = r.sp.denseTuples(0, r.sp.n)
+	out.Tuples = sp.denseTuples(0, sp.n)
 	return out
 }
 
 // DenseRange materializes rows [lo, hi) as fresh dense tuples, for
 // batched iteration (internal/phys) over a sparse relation.
 func (r *Relation) DenseRange(lo, hi int) []Tuple {
-	if r.sp == nil {
+	sp := r.header()
+	if sp == nil {
 		return r.Tuples[lo:hi]
 	}
-	return r.sp.denseTuples(lo, hi)
+	return sp.denseTuples(lo, hi)
 }
 
 // EachTuple calls fn for every row in either representation. For a sparse
 // relation the Tuple's Vals slice is a scratch buffer reused between
 // calls: fn must not retain it (Clone first to keep a row).
 func (r *Relation) EachTuple(fn func(Tuple) error) error {
-	if r.sp == nil {
+	sp := r.header()
+	if sp == nil {
 		for _, t := range r.Tuples {
 			if err := fn(t); err != nil {
 				return err
@@ -161,7 +184,6 @@ func (r *Relation) EachTuple(fn func(Tuple) error) error {
 		}
 		return nil
 	}
-	sp := r.sp
 	scratch := make(rangeval.Tuple, len(sp.cols))
 	for i := 0; i < sp.n; i++ {
 		for c := range sp.cols {
@@ -174,39 +196,57 @@ func (r *Relation) EachTuple(fn func(Tuple) error) error {
 	return nil
 }
 
-// densifyInPlace converts the relation back to the dense layout. Only
-// safe on relations the caller owns exclusively (mutation entry points);
-// a registered relation flips representation via replacement in the
-// catalog instead, never in place under concurrent readers.
+// densifyInPlace converts the relation back to the dense layout, for the
+// in-place operations (Merge, Sort) on a relation the caller owns.
 func (r *Relation) densifyInPlace() {
-	if r.sp == nil {
+	sp := r.header()
+	if sp == nil {
 		return
 	}
-	r.Tuples = r.sp.denseTuples(0, r.sp.n)
-	r.sp = nil
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.Tuples = sp.denseTuples(0, sp.n)
+	r.sp, r.view = nil, nil
+	r.b.Store(nil)
 }
 
-// Compact converts a dense relation to the columnar representation in
-// place, returning the representation in effect. Rows must match the
-// schema's arity. An already columnar relation is left as is: compaction
-// runs before a relation becomes visible to queries, and a visible
-// columnar relation may have concurrent readers, so it is never rewritten
-// in place. Empty relations stay dense so the register-then-add-rows
-// pattern keeps appending to []Tuple.
+// Compact converts a dense or empty relation to the columnar
+// representation in place and returns ReprSparse; a columnar relation is
+// left as is. It panics when a row's length differs from the schema's.
 func (r *Relation) Compact(StoragePolicy) Repr {
-	if r.sp != nil {
-		return ReprSparse
+	if err := r.compact(); err != nil {
+		panic("core: " + err.Error())
 	}
-	if len(r.Tuples) == 0 {
-		return ReprDense
+	return ReprSparse
+}
+
+// compact is Compact, reporting a row of the wrong arity as an error
+// instead, before anything is converted. Catalog.Register runs it, so
+// the arity check and the conversion hold the relation's lock together.
+func (r *Relation) compact() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.b.Load() != nil || r.sp != nil {
+		return nil
+	}
+	for _, t := range r.Tuples {
+		if len(t.Vals) != r.Schema.Arity() {
+			return arityErr(len(t.Vals), r.Schema.Arity())
+		}
 	}
 	b := NewRelationBuilder(r.Schema, len(r.Tuples))
 	for _, t := range r.Tuples {
 		b.Add(t)
 	}
-	r.sp = b.buildSparse()
 	r.Tuples = nil
-	return ReprSparse
+	r.b.Store(b)
+	return nil
+}
+
+// arityErr reports a row whose length differs from its relation's
+// column count.
+func arityErr(got, want int) error {
+	return fmt.Errorf("row has %d values, want %d columns", got, want)
 }
 
 // RelationBuilder accumulates rows column-wise so bulk ingest (COPY, the
@@ -254,10 +294,14 @@ func (b *RelationBuilder) Arity() int { return b.sch.Arity() }
 func (b *RelationBuilder) Len() int { return b.n }
 
 // Add appends one row. Rows whose upper multiplicity is <= 0 are dropped,
-// exactly like Relation.Add.
+// exactly like Relation.Add. It panics on a row whose length differs from
+// the schema's.
 func (b *RelationBuilder) Add(t Tuple) {
 	if t.M.Hi <= 0 {
 		return
+	}
+	if len(t.Vals) != len(b.cols) {
+		panic("core: " + arityErr(len(t.Vals), len(b.cols)).Error())
 	}
 	for c := range b.cols {
 		b.cols[c].Append(t.Vals[c])
@@ -279,20 +323,21 @@ func (b *RelationBuilder) Add(t Tuple) {
 	b.n++
 }
 
-func (b *RelationBuilder) buildSparse() *sparseRows {
-	sp := &sparseRows{n: b.n, cols: make([]rangeval.Col, len(b.cols)), mflat: b.mflat, mdense: b.mdense}
+// header returns the rows added so far. Its slices are clipped to their
+// length, so the builder's later appends never write to rows it holds.
+func (b *RelationBuilder) header() *sparseRows {
+	sp := &sparseRows{n: b.n, cols: make([]rangeval.Col, len(b.cols)), mflat: slices.Clip(b.mflat), mdense: slices.Clip(b.mdense)}
 	for i := range b.cols {
 		sp.cols[i] = b.cols[i].Build()
 	}
 	return sp
 }
 
-// Finish builds the relation: columnar when it has rows, an empty dense
-// relation otherwise. The builder must not be reused afterwards.
+// Finish builds the columnar relation. The relation keeps the builder and
+// appends through it (Relation.Add), so the caller must not use the
+// builder afterwards.
 func (b *RelationBuilder) Finish() *Relation {
 	out := New(b.sch)
-	if b.n > 0 {
-		out.sp = b.buildSparse()
-	}
+	out.b.Store(b)
 	return out
 }

@@ -57,3 +57,37 @@ func TestBuilderRepresentations(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendKeepsViews: appends to a columnar relation never change a view
+// pinned before them, also when an uncertain row turns a flat column and
+// the flat multiplicities into triples; and a row appended to a view goes
+// to a copy of its columns, never into the storage the view shares with
+// its table.
+func TestAppendKeepsViews(t *testing.T) {
+	_, rel := certainRelations(4)
+	before := rel.View()
+	if rel.View() != before {
+		t.Fatal("an unchanged relation pinned a second view")
+	}
+	row := func(a, b int64, m Mult) Tuple {
+		return Tuple{Vals: rangeval.Tuple{rangeval.Certain(types.Int(a)), rangeval.New(types.Int(0), types.Int(b), types.Int(9))}, M: m}
+	}
+	rel.Add(row(7, 7, Mult{Lo: 0, SG: 1, Hi: 1}))
+	if _, flat, multFlat := before.StorageDetail(); before.Len() != 4 || flat != 2 || !multFlat {
+		t.Fatalf("the earlier view changed: %d rows, %d flat columns, flat multiplicities %v", before.Len(), flat, multFlat)
+	}
+	if _, flat, multFlat := rel.StorageDetail(); rel.Len() != 5 || flat != 1 || multFlat {
+		t.Fatalf("after an uncertain append: %d rows, %d flat columns, flat multiplicities %v; want 5, 1, false", rel.Len(), flat, multFlat)
+	}
+	view := rel.View()
+	view.Add(row(8, 8, One))
+	rel.Add(row(9, 9, One))
+	last := func(r *Relation) int64 {
+		d := r.Dense().Tuples
+		return d[len(d)-1].Vals[0].SG.AsInt()
+	}
+	if view.Len() != 6 || rel.Len() != 6 || last(view) != 8 || last(rel) != 9 {
+		t.Fatalf("view has %d rows ending in %d, table %d ending in %d; want 6 ending in 8 and 6 ending in 9",
+			view.Len(), last(view), rel.Len(), last(rel))
+	}
+}

@@ -15,11 +15,11 @@
 // densified copy only when a program fails on the batch, to report the
 // reference executor's error — with survivors marked in a selection
 // vector instead of copied, and source columns passed through by
-// permutation. Over a table that rows were added to in place since its
-// last Analyze, batches
-// are row batches of core.Tuple and take the per-row kernels: selection
-// rewrites only the multiplicity triple, scans emit views into base-table
-// storage, and buffers are reused batch to batch. LIMIT keeps O(n) state instead of merging the whole input, and
+// permutation. Over a dense relation (a core.DB the caller built, since
+// every registered table is columnar), batches are row batches of
+// core.Tuple and take the per-row kernels: selection rewrites only the
+// multiplicity triple, scans emit views into base-table storage, and
+// buffers are reused batch to batch. LIMIT keeps O(n) state instead of merging the whole input, and
 // LIMIT over ORDER BY fuses into a bounded top-k heap instead of a full
 // sort. With Workers > 1, streaming chains over a scan are partitioned
 // into contiguous ranges that run on worker goroutines and re-merge in

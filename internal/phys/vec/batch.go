@@ -9,9 +9,9 @@
 //
 //   - Row batches (Columnar == false) wrap a []core.Tuple slice — the
 //     format of everything a pipeline breaker or top-k/limit re-emits,
-//     and of scans over a table that rows were added to in place since
-//     its last Analyze. Appending the Tuple structs is a copy; attribute
-//     ranges stay shared and immutable.
+//     and of scans over a dense relation (never a registered table).
+//     Appending the Tuple structs is a copy; attribute ranges stay
+//     shared and immutable.
 //   - Columnar batches (Columnar == true) hold N physical rows as
 //     rangeval.Col column views plus one multiplicity per row (MFlat
 //     when every multiplicity is certain, MDense otherwise), with Sel

@@ -168,10 +168,12 @@ func (b *ColBuilder) IsFlat() bool { return b.dense == nil }
 // Nulls returns the null count of a still-flat column.
 func (b *ColBuilder) Nulls() int { return b.nulls }
 
-// Build returns the finished column. The builder must not be reused.
+// Build returns the column appended so far. The builder may keep
+// appending: the column's slices are clipped to their length, and later
+// appends never write to rows it holds.
 func (b *ColBuilder) Build() Col {
 	if b.dense != nil {
-		return Col{Dense: b.dense}
+		return Col{Dense: slices.Clip(b.dense)}
 	}
-	return Col{Flat: b.flat, Nulls: b.nulls}
+	return Col{Flat: slices.Clip(b.flat), Nulls: b.nulls}
 }

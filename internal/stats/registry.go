@@ -24,10 +24,9 @@ type Provider interface {
 // re-registering a table invalidates its entry immediately: once Dropped
 // returns, TableStats reports the table unknown.
 //
-// All methods are safe for concurrent use. Collection reads the relation
-// exactly like query execution does, so mutating a registered relation's
-// rows while statistics are being collected is the caller's race to avoid
-// (the same contract as core.Catalog).
+// All methods are safe for concurrent use. Collection reads a pinned view
+// of the relation (see Collect), as a query does, so rows may be appended
+// to a registered table meanwhile.
 type Registry struct {
 	mu      sync.RWMutex
 	entries map[string]*entry // keyed by lowercased name
@@ -97,8 +96,8 @@ func (g *Registry) Dropped(name string) {
 }
 
 // Prime installs pre-collected statistics for a table, so ingest paths
-// that already streamed every row through a Collector (COPY, Analyze's
-// representation pass) don't pay a second collection pass. Call after the
+// that already streamed every row through a Collector (COPY) don't pay a
+// second collection pass. Call after the
 // relation is registered in the catalog: registration invalidates the
 // entry, so the order must be Register, then Prime. The statistics only
 // land while the cached entry still records the same relation — if a
@@ -128,8 +127,8 @@ func (g *Registry) TableStats(name string) (*TableStats, bool) {
 	return e.stats(), true
 }
 
-// Analyze forces a fresh collection for the named table (e.g. after its
-// rows were mutated in place) and returns the new statistics; false when
+// Analyze forces a fresh collection for the named table (e.g. after rows
+// were appended to it) and returns the new statistics; false when
 // the table is not registered. Concurrent readers keep the old entry
 // until the swap, so a query planning mid-analyze sees a consistent
 // (possibly stale) snapshot, never a half-built one.

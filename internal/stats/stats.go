@@ -242,10 +242,12 @@ func (ts *TableStats) SetStorage(rel *core.Relation) {
 	ts.Storage, ts.FlatCols, ts.MultFlat = rel.StorageDetail()
 }
 
-// Collect computes the statistics of rel in one pass. The relation is only
-// read; callers must not mutate it concurrently (the same contract as
-// query execution). Both storage representations are supported.
+// Collect computes the statistics of rel in one pass over a pinned view
+// (core.Relation.View), so rows appended meanwhile are left out, as a
+// query started then would leave them out. Both storage representations
+// are supported.
 func Collect(table string, rel *core.Relation) *TableStats {
+	rel = rel.View()
 	c := NewCollector(table, rel.Schema)
 	// EachTuple may reuse a scratch tuple; Add never retains it. The
 	// callback cannot fail, so EachTuple cannot either.

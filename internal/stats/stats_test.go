@@ -140,7 +140,7 @@ func TestRegistryLifecycle(t *testing.T) {
 	if ts, ok := g.TableStats("T1"); !ok || ts.Rows != 2 {
 		t.Fatalf("stats after replace: %+v %v", ts, ok)
 	}
-	// Analyze picks up in-place mutation.
+	// Analyze picks up appended rows.
 	rel2.Add(certRow(3))
 	if ts, ok := g.TableStats("t1"); !ok || ts.Rows != 2 {
 		t.Fatalf("cached stats should be stale until Analyze: %+v %v", ts, ok)

@@ -3,9 +3,11 @@ package audb
 import (
 	"context"
 	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/audb/audb/internal/core"
 	"github.com/audb/audb/internal/schema"
@@ -43,20 +45,20 @@ func mostlyCertainRows(rows int, rng *rand.Rand) []testRow {
 }
 
 // storageDB builds a database holding tables r(a,b) and s(c,d) from the
-// given row sets. Registration stores a table columnar; with dense set,
-// each table is registered empty and filled row by row afterwards, which
-// keeps it in the dense layout until the next Analyze.
-func storageDB(dense bool, rrows, srows []testRow) *Database {
+// given row sets. With appended unset each table is registered whole, and
+// compacted by registration; with appended set it is registered empty and
+// filled row by row afterwards, through columnar appends.
+func storageDB(appended bool, rrows, srows []testRow) *Database {
 	db := New()
 	mk := func(name string, rows []testRow, cols ...string) {
 		rel := core.New(schema.New(cols...))
-		if dense {
+		if appended {
 			db.AddRelation(name, rel)
 		}
 		for _, row := range rows {
 			rel.Add(core.Tuple{Vals: row.vals, M: row.m})
 		}
-		if !dense {
+		if !appended {
 			db.AddRelation(name, rel)
 		}
 	}
@@ -65,27 +67,16 @@ func storageDB(dense bool, rrows, srows []testRow) *Database {
 	return db
 }
 
-// registerDense re-registers a table's rows in the dense layout: an empty
-// relation is registered, then filled row by row.
-func registerDense(db *Database, name string) {
-	rel, ok := db.cat.Lookup(name)
-	if !ok {
-		return
-	}
-	fresh := core.New(rel.Schema)
-	db.AddRelation(name, fresh)
-	for _, t := range rel.Dense().Tuples {
-		fresh.Add(t)
-	}
-}
-
-// TestSparseDenseEquivalence is the storage layer's acceptance property: on
-// mostly-certain data, a columnar database and one whose tables were
-// filled row by row after registration (dense) produce bit-identical results for the full optimizer corpus across all
-// three engines, serial and parallel, pipelined and materialized. The
-// sparse side takes the certain-only fast paths wherever its gates allow;
-// any divergence from the dense kernels fails here before the sparse
-// bench experiment is allowed to time them.
+// TestSparseDenseEquivalence is the storage layer's acceptance property on
+// mostly-certain data: a database whose tables were registered whole and
+// one whose tables were filled by appends after registration produce
+// bit-identical results for the full optimizer corpus across all three
+// engines, serial and parallel, pipelined and materialized. Both store
+// every table columnar (no registered table is dense); the appended side's
+// columns took their triples mid-stream, where registration compacted the
+// other's in one pass. The materialized executor densifies at operator
+// entry, so the matrix still checks the dense kernels against the
+// columnar ones.
 func TestSparseDenseEquivalence(t *testing.T) {
 	ctx := context.Background()
 	trials := 4
@@ -97,15 +88,12 @@ func TestSparseDenseEquivalence(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(trial*877 + 29)))
 		rrows := mostlyCertainRows(8+rng.Intn(20), rng)
 		srows := mostlyCertainRows(8+rng.Intn(20), rng)
-		dense := storageDB(true, rrows, srows)
-		sparse := storageDB(false, rrows, srows)
-
-		// The representations must actually differ, or the test is vacuous.
-		if rel, _ := dense.Relation("r"); rel.IsSparse() {
-			t.Fatal("row-by-row database compacted a table")
-		}
-		if rel, _ := sparse.Relation("r"); !rel.IsSparse() {
-			t.Fatal("registration kept a table dense")
+		appended := storageDB(true, rrows, srows)
+		whole := storageDB(false, rrows, srows)
+		for _, db := range []*Database{appended, whole} {
+			if rel, _ := db.Relation("r"); !rel.IsSparse() {
+				t.Fatal("a registered table is dense")
+			}
 		}
 
 		corpus := append(optCorpus(rng), sessionCorpus...)
@@ -114,17 +102,17 @@ func TestSparseDenseEquivalence(t *testing.T) {
 				for _, workers := range []int{1, 4} {
 					for _, em := range []ExecMode{ExecPipelined, ExecMaterialized} {
 						opts := []QueryOption{WithEngine(eng), WithWorkers(workers), WithExecMode(em)}
-						want, errD := dense.QueryContext(ctx, q, opts...)
-						got, errS := sparse.QueryContext(ctx, q, opts...)
-						if (errD == nil) != (errS == nil) {
-							t.Fatalf("[trial %d] %s [%s workers=%d %s]: representation changed acceptance: dense=%v sparse=%v",
-								trial, q, eng, workers, em, errD, errS)
+						want, errA := appended.QueryContext(ctx, q, opts...)
+						got, errW := whole.QueryContext(ctx, q, opts...)
+						if (errA == nil) != (errW == nil) {
+							t.Fatalf("[trial %d] %s [%s workers=%d %s]: storage changed acceptance: appended=%v whole=%v",
+								trial, q, eng, workers, em, errA, errW)
 						}
-						if errD != nil {
+						if errA != nil {
 							continue // e.g. DISTINCT on the rewrite middleware
 						}
 						if want.Sort().String() != got.Sort().String() {
-							t.Fatalf("[trial %d] %s [%s workers=%d %s]: sparse result diverged:\n%s\nvs\n%s",
+							t.Fatalf("[trial %d] %s [%s workers=%d %s]: results diverged:\n%s\nvs\n%s",
 								trial, q, eng, workers, em, want, got)
 						}
 					}
@@ -134,11 +122,11 @@ func TestSparseDenseEquivalence(t *testing.T) {
 	}
 }
 
-// TestStorageRepresentationFlip covers the representation lifecycle: a
-// table is stored columnar on registration, goes dense the moment in-place
-// updates add rows to it, and is stored columnar again by Analyze — with
-// every state change visible in the reported statistics and none of them
-// changing a query's answer.
+// TestStorageRepresentationFlip covers the storage lifecycle: a table is
+// stored columnar on registration and stays columnar through appends that
+// introduce uncertainty, which turn its column and its multiplicities
+// into triples as they arrive. Analyze only refreshes the statistics,
+// which report each state, and no step changes a query's answer.
 func TestStorageRepresentationFlip(t *testing.T) {
 	ctx := context.Background()
 	const q = `SELECT a, b FROM t WHERE a <= 3`
@@ -161,14 +149,14 @@ func TestStorageRepresentationFlip(t *testing.T) {
 		t.Fatalf("stats rendering lacks the storage line:\n%s", ts)
 	}
 
-	// In-place updates that introduce uncertainty densify the relation
-	// immediately — the flat columns are gone before the next query can
-	// observe the new rows, never after.
+	// Appends that introduce uncertainty keep the table columnar: column
+	// a and the multiplicities take triples, column b stays flat.
 	for i := 0; i < 60; i++ {
 		tbl.AddRow(RangeRow{Range(Int(0), Int(int64(i%7)), Int(6)), CertainOf(Int(int64(i)))}, Mult(0, 1, 1))
 	}
-	if rel, _ := db.Relation("t"); rel.IsSparse() {
-		t.Fatal("uncertain updates left the relation sparse")
+	rel, _ := db.Relation("t")
+	if repr, flat, multFlat := rel.StorageDetail(); repr != core.ReprSparse || flat != 1 || multFlat {
+		t.Fatalf("after uncertain appends the table is %v with %d flat columns, flat multiplicities %v; want sparse, 1, false", repr, flat, multFlat)
 	}
 	want, err := db.QueryContext(ctx, q)
 	if err != nil {
@@ -176,9 +164,6 @@ func TestStorageRepresentationFlip(t *testing.T) {
 	}
 	wantText := want.Sort().String()
 
-	// Analyze stores the now mostly uncertain table columnar again: the
-	// certain column stays flat, the uncertain one and the multiplicities
-	// keep their triples, and the statistics say so.
 	ts, err = db.Analyze("t")
 	if err != nil {
 		t.Fatal(err)
@@ -189,15 +174,15 @@ func TestStorageRepresentationFlip(t *testing.T) {
 	if !strings.Contains(ts.String(), "storage: sparse (1/2 flat columns, triple multiplicities)") {
 		t.Fatalf("stats rendering lacks the storage line:\n%s", ts)
 	}
-	if rel, _ := db.Relation("t"); !rel.IsSparse() {
-		t.Fatal("Analyze left the relation dense")
+	if got, _ := db.Relation("t"); got != rel {
+		t.Fatal("Analyze replaced the registered relation")
 	}
 	got, err := db.QueryContext(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Sort().String() != wantText {
-		t.Fatalf("representation lifecycle changed the query answer:\n%s\nvs\n%s", wantText, got)
+		t.Fatalf("Analyze changed the query answer:\n%s\nvs\n%s", wantText, got)
 	}
 
 	if _, err := db.Analyze("nope"); err == nil {
@@ -206,10 +191,11 @@ func TestStorageRepresentationFlip(t *testing.T) {
 }
 
 // TestRowsAfterAnalyzeReachQueries adds rows through handles taken before
-// Analyze swapped a columnar copy into the catalog: an UncertainTable, on
-// mostly uncertain and on certain data, and a relation handle from
-// Database.Relation, across two Analyze calls. Every row must reach
-// queries, also after the table handle is dropped and added again.
+// Analyze: an UncertainTable, on mostly uncertain and on certain data, and
+// a relation handle from Database.Relation, across two Analyze calls.
+// Every row must reach queries, also after the table handle is dropped
+// and added again, and the table must stay columnar throughout: Analyze
+// only refreshes its statistics.
 func TestRowsAfterAnalyzeReachQueries(t *testing.T) {
 	ctx := context.Background()
 	for _, uncertain := range []bool{true, false} {
@@ -228,6 +214,9 @@ func TestRowsAfterAnalyzeReachQueries(t *testing.T) {
 		}
 		check := func(step string) {
 			t.Helper()
+			if repr, _, _ := tbl.Rel().StorageDetail(); repr != core.ReprSparse {
+				t.Fatalf("uncertain=%v, %s: the table is %v", uncertain, step, repr)
+			}
 			res, err := db.QueryContext(ctx, `SELECT a FROM t`)
 			if err != nil {
 				t.Fatal(err)
@@ -242,9 +231,7 @@ func TestRowsAfterAnalyzeReachQueries(t *testing.T) {
 			if _, err := db.Analyze("t"); err != nil {
 				t.Fatal(err)
 			}
-			if rel, _ := db.Relation("t"); !rel.IsSparse() {
-				t.Fatalf("uncertain=%v: Analyze left the table dense", uncertain)
-			}
+			check("Analyze")
 			add(2)
 			check("AddRow after Analyze")
 		}
@@ -255,8 +242,8 @@ func TestRowsAfterAnalyzeReachQueries(t *testing.T) {
 		rel.Add(core.Tuple{Vals: RangeRow{CertainOf(Int(int64(n))), CertainOf(Int(0))}, M: CertainMult(1)})
 		n++
 		check("Relation.Add after Analyze")
-		if tbl.Rel() != rel.Live() {
-			t.Fatalf("uncertain=%v: table handle does not follow the swap", uncertain)
+		if tbl.Rel() != rel {
+			t.Fatalf("uncertain=%v: the catalog holds another relation than the table handle", uncertain)
 		}
 		db.Drop("t")
 		db.Add(tbl)
@@ -264,62 +251,165 @@ func TestRowsAfterAnalyzeReachQueries(t *testing.T) {
 	}
 }
 
-// TestStorageFlipRace races the one remaining representation change —
-// Analyze swapping a columnar rebuild in for a table that in-place updates
-// left dense — against concurrent Analyze calls, queries and statistics
-// reads, run under -race. Each round fills a freshly registered table
-// before any reader starts (mutating a table queries may be reading is the
-// caller's race to avoid); the racing Analyze calls settle on one
-// replacement, and every query answers over a consistent snapshot.
-func TestStorageFlipRace(t *testing.T) {
+// TestAppendSnapshotRace appends rows to a registered table while queries
+// and Analyze run, under -race. Row i has a = i, and every third appended
+// row is uncertain in b with an uncertain multiplicity, so the appends
+// turn the flat column and the flat multiplicities into triples mid-race.
+// Each query must see exactly a prefix of the rows (its snapshot's),
+// through the pipelined scan, the aggregation kernel and the materialized
+// executor; both sides of a difference must see the same prefix; and
+// each Analyze must count a prefix too.
+func TestAppendSnapshotRace(t *testing.T) {
+	const base, rows = 20, 1000
 	ctx := context.Background()
-	const q = `SELECT r.a, s.d FROM r JOIN s ON r.a = s.c WHERE r.b < 4`
-	rng := rand.New(rand.NewSource(11))
-	rrows := mostlyCertainRows(40, rng)
-	srows := mostlyCertainRows(40, rng)
-	want, err := storageDB(false, rrows, srows).QueryContext(ctx, q)
+	row := func(i int) (RangeRow, Multiplicity) {
+		if i%3 == 2 && i >= base {
+			return RangeRow{CertainOf(Int(int64(i))), Range(Int(0), Int(int64(i)), Int(int64(i+3)))}, Mult(0, 1, 1)
+		}
+		return RangeRow{CertainOf(Int(int64(i))), CertainOf(Int(int64(i)))}, CertainMult(1)
+	}
+	db := New()
+	tbl := NewUncertainTable("t", "a", "b")
+	for i := 0; i < base; i++ {
+		tbl.AddRow(row(i))
+	}
+	db.Add(tbl)
+
+	// prefix reports whether the SG values of a, in any order, are
+	// 0..len-1 with len between base and rows.
+	prefix := func(res *Result) bool {
+		var got []int64
+		_ = res.EachTuple(func(tp core.Tuple) error {
+			got = append(got, tp.Vals[0].SG.AsInt())
+			return nil
+		})
+		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+		for i, v := range got {
+			if v != int64(i) {
+				return false
+			}
+		}
+		return len(got) >= base && len(got) <= rows
+	}
+	// The readers run until the appender is through. It pauses after
+	// every row, so appends keep landing inside queries.
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for i := base; i < rows; i++ {
+			tbl.AddRow(row(i))
+			time.Sleep(20 * time.Microsecond)
+		}
+	}()
+	// more reports whether the appender is still running.
+	more := func() bool {
+		select {
+		case <-done:
+			return false
+		default:
+			return true
+		}
+	}
+	for _, em := range []ExecMode{ExecPipelined, ExecMaterialized} {
+		wg.Add(1)
+		go func(em ExecMode) {
+			defer wg.Done()
+			opts := []QueryOption{WithWorkers(2), WithExecMode(em)}
+			for more() {
+				res, err := db.QueryContext(ctx, `SELECT a FROM t`, opts...)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !prefix(res) {
+					t.Errorf("%s: a scan saw rows that are no prefix of the appends:\n%s", em, res)
+					return
+				}
+				res, err = db.QueryContext(ctx, `SELECT a, count(*) AS n FROM t GROUP BY a`, opts...)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !prefix(res) {
+					t.Errorf("%s: an aggregation saw rows that are no prefix of the appends:\n%s", em, res)
+					return
+				}
+				// Both sides read one snapshot, so no row is in the
+				// selected-guess world of the difference.
+				res, err = db.QueryContext(ctx, `SELECT a FROM t EXCEPT SELECT a FROM t`, opts...)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if res.CertainSize() != 0 || res.SGW().Len() != 0 {
+					t.Errorf("%s: the two sides of a difference saw different rows:\n%s", em, res)
+					return
+				}
+			}
+		}(em)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for more() {
+			ts, err := db.Analyze("t")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if ts.Rows < base || ts.Rows > rows {
+				t.Errorf("Analyze counted %d rows, want between %d and %d", ts.Rows, base, rows)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	res, err := db.QueryContext(ctx, `SELECT a FROM t`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantText := want.Sort().String()
-	for round := 0; round < 8; round++ {
-		db := storageDB(true, rrows, srows)
-		var wg sync.WaitGroup
-		for w := 0; w < 4; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := 0; i < 5; i++ {
-					if w%2 == 0 {
-						if _, err := db.Analyze("r"); err != nil {
-							t.Error(err)
-						}
-						db.TableStats("s")
-						continue
-					}
-					res, err := db.QueryContext(ctx, q, WithWorkers(2))
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					if got := res.Sort().String(); got != wantText {
-						t.Errorf("round %d: answer changed during the flip:\n%s\nvs\n%s", round, wantText, got)
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		ts, err := db.Analyze("r")
+	if res.Len() != rows || !prefix(res) {
+		t.Fatalf("after the appends a query sees %d rows, want %d", res.Len(), rows)
+	}
+	if repr, flat, multFlat := tbl.Rel().StorageDetail(); repr != core.ReprSparse || flat != 1 || multFlat {
+		t.Fatalf("after the appends the table is %v with %d flat columns, flat multiplicities %v; want sparse, 1, false", repr, flat, multFlat)
+	}
+}
+
+// TestHandleInTwoDatabases: an UncertainTable added to two databases is
+// one table in both. Rows added through the handle reach queries in each,
+// and dropping it from one leaves the other's rows and appends intact.
+func TestHandleInTwoDatabases(t *testing.T) {
+	ctx := context.Background()
+	tbl := NewUncertainTable("t", "a")
+	tbl.AddCertainRow(Int(1))
+	one, two := New(), New()
+	one.Add(tbl)
+	two.Add(tbl)
+	count := func(db *Database) int {
+		t.Helper()
+		res, err := db.QueryContext(ctx, `SELECT a FROM t`)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rel, err := db.Relation("r")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rel.IsSparse() || ts.Storage != core.ReprSparse {
-			t.Fatalf("round %d: after Analyze the table is %v, its statistics say %v; want sparse", round, rel.Repr(), ts.Storage)
-		}
+		return res.Len()
+	}
+	tbl.AddCertainRow(Int(2))
+	if count(one) != 2 || count(two) != 2 {
+		t.Fatalf("a row added through the handle reached %d and %d rows, want 2 and 2", count(one), count(two))
+	}
+	one.Drop("t")
+	if _, err := one.QueryContext(ctx, `SELECT a FROM t`); err == nil {
+		t.Fatal("the dropped table still answers queries")
+	}
+	tbl.AddCertainRow(Int(3))
+	if count(two) != 3 {
+		t.Fatalf("after a drop in the other database, a query sees %d rows, want 3", count(two))
+	}
+	if ts, err := two.Analyze("t"); err != nil || ts.Rows != 3 {
+		t.Fatalf("Analyze in the remaining database: %v, %v", ts, err)
 	}
 }

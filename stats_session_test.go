@@ -41,7 +41,7 @@ const adversarialJoinQuery = `SELECT big1.a1, big2.a1, tiny.a1 FROM big1, big2, 
 
 // TestTableStatsLifecycle: statistics follow registration — collected on
 // first use, dropped with the table, replaced on re-registration, and
-// refreshed by Analyze after in-place mutation.
+// refreshed by Analyze after appends.
 func TestTableStatsLifecycle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	db := New()
@@ -60,7 +60,7 @@ func TestTableStatsLifecycle(t *testing.T) {
 		t.Fatalf("case-folded stats lookup: %v", err)
 	}
 
-	// In-place mutation is invisible until Analyze.
+	// An append is invisible to the statistics until Analyze.
 	tbl.AddRow(RangeRow{CertainOf(Int(99)), CertainOf(Int(99))}, CertainMult(1))
 	ts, err = db.TableStats("t")
 	if err != nil || ts.Rows != 50 {
