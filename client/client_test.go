@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"strings"
@@ -661,6 +662,36 @@ func TestServerErrors(t *testing.T) {
 	}
 	if _, err := c.Query(ctx, `SELECT a FROM r WHERE a < 2`); err != nil {
 		t.Fatalf("query after SQL error: %v", err)
+	}
+}
+
+// TestMergeOverflowKeepsConnection: a query whose final merge sums two
+// SG multiplicities past MaxInt64 fails with a coded integer-overflow
+// error, and the same connection then answers Ping: a wrapped SG would
+// reach the client as an invalid triple, which its decoder rejects by
+// closing the connection.
+func TestMergeOverflowKeepsConnection(t *testing.T) {
+	testutil.NoLeaks(t)
+	half := int64(math.MaxInt64/2 + 5)
+	row := audb.RangeRow{audb.CertainOf(audb.Int(1))}
+	db := audb.New()
+	db.Add(audb.NewUncertainTable("u", "a").
+		AddRow(row, audb.Mult(1, half, half)).
+		AddRow(row, audb.Mult(1, half, half)))
+	addr, _ := startServer(t, db, server.Config{})
+	c := dial(t, addr)
+	defer c.Close()
+	ctx := context.Background()
+
+	for _, q := range []string{`SELECT a FROM u`, `SELECT count(*) FROM u`} {
+		_, err := c.Query(ctx, q)
+		var se *client.ServerError
+		if !errors.As(err, &se) || se.Code != "sql" || !strings.Contains(se.Error(), "integer overflow") {
+			t.Fatalf("%s: want a sql integer-overflow error, got %v", q, err)
+		}
+		if err := c.Ping(ctx); err != nil {
+			t.Fatalf("ping after %s: %v", q, err)
+		}
 	}
 }
 

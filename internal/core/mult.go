@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+
+	"github.com/audb/audb/internal/types"
 )
 
 // Mult is an element of N^AU (Definition 11 for K = N): a triple
@@ -38,6 +40,18 @@ func (m Mult) IsZero() bool { return m == Zero }
 // at MaxInt64 (see addHi).
 func (m Mult) Add(o Mult) Mult {
 	return Mult{m.Lo + o.Lo, m.SG + o.SG, addHi(m.Hi, o.Hi)}
+}
+
+// addChecked is Add with the SG sum checked: an SG multiplicity that
+// leaves int64 is an *types.ErrOverflow, as the SG world's count(*)
+// reports it. Lo <= SG, so Lo cannot overflow first; Hi saturates as in
+// Add.
+func (m Mult) addChecked(o Mult) (Mult, error) {
+	if sg := m.SG + o.SG; (sg^m.SG)&(sg^o.SG) < 0 {
+		_, err := types.Add(types.Int(m.SG), types.Int(o.SG))
+		return Mult{}, err
+	}
+	return m.Add(o), nil
 }
 
 // Mul is pointwise semiring multiplication in N^AU. The upper bound

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -104,5 +105,42 @@ func TestMultHiSaturates(t *testing.T) {
 				t.Errorf("%v, want %v", got, c.want)
 			}
 		})
+	}
+}
+
+// TestMergeSGOverflow: merging rows whose SG multiplicities sum past
+// MaxInt64 is an *types.ErrOverflow, from MergeCtx and from Exec over a
+// stored table, as count(*) over the same table reports it; Merge panics
+// with it. Lo and Hi alone never fail: Hi saturates.
+func TestMergeSGOverflow(t *testing.T) {
+	ctx := context.Background()
+	u := func(m Mult) *Relation {
+		r := New(schema.New("a"))
+		r.Add(Tuple{Vals: rangeval.Tuple{civ(1)}, M: m})
+		r.Add(Tuple{Vals: rangeval.Tuple{civ(1)}, M: m})
+		return r
+	}
+	big := Mult{1, half, half}
+	isOverflow := func(err error) bool {
+		var o *types.ErrOverflow
+		return errors.As(err, &o)
+	}
+	if out, err := u(big).MergeCtx(ctx); !isOverflow(err) {
+		t.Errorf("MergeCtx: %v, %v; want an integer overflow", out, err)
+	}
+	if out, err := Exec(ctx, &ra.Scan{Table: "u"}, DB{"u": u(big)}, Options{}); !isOverflow(err) {
+		t.Errorf("Exec: %v, %v; want an integer overflow", out, err)
+	}
+	func() {
+		defer func() {
+			if err, _ := recover().(error); !isOverflow(err) {
+				t.Errorf("Merge panicked with %v; want an integer overflow", err)
+			}
+		}()
+		u(big).Merge()
+	}()
+	out, err := u(Mult{0, 1, half}).MergeCtx(ctx)
+	if err != nil || len(out.Tuples) != 1 || out.Tuples[0].M != (Mult{0, 2, math.MaxInt64}) {
+		t.Errorf("saturating Hi: %v, %v; want one row (0,2,MaxInt64)", out, err)
 	}
 }

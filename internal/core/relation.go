@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -170,12 +171,21 @@ func (r *Relation) ShallowClone() *Relation {
 	return out
 }
 
-// Merge combines value-equivalent tuples (identical [lb/sg/ub] on every
-// attribute), summing annotations. The relational encoding requires merged
-// relations (Section 10.2, "merge annotations").
+// Merge combines value-equivalent tuples, summing annotations. Tuples are
+// value-equivalent when every attribute's lb, sg and ub compare equal
+// (types.Compare), not when they are stored alike: [3/3/3] and
+// [3.0/3.0/3.0] merge, and the first occurrence keeps its values and its
+// position. The relational encoding requires merged relations (Section
+// 10.2, "merge annotations"). An SG multiplicity sum that leaves int64 is
+// an error: MergeCtx returns it as an *types.ErrOverflow, and Merge, which
+// has no error to return, panics with it. So Merge is only for inputs
+// whose sums cannot overflow (tests, baselines, 0/1 block annotations);
+// code that merges user multiplicities calls MergeCtx.
 func (r *Relation) Merge() *Relation {
-	// The background context is never cancelled, so mergePoll cannot fail.
-	out, _ := r.mergePoll(ctxpoll.New(context.Background()))
+	out, err := r.mergePoll(ctxpoll.New(context.Background()))
+	if err != nil {
+		panic(err)
+	}
 	return out
 }
 
@@ -185,6 +195,13 @@ func (r *Relation) MergeCtx(ctx context.Context) (*Relation, error) {
 	return r.mergePoll(ctxpoll.New(ctx))
 }
 
+// mergeIndexStart is the key count at which mergePoll's index is resized
+// for the whole input.
+const mergeIndexStart = 1024
+
+// mergePoll merges in place. Each row's key is written into one reused
+// buffer and probed as idx[string(key)], which does not allocate; a key
+// string is made only for a row that is kept.
 func (r *Relation) mergePoll(p *ctxpoll.Poll) (*Relation, error) {
 	// Merge mutates in place, so it only runs on owned relations; owned
 	// relations are dense (ShallowClone densifies), but densify
@@ -193,19 +210,32 @@ func (r *Relation) mergePoll(p *ctxpoll.Poll) (*Relation, error) {
 	if len(r.Tuples) == 0 {
 		return r, nil
 	}
-	idx := make(map[string]int, len(r.Tuples))
+	// The index starts small, so a merge of many duplicates allocates per
+	// kept row only. Once it holds mergeIndexStart keys, it is rebuilt
+	// sized for every row, which spares the rehashing of growth.
+	idx := make(map[string]int, min(len(r.Tuples), mergeIndexStart))
 	out := r.Tuples[:0]
+	var key []byte
 	for _, t := range r.Tuples {
 		if err := p.Due(); err != nil {
 			return nil, err
 		}
-		k := t.Vals.Key()
-		if j, ok := idx[k]; ok {
-			out[j].M = out[j].M.Add(t.M)
+		key = t.Vals.AppendKey(key[:0])
+		if j, ok := idx[string(key)]; ok {
+			m, err := out[j].M.addChecked(t.M)
+			if err != nil {
+				return nil, err
+			}
+			out[j].M = m
 			continue
 		}
-		idx[k] = len(out)
+		idx[string(key)] = len(out)
 		out = append(out, t)
+		if len(idx) == mergeIndexStart && len(r.Tuples) > mergeIndexStart {
+			big := make(map[string]int, len(r.Tuples))
+			maps.Copy(big, idx)
+			idx = big
+		}
 	}
 	r.Tuples = out
 	return r, nil

@@ -121,7 +121,8 @@ func Dec(r *bag.Relation, auSchema schema.Schema) (*core.Relation, error) {
 			out.Add(core.Tuple{Vals: vals, M: m})
 		}
 	}
-	return out.Merge(), nil
+	// MergeCtx, not Merge: an SG sum that overflows is an error to return.
+	return out.MergeCtx(context.Background())
 }
 
 // EncodeDB encodes every relation of an AU-database.

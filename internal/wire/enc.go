@@ -313,24 +313,34 @@ func (d *dec) mult() core.Mult {
 	}
 }
 
-func (d *dec) tuple(arity int) core.Tuple {
-	vals := make(rangeval.Tuple, arity)
+// tuple decodes one AU-tuple into vals, whose length is the arity, and
+// returns the tuple over them.
+func (d *dec) tuple(vals rangeval.Tuple) core.Tuple {
 	for i := range vals {
 		vals[i] = d.rangeVal()
 	}
 	return core.Tuple{Vals: vals, M: d.mult()}
 }
 
-// tuples reads a counted tuple chunk (arity prefix included).
+// tuples reads a counted tuple chunk (arity prefix included). Every
+// tuple's values are a capped slice of one arena, so a chunk costs two
+// allocations however many rows it holds.
 func (d *dec) tuples() []core.Tuple {
 	arity := d.count(1)
 	n := d.count(2) // a tuple is at least a mult tag + varint... but arity 0 tuples are just that
 	if d.err != nil {
 		return nil
 	}
-	out := make([]core.Tuple, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, d.tuple(arity))
+	// A value is at least a range tag and a kind byte, so a corrupt arity
+	// and count cannot drive a huge arena.
+	if uint64(n)*uint64(2*arity+2) > uint64(len(d.b)-d.off) {
+		d.fail("implausible count %d of arity %d at offset %d", n, arity, d.off)
+		return nil
+	}
+	arena := make(rangeval.Tuple, n*arity)
+	out := make([]core.Tuple, n)
+	for i := range out {
+		out[i] = d.tuple(arena[i*arity : (i+1)*arity : (i+1)*arity])
 		if d.err != nil {
 			return nil
 		}
@@ -340,7 +350,8 @@ func (d *dec) tuples() []core.Tuple {
 
 // relation decodes an AU-relation straight into the columnar layout
 // catalog registration uses: the rows stream through a RelationBuilder,
-// so the result never holds dense triples.
+// so the result never holds dense triples. Every row is decoded into one
+// scratch row, which the builder copies value by value.
 func (d *dec) relation() *core.Relation {
 	attrs := d.strings()
 	n := d.count(2)
@@ -348,8 +359,9 @@ func (d *dec) relation() *core.Relation {
 		return nil
 	}
 	b := core.NewRelationBuilder(schema.New(attrs...), n)
+	row := make(rangeval.Tuple, len(attrs))
 	for i := 0; i < n; i++ {
-		t := d.tuple(len(attrs))
+		t := d.tuple(row)
 		if d.err != nil {
 			return nil
 		}

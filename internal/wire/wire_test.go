@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/audb/audb/internal/core"
@@ -384,5 +385,65 @@ func TestResponseID(t *testing.T) {
 		} else if ok && id == 0 {
 			t.Errorf("%s: ResponseID lost the ID", TypeName(m.msgType()))
 		}
+	}
+}
+
+// numericRelation is n rows of three certain numeric columns, the shape
+// of a scan's result.
+func numericRelation(n int) *core.Relation {
+	r := core.New(schema.New("k", "net", "qty"))
+	for i := range n {
+		r.Add(core.Tuple{Vals: rangeval.Tuple{
+			rangeval.Certain(types.Int(int64(i))),
+			rangeval.Certain(types.Float(float64(i) * 1.37)),
+			rangeval.Certain(types.Int(int64(26 + i%25))),
+		}, M: core.One})
+	}
+	return r
+}
+
+// TestDecodeResultAllocatesPerFrame: reading a numeric Result allocates a
+// count that does not grow with its rows. Every row is decoded into one
+// scratch row that the builder copies, so 1,000 and 4,000 rows allocate
+// the same. The frames are encoded outside the measured region.
+func TestDecodeResultAllocatesPerFrame(t *testing.T) {
+	allocs := func(n int) uint64 {
+		var frame bytes.Buffer
+		if err := NewWriter(&frame).Write(Result{ID: 1, Rel: numericRelation(n)}); err != nil {
+			t.Fatal(err)
+		}
+		least := uint64(math.MaxUint64)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			m, err := NewReader(bytes.NewReader(frame.Bytes())).Read()
+			runtime.ReadMemStats(&after)
+			if err != nil || m.(Result).Rel.Len() != n {
+				t.Fatalf("decode of %d rows: %v", n, err)
+			}
+			least = min(least, after.Mallocs-before.Mallocs)
+		}
+		return least
+	}
+	if a, b := allocs(1000), allocs(4000); a != b {
+		t.Errorf("decoding 1,000 and 4,000 rows allocated %d and %d objects", a, b)
+	}
+}
+
+// TestCopyDataArena: a CopyData chunk's tuples share one arena but are
+// capped, so appending to one tuple's values never writes into the next.
+func TestCopyDataArena(t *testing.T) {
+	rel := numericRelation(3)
+	m, err := decodeMsg(TCopyData, CopyData{ID: 7, Tuples: rel.Tuples}.encode(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := m.(CopyData).Tuples
+	if !reflect.DeepEqual(got, rel.Tuples) {
+		t.Fatalf("copy data round trip:\n in: %v\nout: %v", rel.Tuples, got)
+	}
+	_ = append(got[0].Vals, rangeval.Certain(types.Int(-1)))
+	if !reflect.DeepEqual(got[1], rel.Tuples[1]) {
+		t.Fatalf("appending to row 0 changed row 1: %v", got[1])
 	}
 }
