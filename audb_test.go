@@ -354,3 +354,17 @@ func TestOptionsAndPlan(t *testing.T) {
 		t.Error("expr rendering")
 	}
 }
+
+// TestJoinSGOverflow: a self-join of one row of multiplicity 3.1e9 has an
+// SG multiplicity past int64. Both executors report it as an integer
+// overflow; the join used to wrap it to a negative multiplicity.
+func TestJoinSGOverflow(t *testing.T) {
+	db := New()
+	db.Add(NewUncertainTable("u", "a").AddRow(RangeRow{CertainOf(Int(1))}, Mult(3_100_000_000, 3_100_000_000, 3_100_000_000)))
+	for _, mode := range []ExecMode{ExecPipelined, ExecMaterialized} {
+		res, err := db.QueryContext(context.Background(), `SELECT x.a FROM u x JOIN u y ON x.a = y.a`, WithExecMode(mode))
+		if err == nil || !strings.Contains(err.Error(), "integer overflow") {
+			t.Fatalf("mode %v: %v, %v; want an integer overflow", mode, res, err)
+		}
+	}
+}

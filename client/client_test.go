@@ -695,6 +695,29 @@ func TestMergeOverflowKeepsConnection(t *testing.T) {
 	}
 }
 
+// TestJoinOverflowKeepsConnection: a join whose SG multiplicity product
+// leaves int64 is a sql-coded error, and the connection stays usable. The
+// wrapped product used to reach the encoder as a negative multiplicity,
+// and the client closed the connection on it.
+func TestJoinOverflowKeepsConnection(t *testing.T) {
+	testutil.NoLeaks(t)
+	const n = 3_100_000_000
+	db := audb.New()
+	db.Add(audb.NewUncertainTable("u", "a").AddRow(audb.RangeRow{audb.CertainOf(audb.Int(1))}, audb.Mult(n, n, n)))
+	addr, _ := startServer(t, db, server.Config{})
+	c := dial(t, addr)
+	defer c.Close()
+	ctx := context.Background()
+	_, err := c.Query(ctx, `SELECT x.a FROM u x JOIN u y ON x.a = y.a`)
+	var se *client.ServerError
+	if !errors.As(err, &se) || se.Code != "sql" || !strings.Contains(se.Error(), "integer overflow") {
+		t.Fatalf("want a sql integer-overflow error, got %v", err)
+	}
+	if err := c.Ping(ctx); err != nil {
+		t.Fatalf("ping after the overflow: %v", err)
+	}
+}
+
 // TestPoolReuse: the pool hands back the same connection, discards
 // broken ones, and Close leaves no goroutines behind.
 func TestPoolReuse(t *testing.T) {

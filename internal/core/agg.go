@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/audb/audb/internal/ctxpoll"
@@ -111,6 +113,83 @@ func (m aggMonoid) starBounds(k *Mult, v *rangeval.V) (lo, hi types.Value, err e
 	return lo, hi, nil
 }
 
+// clampBound is lbagg/ubagg's clamp of a bound of side dir (Definition
+// 26): a tuple that may not belong to a group contributes at worst the
+// neutral element.
+func (m aggMonoid) clampBound(x types.Value, dir int) types.Value {
+	if dir < 0 {
+		return types.Min(m.neutral(), x)
+	}
+	return types.Max(m.neutral(), x)
+}
+
+// starFloat is starBounds for float argument bounds vlo and vhi, on
+// float64: SUM's product is float64(k)*v, as types.Mul gives it, MIN and
+// MAX keep v, and the four products fold with types.Min and types.Max's
+// rule (cmp.Compare; on a tie the earlier one). ok is false when a bound
+// would be MIN's or MAX's neutral sentinel, for a multiplicity that may
+// be 0.
+func (m aggMonoid) starFloat(k *Mult, vlo, vhi float64) (lo, hi float64, ok bool) {
+	if m != monoidSum && (k.Lo == 0 || k.Hi == 0) {
+		return 0, 0, false
+	}
+	star := func(kk int64, v float64) float64 {
+		if m == monoidSum {
+			return float64(kk) * v
+		}
+		return v
+	}
+	if k.Lo == k.Hi && cmp.Compare(vlo, vhi) == 0 {
+		x := star(k.Lo, vlo)
+		return x, x, true
+	}
+	lo, hi = bounds4([4]float64{star(k.Lo, vlo), star(k.Lo, vhi), star(k.Hi, vlo), star(k.Hi, vhi)})
+	return lo, hi, true
+}
+
+// starInt is starFloat for int argument bounds. SUM's products are
+// types.Mul's; ok is also false when one leaves int64, whose bounds
+// saturate to values no int64 column holds (types.Bound).
+func (m aggMonoid) starInt(k *Mult, vlo, vhi int64) (lo, hi int64, ok bool) {
+	if m != monoidSum && (k.Lo == 0 || k.Hi == 0) {
+		return 0, 0, false
+	}
+	star := func(kk, v int64) (int64, bool) {
+		if m != monoidSum {
+			return v, true
+		}
+		x, err := types.Mul(types.Int(kk), types.Int(v))
+		return x.AsInt(), err == nil
+	}
+	if k.Lo == k.Hi && vlo == vhi {
+		x, ok := star(k.Lo, vlo)
+		return x, x, ok
+	}
+	var xs [4]int64
+	for c, kv := range [4][2]int64{{k.Lo, vlo}, {k.Lo, vhi}, {k.Hi, vlo}, {k.Hi, vhi}} {
+		if xs[c], ok = star(kv[0], kv[1]); !ok {
+			return 0, 0, false
+		}
+	}
+	lo, hi = bounds4(xs)
+	return lo, hi, true
+}
+
+// bounds4 is starBounds' fold of its four products: the least and the
+// greatest under cmp.Compare, the earlier one on a tie.
+func bounds4[T int64 | float64](xs [4]T) (lo, hi T) {
+	lo, hi = xs[0], xs[0]
+	for _, x := range xs[1:] {
+		if cmp.Compare(lo, x) > 0 {
+			lo = x
+		}
+		if cmp.Compare(hi, x) < 0 {
+			hi = x
+		}
+	}
+	return lo, hi
+}
+
 // argKind is how a slot evaluates its argument for one tuple.
 type argKind uint8
 
@@ -189,14 +268,14 @@ func planAggs(specs []ra.AggSpec) ([]aggPlan, []slot, error) {
 }
 
 // contrib is one (possibly merged) contribution to the aggregation overlap
-// join: group-by ranges, tuple annotation and one argument range per slot.
-// gb and args are views into arenas shared by all contributions.
+// join under compression: group-by ranges, tuple annotation and one
+// argument range per slot, which merging widens (compressContribs). gb and
+// args are views into arenas shared by all contributions.
 type contrib struct {
 	gb   rangeval.Tuple
 	m    Mult
 	args []rangeval.V
 	ug   bool // ug(G, R, t): group membership is uncertain
-	pos  int  // its position in the walk, which orders fold errors
 }
 
 // avgBounds derives AVG bounds from sum and count bound triples using
@@ -286,6 +365,7 @@ func groupRows(in *AggInput, groupBy []int, sizeHint int, p *ctxpoll.Poll) (*agg
 		rank: make([]int32, 0, in.n),
 	}
 	var key []byte
+	var scratch rangeval.V // a flat column's value, as val returns it
 	for pi := range in.parts {
 		pt := &in.parts[pi]
 		for i := 0; i < pt.n; i++ {
@@ -299,7 +379,7 @@ func groupRows(in *AggInput, groupBy []int, sizeHint int, p *ctxpoll.Poll) (*agg
 					key = pt.cols[c].Flat[i].AppendKey(key)
 					continue
 				}
-				v := pt.val(c, i)
+				v := pt.val(c, i, &scratch)
 				key = v.SG.AppendKey(key)
 				point = point && v.IsCertain()
 			}
@@ -309,7 +389,7 @@ func groupRows(in *AggInput, groupBy []int, sizeHint int, p *ctxpoll.Poll) (*agg
 				gs.at[string(key)] = g
 				box := make(rangeval.Tuple, len(groupBy))
 				for j, c := range groupBy {
-					box[j] = rangeval.Certain(pt.val(c, i).SG)
+					box[j] = rangeval.Certain(pt.val(c, i, &scratch).SG)
 				}
 				gs.gbox = append(gs.gbox, box)
 				gs.rep = append(gs.rep, nil)
@@ -322,7 +402,8 @@ func groupRows(in *AggInput, groupBy []int, sizeHint int, p *ctxpoll.Poll) (*agg
 				// bound on a tie, would leave every bit as it is.
 				if gs.npoint[g] == 0 {
 					gs.keys = append(gs.keys, g)
-					gs.rep[g] = gbOf(pt, i, groupBy, nil)
+					gs.rep[g] = make(rangeval.Tuple, len(groupBy))
+					gbOf(pt, i, groupBy, gs.rep[g])
 				}
 				gs.rank = append(gs.rank, int32(gs.npoint[g]))
 				gs.npoint[g]++
@@ -330,7 +411,7 @@ func groupRows(in *AggInput, groupBy []int, sizeHint int, p *ctxpoll.Poll) (*agg
 			}
 			box := gs.gbox[g]
 			for j, c := range groupBy {
-				box[j] = box[j].Union(pt.val(c, i)) // Definition 25
+				box[j] = box[j].Union(*pt.val(c, i, &scratch)) // Definition 25
 			}
 			gs.nbox++
 			gs.rank = append(gs.rank, -int32(gs.nbox))
@@ -339,15 +420,14 @@ func groupRows(in *AggInput, groupBy []int, sizeHint int, p *ctxpoll.Poll) (*agg
 	return gs, nil
 }
 
-// gbOf returns row i's group-by values, written into dst unless it is nil.
-func gbOf(pt *aggPart, i int, groupBy []int, dst rangeval.Tuple) rangeval.Tuple {
-	if dst == nil {
-		dst = make(rangeval.Tuple, len(groupBy))
-	}
+// gbOf writes row i's group-by values to dst, reading each stored triple
+// in place.
+func gbOf(pt *aggPart, i int, groupBy []int, dst rangeval.Tuple) {
 	for j, c := range groupBy {
-		dst[j] = pt.val(c, i)
+		if v := pt.val(c, i, &dst[j]); v != &dst[j] {
+			dst[j] = *v
+		}
 	}
-	return dst
 }
 
 // aggKernel is the state of one aggregation after pass 1.
@@ -361,16 +441,18 @@ func gbOf(pt *aggPart, i int, groupBy []int, dst rangeval.Tuple) rangeval.Tuple 
 // folds straight from the lanes, slot by slot (foldPoint); a point value
 // under a certain multiplicity then costs one ⊛ for its SG and both
 // bounds. Only rows that may reach a group whose box is uncertain (the
-// set U) are kept as contribs: box rows, and the point rows of keys that
-// overlap a group in U. The walk then folds those in the order every
-// group folded before rows were folded directly — point keys in
+// set U) are kept: box rows, and the point rows of keys that overlap a
+// group in U. A kept row's ⊛ bounds are computed once, into one bound
+// column per slot (boundCols) at its index in the walk, and a box row
+// also keeps its group-by. The walk then folds those columns in the order
+// every group folded before rows were folded directly — point keys in
 // first-seen order, then boxes in input order — so each group still
 // receives its point rows in input order followed by the boxes that
 // overlap it, every float + runs on the same operands in the same order,
 // and every answer is unchanged.
 //
-// With compression every row is kept and the walk runs over the
-// compressed side (Section 10.5), as it always has.
+// With compression every row is kept whole, with its argument ranges, and
+// the walk runs over the compressed side (Section 10.5).
 type aggKernel struct {
 	in      *AggInput
 	groupBy []int
@@ -385,16 +467,17 @@ type aggKernel struct {
 	direct []bool
 
 	// Per point key: the walk position of its first point row, and the
-	// slot of its first kept row (-1 when none is kept). npoints is the
+	// index of its first kept row (-1 when none is kept). npoints is the
 	// number of point rows, kept the number of kept point rows.
 	walkAt, keptAt []int
 	npoints, kept  int
 
-	// The kept rows: in walk order without compression, in input order
-	// with it. Their ranges live in two arenas.
-	keep []contrib
-	args []rangeval.V
-	gbs  rangeval.Tuple
+	// The kept rows. Without compression: their ⊛ bounds by walk index
+	// (point rows first, then boxes), and each box row's group-by by its
+	// rank among the boxes. With compression: every row, in input order.
+	bounds *boundCols
+	boxGB  rangeval.Tuple
+	keep   []contrib
 
 	// Per group: lo, hi per slot; the SG result per slot; the row
 	// annotation sums; the group's first SG error.
@@ -405,7 +488,19 @@ type aggKernel struct {
 }
 
 // multSum accumulates a group's row annotation (Definitions 27 and 28).
+// Every sum saturates at MaxInt64 (addHi): rows reads only δ of lo and
+// sg, which a saturated sum keeps, and hi bounds from above.
 type multSum struct{ lo, sg, hi int64 }
+
+// add folds in one row's annotation m; its Lo only when the row certainly
+// belongs to the group.
+func (ms *multSum) add(m *Mult, certain bool) {
+	if certain {
+		ms.lo = addHi(ms.lo, m.Lo)
+	}
+	ms.sg = addHi(ms.sg, m.SG)
+	ms.hi = addHi(ms.hi, m.Hi)
+}
 
 // foldErr is a failed step and its position: the row of an argument
 // error, or the walk position of a fold error.
@@ -476,10 +571,10 @@ func aggregate(ctx context.Context, in *AggInput, groupBy []int, plans []aggPlan
 		return nil, argErr.err
 	}
 
-	walk, runs, boxAt := k.walkOrder()
+	ws := k.walkOrder()
 	walked := make([]foldErr, len(spans))
 	if err := runSpans(ctx, spans, func(c int, s Span, p *ctxpoll.Poll) error {
-		return k.walk(s, walk, runs, boxAt, p, &walked[c])
+		return k.walk(s, ws, p, &walked[c])
 	}); err != nil {
 		return nil, err
 	}
@@ -497,7 +592,7 @@ func aggregate(ctx context.Context, in *AggInput, groupBy []int, plans []aggPlan
 }
 
 // newAggKernel sizes pass 2's state from pass 1: U, each point key's walk
-// position and whether it is kept, and the arenas for the kept rows.
+// position and whether it is kept, and the storage for the kept rows.
 func newAggKernel(in *AggInput, groupBy []int, slots []slot, gs *aggGroups, compression int, p *ctxpoll.Poll) (*aggKernel, error) {
 	ng, ns := len(gs.gbox), len(slots)
 	k := &aggKernel{
@@ -525,29 +620,34 @@ func newAggKernel(in *AggInput, groupBy []int, slots []slot, gs *aggGroups, comp
 			k.sg[ns*g+j] = n
 		}
 	}
-	nkeep := in.n
-	if compression == 0 {
-		for _, g := range gs.keys {
-			k.walkAt[g] = k.npoints
-			k.npoints += gs.npoint[g]
-			k.keptAt[g] = -1
-			for _, u := range k.unc {
-				if err := p.Due(); err != nil {
-					return nil, err
-				}
-				if gs.rep[g].Overlaps(gs.gbox[u]) {
-					k.keptAt[g] = k.kept
-					k.kept += gs.npoint[g]
-					break
-				}
-			}
-			k.direct[g] = k.certBox[g] && k.keptAt[g] < 0
+	if compression > 0 {
+		n, na := in.n, len(groupBy)
+		args, gbs := make([]rangeval.V, n*ns), make(rangeval.Tuple, n*na)
+		k.keep = make([]contrib, n)
+		for r := range k.keep {
+			k.keep[r].args = args[r*ns : (r+1)*ns : (r+1)*ns]
+			k.keep[r].gb = gbs[r*na : (r+1)*na : (r+1)*na]
 		}
-		nkeep = k.kept + gs.nbox
+		return k, nil
 	}
-	k.keep = make([]contrib, nkeep)
-	k.args = make([]rangeval.V, nkeep*ns)
-	k.gbs = make(rangeval.Tuple, nkeep*len(groupBy))
+	for _, g := range gs.keys {
+		k.walkAt[g] = k.npoints
+		k.npoints += gs.npoint[g]
+		k.keptAt[g] = -1
+		for _, u := range k.unc {
+			if err := p.Due(); err != nil {
+				return nil, err
+			}
+			if gs.rep[g].Overlaps(gs.gbox[u]) {
+				k.keptAt[g] = k.kept
+				k.kept += gs.npoint[g]
+				break
+			}
+		}
+		k.direct[g] = k.certBox[g] && k.keptAt[g] < 0
+	}
+	k.bounds = newBoundCols(ns, k.kept+gs.nbox)
+	k.boxGB = make(rangeval.Tuple, gs.nbox*len(groupBy))
 	return k, nil
 }
 
@@ -558,10 +658,10 @@ type argChunk struct {
 	lo, hi, base int
 }
 
-// spanFold is one span's scratch for folding rows: foldRow's walker, a
-// row's argument triples, and foldPoint's results before they are stored.
+// spanFold is one span's scratch for folding rows: a row's argument
+// triples, and foldPoint's results (or addDirect's bounds) before they
+// are stored.
 type spanFold struct {
-	w    walker
 	args []rangeval.V
 	next []types.Value
 }
@@ -572,12 +672,11 @@ type spanFold struct {
 // folded with the groups split by spans, so every group still receives
 // its rows in input order. A point row of a group that folds directly,
 // with a multiplicity that is certainly positive, folds from the lanes
-// slot by slot (foldPoint); every other row, and a point row whose fold
-// fails, reads its triples from the lanes and goes through foldRow. With
-// more than one worker the next block is evaluated into a second set of
-// lanes while the current one folds. It returns the first argument error
-// in row-major order, or else the direct fold's earliest error by walk
-// position.
+// slot by slot (foldPoint); every other row goes through foldRow. Then
+// the block's kept rows are stored (keepBlock). With more than one worker
+// the next block is evaluated into a second set of lanes while the
+// current one folds. It returns the first argument error in row-major
+// order, or else the direct fold's earliest error by walk position.
 func (k *aggKernel) foldRows(ctx context.Context, workers int, spans []Span) (argErr, direct foldErr, err error) {
 	nc := 0
 	for _, pt := range k.in.parts {
@@ -649,11 +748,7 @@ func (k *aggKernel) foldRows(ctx context.Context, workers int, spans []Span) (ar
 	}
 	folds := make([]spanFold, len(spans))
 	for c := range folds {
-		folds[c] = spanFold{
-			w:    walker{slots: k.slots, acc: k.acc, bounds: make([]types.Value, 4*ns), targets: make([]target, 0, 1)},
-			args: make([]rangeval.V, ns),
-			next: make([]types.Value, 3*ns),
-		}
+		folds[c] = spanFold{args: make([]rangeval.V, ns), next: make([]types.Value, 3*ns)}
 	}
 	directs := make([]foldErr, len(spans))
 	var (
@@ -677,10 +772,7 @@ func (k *aggKernel) foldRows(ctx context.Context, workers int, spans []Span) (ar
 				if k.direct[g] && m.Lo > 0 && k.gs.rank[r] >= 0 && k.sgErr[g] == nil && k.foldPoint(g, &m, ls, o, sf.next) {
 					continue
 				}
-				for j := range ls {
-					sf.args[j] = ls[j].At(o)
-				}
-				k.foldRow(ch.pt, i, r, m, sf.args, &sf.w, &directs[c])
+				k.foldRow(r, &m, ls, o, sf, &directs[c])
 			}
 		}
 		return nil
@@ -712,6 +804,9 @@ func (k *aggKernel) foldRows(ctx context.Context, workers int, spans []Span) (ar
 				<-ahead
 			}
 			return foldErr{}, foldErr{}, err
+		}
+		if k.compression > 0 || k.kept+k.gs.nbox > 0 {
+			k.keepBlock(foldBlk, foldLanes)
 		}
 	}
 	return foldErr{}, firstErr(directs), nil
@@ -764,32 +859,28 @@ func (k *aggKernel) foldPoint(g int, m *Mult, lanes []expr.Lane, o int, next []t
 	for j := range k.slots {
 		sg[j], acc[2*j], acc[2*j+1] = next[3*j], next[3*j+1], next[3*j+2]
 	}
-	ms := &k.mults[g]
-	ms.lo += m.Lo
-	ms.sg += m.SG
-	ms.hi = addHi(ms.hi, m.Hi)
+	k.mults[g].add(m, true)
 	return true
 }
 
-// foldRow folds row r (row i of pt) with multiplicity m and argument
-// ranges args.
-func (k *aggKernel) foldRow(pt *aggPart, i, r int, m Mult, args []rangeval.V, w *walker, direct *foldErr) {
+// foldRow folds row r, of multiplicity m and with arguments at offset o
+// of lanes, into its α-group: its SG results and annotation, and, for a
+// point row of a group whose box is certain, its ⊛ bounds (addDirect).
+func (k *aggKernel) foldRow(r int, m *Mult, lanes []expr.Lane, o int, sf *spanFold, direct *foldErr) {
 	g, rank := int(k.gs.grp[r]), int(k.gs.rank[r])
 	point := rank >= 0
-	c := contrib{m: m, args: args}
-	c.ug = c.m.Lo == 0 || !point
 
 	// SG results: exactly the α-members, standard K-relational semantics
 	// over the SGW (mirrors the piggy-backed computation of the optimized
 	// rewrite).
-	if c.m.SG != 0 && k.sgErr[g] == nil {
+	if m.SG != 0 && k.sgErr[g] == nil {
 		ns := len(k.slots)
 		sg := k.sg[ns*g : ns*(g+1)]
 		for j := range k.slots {
-			m := k.slots[j].monoid
-			x, err := m.star(c.m.SG, args[j].SG)
+			mo := k.slots[j].monoid
+			x, err := mo.star(m.SG, lanes[j].SG[o])
 			if err == nil {
-				sg[j], err = m.plus(sg[j], x)
+				sg[j], err = mo.plus(sg[j], x)
 			}
 			if err != nil {
 				k.sgErr[g] = err
@@ -798,74 +889,145 @@ func (k *aggKernel) foldRow(pt *aggPart, i, r int, m Mult, args []rangeval.V, w 
 		}
 	}
 	// Row annotation (Definitions 27 and 28).
-	ms := &k.mults[g]
-	if !c.ug {
-		ms.lo += c.m.Lo
-	}
-	ms.sg += c.m.SG
-	ms.hi = addHi(ms.hi, c.m.Hi)
+	k.mults[g].add(m, point)
 
-	switch {
-	case k.compression > 0:
-		k.retain(r, pt, i, c)
-	case !point:
-		b := -rank - 1
-		c.pos = k.npoints + b
-		k.retain(k.kept+b, pt, i, c)
-	default:
-		c.pos = k.walkAt[g] + rank
-		if k.certBox[g] {
-			w.targets = append(w.targets[:0], target{g: g, certain: true})
-			if err := w.add(&c); err != nil {
-				if e := (foldErr{at: c.pos, err: err}); e.earlier(*direct) {
-					*direct = e
+	if k.compression == 0 && point && k.certBox[g] {
+		for j := range lanes {
+			sf.args[j] = lanes[j].At(o)
+		}
+		if err := k.addDirect(g, m, sf.args, sf.next); err != nil {
+			if e := (foldErr{at: k.walkAt[g] + rank, err: err}); e.earlier(*direct) {
+				*direct = e
+			}
+		}
+	}
+}
+
+// addDirect folds the ⊛ bounds of a point row, of multiplicity m and
+// arguments args, into its group g, whose box is certain: its one certain
+// target, to which a row that may be absent (m.Lo == 0) contributes at
+// worst the neutral element. As in the walk, every slot's ⊛ is computed,
+// into b, before any is folded.
+func (k *aggKernel) addDirect(g int, m *Mult, args []rangeval.V, b []types.Value) error {
+	for j := range k.slots {
+		lo, hi, err := k.slots[j].monoid.starBounds(m, &args[j])
+		if err != nil {
+			return err
+		}
+		b[2*j], b[2*j+1] = lo, hi
+	}
+	ns := len(k.slots)
+	acc := k.acc[2*ns*g : 2*ns*(g+1)]
+	for j := range k.slots {
+		mo := k.slots[j].monoid
+		lo, hi := b[2*j], b[2*j+1]
+		if m.Lo == 0 {
+			lo, hi = mo.clampBound(lo, -1), mo.clampBound(hi, 1)
+		}
+		var err error
+		if acc[2*j], err = mo.plusBound(acc[2*j], lo, -1); err != nil {
+			return err
+		}
+		if acc[2*j+1], err = mo.plusBound(acc[2*j+1], hi, 1); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// keepBlock stores the kept rows of a folded block from its lanes: each
+// one's ⊛ bounds at its walk index, and a box row's group-by; with
+// compression, every row whole. It runs in one goroutine, so a bound
+// column may change its representation with no other writer.
+func (k *aggKernel) keepBlock(blk []argChunk, lanes []expr.Lane) {
+	ns, na := len(k.slots), len(k.groupBy)
+	for ci, ch := range blk {
+		ls := lanes[ci*ns : (ci+1)*ns]
+		for i := ch.lo; i < ch.hi; i++ {
+			r, o := ch.base+i, i-ch.lo
+			g, rank := int(k.gs.grp[r]), int(k.gs.rank[r])
+			if k.compression > 0 {
+				c := &k.keep[r]
+				c.m = ch.pt.mult(i)
+				c.ug = c.m.Lo == 0 || rank < 0
+				for j := range ls {
+					c.args[j] = ls[j].At(o)
+				}
+				gbOf(ch.pt, i, k.groupBy, c.gb)
+				continue
+			}
+			var at int
+			switch {
+			case rank < 0:
+				b := -rank - 1
+				at = k.kept + b
+				gbOf(ch.pt, i, k.groupBy, k.boxGB[b*na:(b+1)*na:(b+1)*na])
+			case k.keptAt[g] >= 0:
+				at = k.keptAt[g] + rank
+			default:
+				continue
+			}
+			m := ch.pt.mult(i)
+			for j := range ls {
+				l := &ls[j]
+				var v *rangeval.V
+				if e := l.Exc[o]; e >= 0 {
+					v = &l.Tri[e]
+				}
+				if !k.bounds.set(at, j, k.slots[j].monoid, &m, v, l.SG[o]) {
+					break
 				}
 			}
 		}
-		if k.keptAt[g] >= 0 {
-			k.retain(k.keptAt[g]+rank, pt, i, c)
-		}
 	}
 }
 
-// retain keeps row i of pt as contrib slot, copying its ranges into the
-// arenas.
-func (k *aggKernel) retain(slot int, pt *aggPart, i int, c contrib) {
-	ns, ng := len(k.slots), len(k.groupBy)
-	a := k.args[slot*ns : (slot+1)*ns : (slot+1)*ns]
-	copy(a, c.args)
-	c.args = a
-	c.gb = gbOf(pt, i, k.groupBy, k.gbs[slot*ng:(slot+1)*ng:(slot+1)*ng])
-	k.keep[slot] = c
-}
-
-// pointRun is one point key's run of the walk: its contributions
-// walk[lo:hi], the certain-box group at exactly its point (-1 when that
-// group was folded directly or there is none) and its group-by.
+// pointRun is one point key's run of the walk: its contributions at walk
+// indices [lo, hi), the walk position of lo, the certain-box group at
+// exactly its point (-1 when that group was folded directly or there is
+// none) and its group-by.
 type pointRun struct {
-	lo, hi int
-	cert   int
-	rep    rangeval.Tuple
+	lo, hi, at int
+	cert       int
+	rep        rangeval.Tuple
 }
 
-// walkOrder lays out what the walk folds: point runs, then the boxes from
-// walk[boxAt:]. Without compression the kept rows are already in walk
-// order. With it, the compressed side is split into point keys, in
-// first-seen key order, and boxes; each contribution's position is its
-// index in that order.
-func (k *aggKernel) walkOrder() (walk []contrib, runs []pointRun, boxAt int) {
+// walkSide is what the walk folds, by walk index: point runs, then boxes
+// from boxAt to n. Per index: each slot's ⊛ bounds (bounds), and, with
+// compression, whether the contribution's membership is uncertain (ug;
+// without compression no target of the walk is certain, so every bound
+// clamps). The group-by of box boxAt+b is boxGB[b*len(groupBy):], and
+// boxPos is the walk position of box boxAt, which orders fold errors.
+type walkSide struct {
+	runs             []pointRun
+	boxAt, n, boxPos int
+	boxGB            rangeval.Tuple
+	ug               []bool
+	bounds           *boundCols
+}
+
+// walkOrder lays out what the walk folds. Without compression the kept
+// rows are already in walk order. With it, the compressed side is split
+// into point keys, in first-seen key order, and boxes, and each
+// contribution's ⊛ bounds are computed at its index in that order, which
+// is also its position.
+func (k *aggKernel) walkOrder() *walkSide {
+	ng := len(k.groupBy)
 	if k.compression == 0 {
+		ws := &walkSide{boxAt: k.kept, n: k.kept + k.gs.nbox, boxPos: k.npoints, boxGB: k.boxGB, bounds: k.bounds}
 		for _, g := range k.gs.keys {
 			if at := k.keptAt[g]; at >= 0 {
-				runs = append(runs, pointRun{lo: at, hi: at + k.gs.npoint[g], cert: -1, rep: k.gs.rep[g]})
+				ws.runs = append(ws.runs, pointRun{lo: at, hi: at + k.gs.npoint[g], at: k.walkAt[g], cert: -1, rep: k.gs.rep[g]})
 			}
 		}
-		return k.keep, runs, k.kept
+		k.bounds.sortErrs()
+		return ws
 	}
 	side := compressContribs(k.keep, k.compression)
 	at := map[string]int{}
 	var members [][]int
 	var boxes []int
+	var runs []pointRun
 	for ci := range side {
 		if !side[ci].gb.IsCertain() {
 			boxes = append(boxes, ci)
@@ -885,79 +1047,184 @@ func (k *aggKernel) walkOrder() (walk []contrib, runs []pointRun, boxAt int) {
 		}
 		members[pi] = append(members[pi], ci)
 	}
-	walk = make([]contrib, 0, len(side))
+	order := make([]int, 0, len(side))
 	for pi, ms := range members {
-		runs[pi].lo = len(walk)
-		for _, ci := range ms {
-			walk = append(walk, side[ci])
-		}
-		runs[pi].hi = len(walk)
+		runs[pi].lo, runs[pi].at = len(order), len(order)
+		order = append(order, ms...)
+		runs[pi].hi = len(order)
 	}
-	boxAt = len(walk)
+	ws := &walkSide{runs: runs, boxAt: len(order), n: len(side), boxPos: len(order),
+		boxGB: make(rangeval.Tuple, 0, len(boxes)*ng), ug: make([]bool, len(side)),
+		bounds: newBoundCols(len(k.slots), len(side))}
 	for _, ci := range boxes {
-		walk = append(walk, side[ci])
+		ws.boxGB = append(ws.boxGB, side[ci].gb...)
 	}
-	for ci := range walk {
-		walk[ci].pos = ci
+	order = append(order, boxes...)
+	for x, ci := range order {
+		c := &side[ci]
+		ws.ug[x] = c.ug
+		for j := range k.slots {
+			if !ws.bounds.set(x, j, k.slots[j].monoid, &c.m, &c.args[j], c.args[j].SG) {
+				break
+			}
+		}
 	}
-	return walk, runs, boxAt
+	return ws
 }
 
-// walk folds the walk into the groups in s: each point run into the
+// walk folds ws into the groups in s: each point run into the
 // uncertain-box groups its point overlaps (and its certain-box group, if
-// it was not folded directly), then each box into every group it
-// overlaps. It stops at its first fold error, which it stores in fail.
-func (k *aggKernel) walk(s Span, walk []contrib, runs []pointRun, boxAt int, p *ctxpoll.Poll, fail *foldErr) error {
-	w := walker{slots: k.slots, acc: k.acc, bounds: make([]types.Value, 4*len(k.slots)), targets: make([]target, 0, s.Hi-s.Lo)}
+// it was not folded directly), then the boxes, each maximal stretch of
+// boxes that overlap the same groups at once. It stops at its first fold
+// error, which it stores in fail. It only reads ws.
+func (k *aggKernel) walk(s Span, ws *walkSide, p *ctxpoll.Poll, fail *foldErr) error {
 	var unc []int
 	for _, g := range k.unc {
 		if g >= s.Lo && g < s.Hi {
 			unc = append(unc, g)
 		}
 	}
-	for _, r := range runs {
+	tg := make([]target, 0, s.Hi-s.Lo)
+	for _, r := range ws.runs {
 		if err := p.Due(); err != nil {
 			return err
 		}
-		w.targets = w.targets[:0]
+		tg = tg[:0]
 		if r.cert >= s.Lo && r.cert < s.Hi {
-			w.targets = append(w.targets, target{g: r.cert, certain: true})
+			tg = append(tg, target{g: r.cert, certain: true})
 		}
 		for _, g := range unc {
 			if err := p.Due(); err != nil {
 				return err
 			}
 			if r.rep.Overlaps(k.gs.gbox[g]) {
-				w.targets = append(w.targets, target{g: g})
+				tg = append(tg, target{g: g})
 			}
 		}
-		for ci := r.lo; ci < r.hi && len(w.targets) > 0; ci++ {
-			if err := p.Due(); err != nil {
-				return err
-			}
-			if err := w.add(&walk[ci]); err != nil {
-				*fail = foldErr{at: walk[ci].pos, err: err}
-				return nil
-			}
+		if e, err := k.foldStretch(ws, tg, r.lo, r.hi, r.at-r.lo, p); err != nil || e.err != nil {
+			*fail = e
+			return err
 		}
 	}
-	for ci := boxAt; ci < len(walk); ci++ {
-		c := &walk[ci]
-		w.targets = w.targets[:0]
+	ng := len(k.groupBy)
+	boxTargets := func(i int, dst []target) ([]target, error) {
+		b := i - ws.boxAt
+		gb := ws.boxGB[b*ng : (b+1)*ng]
 		for g := s.Lo; g < s.Hi; g++ {
 			if err := p.Due(); err != nil {
-				return err
+				return nil, err
 			}
-			if c.gb.Overlaps(k.gs.gbox[g]) {
-				w.targets = append(w.targets, target{g: g})
+			if gb.Overlaps(k.gs.gbox[g]) {
+				dst = append(dst, target{g: g})
 			}
 		}
-		if err := w.add(c); err != nil {
-			*fail = foldErr{at: c.pos, err: err}
-			return nil
+		return dst, nil
+	}
+	next := make([]target, 0, s.Hi-s.Lo)
+	var err error
+	if ws.boxAt < ws.n {
+		if tg, err = boxTargets(ws.boxAt, tg[:0]); err != nil {
+			return err
 		}
 	}
+	for i := ws.boxAt; i < ws.n; {
+		j := i + 1
+		for ; j < ws.n; j++ {
+			if next, err = boxTargets(j, next[:0]); err != nil {
+				return err
+			}
+			if !slices.Equal(tg, next) {
+				break
+			}
+		}
+		if e, err := k.foldStretch(ws, tg, i, j, ws.boxPos-ws.boxAt, p); err != nil || e.err != nil {
+			*fail = e
+			return err
+		}
+		tg, next, i = next, tg, j
+	}
 	return nil
+}
+
+// foldStretch folds walk indices [a, b), which share their targets tg,
+// into each target: per target, slot and side, one pass over the indices
+// in walk order (boundCol.fold), a piece of at most expr.RangeChunk
+// indices at a time. Each accumulator takes the operands it took when
+// contributions were folded one at a time, in the same order. The failing
+// step it returns is the one that fold stopped at: the lowest index, a
+// contribution's own ⊛ error before its folds, then the first target,
+// slot and side. off turns an index into its walk position.
+func (k *aggKernel) foldStretch(ws *walkSide, tg []target, a, b, off int, p *ctxpoll.Poll) (foldErr, error) {
+	if len(tg) == 0 {
+		return foldErr{}, nil
+	}
+	errs := ws.bounds.errs
+	e := sort.Search(len(errs), func(x int) bool { return errs[x].at >= a })
+	limit := b
+	if e < len(errs) && errs[e].at < b {
+		limit = errs[e].at
+	}
+	for lo := a; lo < limit; lo += expr.RangeChunk {
+		hi := min(lo+expr.RangeChunk, limit)
+		at, ferr := hi, error(nil)
+		for _, t := range tg {
+			if err := p.Due(); err != nil {
+				return foldErr{}, err
+			}
+			if i, err := k.foldTarget(ws, t, lo, min(hi, at+1)); err != nil && (ferr == nil || i < at) {
+				at, ferr = i, err
+			}
+		}
+		if ferr != nil {
+			return foldErr{at: at + off, err: ferr}, nil
+		}
+	}
+	if limit < b {
+		return foldErr{at: limit + off, err: errs[e].err}, nil
+	}
+	return foldErr{}, nil
+}
+
+// foldTarget folds walk indices [a, b) into target t, slot by slot and
+// side by side, and returns the first failing step: the lowest index,
+// then the first slot and side. A bound is clamped to the neutral element
+// unless the contribution certainly belongs to a target that is certain.
+func (k *aggKernel) foldTarget(ws *walkSide, t target, a, b int) (int, error) {
+	ns := len(k.slots)
+	acc := k.acc[2*ns*t.g : 2*ns*(t.g+1)]
+	for x := a; x < b; {
+		y, clamp := b, true
+		if t.certain {
+			clamp = ws.ug[x]
+			for y = x + 1; y < b && ws.ug[y] == clamp; y++ {
+			}
+		}
+		at, ferr := y, error(nil)
+		for j := range k.slots {
+			mo, c := k.slots[j].monoid, &ws.bounds.cols[j]
+			for side, dir := range [2]int{-1, 1} {
+				if i, err := c.fold(mo, dir, clamp, &acc[2*j+side], x, min(y, at+1)); err != nil && (ferr == nil || i < at) {
+					at, ferr = i, err
+				}
+			}
+		}
+		if ferr != nil {
+			return at, ferr
+		}
+		x = y
+	}
+	return b, nil
+}
+
+// target is one output group a contribution folds into. A contribution
+// counts as a certain group member only when its own group membership is
+// certain AND the group's box is exactly its (certain) group-by point —
+// the condition θ_c of the rewrite (Section 10.2). A widened group box
+// means the output may represent other groups, for which this tuple's
+// contribution is not guaranteed.
+type target struct {
+	g       int
+	certain bool
 }
 
 // rows appends one output row per group, in group order.
@@ -1154,72 +1421,4 @@ func compressContribs(cs []contrib, n int) []contrib {
 		out = append(out, merged)
 	}
 	return out
-}
-
-// target is one output group a contribution folds into. A contribution
-// counts as a certain group member only when its own group membership is
-// certain AND the group's box is exactly its (certain) group-by point —
-// the condition θ_c of the rewrite (Section 10.2). A widened group box
-// means the output may represent other groups, for which this tuple's
-// contribution is not guaranteed.
-type target struct {
-	g       int
-	certain bool
-}
-
-// walker folds contributions into the lower/upper accumulators of one
-// chunk of output groups: acc holds lo, hi per (group, slot).
-type walker struct {
-	slots   []slot
-	base    int // the chunk's first group
-	acc     []types.Value
-	bounds  []types.Value // per slot lo, hi; then the same clamped
-	targets []target
-}
-
-// add folds contribution c into every current target. Its ⊛ bounds are
-// computed once per slot, and its lbagg/ubagg clamp once if any target
-// needs it: they do not depend on the group.
-func (w *walker) add(c *contrib) error {
-	if len(w.targets) == 0 {
-		return nil
-	}
-	ns := len(w.slots)
-	b := w.bounds
-	for j := range w.slots {
-		lo, hi, err := w.slots[j].monoid.starBounds(&c.m, &c.args[j])
-		if err != nil {
-			return err
-		}
-		b[2*j], b[2*j+1] = lo, hi
-	}
-	clamped := false
-	for _, t := range w.targets {
-		cb := b[:2*ns]
-		if c.ug || !t.certain {
-			if !clamped {
-				// A tuple that may not belong to the group contributes at
-				// worst the neutral element.
-				for j := range w.slots {
-					n := w.slots[j].monoid.neutral()
-					b[2*ns+2*j] = types.Min(n, b[2*j])
-					b[2*ns+2*j+1] = types.Max(n, b[2*j+1])
-				}
-				clamped = true
-			}
-			cb = b[2*ns:]
-		}
-		acc := w.acc[2*ns*(t.g-w.base):]
-		for j := range w.slots {
-			m := w.slots[j].monoid
-			var err error
-			if acc[2*j], err = m.plusBound(acc[2*j], cb[2*j], -1); err != nil {
-				return err
-			}
-			if acc[2*j+1], err = m.plusBound(acc[2*j+1], cb[2*j+1], 1); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

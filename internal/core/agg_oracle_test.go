@@ -371,10 +371,10 @@ func (f *oracleFold) fold(s Span, rows []Tuple, p *ctxpoll.Poll) (int, error) {
 			for _, i := range g.members {
 				c := &f.exact[i]
 				if !c.ug {
-					loSum += c.m.Lo
+					loSum = addHi(loSum, c.m.Lo)
 				}
-				sgSum += c.m.SG
-				hiSum += c.m.Hi
+				sgSum = addHi(sgSum, c.m.SG)
+				hiSum = addHi(hiSum, c.m.Hi)
 			}
 			m = Mult{Lo: delta(loSum), SG: delta(sgSum), Hi: hiSum}
 		}
@@ -393,4 +393,62 @@ func (f *oracleFold) fold(s Span, rows []Tuple, p *ctxpoll.Poll) (int, error) {
 		rows[gi] = Tuple{Vals: row, M: m}
 	}
 	return at, nil
+}
+
+// walker folds contributions into the lower/upper accumulators of one
+// chunk of output groups, a contribution at a time: acc holds lo, hi per
+// (group, slot).
+type walker struct {
+	slots   []slot
+	base    int // the chunk's first group
+	acc     []types.Value
+	bounds  []types.Value // per slot lo, hi; then the same clamped
+	targets []target
+}
+
+// add folds contribution c into every current target. Its ⊛ bounds are
+// computed once per slot, and its lbagg/ubagg clamp once if any target
+// needs it: they do not depend on the group.
+func (w *walker) add(c *contrib) error {
+	if len(w.targets) == 0 {
+		return nil
+	}
+	ns := len(w.slots)
+	b := w.bounds
+	for j := range w.slots {
+		lo, hi, err := w.slots[j].monoid.starBounds(&c.m, &c.args[j])
+		if err != nil {
+			return err
+		}
+		b[2*j], b[2*j+1] = lo, hi
+	}
+	clamped := false
+	for _, t := range w.targets {
+		cb := b[:2*ns]
+		if c.ug || !t.certain {
+			if !clamped {
+				// A tuple that may not belong to the group contributes at
+				// worst the neutral element.
+				for j := range w.slots {
+					n := w.slots[j].monoid.neutral()
+					b[2*ns+2*j] = types.Min(n, b[2*j])
+					b[2*ns+2*j+1] = types.Max(n, b[2*j+1])
+				}
+				clamped = true
+			}
+			cb = b[2*ns:]
+		}
+		acc := w.acc[2*ns*(t.g-w.base):]
+		for j := range w.slots {
+			m := w.slots[j].monoid
+			var err error
+			if acc[2*j], err = m.plusBound(acc[2*j], cb[2*j], -1); err != nil {
+				return err
+			}
+			if acc[2*j+1], err = m.plusBound(acc[2*j+1], cb[2*j+1], 1); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

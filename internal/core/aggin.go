@@ -115,10 +115,11 @@ func (pt *aggPart) mult(i int) Mult {
 	return pt.mdense[i]
 }
 
-// val returns row i's value of attribute c.
-func (pt *aggPart) val(c, i int) rangeval.V {
+// val returns row i's value of attribute c: the stored triple, read in
+// place, or for a flat column scratch set to the certain value.
+func (pt *aggPart) val(c, i int, scratch *rangeval.V) *rangeval.V {
 	if !pt.columnar {
-		return pt.rows[i].Vals[c]
+		return &pt.rows[i].Vals[c]
 	}
-	return pt.cols[c].At(i)
+	return pt.cols[c].Ref(i, scratch)
 }

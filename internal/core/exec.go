@@ -232,7 +232,7 @@ func FilterTuple(t Tuple, pred expr.Expr) (out Tuple, keep bool, err error) {
 	if err != nil {
 		return Tuple{}, false, fmt.Errorf("core: selection: %w", err)
 	}
-	m := t.M.Mul(condMult(v))
+	m := t.M.Mul(condMult(v)) // a product by 0 or 1: it cannot overflow
 	if m.Hi <= 0 {
 		return Tuple{}, false, nil
 	}

@@ -42,15 +42,21 @@ func JoinRelations(ctx context.Context, l, r *Relation, cond expr.Expr, opt Opti
 }
 
 // joinPair combines one pair of tuples under the condition, returning a
-// zero-annotation tuple when the pair certainly does not join.
+// zero-annotation tuple when the pair certainly does not join. A product
+// of SG multiplicities that leaves int64 is an *types.ErrOverflow.
 func joinPair(lt, rt Tuple, cond expr.Expr) (Tuple, error) {
+	m, err := lt.M.mulChecked(rt.M)
+	if err != nil {
+		return Tuple{}, fmt.Errorf("core: join: %w", err)
+	}
 	vals := lt.Vals.Concat(rt.Vals)
-	m := lt.M.Mul(rt.M)
 	if cond != nil {
 		cv, err := cond.EvalRange(vals)
 		if err != nil {
 			return Tuple{}, fmt.Errorf("core: join condition: %w", err)
 		}
+		// Each component of the condition's annotation is 0 or 1, so
+		// this product cannot overflow.
 		m = m.Mul(condMult(cv))
 	}
 	return Tuple{Vals: vals, M: m}, nil

@@ -60,6 +60,17 @@ func (m Mult) Mul(o Mult) Mult {
 	return Mult{m.Lo * o.Lo, m.SG * o.SG, mulHi(m.Hi, o.Hi)}
 }
 
+// mulChecked is Mul with the SG product checked, as addChecked checks a
+// sum: an SG multiplicity that leaves int64 is an *types.ErrOverflow. For
+// non-negative operands Lo <= SG, so the Lo product cannot overflow
+// first; Hi saturates as in Mul.
+func (m Mult) mulChecked(o Mult) (Mult, error) {
+	if _, err := types.Mul(types.Int(m.SG), types.Int(o.SG)); err != nil {
+		return Mult{}, err
+	}
+	return m.Mul(o), nil
+}
+
 // addHi adds two multiplicity upper bounds, saturating at MaxInt64 where
 // the sum of two non-negative bounds would wrap. A saturated bound is
 // loose, but it still bounds the multiplicity in every world; a wrapped

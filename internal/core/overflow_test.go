@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
+	"github.com/audb/audb/internal/expr"
 	"github.com/audb/audb/internal/ra"
 	"github.com/audb/audb/internal/rangeval"
 	"github.com/audb/audb/internal/schema"
@@ -143,4 +145,59 @@ func TestMergeSGOverflow(t *testing.T) {
 	if err != nil || len(out.Tuples) != 1 || out.Tuples[0].M != (Mult{0, 2, math.MaxInt64}) {
 		t.Errorf("saturating Hi: %v, %v; want one row (0,2,MaxInt64)", out, err)
 	}
+}
+
+// TestJoinSGOverflow: a join whose SG multiplicity product leaves int64
+// is an integer overflow, in every join strategy. At the parent the
+// self-join of one row of multiplicity 3.1e9 returned
+// (-8836744073709551616,…).
+func TestJoinSGOverflow(t *testing.T) {
+	ctx := context.Background()
+	const n = 3_100_000_000
+	u := New(schema.New("a"))
+	u.Add(Tuple{Vals: rangeval.Tuple{civ(1)}, M: Mult{n, n, n}})
+	eq := expr.Eq(expr.Col(0, "a"), expr.Col(1, "a"))
+	for _, c := range []struct {
+		name string
+		cond expr.Expr
+		opt  Options
+	}{
+		{"nested", nil, Options{Workers: 1}},
+		{"hybrid", eq, Options{Workers: 1}},
+		{"naive", eq, Options{Workers: 1, NaiveJoin: true}},
+		{"compressed", eq, Options{Workers: 1, JoinCompression: 1}},
+	} {
+		out, err := JoinRelations(ctx, u, u, c.cond, c.opt)
+		var o *types.ErrOverflow
+		if !errors.As(err, &o) || !strings.Contains(err.Error(), "integer overflow: 3100000000 * 3100000000") {
+			t.Errorf("%s: %v, %v; want an integer overflow", c.name, out, err)
+		}
+	}
+	// Below the edge the product is exact.
+	const m = 3_000_000_000
+	v := New(schema.New("a"))
+	v.Add(Tuple{Vals: rangeval.Tuple{civ(1)}, M: Mult{m, m, m}})
+	out, err := JoinRelations(ctx, v, v, eq, Options{Workers: 1})
+	if err != nil || len(out.Tuples) != 1 || out.Tuples[0].M != (Mult{m * m, m * m, m * m}) {
+		t.Errorf("exact product: %v, %v", out, err)
+	}
+}
+
+// TestAggMultSumSaturates: the group annotation's sums saturate instead
+// of wrapping. Four rows a=1 of multiplicity 2^62 sum to 2^64, which
+// wrapped to 0 and gave the group (0,0,MaxInt64) at the parent; δ of a
+// saturated sum is 1. Every layout and worker count agrees with the
+// oracle.
+func TestAggMultSumSaturates(t *testing.T) {
+	const q = 1 << 62
+	in := New(schema.New("a", "b"))
+	for i := range 4 {
+		in.Add(Tuple{Vals: rangeval.Tuple{civ(1), civ(int64(i))}, M: Mult{q, q, q}})
+	}
+	specs := []ra.AggSpec{{Fn: ra.AggMin, Arg: expr.Col(1, "b"), Name: "m"}}
+	out, err := AggRelations(context.Background(), in, []int{0}, specs, schema.New("a", "m"), Options{Workers: 1})
+	if err != nil || len(out.Tuples) != 1 || out.Tuples[0].M != (Mult{1, 1, math.MaxInt64}) {
+		t.Fatalf("got %v, %v; want one row (1,1,MaxInt64)", out, err)
+	}
+	checkAggRelation(t, in, []int{0}, specs, 1)
 }

@@ -201,7 +201,7 @@ func (s *selectIter) rangeFilter(b *vec.Batch) bool {
 	scaled := false
 	keep := func(i int) {
 		m := b.MultAt(i)
-		sm := m.Mul(core.TruthMult(s.truths[i]))
+		sm := m.Mul(core.TruthMult(s.truths[i])) // by 0 or 1: it cannot overflow
 		if sm.Hi <= 0 {
 			return
 		}

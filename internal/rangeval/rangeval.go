@@ -54,8 +54,8 @@ var (
 )
 
 // IsCertain reports whether lo = sg = hi, i.e. the value is the same in
-// every possible world.
-func (v V) IsCertain() bool {
+// every possible world. It reads v in place.
+func (v *V) IsCertain() bool {
 	return types.Equal(v.Lo, v.SG) && types.Equal(v.SG, v.Hi)
 }
 
@@ -125,8 +125,8 @@ func (t Tuple) Clone() Tuple {
 
 // IsCertain reports whether every attribute value is certain.
 func (t Tuple) IsCertain() bool {
-	for _, v := range t {
-		if !v.IsCertain() {
+	for i := range t {
+		if !t[i].IsCertain() {
 			return false
 		}
 	}
@@ -154,7 +154,9 @@ func (t Tuple) Overlaps(o Tuple) bool {
 		return false
 	}
 	for i := range t {
-		if !t[i].Overlaps(o[i]) {
+		// V.Overlaps, reading both triples in place.
+		a, b := &t[i], &o[i]
+		if types.Less(a.Hi, b.Lo) || types.Less(b.Hi, a.Lo) {
 			return false
 		}
 	}

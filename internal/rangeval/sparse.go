@@ -61,6 +61,17 @@ func (c Col) At(i int) V {
 	return c.Dense[i]
 }
 
+// Ref returns row i for reading in place: a dense column's stored triple,
+// or scratch set to [v/v/v] for a flat column. Columns are immutable once
+// built, so nothing may be written through it.
+func (c *Col) Ref(i int, scratch *V) *V {
+	if c.Flat != nil {
+		*scratch = Certain(c.Flat[i])
+		return scratch
+	}
+	return &c.Dense[i]
+}
+
 // Slice returns the column restricted to rows [lo, hi), sharing storage —
 // the zero-copy view the pipelined executor's columnar batches are built
 // from. A flat slice keeps the whole column's null count: a null-free

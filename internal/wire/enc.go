@@ -69,8 +69,9 @@ const (
 	rvRange               // general triple: three values
 )
 
-// encRangeVal writes one range-annotated value compactly.
-func encRangeVal(b []byte, v rangeval.V) []byte {
+// encRangeVal writes one range-annotated value compactly, reading it in
+// place.
+func encRangeVal(b []byte, v *rangeval.V) []byte {
 	switch {
 	case v.IsCertain():
 		b = append(b, rvCertain)
@@ -106,9 +107,9 @@ func encMult(b []byte, m core.Mult) []byte {
 
 // encTuple writes one AU-tuple (values then multiplicity). The arity is
 // carried by the surrounding message, not repeated per tuple.
-func encTuple(b []byte, t core.Tuple) []byte {
-	for _, v := range t.Vals {
-		b = encRangeVal(b, v)
+func encTuple(b []byte, t *core.Tuple) []byte {
+	for i := range t.Vals {
+		b = encRangeVal(b, &t.Vals[i])
 	}
 	return encMult(b, t.M)
 }
@@ -117,8 +118,8 @@ func encTuple(b []byte, t core.Tuple) []byte {
 func encTuples(b []byte, arity int, ts []core.Tuple) []byte {
 	b = encUvarint(b, uint64(arity))
 	b = encUvarint(b, uint64(len(ts)))
-	for _, t := range ts {
-		b = encTuple(b, t)
+	for i := range ts {
+		b = encTuple(b, &ts[i])
 	}
 	return b
 }
@@ -138,7 +139,7 @@ func encRelation(b []byte, r *core.Relation) []byte {
 	b = encStrings(b, r.Schema.Attrs)
 	b = encUvarint(b, uint64(r.Len()))
 	_ = r.EachTuple(func(t core.Tuple) error {
-		b = encTuple(b, t)
+		b = encTuple(b, &t)
 		return nil
 	})
 	return b
@@ -273,26 +274,27 @@ func (d *dec) value() types.Value {
 	}
 }
 
-func (d *dec) rangeVal() rangeval.V {
+// rangeVal decodes one range-annotated value into dst; on an error dst
+// is the zero value.
+func (d *dec) rangeVal(dst *rangeval.V) {
 	switch tag := d.u8(); tag {
 	case rvCertain:
-		return rangeval.Certain(d.value())
+		*dst = rangeval.Certain(d.value())
 	case rvFull:
-		return rangeval.Full(d.value())
+		*dst = rangeval.Full(d.value())
 	case rvRange:
 		lo, sg, hi := d.value(), d.value(), d.value()
 		if d.err != nil {
-			return rangeval.V{}
+			*dst = rangeval.V{}
+			return
 		}
-		v, err := rangeval.Checked(lo, sg, hi)
-		if err != nil {
+		var err error
+		if *dst, err = rangeval.Checked(lo, sg, hi); err != nil {
 			d.fail("%v", err)
-			return rangeval.V{}
 		}
-		return v
 	default:
 		d.fail("unknown range-value tag %d", tag)
-		return rangeval.V{}
+		*dst = rangeval.V{}
 	}
 }
 
@@ -317,7 +319,7 @@ func (d *dec) mult() core.Mult {
 // returns the tuple over them.
 func (d *dec) tuple(vals rangeval.Tuple) core.Tuple {
 	for i := range vals {
-		vals[i] = d.rangeVal()
+		d.rangeVal(&vals[i])
 	}
 	return core.Tuple{Vals: vals, M: d.mult()}
 }

@@ -185,8 +185,9 @@ func TestRelationRoundTripExact(t *testing.T) {
 // TestCompactEncoding: certain values and multiplicities must pay the
 // compact representation, not three full values.
 func TestCompactEncoding(t *testing.T) {
-	certain := encRangeVal(nil, rangeval.Certain(types.Int(7)))
-	ranged := encRangeVal(nil, rangeval.New(types.Int(1), types.Int(2), types.Int(3)))
+	enc := func(v rangeval.V) []byte { return encRangeVal(nil, &v) }
+	certain := enc(rangeval.Certain(types.Int(7)))
+	ranged := enc(rangeval.New(types.Int(1), types.Int(2), types.Int(3)))
 	if len(certain) >= len(ranged) {
 		t.Errorf("certain value (%dB) should encode smaller than a range (%dB)", len(certain), len(ranged))
 	}
@@ -196,7 +197,7 @@ func TestCompactEncoding(t *testing.T) {
 	if m := encMult(nil, core.Mult{Lo: 1, SG: 1, Hi: 1}); len(m) != 2 { // tag + varint
 		t.Errorf("certain mult = %dB, want 2", len(m))
 	}
-	full := encRangeVal(nil, rangeval.Full(types.Int(5)))
+	full := enc(rangeval.Full(types.Int(5)))
 	if len(full) != 3 { // tag + kind + varint; the infinities are implicit
 		t.Errorf("full range = %dB, want 3", len(full))
 	}
@@ -252,7 +253,7 @@ func TestDecodeErrors(t *testing.T) {
 	bad = append(bad, encValue(nil, types.Int(0))...)
 	bad = append(bad, encValue(nil, types.Int(1))...)
 	d := &dec{b: bad}
-	d.rangeVal()
+	d.rangeVal(new(rangeval.V))
 	if d.err == nil {
 		t.Error("out-of-order bounds accepted")
 	}
