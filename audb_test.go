@@ -3,6 +3,7 @@ package audb
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -352,6 +353,43 @@ func TestOptionsAndPlan(t *testing.T) {
 	e := expr.Gt(expr.Col(0, "x"), expr.CInt(1))
 	if e.String() == "" {
 		t.Error("expr rendering")
+	}
+}
+
+// diffOverflowDB holds the tables of the difference's SG overflow: u and
+// w have two rows 1 whose SG multiplicities sum past int64, u's certainly
+// present and w's possibly absent, and v one row 1.
+func diffOverflowDB() *Database {
+	const half = math.MaxInt64/2 + 5
+	db := New()
+	db.Add(NewUncertainTable("u", "a").
+		AddRow(RangeRow{CertainOf(Int(1))}, Mult(1, half, half)).
+		AddRow(RangeRow{CertainOf(Int(1))}, Mult(1, half, half)))
+	db.Add(NewUncertainTable("w", "a").
+		AddRow(RangeRow{CertainOf(Int(1))}, Mult(0, half, half)).
+		AddRow(RangeRow{CertainOf(Int(1))}, Mult(0, half, half)))
+	db.Add(NewUncertainTable("v", "a").AddRow(RangeRow{CertainOf(Int(1))}, Mult(1, 1, 1)))
+	return db
+}
+
+// TestDiffSGOverflow: a difference whose left side's SG-combined
+// multiplicity, or whose right side's SG sum, leaves int64 reports an
+// integer overflow in both executors, and so does a DISTINCT, which
+// SG-combines too. The sums used to wrap: the first query returned (1) at
+// (0,0,MaxInt64), the second (1) at (0,1,1).
+func TestDiffSGOverflow(t *testing.T) {
+	db := diffOverflowDB()
+	for _, q := range []string{
+		`SELECT a FROM u EXCEPT SELECT a FROM u WHERE a > 5`,
+		`SELECT a FROM v EXCEPT SELECT a FROM w`,
+		`SELECT DISTINCT a FROM u`,
+	} {
+		for _, mode := range []ExecMode{ExecPipelined, ExecMaterialized} {
+			res, err := db.QueryContext(context.Background(), q, WithExecMode(mode))
+			if err == nil || !strings.Contains(err.Error(), "integer overflow") {
+				t.Fatalf("%s, mode %v: %v, %v; want an integer overflow", q, mode, res, err)
+			}
+		}
 	}
 }
 

@@ -718,6 +718,42 @@ func TestJoinOverflowKeepsConnection(t *testing.T) {
 	}
 }
 
+// TestDiffOverflowKeepsConnection: a difference whose SG multiplicity sum
+// leaves int64, on either side, is a sql-coded error, and the connection
+// stays usable. The sums used to wrap to a silently wrong answer.
+func TestDiffOverflowKeepsConnection(t *testing.T) {
+	testutil.NoLeaks(t)
+	const half = math.MaxInt64/2 + 5
+	db := audb.New()
+	db.Add(audb.NewUncertainTable("u", "a").
+		AddRow(audb.RangeRow{audb.CertainOf(audb.Int(1))}, audb.Mult(1, half, half)).
+		AddRow(audb.RangeRow{audb.CertainOf(audb.Int(1))}, audb.Mult(1, half, half)))
+	db.Add(audb.NewUncertainTable("w", "a").
+		AddRow(audb.RangeRow{audb.CertainOf(audb.Int(1))}, audb.Mult(0, half, half)).
+		AddRow(audb.RangeRow{audb.CertainOf(audb.Int(1))}, audb.Mult(0, half, half)))
+	db.Add(audb.NewUncertainTable("v", "a").AddRow(audb.RangeRow{audb.CertainOf(audb.Int(1))}, audb.Mult(1, 1, 1)))
+	addr, _ := startServer(t, db, server.Config{})
+	c := dial(t, addr)
+	defer c.Close()
+	ctx := context.Background()
+	for _, q := range []string{
+		`SELECT a FROM u EXCEPT SELECT a FROM u WHERE a > 5`,
+		`SELECT a FROM v EXCEPT SELECT a FROM w`,
+	} {
+		_, err := c.Query(ctx, q)
+		var se *client.ServerError
+		if !errors.As(err, &se) || se.Code != "sql" || !strings.Contains(se.Error(), "integer overflow") {
+			t.Fatalf("%s: want a sql integer-overflow error, got %v", q, err)
+		}
+		if err := c.Ping(ctx); err != nil {
+			t.Fatalf("%s: ping after the overflow: %v", q, err)
+		}
+	}
+	if res, err := c.Query(ctx, `SELECT a FROM v EXCEPT SELECT a FROM u WHERE a > 5`); err != nil || res.Len() != 1 {
+		t.Fatalf("query after the overflows: %v, %v", res, err)
+	}
+}
+
 // TestPoolReuse: the pool hands back the same connection, discards
 // broken ones, and Close leaves no goroutines behind.
 func TestPoolReuse(t *testing.T) {

@@ -411,7 +411,7 @@ func groupRows(in *AggInput, groupBy []int, sizeHint int, p *ctxpoll.Poll) (*agg
 			}
 			box := gs.gbox[g]
 			for j, c := range groupBy {
-				box[j] = box[j].Union(*pt.val(c, i, &scratch)) // Definition 25
+				box[j].Widen(pt.val(c, i, &scratch)) // Definition 25
 			}
 			gs.nbox++
 			gs.rank = append(gs.rank, -int32(gs.nbox))
@@ -433,15 +433,15 @@ func gbOf(pt *aggPart, i int, groupBy []int, dst rangeval.Tuple) {
 // aggKernel is the state of one aggregation after pass 1.
 //
 // Pass 2 evaluates the arguments a chunk of rows at a time, one lane of
-// points with exceptions per slot (expr.Lane), and folds each row in
-// input order: its SG contribution and multiplicity go to its α-group,
-// and a point row whose group's box is certain adds its ⊛ bounds
-// (Definition 26) to that group at once. When that group's rows are not
-// kept either and the row's multiplicity is certainly positive, the row
-// folds straight from the lanes, slot by slot (foldPoint); a point value
-// under a certain multiplicity then costs one ⊛ for its SG and both
-// bounds. Only rows that may reach a group whose box is uncertain (the
-// set U) are kept: box rows, and the point rows of keys that overlap a
+// points with exceptions per slot (expr.Lane), and folds each group's
+// rows of the chunk in input order: a row's SG contribution and
+// multiplicity go to its α-group, and a point row whose group's box is
+// certain adds its ⊛ bounds (Definition 26) to that group at once. When
+// that group's rows are not kept either and every one of them in the
+// chunk is a point row whose multiplicity is certainly positive, they
+// fold slot by slot through typed loops (foldChunk, foldTyped). Only
+// rows that may reach a group whose box is uncertain (the set U) are
+// kept: box rows, and the point rows of keys that overlap a
 // group in U. A kept row's ⊛ bounds are computed once, into one bound
 // column per slot (boundCols) at its index in the walk, and a box row
 // also keeps its group-by. The walk then folds those columns in the order
@@ -464,7 +464,12 @@ type aggKernel struct {
 	unc         []int  // U, ascending
 	// direct is, per group, whether its point rows fold into it at once
 	// and no further: its box is certain and none of its rows is kept.
-	direct []bool
+	// anyDirect is whether any group does.
+	direct    []bool
+	anyDirect bool
+	// local is, per group, its index among the groups of the chunk a span
+	// is folding (foldChunk), -1 outside one. Spans own disjoint groups.
+	local []int32
 
 	// Per point key: the walk position of its first point row, and the
 	// index of its first kept row (-1 when none is kept). npoints is the
@@ -599,6 +604,7 @@ func newAggKernel(in *AggInput, groupBy []int, slots []slot, gs *aggGroups, comp
 		in: in, groupBy: groupBy, slots: slots, gs: gs, compression: compression,
 		certBox: make([]bool, ng),
 		direct:  make([]bool, ng),
+		local:   make([]int32, ng),
 		walkAt:  make([]int, ng),
 		keptAt:  make([]int, ng),
 		acc:     make([]types.Value, 2*ns*ng),
@@ -611,6 +617,7 @@ func newAggKernel(in *AggInput, groupBy []int, slots []slot, gs *aggGroups, comp
 			return nil, err
 		}
 		k.certBox[g] = box.IsCertain()
+		k.local[g] = -1
 		if !k.certBox[g] {
 			k.unc = append(k.unc, g)
 		}
@@ -645,6 +652,7 @@ func newAggKernel(in *AggInput, groupBy []int, slots []slot, gs *aggGroups, comp
 			}
 		}
 		k.direct[g] = k.certBox[g] && k.keptAt[g] < 0
+		k.anyDirect = k.anyDirect || k.direct[g]
 	}
 	k.bounds = newBoundCols(ns, k.kept+gs.nbox)
 	k.boxGB = make(rangeval.Tuple, gs.nbox*len(groupBy))
@@ -658,21 +666,23 @@ type argChunk struct {
 	lo, hi, base int
 }
 
-// spanFold is one span's scratch for folding rows: a row's argument
-// triples, and foldPoint's results (or addDirect's bounds) before they
-// are stored.
+// spanFold is one span's scratch for folding rows: the chunk's rows by
+// group and their typed ⊛ (foldChunk), and foldRow's argument triples and
+// addDirect's bounds before they are stored.
 type spanFold struct {
-	args []rangeval.V
-	next []types.Value
+	direct directFold
+	args   []rangeval.V
+	star   []types.Value
 }
 
 // foldRows is pass 2. It visits the input a block of chunks at a time:
 // a block's arguments are evaluated with its chunks split across workers,
 // into one lane per chunk and slot (see argPrograms), and the block is
 // folded with the groups split by spans, so every group still receives
-// its rows in input order. A point row of a group that folds directly,
-// with a multiplicity that is certainly positive, folds from the lanes
-// slot by slot (foldPoint); every other row goes through foldRow. Then
+// its rows in input order (foldChunk: a group's rows of a chunk fold
+// slot by slot through typed loops when all of them are point rows of a
+// group that folds directly, with multiplicities that are certainly
+// positive, and through foldRow otherwise). Then
 // the block's kept rows are stored (keepBlock). With more than one worker
 // the next block is evaluated into a second set of lanes while the
 // current one folds. It returns the first argument error in row-major
@@ -748,7 +758,7 @@ func (k *aggKernel) foldRows(ctx context.Context, workers int, spans []Span) (ar
 	}
 	folds := make([]spanFold, len(spans))
 	for c := range folds {
-		folds[c] = spanFold{args: make([]rangeval.V, ns), next: make([]types.Value, 3*ns)}
+		folds[c] = spanFold{direct: newDirectFold(ns), args: make([]rangeval.V, ns), star: make([]types.Value, 2*ns)}
 	}
 	directs := make([]foldErr, len(spans))
 	var (
@@ -756,23 +766,9 @@ func (k *aggKernel) foldRows(ctx context.Context, workers int, spans []Span) (ar
 		foldLanes []expr.Lane
 	)
 	foldBody := func(c int, s Span, p *ctxpoll.Poll) error {
-		sf := &folds[c]
 		for ci, ch := range foldBlk {
-			ls := foldLanes[ci*ns : (ci+1)*ns]
-			for i := ch.lo; i < ch.hi; i++ {
-				if err := p.Due(); err != nil {
-					return err
-				}
-				r := ch.base + i
-				g := int(k.gs.grp[r])
-				if g < s.Lo || g >= s.Hi {
-					continue
-				}
-				o, m := i-ch.lo, ch.pt.mult(i)
-				if k.direct[g] && m.Lo > 0 && k.gs.rank[r] >= 0 && k.sgErr[g] == nil && k.foldPoint(g, &m, ls, o, sf.next) {
-					continue
-				}
-				k.foldRow(r, &m, ls, o, sf, &directs[c])
+			if err := k.foldChunk(s, ch, foldLanes[ci*ns:(ci+1)*ns], &folds[c], p, &directs[c]); err != nil {
+				return err
 			}
 		}
 		return nil
@@ -812,57 +808,6 @@ func (k *aggKernel) foldRows(ctx context.Context, workers int, spans []Span) (ar
 	return foldErr{}, firstErr(directs), nil
 }
 
-// foldPoint folds point row o of lanes, of group g (which folds directly)
-// and multiplicity m (m.Lo > 0), into g as foldRow would, without
-// building its triples. Slot by slot, a point value under a certain
-// multiplicity takes one ⊛ for its SG and both bounds — starBounds' own
-// shortcut — and any other value takes starBounds and the ⊛ of the SGs.
-// Every slot is computed into next before any is stored: on an error
-// nothing is stored and it returns false, and foldRow then folds the row
-// and reports the error as it always has.
-func (k *aggKernel) foldPoint(g int, m *Mult, lanes []expr.Lane, o int, next []types.Value) bool {
-	if m.SG == 0 {
-		return false // foldRow skips the SG of such a row
-	}
-	ns := len(k.slots)
-	sg, acc := k.sg[ns*g:ns*(g+1)], k.acc[2*ns*g:2*ns*(g+1)]
-	certain := m.Lo == m.SG && m.SG == m.Hi
-	for j := range k.slots {
-		mo := k.slots[j].monoid
-		l := &lanes[j]
-		var x, lo, hi types.Value
-		var err error
-		if e := l.Exc[o]; e < 0 && certain {
-			if x, err = mo.star(m.SG, l.SG[o]); err != nil {
-				return false
-			}
-			lo, hi = x, x
-		} else {
-			v := l.At(o)
-			if lo, hi, err = mo.starBounds(m, &v); err != nil {
-				return false
-			}
-			if x, err = mo.star(m.SG, v.SG); err != nil {
-				return false
-			}
-		}
-		if next[3*j], err = mo.plus(sg[j], x); err != nil {
-			return false
-		}
-		if next[3*j+1], err = mo.plusBound(acc[2*j], lo, -1); err != nil {
-			return false
-		}
-		if next[3*j+2], err = mo.plusBound(acc[2*j+1], hi, 1); err != nil {
-			return false
-		}
-	}
-	for j := range k.slots {
-		sg[j], acc[2*j], acc[2*j+1] = next[3*j], next[3*j+1], next[3*j+2]
-	}
-	k.mults[g].add(m, true)
-	return true
-}
-
 // foldRow folds row r, of multiplicity m and with arguments at offset o
 // of lanes, into its α-group: its SG results and annotation, and, for a
 // point row of a group whose box is certain, its ⊛ bounds (addDirect).
@@ -895,7 +840,7 @@ func (k *aggKernel) foldRow(r int, m *Mult, lanes []expr.Lane, o int, sf *spanFo
 		for j := range lanes {
 			sf.args[j] = lanes[j].At(o)
 		}
-		if err := k.addDirect(g, m, sf.args, sf.next); err != nil {
+		if err := k.addDirect(g, m, sf.args, sf.star); err != nil {
 			if e := (foldErr{at: k.walkAt[g] + rank, err: err}); e.earlier(*direct) {
 				*direct = e
 			}
@@ -1412,10 +1357,12 @@ func compressContribs(cs []contrib, n int) []contrib {
 			ug:   true,
 		}
 		for _, c := range sorted[start+1 : end] {
-			merged.gb = merged.gb.Union(c.gb)
+			for j := range merged.gb {
+				merged.gb[j].Widen(&c.gb[j])
+			}
 			merged.m.Hi = addHi(merged.m.Hi, c.m.Hi)
 			for j := range merged.args {
-				merged.args[j] = merged.args[j].Union(c.args[j])
+				merged.args[j].Widen(&c.args[j])
 			}
 		}
 		out = append(out, merged)

@@ -556,22 +556,101 @@ func TestAggFuzzSeeds(t *testing.T) {
 			}
 			return nan && inf
 		},
+		// The seeds of the direct fold, whose keys are all certain. An int
+		// sum whose SG crosses MaxInt64 before the last row:
+		"seed-direct-int-overflow": func(r *Relation) bool {
+			sum, crossed := new(big.Int), -1
+			for x, t := range r.Tuples {
+				if t.M.Lo <= 0 || t.Vals[0].SG.Kind() != types.KindInt {
+					return false
+				}
+				if sum.Add(sum, big.NewInt(t.M.SG*t.Vals[0].SG.AsInt())); !sum.IsInt64() && crossed < 0 {
+					crossed = x
+				}
+			}
+			return crossed >= 0 && crossed < len(r.Tuples)-1
+		},
+		// Two float infinities and an input NaN, every row certainly
+		// present.
+		"seed-direct-nan-payloads": func(r *Relation) bool {
+			infs, nan := 0, false
+			for _, t := range r.Tuples {
+				a := t.Vals[0].SG
+				if a.Kind() == types.KindFloat && math.IsInf(a.AsFloat(), 1) {
+					infs++
+				}
+				nan = nan || a.Kind() == types.KindFloat && math.IsNaN(a.AsFloat())
+				if t.M.Lo <= 0 {
+					return false
+				}
+			}
+			return infs >= 2 && nan
+		},
+		"seed-direct-negzero-first": func(r *Relation) bool {
+			return types.Same(r.Tuples[0].Vals[0].SG, types.Float(math.Copysign(0, -1))) && r.Tuples[0].M.Lo > 0
+		},
+		// Ints in the first chunk, floats in the second.
+		"seed-direct-kind-switch": func(r *Relation) bool {
+			if len(r.Tuples) <= expr.RangeChunk {
+				return false
+			}
+			for x, t := range r.Tuples {
+				want := types.KindInt
+				if x >= expr.RangeChunk {
+					want = types.KindFloat
+				}
+				if t.Vals[0].SG.Kind() != want || t.M.Lo <= 0 {
+					return false
+				}
+			}
+			return true
+		},
+		// Key 0's rows are all certainly present; key 1's interleave rows
+		// with M.Lo = 0 (SG 1 and SG 0) with rows that are.
+		"seed-direct-maybe-rows": func(r *Relation) bool {
+			var maybe [2][2]int // per key, rows with M.Lo > 0 and with M.Lo = 0
+			for _, t := range r.Tuples {
+				k, absent := t.Vals[0], 0
+				if !k.IsCertain() || k.SG.Kind() != types.KindInt || k.SG.AsInt() > 1 {
+					return false
+				}
+				if t.M.Lo == 0 {
+					absent = 1
+				}
+				maybe[k.SG.AsInt()][absent]++
+			}
+			return maybe[0][0] > 0 && maybe[0][1] == 0 && maybe[1][0] > 0 && maybe[1][1] > 0
+		},
+		// min and max where one key's values are all strings.
+		"seed-direct-string-minmax": func(r *Relation) bool {
+			for _, t := range r.Tuples {
+				if !t.Vals[0].IsCertain() || (t.Vals[0].SG.AsInt() == 0) != (t.Vals[1].SG.Kind() == types.KindString) {
+					return false
+				}
+			}
+			return len(r.Tuples) > 0
+		},
 	}
 	for name, check := range cases {
-		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzAgg", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		lines := strings.Split(string(raw), "\n")
-		lit := strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")")
-		data, err := strconv.Unquote(lit)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if in, _, _ := decodeAggInput([]byte(data)); in.Len() == 0 || !check(in) {
+		if in, _, _ := decodeAggInput(readAggSeed(t, name)); in.Len() == 0 || !check(in) {
 			t.Errorf("%s decodes to\n%s", name, in)
 		}
 	}
+}
+
+// readAggSeed returns the bytes of a committed FuzzAgg seed.
+func readAggSeed(t *testing.T, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzAgg", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit := strings.TrimSuffix(strings.TrimPrefix(strings.Split(string(raw), "\n")[1], "[]byte("), ")")
+	data, err := strconv.Unquote(lit)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return []byte(data)
 }
 
 // cancelAggInput is large enough that the uncancelled aggregation takes

@@ -4,11 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"runtime"
-	"strconv"
-	"strings"
 	"testing"
 
 	"github.com/audb/audb/internal/ctxpoll"
@@ -21,23 +17,25 @@ import (
 
 // q1Input is TPC-H Q1's lineitem columns after its filter, as columnar
 // storage: (l_returnflag, l_linestatus, l_quantity, l_extendedprice,
-// l_discount, l_tax) over n rows. A third of the cells are uncertain: a
-// flag or status range spans its whole domain, so every group's box is
-// widened and every row is kept and walked; a measure range is a few
-// percent wide. One row in ten may be filtered out (multiplicity
-// (0,1,1)).
-func q1Input(n int) (*Relation, []int, []ra.AggSpec, schema.Schema) {
+// l_discount, l_tax) over n rows. With certainKeys false, a third of the
+// cells are uncertain: a flag or status range spans its whole domain, so
+// every group's box is widened and every row is kept and walked; a
+// measure range is a few percent wide; one row in ten may be filtered out
+// (multiplicity (0,1,1)). With certainKeys true, every flag and status is
+// certain (flat columns), 16 % of the measure cells are ranges and every
+// multiplicity is One, so every row folds directly.
+func q1Input(n int, certainKeys bool) (*Relation, []int, []ra.AggSpec, schema.Schema) {
 	rng := rand.New(rand.NewSource(41))
 	r := New(schema.New("rf", "ls", "qty", "price", "disc", "tax"))
 	key := func(dom []string) rangeval.V {
 		v := types.String(dom[rng.Intn(len(dom))])
-		if rng.Intn(3) == 0 {
+		if !certainKeys && rng.Intn(3) == 0 {
 			return rangeval.New(types.String(dom[0]), v, types.String(dom[len(dom)-1]))
 		}
 		return rangeval.Certain(v)
 	}
 	num := func(x types.Value, lo, hi types.Value) rangeval.V {
-		if rng.Intn(3) == 0 {
+		if certainKeys && rng.Intn(100) < 16 || !certainKeys && rng.Intn(3) == 0 {
 			return rangeval.New(lo, x, hi)
 		}
 		return rangeval.Certain(x)
@@ -48,7 +46,7 @@ func q1Input(n int) (*Relation, []int, []ra.AggSpec, schema.Schema) {
 		d := float64(rng.Intn(11)) / 100
 		t := float64(rng.Intn(9)) / 100
 		m := One
-		if rng.Intn(10) == 0 {
+		if !certainKeys && rng.Intn(10) == 0 {
 			m = Mult{Lo: 0, SG: 1, Hi: 1}
 		}
 		r.Add(Tuple{Vals: rangeval.Tuple{
@@ -88,8 +86,20 @@ var aggSink *Relation
 //
 //	go test ./internal/core -run '^$' -bench BenchmarkAggUncertainKeys -benchmem
 func BenchmarkAggUncertainKeys(b *testing.B) {
-	const rows = 4000
-	in, groupBy, specs, out := q1Input(rows)
+	benchAggQ1(b, 4000, false)
+}
+
+// BenchmarkAggCertainKeys is Q1's aggregation over 8,000 rows with flat,
+// certain group keys, 16 % uncertain measure cells and multiplicity One,
+// serially: every row folds directly into one of six certain groups.
+//
+//	go test ./internal/core -run '^$' -bench BenchmarkAggCertainKeys -benchmem
+func BenchmarkAggCertainKeys(b *testing.B) {
+	benchAggQ1(b, 8000, true)
+}
+
+func benchAggQ1(b *testing.B, rows int, certainKeys bool) {
+	in, groupBy, specs, out := q1Input(rows, certainKeys)
 	ctx := context.Background()
 	opt := Options{Workers: 1}
 	b.ReportAllocs()
@@ -230,16 +240,7 @@ func TestStarTypedMatchesStarBounds(t *testing.T) {
 // it, as rows, with no compression.
 func seedKernel(t *testing.T, name string) *aggKernel {
 	t.Helper()
-	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzAgg", name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lit := strings.TrimSuffix(strings.TrimPrefix(strings.Split(string(raw), "\n")[1], "[]byte("), ")")
-	data, err := strconv.Unquote(lit)
-	if err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
-	in, groupBy, specs := decodeAggInput([]byte(data))
+	in, groupBy, specs := decodeAggInput(readAggSeed(t, name))
 	_, slots, err := planAggs(specs)
 	if err != nil {
 		t.Fatal(err)

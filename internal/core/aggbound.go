@@ -169,28 +169,57 @@ func (c *boundCol) at(dir, i int) types.Value {
 // fold folds the bounds of side dir at indices [a, b) into *acc with
 // plusBound, each first clamped to mo's neutral element when clamp is set
 // (clampBound): the same operations on the same operands, in the same
-// order. A typed column folds in a typed loop (foldFloats, foldInts) as
-// long as the accumulator allows, and through types.Value from the first
-// step that loop does not take. It returns the index of a failing step
-// and its error.
+// order (foldCol). It returns the index of a failing step and its error.
 func (c *boundCol) fold(mo aggMonoid, dir int, clamp bool, acc *types.Value, a, b int) (int, error) {
-	i := a
+	var i int
+	var err error
 	switch c.kind {
 	case colFloat:
 		xs := c.flo
 		if dir > 0 {
 			xs = c.fhi
 		}
-		i += foldFloats(mo, dir, clamp, acc, xs[a:b])
+		i, err = foldCol(mo, dir, clamp, acc, xs[a:b], nil, nil)
 	case colInt:
 		xs := c.ilo
 		if dir > 0 {
 			xs = c.ihi
 		}
-		i += foldInts(mo, dir, clamp, acc, xs[a:b])
+		i, err = foldCol(mo, dir, clamp, acc, nil, xs[a:b], nil)
+	default:
+		vs := c.vlo
+		if dir > 0 {
+			vs = c.vhi
+		}
+		i, err = foldCol(mo, dir, clamp, acc, nil, nil, vs[a:b])
 	}
-	for ; i < b; i++ {
-		x := c.at(dir, i)
+	return a + i, err
+}
+
+// foldCol folds the bounds of side dir held by exactly one of fs, is and
+// vs into *acc with plusBound, each first clamped when clamp is set. Typed
+// bounds fold in a typed loop (foldFloats, foldInts) as long as the
+// accumulator allows, and through types.Value from the first step that
+// loop does not take. It returns the index of a failing step and its
+// error, or the number of bounds.
+func foldCol(mo aggMonoid, dir int, clamp bool, acc *types.Value, fs []float64, is []int64, vs []types.Value) (int, error) {
+	i, n := 0, len(vs)
+	switch {
+	case fs != nil:
+		i, n = foldFloats(mo, dir, clamp, acc, fs), len(fs)
+	case is != nil:
+		i, n = foldInts(mo, dir, clamp, acc, is), len(is)
+	}
+	for ; i < n; i++ {
+		var x types.Value
+		switch {
+		case fs != nil:
+			x = types.Float(fs[i])
+		case is != nil:
+			x = types.Int(is[i])
+		default:
+			x = vs[i]
+		}
 		if clamp {
 			x = mo.clampBound(x, dir)
 		}
@@ -199,7 +228,7 @@ func (c *boundCol) fold(mo aggMonoid, dir int, clamp bool, acc *types.Value, a, 
 			return i, err
 		}
 	}
-	return b, nil
+	return n, nil
 }
 
 // clampNoop reports whether clamping to mo's neutral element turns every

@@ -133,7 +133,10 @@ func TestSGCombine(t *testing.T) {
 	r := New(schema.New("a", "b"))
 	r.Add(Tuple{Vals: rangeval.Tuple{iv(1, 2, 2), iv(1, 3, 5)}, M: Mult{1, 2, 2}})
 	r.Add(Tuple{Vals: rangeval.Tuple{iv(2, 2, 4), iv(3, 3, 4)}, M: Mult{3, 3, 4}})
-	c := r.SGCombine()
+	c, err := r.SGCombine()
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Section 8.1 example: merged into ([1/2/4],[1/3/5]) with (4,5,6).
 	if c.Len() != 1 {
 		t.Fatalf("combined to %d tuples", c.Len())

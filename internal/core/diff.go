@@ -30,9 +30,10 @@ import (
 // their SG keys are equal, so both sums are one lookup each, plus the
 // probed boxes that overlap t on every attribute. A box left tuple is
 // certainly equal to nothing; its overlap sum comes from probing an index
-// over all of r, again checking every attribute. The sums are int64, and
-// the upper-bound sums saturate at MaxInt64 (addHi), so the order rows are
-// added in cannot change them.
+// over all of r, again checking every attribute. The sums are int64: an SG
+// sum that leaves int64 is an *types.ErrOverflow, as the SG world reports
+// it, and the upper-bound sums saturate at MaxInt64 (addHi), so the order
+// rows are added in cannot change them.
 func DiffRelations(ctx context.Context, l, r *Relation) (*Relation, error) {
 	if l.Schema.Arity() != r.Schema.Arity() {
 		return nil, fmt.Errorf("core: difference arity mismatch %s vs %s", l.Schema, r.Schema)
@@ -41,7 +42,10 @@ func DiffRelations(ctx context.Context, l, r *Relation) (*Relation, error) {
 }
 
 func diffRelations(ctx context.Context, l, r *Relation) (*Relation, error) {
-	comb := l.SGCombine()
+	comb, err := l.SGCombine()
+	if err != nil {
+		return nil, fmt.Errorf("core: difference: %w", err)
+	}
 	out := New(l.Schema)
 	p := ctxpoll.New(ctx)
 
@@ -53,7 +57,11 @@ func diffRelations(ctx context.Context, l, r *Relation) (*Relation, error) {
 			return nil, err
 		}
 		k := rt.Vals.SGKey()
-		rSG[k] += rt.M.SG
+		sum, err := Mult{SG: rSG[k]}.addChecked(Mult{SG: rt.M.SG})
+		if err != nil {
+			return nil, fmt.Errorf("core: difference: %w", err)
+		}
+		rSG[k] = sum.SG
 		if rt.Vals.IsCertain() {
 			pointLo[k] += rt.M.Lo
 			pointHi[k] = addHi(pointHi[k], rt.M.Hi)

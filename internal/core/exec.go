@@ -327,11 +327,14 @@ func UnionRelations(ctx context.Context, l, r *Relation) (*Relation, error) {
 // which case duplicate elimination leaves a single copy that cannot witness
 // a positive lower bound for both.
 func DistinctRelation(ctx context.Context, in *Relation, opt Options) (*Relation, error) {
-	comb := in.SGCombine()
+	comb, err := in.SGCombine()
+	if err != nil {
+		return nil, fmt.Errorf("core: distinct: %w", err)
+	}
 	out := New(in.Schema)
 	rows := make([]Tuple, len(comb.Tuples))
 	spans := ChunkSpans(len(comb.Tuples), opt.workerCount(), minParGroups)
-	err := runSpans(ctx, spans, func(_ int, s Span, p *ctxpoll.Poll) error {
+	err = runSpans(ctx, spans, func(_ int, s Span, p *ctxpoll.Poll) error {
 		for i := s.Lo; i < s.Hi; i++ {
 			tup := comb.Tuples[i]
 			m := Mult{Lo: 0, SG: delta(tup.M.SG), Hi: tup.M.Hi}

@@ -147,6 +147,41 @@ func TestMergeSGOverflow(t *testing.T) {
 	}
 }
 
+// TestDiffSGOverflow: the difference reports an SG sum that leaves int64
+// as an *types.ErrOverflow, on its left side's SG-combined multiplicity
+// and on its right side's sum, and so does δ; the sums used to wrap, to
+// (0,0,MaxInt64) and (0,1,1).
+func TestDiffSGOverflow(t *testing.T) {
+	ctx := context.Background()
+	const half = math.MaxInt64/2 + 5
+	rel := func(ms ...Mult) *Relation {
+		r := New(schema.New("a"))
+		for _, m := range ms {
+			r.Add(Tuple{Vals: rangeval.Tuple{civ(1)}, M: m})
+		}
+		return r
+	}
+	u, w, v := rel(Mult{1, half, half}, Mult{1, half, half}), rel(Mult{0, half, half}, Mult{0, half, half}), rel(One)
+	check := func(name string, out *Relation, err error) {
+		t.Helper()
+		var o *types.ErrOverflow
+		if !errors.As(err, &o) || !strings.Contains(err.Error(), "integer overflow: 4611686018427387908 + 4611686018427387908") {
+			t.Errorf("%s: %v, %v; want an integer overflow", name, out, err)
+		}
+	}
+	out, err := DiffRelations(ctx, u, New(schema.New("a")))
+	check("left side", out, err)
+	out, err = DiffRelations(ctx, v, w)
+	check("right side", out, err)
+	out, err = DistinctRelation(ctx, u, Options{Workers: 1})
+	check("distinct", out, err)
+	// Below the edge the sums are exact.
+	out, err = DiffRelations(ctx, rel(Mult{1, half - 10, half - 10}, Mult{1, half - 10, half - 10}), rel(Mult{0, 3, 3}))
+	if err != nil || len(out.Tuples) != 1 || out.Tuples[0].M != (Mult{0, 2*(half-10) - 3, 2 * (half - 10)}) {
+		t.Errorf("exact sums: %v, %v", out, err)
+	}
+}
+
 // TestJoinSGOverflow: a join whose SG multiplicity product leaves int64
 // is an integer overflow, in every join strategy. At the parent the
 // self-join of one row of multiplicity 3.1e9 returned

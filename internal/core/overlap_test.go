@@ -22,7 +22,10 @@ import (
 // naiveDiff is Definition 22 as a nested loop over every (left, right)
 // pair: the oracle the indexed DiffRelations must match byte for byte.
 func naiveDiff(ctx context.Context, l, r *Relation) (*Relation, error) {
-	comb := l.SGCombine()
+	comb, err := l.SGCombine()
+	if err != nil {
+		return nil, fmt.Errorf("core: difference: %w", err)
+	}
 	out := New(l.Schema)
 	p := ctxpoll.New(ctx)
 	rSG := map[string]int64{}
@@ -30,7 +33,12 @@ func naiveDiff(ctx context.Context, l, r *Relation) (*Relation, error) {
 		if err := p.Due(); err != nil {
 			return nil, err
 		}
-		rSG[rt.Vals.SGKey()] += rt.M.SG
+		k := rt.Vals.SGKey()
+		sum, err := Mult{SG: rSG[k]}.addChecked(Mult{SG: rt.M.SG})
+		if err != nil {
+			return nil, fmt.Errorf("core: difference: %w", err)
+		}
+		rSG[k] = sum.SG
 	}
 	for _, lt := range comb.Tuples {
 		var overlapHi, certLo int64

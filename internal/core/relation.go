@@ -283,22 +283,29 @@ func (r *Relation) sgwCtx(p *ctxpoll.Poll) (*bag.Relation, error) {
 // SGCombine implements the SG-combiner Ψ (Definition 21): tuples with the
 // same selected-guess attribute values are merged into a single tuple whose
 // attribute ranges are the minimum bounding box and whose annotation is the
-// sum.
-func (r *Relation) SGCombine() *Relation {
+// sum. An SG sum that leaves int64 is an *types.ErrOverflow.
+func (r *Relation) SGCombine() (*Relation, error) {
 	out := New(r.Schema)
 	idx := make(map[string]int, r.Len())
-	_ = r.EachTuple(func(t Tuple) error {
+	err := r.EachTuple(func(t Tuple) error {
 		k := t.Vals.SGKey()
 		if j, ok := idx[k]; ok {
-			out.Tuples[j].Vals = out.Tuples[j].Vals.Union(t.Vals)
-			out.Tuples[j].M = out.Tuples[j].M.Add(t.M)
-			return nil
+			o := &out.Tuples[j]
+			for a := range o.Vals {
+				o.Vals[a].Widen(&t.Vals[a])
+			}
+			m, err := o.M.addChecked(t.M)
+			o.M = m
+			return err
 		}
 		idx[k] = len(out.Tuples)
 		out.Tuples = append(out.Tuples, t.Clone())
 		return nil
 	})
-	return out
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // Sort orders tuples by SG values then bounds, for stable output. Sorting

@@ -87,6 +87,13 @@ func (v V) Union(o V) V {
 	}
 }
 
+// Widen widens v to the minimum bounding range of v and o, in place,
+// keeping v's selected guess: v.Union(o) without copying either triple.
+func (v *V) Widen(o *V) {
+	v.Lo = types.Min(v.Lo, o.Lo)
+	v.Hi = types.Max(v.Hi, o.Hi)
+}
+
 // String renders the value; certain values render as the bare value.
 func (v V) String() string {
 	if v.IsCertain() {

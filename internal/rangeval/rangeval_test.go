@@ -1,6 +1,7 @@
 package rangeval
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -131,6 +132,30 @@ func TestUnion(t *testing.T) {
 	}
 	if !u.Valid() {
 		t.Error("union invalid")
+	}
+}
+
+// TestWidenIsUnion: Widen leaves in v exactly what v.Union(o) returns,
+// every component the same kind and bits, over ints, floats, -0 against
+// 0, NaN, infinities, sentinels, a string and null.
+func TestWidenIsUnion(t *testing.T) {
+	vals := []types.Value{
+		types.Int(0), types.Float(math.Copysign(0, -1)), types.Float(0), types.Int(3), types.Float(2.5),
+		types.Float(math.NaN()), types.Float(math.Inf(1)), types.NegInf(), types.PosInf(), types.String("s"), types.Null(),
+	}
+	for _, vl := range vals {
+		for _, vh := range vals {
+			for _, ol := range vals {
+				for _, oh := range vals {
+					v, o := V{Lo: vl, SG: vl, Hi: vh}, V{Lo: ol, SG: oh, Hi: oh}
+					want := v.Union(o)
+					v.Widen(&o)
+					if !types.Same(v.Lo, want.Lo) || !types.Same(v.SG, want.SG) || !types.Same(v.Hi, want.Hi) {
+						t.Fatalf("Widen %v by %v: %v, Union %v", V{Lo: vl, SG: vl, Hi: vh}, o, v, want)
+					}
+				}
+			}
+		}
 	}
 }
 
