@@ -393,6 +393,25 @@ func TestDiffSGOverflow(t *testing.T) {
 	}
 }
 
+// TestLimitSGOverflow: LIMIT and top-k merge duplicate rows, and over the
+// table u the merged row's SG multiplicity leaves int64. Both executors
+// report an integer overflow; the pipelined LIMIT and top-k used to wrap it
+// to (2,-9223372036854775800,MaxInt64).
+func TestLimitSGOverflow(t *testing.T) {
+	db := diffOverflowDB()
+	for _, q := range []string{
+		`SELECT a FROM u LIMIT 5`,
+		`SELECT a FROM u ORDER BY a LIMIT 5`,
+	} {
+		for _, mode := range []ExecMode{ExecPipelined, ExecMaterialized} {
+			res, err := db.QueryContext(context.Background(), q, WithExecMode(mode))
+			if err == nil || !strings.Contains(err.Error(), "integer overflow") {
+				t.Fatalf("%s, mode %v: %v, %v; want an integer overflow", q, mode, res, err)
+			}
+		}
+	}
+}
+
 // TestJoinSGOverflow: a self-join of one row of multiplicity 3.1e9 has an
 // SG multiplicity past int64. Both executors report it as an integer
 // overflow; the join used to wrap it to a negative multiplicity.

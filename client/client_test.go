@@ -754,6 +754,38 @@ func TestDiffOverflowKeepsConnection(t *testing.T) {
 	}
 }
 
+// TestLimitOverflowKeepsConnection: LIMIT and top-k over duplicate rows
+// whose SG multiplicity sum leaves int64 are sql-coded errors, and the
+// connection stays usable. The pipelined sums used to wrap.
+func TestLimitOverflowKeepsConnection(t *testing.T) {
+	testutil.NoLeaks(t)
+	const half = math.MaxInt64/2 + 5
+	db := audb.New()
+	db.Add(audb.NewUncertainTable("u", "a").
+		AddRow(audb.RangeRow{audb.CertainOf(audb.Int(1))}, audb.Mult(1, half, half)).
+		AddRow(audb.RangeRow{audb.CertainOf(audb.Int(1))}, audb.Mult(1, half, half)))
+	addr, _ := startServer(t, db, server.Config{})
+	c := dial(t, addr)
+	defer c.Close()
+	ctx := context.Background()
+	for _, q := range []string{
+		`SELECT a FROM u LIMIT 5`,
+		`SELECT a FROM u ORDER BY a LIMIT 5`,
+	} {
+		_, err := c.Query(ctx, q)
+		var se *client.ServerError
+		if !errors.As(err, &se) || se.Code != "sql" || !strings.Contains(se.Error(), "integer overflow") {
+			t.Fatalf("%s: want a sql integer-overflow error, got %v", q, err)
+		}
+		if err := c.Ping(ctx); err != nil {
+			t.Fatalf("%s: ping after the overflow: %v", q, err)
+		}
+	}
+	if res, err := c.Query(ctx, `SELECT a FROM u WHERE a > 5 LIMIT 5`); err != nil || res.Len() != 0 {
+		t.Fatalf("query after the overflows: %v, %v", res, err)
+	}
+}
+
 // TestPoolReuse: the pool hands back the same connection, discards
 // broken ones, and Close leaves no goroutines behind.
 func TestPoolReuse(t *testing.T) {

@@ -57,7 +57,7 @@ func diffRelations(ctx context.Context, l, r *Relation) (*Relation, error) {
 			return nil, err
 		}
 		k := rt.Vals.SGKey()
-		sum, err := Mult{SG: rSG[k]}.addChecked(Mult{SG: rt.M.SG})
+		sum, err := Mult{SG: rSG[k]}.AddChecked(Mult{SG: rt.M.SG})
 		if err != nil {
 			return nil, fmt.Errorf("core: difference: %w", err)
 		}

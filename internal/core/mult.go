@@ -42,11 +42,11 @@ func (m Mult) Add(o Mult) Mult {
 	return Mult{m.Lo + o.Lo, m.SG + o.SG, addHi(m.Hi, o.Hi)}
 }
 
-// addChecked is Add with the SG sum checked: an SG multiplicity that
+// AddChecked is Add with the SG sum checked: an SG multiplicity that
 // leaves int64 is an *types.ErrOverflow, as the SG world's count(*)
-// reports it. Lo <= SG, so Lo cannot overflow first; Hi saturates as in
+// reports it. Every sum of two rows' multiplicities goes through it. Lo <= SG, so Lo cannot overflow first; Hi saturates as in
 // Add.
-func (m Mult) addChecked(o Mult) (Mult, error) {
+func (m Mult) AddChecked(o Mult) (Mult, error) {
 	if sg := m.SG + o.SG; (sg^m.SG)&(sg^o.SG) < 0 {
 		_, err := types.Add(types.Int(m.SG), types.Int(o.SG))
 		return Mult{}, err
@@ -60,7 +60,7 @@ func (m Mult) Mul(o Mult) Mult {
 	return Mult{m.Lo * o.Lo, m.SG * o.SG, mulHi(m.Hi, o.Hi)}
 }
 
-// mulChecked is Mul with the SG product checked, as addChecked checks a
+// mulChecked is Mul with the SG product checked, as AddChecked checks a
 // sum: an SG multiplicity that leaves int64 is an *types.ErrOverflow. For
 // non-negative operands Lo <= SG, so the Lo product cannot overflow
 // first; Hi saturates as in Mul.

@@ -73,7 +73,11 @@ func splitN(ctx context.Context, r *Relation, workers int) (sg, up *Relation, er
 				}
 				k := t.Vals.SGKey()
 				if j, ok := idx[k]; ok {
-					sg.Tuples[j].M = sg.Tuples[j].M.Add(t.M)
+					m, err := sg.Tuples[j].M.AddChecked(t.M)
+					if err != nil {
+						return nil, nil, err
+					}
+					sg.Tuples[j].M = m
 					continue
 				}
 				idx[k] = len(sg.Tuples)
@@ -122,7 +126,11 @@ func splitSGRange(r *Relation, lo, hi int, p *ctxpoll.Poll) (*Relation, error) {
 		}
 		k := cert.SGKey()
 		if j, ok := idx[k]; ok {
-			sg.Tuples[j].M = sg.Tuples[j].M.Add(Mult{mLo, t.M.SG, t.M.SG})
+			m, err := sg.Tuples[j].M.AddChecked(Mult{mLo, t.M.SG, t.M.SG})
+			if err != nil {
+				return nil, err
+			}
+			sg.Tuples[j].M = m
 			continue
 		}
 		if t.M.SG <= 0 && mLo <= 0 {

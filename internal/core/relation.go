@@ -222,7 +222,7 @@ func (r *Relation) mergePoll(p *ctxpoll.Poll) (*Relation, error) {
 		}
 		key = t.Vals.AppendKey(key[:0])
 		if j, ok := idx[string(key)]; ok {
-			m, err := out[j].M.addChecked(t.M)
+			m, err := out[j].M.AddChecked(t.M)
 			if err != nil {
 				return nil, err
 			}
@@ -294,7 +294,7 @@ func (r *Relation) SGCombine() (*Relation, error) {
 			for a := range o.Vals {
 				o.Vals[a].Widen(&t.Vals[a])
 			}
-			m, err := o.M.addChecked(t.M)
+			m, err := o.M.AddChecked(t.M)
 			o.M = m
 			return err
 		}

@@ -564,7 +564,11 @@ func (l *limitIter) consume(b *vec.Batch) error {
 			// string is only materialized for rows actually kept.
 			l.scratch = t.Vals.AppendKey(l.scratch[:0])
 			if j, ok := l.idx[string(l.scratch)]; ok {
-				l.rows[j].M = l.rows[j].M.Add(t.M)
+				m, err := l.rows[j].M.AddChecked(t.M)
+				if err != nil {
+					return err
+				}
+				l.rows[j].M = m
 				continue
 			}
 			if len(l.rows) < l.n {
@@ -580,7 +584,11 @@ func (l *limitIter) consume(b *vec.Batch) error {
 		}
 		l.scratch = b.AppendRowKey(l.scratch[:0], i)
 		if j, ok := l.idx[string(l.scratch)]; ok {
-			l.rows[j].M = l.rows[j].M.Add(b.MultAt(i))
+			m, err := l.rows[j].M.AddChecked(b.MultAt(i))
+			if err != nil {
+				return err
+			}
+			l.rows[j].M = m
 			return nil
 		}
 		if len(l.rows) < l.n {
@@ -742,7 +750,11 @@ func (t *topkIter) offer(tup core.Tuple, copyVals bool, i int) error {
 	// O(1) with zero allocations.
 	t.scratch = tup.Vals.AppendKey(t.scratch[:0])
 	if e, ok := t.idx[string(t.scratch)]; ok {
-		e.tup.M = e.tup.M.Add(tup.M)
+		m, err := e.tup.M.AddChecked(tup.M)
+		if err != nil {
+			return err
+		}
+		e.tup.M = m
 		return nil
 	}
 	if t.n <= 0 {
