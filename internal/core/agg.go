@@ -1258,7 +1258,7 @@ func (a *argPrograms) lanes(pt *aggPart, lo, hi int, lanes []expr.Lane) bool {
 		lo, hi = 0, hi-lo
 	}
 	for j, p := range a.progs {
-		if p.EvalLane(cols, lo, hi, &lanes[j]) != nil {
+		if p.EvalLane(cols, lo, hi, nil, &lanes[j]) != nil {
 			return false
 		}
 	}

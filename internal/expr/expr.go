@@ -8,15 +8,16 @@
 //   - range-annotated evaluation over tuples of [lb/sg/ub] triples
 //     (Definition 9), which is bound preserving (Theorem 1).
 //
-// Each semantics has a per-row evaluator (Eval, EvalRange) and a
-// column-at-a-time one for the pipelined executor's columnar batches:
-// Prog (CompileVec) evaluates deterministically over flat, null-free
-// columns, where it agrees with EvalRange, and RangeProg (CompileRange)
-// evaluates the range semantics over any columns, calling the rule
-// functions EvalRange calls (RangeCmp, RangeLogic, RangeNot, RangeIsNull,
-// RangeArith, RangeNAry, RangeIf). When a program fails on a batch, the
-// executor re-evaluates it per row, which reports the reference
-// executor's row-order error.
+// Each semantics has a per-row evaluator (Eval, EvalRange). The
+// pipelined executor's columnar batches take one column-at-a-time
+// evaluator, RangeProg (CompileRange): it evaluates the range semantics
+// over any columns, a certain cell as a point of one value, calling the
+// rule functions EvalRange calls (RangeCmp, RangeLogic, RangeNot,
+// RangeIsNull, RangeArith, RangeNAry, RangeIf) or point rules equal to
+// them on points. When a program fails on a batch, the executor
+// re-evaluates it per row, which reports the reference executor's
+// row-order error. Prog (CompileVec) runs a RangeProg over flat columns
+// held as [][]types.Value.
 //
 // Null handling in the deterministic semantics follows the pragmatics of the
 // paper's implementation: arithmetic propagates null, comparisons against
@@ -212,6 +213,10 @@ func (n Not) String() string { return "NOT " + n.E.String() }
 // and SG implies Hi.
 type Truth struct{ Lo, SG, Hi bool }
 
+// pointTruth is the truth of a range boolean that is a point: h in every
+// world. A normalized Truth is a point exactly when Lo == Hi.
+func pointTruth(h bool) Truth { return Truth{Lo: h, SG: h, Hi: h} }
+
 // newTruth normalizes three truths as rangeval.New normalizes the
 // booleans [lo/sg/hi] (false < true): lo ← lo∧sg, hi ← hi∨sg.
 func newTruth(lo, sg, hi bool) Truth { return Truth{Lo: lo && sg, SG: sg, Hi: hi || sg} }
@@ -292,7 +297,12 @@ func cmpHolds(op CmpOp, a, b types.Value) bool {
 	if a.IsNull() || b.IsNull() {
 		return false
 	}
-	cmp := types.Compare(a, b)
+	return cmpOrd(op, types.Compare(a, b))
+}
+
+// cmpOrd reports whether op holds of two values that Compare orders as
+// cmp.
+func cmpOrd(op CmpOp, cmp int) bool {
 	switch op {
 	case OpEq:
 		return cmp == 0
@@ -353,6 +363,21 @@ func RangeCmp(op CmpOp, a, b *rangeval.V) Truth {
 		hi = !types.Less(a.Hi, b.Lo)
 	}
 	return newTruth(lo, cmpHolds(op, a.SG, b.SG), hi)
+}
+
+// pointCmp is RangeCmp of the points x and y, from one comparison. For
+// two points that are not null every bound RangeCmp tests reads the one
+// order Compare(x, y) — Compare is a total order, and Equal and Less are
+// Compare = 0 and Compare < 0 — as cmpHolds reads it, so the three truths
+// are the same: a point truth. A null operand makes cmpHolds false where
+// the bounds may still compare equal, as two certain nulls give (F,F,T),
+// so it takes RangeCmp.
+func pointCmp(op CmpOp, x, y types.Value) Truth {
+	if x.IsNull() || y.IsNull() {
+		a, b := rangeval.Certain(x), rangeval.Certain(y)
+		return RangeCmp(op, &a, &b)
+	}
+	return pointTruth(cmpOrd(op, types.Compare(x, y)))
 }
 
 func (c Cmp) String() string {

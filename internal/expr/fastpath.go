@@ -1,10 +1,10 @@
 package expr
 
-// CertainFastSafe reports whether e qualifies for the certain-only fast
-// path of the execution kernels: for every certain, null-free input tuple,
-// Eval over the flat values is bit-identical to EvalRange over the lifted
-// [v/v/v] tuple — same value (a certain triple around the deterministic
-// result) and same error behavior.
+// CertainFastSafe reports whether, for every certain, null-free input
+// tuple, Eval over the flat values is bit-identical to EvalRange over the
+// lifted [v/v/v] tuple — same value (a certain triple around the
+// deterministic result) and same error behavior. CompileVec takes exactly
+// these expressions.
 //
 // Two constructions break that equivalence and are rejected:
 //
@@ -17,9 +17,7 @@ package expr
 //     evaluates both sides (and errors), so the right subtree of every
 //     connective must be incapable of erroring.
 //
-// Unknown expression node types are rejected conservatively. The check
-// walks the expression once; kernels call it per operator invocation, not
-// per tuple.
+// Unknown expression node types are rejected conservatively.
 func CertainFastSafe(e Expr) bool {
 	switch n := e.(type) {
 	case Const:

@@ -184,8 +184,11 @@ func sameV(a, b rangeval.V) bool {
 // TestPointShortcutMatchesCorners: RangeArith takes a shortcut for Add,
 // Sub and Mul when both operands are points by representation. It must
 // return exactly what the corner rule returns — value bits and error text
-// — for every operand pair, points or not.
+// — for every operand pair, points or not. The range program's point
+// rules for booleans must likewise return what the rule functions return
+// on lifted points (see checkPointTruths).
 func TestPointShortcutMatchesCorners(t *testing.T) {
+	checkPointTruths(t)
 	ops := []struct {
 		op      ArithOp
 		corners func(a, b *rangeval.V) (rangeval.V, error)
@@ -202,6 +205,63 @@ func TestPointShortcutMatchesCorners(t *testing.T) {
 			want, werr := op.corners(&a, &b)
 			if fmt.Sprint(gerr) != fmt.Sprint(werr) || !sameV(got, want) {
 				t.Fatalf("[%#v] %s [%#v] = %#v, %v; corner rule %#v, %v", a, op.op, b, got, gerr, want, werr)
+			}
+		}
+	}
+}
+
+// checkPointTruths holds the point rules of the range program's boolean
+// nodes to the rule functions on lifted points, over pointAlphabet:
+// certain nulls, NaN, ±0, float and sentinel infinities, and ints beside
+// the equal float. pointCmp must equal RangeCmp, IS NULL and a value read
+// as a boolean must give the point truth of the value's test, and a
+// connective or NOT of point truths must be the point truth of the
+// deterministic connective. A point truth read as a value must be a point.
+func checkPointTruths(t *testing.T) {
+	t.Helper()
+	ops := []CmpOp{OpEq, OpNeq, OpLt, OpLeq, OpGt, OpGeq}
+	for _, x := range pointAlphabet {
+		lx := rangeval.Certain(x)
+		if got, want := pointTruth(x.IsNull()), RangeIsNull(lx); got != want {
+			t.Fatalf("%#v IS NULL: point rule %+v, RangeIsNull %+v", x, got, want)
+		}
+		if got, want := pointTruth(truth(x)), TruthOf(lx); got != want {
+			t.Fatalf("%#v as a boolean: point rule %+v, TruthOf %+v", x, got, want)
+		}
+		for _, y := range pointAlphabet {
+			ly := rangeval.Certain(y)
+			for _, op := range ops {
+				got, want := pointCmp(op, x, y), RangeCmp(op, &lx, &ly)
+				if got != want {
+					t.Fatalf("%#v %s %#v: pointCmp %+v, RangeCmp %+v", x, op, y, got, want)
+				}
+				if h := cmpHolds(op, x, y); got.SG != h || got.Lo == got.Hi && got.Lo != h {
+					t.Fatalf("%#v %s %#v: pointCmp %+v, deterministic %v", x, op, y, got, h)
+				}
+			}
+		}
+	}
+	// Two certain nulls compare equal in their bounds but not in SG: an
+	// exception.
+	null := types.Null()
+	if got := pointCmp(OpEq, null, null); got != (Truth{Hi: true}) {
+		t.Fatalf("NULL = NULL: %+v, want (F,F,T)", got)
+	}
+	for _, a := range []bool{false, true} {
+		pa := pointTruth(a)
+		if got := RangeNot(pa); got != pointTruth(!a) {
+			t.Fatalf("NOT %v: %+v", a, got)
+		}
+		if v := pa.V(); !isPoint(&v) || !types.Same(v.SG, types.Bool(a)) {
+			t.Fatalf("point truth %v read as a value: %#v", a, v)
+		}
+		for _, b := range []bool{false, true} {
+			pb := pointTruth(b)
+			if got := RangeLogic(OpAnd, pa, pb); got != pointTruth(a && b) {
+				t.Fatalf("%v AND %v: %+v", a, b, got)
+			}
+			if got := RangeLogic(OpOr, pa, pb); got != pointTruth(a || b) {
+				t.Fatalf("%v OR %v: %+v", a, b, got)
 			}
 		}
 	}

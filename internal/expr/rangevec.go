@@ -9,7 +9,9 @@ import (
 
 // Range-vector evaluation: EvalRange's semantics (Definition 9) over the
 // rangeval.Col columns of a columnar batch, one node at a time over a
-// chunk of rows instead of one row at a time over the whole tree.
+// chunk of rows instead of one row at a time over the whole tree. It is
+// the one column-at-a-time evaluator: a certain cell is a point, kept as
+// one value, so a flat column and an uncertain one take the same program.
 //
 //   - Value nodes (Attr, Const, Arith, If, NAry) produce the values of the
 //     chunk's live rows. A leaf reads its column in place: a flat column
@@ -22,24 +24,31 @@ import (
 //     the operation RangeArith's own point shortcut applies; every other
 //     row applies RangeArith to its operands in place. Div applies
 //     RangeArith to every row.
-//   - Boolean nodes (Cmp, Logic, Not, IsNull) produce a vector of Truth:
-//     three truth lanes per row, exactly TruthOf the range boolean their
-//     EvalRange returns.
+//   - Boolean nodes (Cmp, Logic, Not, IsNull) write one Truth per row,
+//     exactly TruthOf the range boolean their EvalRange returns. A row
+//     whose operands are points gets a point truth, its three truths
+//     equal, from one deterministic test: pointCmp compares two non-null
+//     points once, IS NULL tests a point's value, and a connective or NOT
+//     of point truths is a point truth under RangeLogic and RangeNot
+//     themselves. The rest are exceptions: rows with an operand that is
+//     not a point, and comparisons with a null, which take the rule
+//     function (two certain nulls compare as (F,F,T)).
 //   - A value node read as a boolean goes through TruthOf, and a boolean
-//     node read as a value through Truth.V, as in EvalRange.
+//     node read as a value through Truth.V, as in EvalRange; a point stays
+//     a point either way.
 //
 // Every node applies the same rule function its EvalRange applies
 // (RangeCmp, RangeLogic, RangeNot, RangeIsNull, RangeArith, RangeNAry,
-// RangeIf), and a point stored as its value reads back as the same
-// triple, so the two agree bit for bit. Every node is evaluated on
-// exactly the rows EvalRange evaluates it on: If partitions the live rows
-// into certainly true, certainly false and uncertain, runs Then on the
-// first and third and Else on the second and third, and Logic evaluates
-// both operands as EvalRange does. So the program fails whenever
-// EvalRange fails on some live row, and otherwise returns its values. On
-// an error the caller re-evaluates the chunk row by row through the
-// canonical kernel, which reports the reference executor's row-order
-// error.
+// RangeIf), or a point rule proven equal to it on points, and a point
+// stored as its value reads back as the same triple, so the two agree bit
+// for bit. Every node is evaluated on exactly the rows EvalRange
+// evaluates it on: If partitions the live rows into certainly true,
+// certainly false and uncertain, runs Then on the first and third and
+// Else on the second and third, and Logic evaluates both operands as
+// EvalRange does. So the program fails whenever EvalRange fails on some
+// live row, and otherwise returns its values. On an error the caller
+// re-evaluates the chunk row by row through the canonical kernel, which
+// reports the reference executor's row-order error.
 //
 // Temporaries are sized to the chunk, grown up to RangeChunk rows, and
 // shared by the nodes of a tree depth; each is allocated on first use and
@@ -63,7 +72,6 @@ type rscratch struct {
 	frames []rframe // per tree depth
 	seq    []int    // the identity offsets [0, RangeChunk)
 	live   []int    // a chunk's live rows as offsets from its base
-	root   Lane     // the root's result
 	conv   rframe   // the root's conversion buffers
 }
 
@@ -228,49 +236,22 @@ func (p *RangeProg) TruthInto(cols []rangeval.Col, n int, live []int, out []Trut
 	return nil
 }
 
-// EvalInto evaluates the program over cols at the live rows (all of
-// [0, n) when live is nil), writing each live row's value — what
-// EvalRange returns for it — into out at its physical index. out must
-// have length at least n; dead slots are left untouched. On error the
-// contents of out are unspecified.
-func (p *RangeProg) EvalInto(cols []rangeval.Col, n int, live []int, out []rangeval.V) error {
-	for base, j := 0, 0; base < n; base += RangeChunk {
-		w := rwin{cols: cols, base: base, end: min(base+RangeChunk, n)}
-		offs := p.offsets(&w, live, &j)
-		if len(offs) == 0 {
-			continue
-		}
-		r, err := p.vals(p.root, &w, offs, &p.s.root, &p.s.conv)
-		if err != nil {
-			return err
-		}
-		dst := out[base:w.end]
-		for _, o := range offs {
-			dst[o] = r.at(o)
-		}
-	}
-	return nil
-}
-
-// EvalLane evaluates the program over rows [lo, hi) of cols, every one
-// live and at most RangeChunk of them, writing row lo+o's value — what
-// EvalRange returns for it — to row o of out, which is Reset first. On
-// error the contents of out are unspecified.
-func (p *RangeProg) EvalLane(cols []rangeval.Col, lo, hi int, out *Lane) error {
+// EvalLane evaluates the program over the live rows of [lo, hi), at most
+// RangeChunk rows of cols: live holds their physical indexes in
+// ascending order, or is nil when every row is live. It writes row lo+o's
+// value — what EvalRange returns for it — to row o of out, which is Reset
+// to hi-lo rows first; the rows that are not live are left unspecified.
+// On error the contents of out are unspecified.
+func (p *RangeProg) EvalLane(cols []rangeval.Col, lo, hi int, live []int, out *Lane) error {
 	w := rwin{cols: cols, base: lo, end: hi}
-	offs := p.offsets(&w, nil, nil)
-	// The root writes straight into out; the buffers it grows stay there.
-	own := p.s.root
-	p.s.root = *out
-	r, err := p.vals(p.root, &w, offs, &p.s.root, &p.s.conv)
-	*out, p.s.root = p.s.root, own
-	if err != nil {
+	j := 0
+	offs := p.offsets(&w, live, &j)
+	r, err := p.vals(p.root, &w, offs, out, &p.s.conv)
+	if err != nil || out.holds(&r) {
 		return err
 	}
-	if out.holds(&r) {
-		return nil
-	}
-	out.Reset(len(offs))
+	// A leaf: its column or constant, copied.
+	out.Reset(hi - lo)
 	for _, o := range offs {
 		out.put(o, &r)
 	}
@@ -491,6 +472,10 @@ func (p *RangeProg) vals(n *rnode, w *rwin, live []int, dst *Lane, conv *rframe)
 	}
 	dst.Reset(nw)
 	for _, o := range live {
+		if t := ts[o]; t.Lo == t.Hi {
+			dst.SG[o], dst.Exc[o] = types.Bool(t.SG), -1
+			continue
+		}
 		v := ts[o].V()
 		dst.Set(o, &v)
 	}
@@ -513,6 +498,12 @@ func (p *RangeProg) truths(n *rnode, w *rwin, live []int, dst []Truth, conv *rfr
 		}
 		var la, ra rangeval.V
 		for _, o := range live {
+			if x, ok := l.point(o); ok {
+				if y, ok := r.point(o); ok {
+					dst[o] = pointCmp(t.Op, x, y)
+					continue
+				}
+			}
 			dst[o] = RangeCmp(t.Op, l.ptr(o, &la), r.ptr(o, &ra))
 		}
 		return nil
@@ -545,6 +536,10 @@ func (p *RangeProg) truths(n *rnode, w *rwin, live []int, dst []Truth, conv *rfr
 			return err
 		}
 		for _, o := range live {
+			if x, ok := v.point(o); ok {
+				dst[o] = pointTruth(x.IsNull())
+				continue
+			}
 			dst[o] = RangeIsNull(v.at(o))
 		}
 		return nil
@@ -556,6 +551,10 @@ func (p *RangeProg) truths(n *rnode, w *rwin, live []int, dst []Truth, conv *rfr
 		return err
 	}
 	for _, o := range live {
+		if x, ok := v.point(o); ok {
+			dst[o] = pointTruth(truth(x))
+			continue
+		}
 		dst[o] = TruthOf(v.at(o))
 	}
 	return nil

@@ -92,14 +92,27 @@ func rangeBatch(r *rand.Rand, layout string, n int) []rangeval.Col {
 	return cols
 }
 
-// rangeCorpus is vecCorpus plus the forms only the range program takes:
-// a null constant, boolean nodes read as values and values read as
-// booleans, an unguarded division in the right operand of AND, the
-// guarded division over an uncertain divisor, a condition read from a
-// column, and the expressions that always fail on a live row.
+// rangeCorpus spans every node kind — comparisons, connectives,
+// arithmetic, If partitioning, IsNull, n-ary folds, nesting — and the
+// hard forms: a null constant, boolean nodes read as values and values
+// read as booleans, the guarded division (its Else branch must never see
+// the rows its guard excludes) over a certain and an uncertain divisor,
+// an unguarded division in the right operand of AND, a condition read
+// from a column, and the expressions that always fail on a live row.
 func rangeCorpus() []Expr {
 	a, b, c := Col(0, "a"), Col(1, "b"), Col(2, "c")
-	return append(vecCorpus(),
+	return []Expr{
+		Lt(a, CInt(3)),
+		Leq(Add(a, b), CInt(4)),
+		And(Gt(a, CInt(0)), Or(Eq(b, CInt(1)), Neq(a, b))),
+		Not{E: Geq(a, b)},
+		Mul(Sub(a, b), CInt(2)),
+		If{Cond: Lt(a, CInt(0)), Then: Sub(CInt(0), a), Else: a},
+		If{Cond: Eq(b, CInt(0)), Then: CInt(-1), Else: Div(a, b)},
+		IsNull{E: a},
+		Least(a, b, CInt(2)),
+		Greatest(a, Sub(b, CInt(1))),
+		Eq(Least(a, b), Greatest(a, b)),
 		Eq(a, C(types.Null())),
 		Add(b, C(types.Null())),
 		IsNull{E: Add(a, c)},
@@ -124,16 +137,50 @@ func rangeCorpus() []Expr {
 		Div(a, CInt(2)),
 		Div(Add(a, b), Sub(c, CFloat(0.5))),
 		Mul(Add(a, CInt(1)), Sub(b, c)),
-	)
+	}
+}
+
+// evalLanes runs EvalLane over each chunk of cols with a live row, as the
+// executor's projection does, and writes each live row's value into out
+// at its physical index.
+func evalLanes(p *RangeProg, cols []rangeval.Col, n int, live []int, out []rangeval.V) error {
+	var lane Lane
+	j := 0
+	for lo := 0; lo < n; lo += RangeChunk {
+		hi := min(lo+RangeChunk, n)
+		rows := live
+		if live != nil {
+			k := j
+			for j < len(live) && live[j] < hi {
+				j++
+			}
+			if rows = live[k:j]; len(rows) == 0 {
+				continue
+			}
+		}
+		if err := p.EvalLane(cols, lo, hi, rows, &lane); err != nil {
+			return err
+		}
+		if rows == nil {
+			for i := lo; i < hi; i++ {
+				out[i] = lane.At(i - lo)
+			}
+			continue
+		}
+		for _, i := range rows {
+			out[i] = lane.At(i - lo)
+		}
+	}
+	return nil
 }
 
 // checkRangeProg compares the range program with EvalRange row by row on
-// the live rows of cols: EvalInto must write every live row's value bit
+// the live rows of cols: EvalLane must write every live row's value bit
 // for bit and TruthInto its truths, and either must fail exactly when
 // EvalRange fails on some live row. Dead rows must stay untouched. With
-// every row live, EvalLane must write each chunk's values, a row kept as
-// a point exactly when its value is one, and fail exactly on the chunks
-// where EvalRange fails on some row.
+// every row live, EvalLane must also keep a row as a point exactly when
+// its value is one, and fail exactly on the chunks where EvalRange fails
+// on some row.
 func checkRangeProg(t *testing.T, e Expr, cols []rangeval.Col, n int, live []int) {
 	t.Helper()
 	p, ok := CompileRange(e)
@@ -173,14 +220,14 @@ func checkRangeProg(t *testing.T, e Expr, cols []rangeval.Col, n int, live []int
 	for i := range got {
 		got[i] = sentinel
 	}
-	gerr := p.EvalInto(cols, n, live, got)
+	gerr := evalLanes(p, cols, n, live, got)
 	truths := make([]Truth, n)
 	for i := range truths {
 		truths[i] = Truth{Lo: true}
 	}
 	terr := p.TruthInto(cols, n, live, truths)
 	if (werr != nil) != (gerr != nil) || (werr != nil) != (terr != nil) {
-		t.Fatalf("%s over %v (live %v): EvalRange error %v, EvalInto error %v, TruthInto error %v", e, cols, live, werr, gerr, terr)
+		t.Fatalf("%s over %v (live %v): EvalRange error %v, EvalLane error %v, TruthInto error %v", e, cols, live, werr, gerr, terr)
 	}
 	if werr != nil {
 		return
@@ -212,7 +259,7 @@ func checkLanes(t *testing.T, p *RangeProg, e Expr, cols []rangeval.Col, n int, 
 	var lane Lane
 	for lo := 0; lo < n; lo += RangeChunk {
 		hi := min(lo+RangeChunk, n)
-		err := p.EvalLane(cols, lo, hi, &lane)
+		err := p.EvalLane(cols, lo, hi, nil, &lane)
 		if fail := slices.Contains(failed[lo:hi], true); fail != (err != nil) {
 			t.Fatalf("%s, rows [%d, %d): EvalLane error %v, EvalRange fails %v", e, lo, hi, err, fail)
 		}
@@ -289,7 +336,7 @@ func TestRangeProgErrors(t *testing.T) {
 	}
 	for _, c := range cases {
 		p, _ := CompileRange(c.e)
-		err := p.EvalInto(cols, 3, c.live, make([]rangeval.V, 3))
+		err := evalLanes(p, cols, 3, c.live, make([]rangeval.V, 3))
 		if (err != nil) != c.fail {
 			t.Errorf("%s (live %v): error %v, want failure %v", c.e, c.live, err, c.fail)
 		}
@@ -526,6 +573,68 @@ func TestRangeFuzzSeeds(t *testing.T) {
 			a, mul := e.(Arith)
 			return mul && a.Op == OpMul && ok && saturated
 		},
+	}
+	// pointRow reports whether every cell of row is a point.
+	pointRow := func(row rangeval.Tuple) bool {
+		for i := range row {
+			if !isPoint(&row[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	// A chunk of point cells whose values are all points: point truths
+	// through a comparison, AND, NOT and IS NULL.
+	cases["seed-all-points"] = func(e Expr, cols []rangeval.Col, n int, live []int) bool {
+		ok := n == RangeChunk
+		rows(e, cols, n, live, func(row rangeval.Tuple, v rangeval.V, err error) {
+			ok = ok && err == nil && pointRow(row) && isPoint(&v)
+		})
+		_, logic := e.(Logic)
+		return ok && logic
+	}
+	// A comparison over a chunk whose only rows with a range cell, and so
+	// with an exception, are its first and its last.
+	cases["seed-exception-edges"] = func(e Expr, cols []rangeval.Col, n int, live []int) bool {
+		ok, i := n == RangeChunk, 0
+		rows(e, cols, n, live, func(row rangeval.Tuple, v rangeval.V, err error) {
+			edge := i == 0 || i == n-1
+			ok = ok && err == nil && pointRow(row) != edge && isPoint(&v) != edge
+			i++
+		})
+		_, cmp := e.(Cmp)
+		return ok && cmp
+	}
+	// NOT of a comparison of two certain nulls: points whose truth is an
+	// exception.
+	cases["seed-null-cmp"] = func(e Expr, cols []rangeval.Col, n int, live []int) bool {
+		nulls := false
+		rows(e, cols, n, live, func(row rangeval.Tuple, v rangeval.V, err error) {
+			nulls = nulls || err == nil && pointRow(row) && row[0].SG.IsNull() && row[1].SG.IsNull() && !isPoint(&v)
+		})
+		not, ok := e.(Not)
+		_, cmp := not.E.(Cmp)
+		return ok && cmp && nulls
+	}
+	// A comparison of NaN with NaN.
+	cases["seed-nan-cmp"] = func(e Expr, cols []rangeval.Col, n int, live []int) bool {
+		isNaN := func(v types.Value) bool { return v.Kind() == types.KindFloat && math.IsNaN(v.AsFloat()) }
+		nan := false
+		rows(e, cols, n, live, func(row rangeval.Tuple, _ rangeval.V, err error) {
+			nan = nan || err == nil && isNaN(row[0].SG) && isNaN(row[1].SG)
+		})
+		_, cmp := e.(Cmp)
+		return cmp && nan
+	}
+	// An If whose condition is an exception on some row.
+	cases["seed-if-exception-cond"] = func(e Expr, cols []rangeval.Col, n int, live []int) bool {
+		cond, ok := e.(If)
+		exc := false
+		rows(cond.Cond, cols, n, live, func(_ rangeval.Tuple, v rangeval.V, err error) {
+			t := TruthOf(v)
+			exc = exc || err == nil && t.Lo != t.Hi
+		})
+		return ok && exc
 	}
 	for name, check := range cases {
 		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzRangeProg", name))

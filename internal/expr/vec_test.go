@@ -2,199 +2,79 @@ package expr
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/audb/audb/internal/types"
 )
 
-// vecCols builds random flat columns (null-free: the precondition the
-// vectorized path is gated on).
-func vecCols(rng *rand.Rand, arity, n int) [][]types.Value {
-	cols := make([][]types.Value, arity)
-	for c := range cols {
-		cols[c] = make([]types.Value, n)
-		for i := range cols[c] {
-			cols[c][i] = types.Int(int64(rng.Intn(9) - 2))
-		}
-	}
-	return cols
-}
-
-func rowOf(cols [][]types.Value, i int) types.Tuple {
-	row := make(types.Tuple, len(cols))
-	for c := range cols {
-		row[c] = cols[c][i]
-	}
-	return row
-}
-
-// vecCorpus is a fixed expression corpus spanning every compilable node
-// kind (comparisons, logic, arithmetic, If partitioning, IsNull, n-ary
-// folds, nesting).
-func vecCorpus() []Expr {
-	a, b := Col(0, "a"), Col(1, "b")
-	return []Expr{
-		Lt(a, CInt(3)),
-		Leq(Add(a, b), CInt(4)),
-		And(Gt(a, CInt(0)), Or(Eq(b, CInt(1)), Neq(a, b))),
-		Not{E: Geq(a, b)},
-		Mul(Sub(a, b), CInt(2)),
-		If{Cond: Lt(a, CInt(0)), Then: Sub(CInt(0), a), Else: a},
-		// The guarded division: the Else branch must never see rows where
-		// b is zero — the one-branch-per-row discipline under test.
-		If{Cond: Eq(b, CInt(0)), Then: CInt(-1), Else: Div(a, b)},
-		IsNull{E: a},
-		Least(a, b, CInt(2)),
-		Greatest(a, Sub(b, CInt(1))),
-		Eq(Least(a, b), Greatest(a, b)),
-	}
-}
-
-// TestVecMatchesEval: over random flat columns, SelectInto must keep
-// exactly the rows where Eval is true, and EvalInto must write exactly
-// Eval's value at every live index — the bit-identity the vectorized
-// kernels rely on.
+// TestVecMatchesEval: CompileVec compiles exactly the CertainFastSafe
+// expressions, and its SelectInto over flat columns — with and without a
+// selection vector, divisions by zero among the rows — keeps exactly the
+// live rows where Eval holds, or fails exactly when Eval fails on a live
+// row. A missing column is an error.
 func TestVecMatchesEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	corpus := rangeCorpus()
+	for range 100 {
+		corpus = append(corpus, genExpr(rng, 2, 3, true))
+	}
 	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(40)
-		cols := vecCols(rng, 2, n)
-		// Alternate full batches and selection-vector subsets.
-		var live []int
-		if trial%2 == 1 {
-			for i := 0; i < n; i += 1 + rng.Intn(3) {
-				live = append(live, i)
+		n := 1 + rng.Intn(300)
+		cols := make([][]types.Value, 3)
+		for c := range cols {
+			cols[c] = make([]types.Value, n)
+			for i := range cols[c] {
+				cols[c][i] = types.Int(int64(rng.Intn(9) - 2))
 			}
 		}
-		idxs := live
-		if idxs == nil {
-			for i := 0; i < n; i++ {
+		var live, idxs []int
+		for i := 0; i < n; i += 1 + rng.Intn(3) {
+			live = append(live, i)
+		}
+		idxs = live
+		if trial%2 == 0 {
+			live, idxs = nil, nil
+			for i := range n {
 				idxs = append(idxs, i)
 			}
 		}
-		for _, e := range vecCorpus() {
+		for _, e := range corpus {
 			p, ok := CompileVec(e)
-			if !ok {
-				t.Fatalf("corpus expression did not compile: %s", e)
+			if ok != CertainFastSafe(e) {
+				t.Fatalf("%s: CompileVec ok %v, CertainFastSafe %v", e, ok, CertainFastSafe(e))
 			}
-			sel, err := p.SelectInto(cols, n, live, nil)
-			if err != nil {
-				t.Fatalf("%s: SelectInto: %v", e, err)
+			if !ok || MaxAttr(e) >= len(cols) {
+				continue
 			}
 			var want []int
+			var werr error
+			row := make(types.Tuple, len(cols))
 			for _, i := range idxs {
-				v, err := e.Eval(rowOf(cols, i))
-				if err != nil {
-					t.Fatalf("%s: Eval row %d: %v", e, i, err)
+				for c := range cols {
+					row[c] = cols[c][i]
 				}
-				if v.Kind() == types.KindBool && v.AsBool() {
+				v, err := e.Eval(row)
+				if err != nil {
+					werr = err
+					break
+				}
+				if truth(v) {
 					want = append(want, i)
 				}
 			}
-			if len(sel) != len(want) {
+			sel, err := p.SelectInto(cols, n, live, nil)
+			if (err != nil) != (werr != nil) {
+				t.Fatalf("%s: SelectInto error %v, Eval error %v", e, err, werr)
+			}
+			if werr == nil && !slices.Equal(sel, want) {
 				t.Fatalf("%s: sel %v, want %v", e, sel, want)
 			}
-			for k := range sel {
-				if sel[k] != want[k] {
-					t.Fatalf("%s: sel %v, want %v", e, sel, want)
-				}
-			}
-
-			out := make([]types.Value, n)
-			if err := p.EvalInto(cols, n, live, out); err != nil {
-				t.Fatalf("%s: EvalInto: %v", e, err)
-			}
-			for _, i := range idxs {
-				want, err := e.Eval(rowOf(cols, i))
-				if err != nil {
-					t.Fatalf("%s: Eval row %d: %v", e, i, err)
-				}
-				if types.Compare(out[i], want) != 0 || out[i].IsNull() != want.IsNull() {
-					t.Fatalf("%s: row %d = %v, want %v", e, i, out[i], want)
-				}
-			}
 		}
 	}
-}
-
-// TestVecProgReuse: one Prog re-evaluated over different batches and
-// selection vectors must stay correct (its buffers are reused, its
-// identity selection cached).
-func TestVecProgReuse(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	e := If{Cond: Eq(Col(1, "b"), CInt(0)), Then: CInt(-1), Else: Div(Col(0, "a"), Col(1, "b"))}
-	p, ok := CompileVec(e)
-	if !ok {
-		t.Fatal("did not compile")
-	}
-	for trial := 0; trial < 10; trial++ {
-		n := 1 + rng.Intn(64)
-		cols := vecCols(rng, 2, n)
-		out := make([]types.Value, n)
-		if err := p.EvalInto(cols, n, nil, out); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			want, err := e.Eval(rowOf(cols, i))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if types.Compare(out[i], want) != 0 {
-				t.Fatalf("trial %d row %d = %v, want %v", trial, i, out[i], want)
-			}
-		}
-	}
-}
-
-// TestVecErrors: an unguarded division by zero errors out of the batch
-// (the caller then re-runs per row for the canonical error), and the
-// error set matches Eval's — the batch errors iff some live row's Eval
-// errors.
-func TestVecErrors(t *testing.T) {
-	e := Div(Col(0, "a"), Col(1, "b"))
-	p, ok := CompileVec(e)
-	if !ok {
-		t.Fatal("did not compile")
-	}
-	cols := [][]types.Value{
-		{types.Int(4), types.Int(6)},
-		{types.Int(2), types.Int(0)},
-	}
-	if _, err := p.SelectInto(cols, 2, nil, nil); err == nil {
-		t.Fatal("division by zero did not error")
-	}
-	// With the zero divisor dead in the selection vector, no error.
-	out := make([]types.Value, 2)
-	if err := p.EvalInto(cols, 2, []int{0}, out); err != nil {
-		t.Fatalf("live-only eval: %v", err)
-	}
-	if types.Compare(out[0], types.Int(2)) != 0 {
-		t.Fatalf("out[0] = %v, want 2", out[0])
-	}
-	// A missing column is an error, not a panic.
-	wide, ok := CompileVec(Lt(Col(5, "z"), CInt(1)))
-	if !ok {
-		t.Fatal("did not compile")
-	}
-	if _, err := wide.SelectInto(cols, 2, nil, nil); err == nil || !strings.Contains(err.Error(), "unavailable") {
+	p, _ := CompileVec(Lt(Col(5, "z"), CInt(1)))
+	if _, err := p.SelectInto([][]types.Value{{types.Int(1)}}, 1, nil, nil); err == nil || !strings.Contains(err.Error(), "unavailable") {
 		t.Fatalf("missing column error = %v", err)
-	}
-}
-
-// TestCompileVecRejects: expressions outside the CertainFastSafe subset
-// (or vectorization-specific exclusions) must not compile.
-func TestCompileVecRejects(t *testing.T) {
-	for _, e := range []Expr{
-		C(types.Null()),                         // null constant breaks Eval≡EvalRange
-		Least(),                                 // zero-arg n-ary: canonical error path
-		And(CBool(true), Div(CInt(1), CInt(0))), // non-errFree right operand
-	} {
-		if _, ok := CompileVec(e); ok {
-			t.Fatalf("%s compiled, want rejection", e)
-		}
-	}
-	if _, ok := CompileVec(Lt(Col(0, "a"), CInt(1))); !ok {
-		t.Fatal("safe comparison rejected")
 	}
 }

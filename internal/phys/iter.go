@@ -103,19 +103,18 @@ func (s *scanIter) Schema() schema.Schema { return s.sch }
 // into a reused output buffer: steady-state selection allocates nothing
 // and never clones tuples (FilterTuple only rewrites the multiplicity
 // triple, which lives in the Tuple struct). Columnar batches are filtered
-// in place, column at a time, and only refine the selection vector:
-// survivors are marked, never copied.
+// in place by the range program (expr.CompileRange), column at a time,
+// and only refine the selection vector: survivors are marked, never
+// copied.
 //
-//   - When every column the predicate reads is flat and null-free, the
-//     flat program (expr.CompileVec) filters the batch and annotations
-//     pass through unchanged: a certainly-true predicate multiplies by the
-//     semiring one, and every other row is dropped, exactly FilterTuple's
-//     behavior on certain input.
-//   - Any other columnar batch takes the range-vector program
-//     (expr.CompileRange), whose truths scale each row's multiplicity as
-//     FilterTuple does. The scaled multiplicities go by physical index
-//     into a reused buffer; when none changed the input's pass through.
-//   - When a program fails on the batch, or the predicate is not
+//   - A row whose truth is a point is kept when it holds and dropped when
+//     it does not, with its multiplicity untouched: FilterTuple multiplies
+//     it by (1,1,1) or by (0,0,0), and a stored row's M.Hi is at least 1.
+//     So a batch with no exceptions passes its multiplicities through.
+//   - An exception, a row that may hold but not certainly, scales its
+//     multiplicity by TruthMult as FilterTuple does, into a reused buffer
+//     by physical index.
+//   - When the program fails on the batch, or the predicate is not
 //     compilable, the batch is densified and filtered by the per-row
 //     kernel, which reports the reference executor's row-order error.
 type selectIter struct {
@@ -124,11 +123,10 @@ type selectIter struct {
 	sch   schema.Schema
 
 	poll   *ctxpoll.Poll
-	prog   *expr.Prog
-	rprog  *expr.RangeProg
-	flat   [][]types.Value
+	prog   *expr.RangeProg
 	truths []expr.Truth
 	sel    []int
+	seq    []int
 	mult   []core.Mult
 	dense  []core.Tuple
 	buf    []core.Tuple
@@ -137,8 +135,7 @@ type selectIter struct {
 
 func (s *selectIter) Open(ctx context.Context) error {
 	s.poll = ctxpoll.New(ctx)
-	s.prog, _ = expr.CompileVec(s.pred)
-	s.rprog, _ = expr.CompileRange(s.pred)
+	s.prog, _ = expr.CompileRange(s.pred)
 	return s.child.Open(ctx)
 }
 
@@ -161,18 +158,7 @@ func (s *selectIter) Next() (*vec.Batch, error) {
 		if err := s.poll.Due(); err != nil {
 			return nil, err
 		}
-		if s.prog != nil && flatCols(s.prog, b, &s.flat) {
-			sel, err := s.prog.SelectInto(s.flat, b.N, b.Sel, s.sel[:0])
-			if err == nil {
-				s.sel = sel
-				if len(sel) == 0 {
-					continue
-				}
-				s.out = *b
-				s.out.Sel = sel
-				return &s.out, nil
-			}
-		} else if s.rprog != nil && s.rangeFilter(b) {
+		if s.prog != nil && s.filter(b) {
 			if len(s.sel) > 0 {
 				return &s.out, nil
 			}
@@ -187,40 +173,46 @@ func (s *selectIter) Next() (*vec.Batch, error) {
 	}
 }
 
-// rangeFilter filters a columnar batch in place through the range-vector
-// program into s.out, reporting false when the program fails on it.
-func (s *selectIter) rangeFilter(b *vec.Batch) bool {
+// filter filters a columnar batch in place through the range program
+// into s.out, reporting false when the program fails on it.
+func (s *selectIter) filter(b *vec.Batch) bool {
 	if len(s.truths) < b.N {
 		s.truths = make([]expr.Truth, b.N)
 		s.mult = make([]core.Mult, b.N)
 	}
-	if s.rprog.TruthInto(b.Cols, b.N, b.Sel, s.truths) != nil {
+	if s.prog.TruthInto(b.Cols, b.N, b.Sel, s.truths) != nil {
 		return false
+	}
+	live := b.Sel
+	if live == nil {
+		for len(s.seq) < b.N {
+			s.seq = append(s.seq, len(s.seq))
+		}
+		live = s.seq[:b.N]
 	}
 	s.sel = s.sel[:0]
 	scaled := false
-	keep := func(i int) {
-		m := b.MultAt(i)
-		sm := m.Mul(core.TruthMult(s.truths[i])) // by 0 or 1: it cannot overflow
-		if sm.Hi <= 0 {
-			return
+	for _, i := range live {
+		t := s.truths[i]
+		if !t.Hi {
+			continue
+		}
+		if !t.Lo {
+			m := b.MultAt(i)
+			sm := m.Mul(core.TruthMult(t)) // by 0 or 1: it cannot overflow
+			s.mult[i] = sm
+			scaled = scaled || sm != m
 		}
 		s.sel = append(s.sel, i)
-		s.mult[i] = sm
-		scaled = scaled || sm != m
-	}
-	if b.Sel != nil {
-		for _, i := range b.Sel {
-			keep(i)
-		}
-	} else {
-		for i := 0; i < b.N; i++ {
-			keep(i)
-		}
 	}
 	s.out = *b
 	s.out.Sel = s.sel
 	if scaled {
+		for _, i := range s.sel {
+			if s.truths[i].Lo {
+				s.mult[i] = b.MultAt(i)
+			}
+		}
 		s.out.MFlat, s.out.MDense = nil, s.mult[:b.N]
 	}
 	return true
@@ -236,29 +228,6 @@ func (s *selectIter) fallback(b *vec.Batch) error {
 	}
 	s.out.SetRows(s.buf)
 	return nil
-}
-
-// flatCols gates a vectorized program on the batch at hand: every column
-// the program references must be flat and null-free (the precondition
-// under which deterministic evaluation is bit-identical to range
-// evaluation). It binds those columns in *scratch, growing it to the
-// batch's width, for the program to read.
-func flatCols(prog *expr.Prog, b *vec.Batch, scratch *[][]types.Value) bool {
-	if len(*scratch) < len(b.Cols) {
-		*scratch = make([][]types.Value, len(b.Cols))
-	}
-	flat := *scratch
-	for _, a := range prog.Attrs() {
-		if a < 0 || a >= len(b.Cols) {
-			return false
-		}
-		c := b.Cols[a]
-		if !c.IsFlat() || c.HasNulls() {
-			return false
-		}
-		flat[a] = c.Flat
-	}
-	return true
 }
 
 // rowFilter runs the per-row selection kernel over rows into s.buf.
@@ -291,15 +260,13 @@ func (s *selectIter) Schema() schema.Schema { return s.sch }
 // canonical form, so results stay bit-identical (the compiler materializes
 // Project whenever compression makes merge granularity observable).
 //
-// On a columnar batch, each output column takes the cheapest sound path:
-//
-//   - a bare attribute reference aliases the input column outright (a
-//     permutation costs nothing);
-//   - an expression that compiles to the flat program (expr.CompileVec)
-//     and reads only flat null-free columns is evaluated column at a time
-//     into a reused flat buffer;
-//   - every other expression is evaluated column at a time by the
-//     range-vector program (expr.CompileRange) into a reused dense buffer.
+// On a columnar batch, a bare attribute reference aliases the input
+// column outright (a permutation costs nothing), and every other
+// expression is evaluated by the range program (expr.CompileRange) into
+// lanes, one per chunk, whose values are windows of one reused buffer.
+// When no live row is an exception the column leaves as that flat
+// buffer, so a certain projection stays flat downstream; otherwise it is
+// widened to triples from its lanes.
 //
 // The multiplicities and the selection vector pass through untouched. When
 // a program fails on the batch, or an expression is not compilable, the
@@ -314,14 +281,21 @@ type projectIter struct {
 	buf  []core.Tuple
 	out  vec.Batch
 
-	planned  bool
-	alias    []int
-	progs    []*expr.Prog
-	rprogs   []*expr.RangeProg
-	flat     [][]types.Value
-	flatOut  [][]types.Value
-	denseOut [][]rangeval.V
-	dense    []core.Tuple
+	planned bool
+	alias   []int
+	progs   []*expr.RangeProg
+	vals    []projOut
+	dense   []core.Tuple
+}
+
+// projOut is the reused output of one computed column: the values and
+// exception marks of every row, the lane that writes a chunk of them, and
+// the triples of a batch with a live exception.
+type projOut struct {
+	flat  []types.Value
+	exc   []int32
+	lane  expr.Lane
+	dense []rangeval.V
 }
 
 func (p *projectIter) Open(ctx context.Context) error {
@@ -329,18 +303,15 @@ func (p *projectIter) Open(ctx context.Context) error {
 	if !p.planned {
 		p.planned = true
 		p.alias = make([]int, len(p.cols))
-		p.progs = make([]*expr.Prog, len(p.cols))
-		p.rprogs = make([]*expr.RangeProg, len(p.cols))
-		p.flatOut = make([][]types.Value, len(p.cols))
-		p.denseOut = make([][]rangeval.V, len(p.cols))
+		p.progs = make([]*expr.RangeProg, len(p.cols))
+		p.vals = make([]projOut, len(p.cols))
 		for j, c := range p.cols {
 			p.alias[j] = -1
 			if a, ok := c.E.(expr.Attr); ok {
 				p.alias[j] = a.Idx
 				continue
 			}
-			p.progs[j], _ = expr.CompileVec(c.E)
-			p.rprogs[j], _ = expr.CompileRange(c.E)
+			p.progs[j], _ = expr.CompileRange(c.E)
 		}
 	}
 	return p.child.Open(ctx)
@@ -384,30 +355,88 @@ func (p *projectIter) columnar(b *vec.Batch) error {
 			p.out.Cols[j] = b.Cols[a]
 			continue
 		}
-		if p.progs[j] != nil && flatCols(p.progs[j], b, &p.flat) {
-			if len(p.flatOut[j]) < b.N {
-				p.flatOut[j] = make([]types.Value, b.N)
-			}
-			out := p.flatOut[j][:b.N]
-			if err := p.progs[j].EvalInto(p.flat, b.N, b.Sel, out); err != nil {
-				return p.fallback(b)
-			}
-			p.out.Cols[j] = rangeval.ColFromFlat(out)
-			continue
-		}
-		if p.rprogs[j] == nil {
+		if p.progs[j] == nil || !p.eval(j, b) {
 			return p.fallback(b)
 		}
-		if len(p.denseOut[j]) < b.N {
-			p.denseOut[j] = make([]rangeval.V, b.N)
-		}
-		out := p.denseOut[j][:b.N]
-		if err := p.rprogs[j].EvalInto(b.Cols, b.N, b.Sel, out); err != nil {
-			return p.fallback(b)
-		}
-		p.out.Cols[j] = rangeval.ColFromDense(out)
 	}
 	return nil
+}
+
+// eval evaluates computed column j over the live rows of b into
+// p.out.Cols[j], a chunk at a time, reporting false when the program
+// fails. Each chunk's lane writes its values into a window of the
+// column's flat buffer, so a batch with no live exception leaves flat.
+// From the first chunk with one, the column is widened to triples.
+func (p *projectIter) eval(j int, b *vec.Batch) bool {
+	o := &p.vals[j]
+	if len(o.flat) < b.N {
+		o.flat, o.exc = make([]types.Value, b.N), make([]int32, b.N)
+	}
+	l, widened := &o.lane, false
+	for lo, k := 0, 0; lo < b.N; lo += expr.RangeChunk {
+		hi := min(lo+expr.RangeChunk, b.N)
+		live := b.Sel
+		if live != nil {
+			first := k
+			for k < len(b.Sel) && b.Sel[k] < hi {
+				k++
+			}
+			if live = b.Sel[first:k]; len(live) == 0 {
+				continue
+			}
+		}
+		l.SG, l.Exc = o.flat[lo:hi:hi], o.exc[lo:hi:hi]
+		if p.progs[j].EvalLane(b.Cols, lo, hi, live, l) != nil {
+			return false
+		}
+		if !widened {
+			if len(l.Tri) == 0 || !liveException(l, live, lo, hi) {
+				continue
+			}
+			// The rows before are points; a dead row's value is never read.
+			if len(o.dense) < b.N {
+				o.dense = make([]rangeval.V, b.N)
+			}
+			for i, v := range o.flat[:lo] {
+				o.dense[i] = rangeval.Certain(v)
+			}
+			widened = true
+		}
+		if live == nil {
+			for i := lo; i < hi; i++ {
+				o.dense[i] = l.At(i - lo)
+			}
+			continue
+		}
+		for _, i := range live {
+			o.dense[i] = l.At(i - lo)
+		}
+	}
+	if widened {
+		p.out.Cols[j] = rangeval.ColFromDense(o.dense[:b.N])
+	} else {
+		p.out.Cols[j] = rangeval.ColFromFlat(o.flat[:b.N])
+	}
+	return true
+}
+
+// liveException reports whether a live row of the lane of rows [lo, hi)
+// is an exception. live is as for EvalLane: nil when every row is live.
+func liveException(l *expr.Lane, live []int, lo, hi int) bool {
+	if live == nil {
+		for _, e := range l.Exc[:hi-lo] {
+			if e >= 0 {
+				return true
+			}
+		}
+		return false
+	}
+	for _, i := range live {
+		if l.Exc[i-lo] >= 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // fallback densifies the batch and re-runs the canonical per-row kernel,

@@ -9,13 +9,11 @@
 // struct-of-arrays views aliasing the stored rangeval.Col columns (flat
 // slices where the source column is certain, triples otherwise) with
 // zero densification, filtered in place and projected column at a time —
-// by the flat program (expr.CompileVec) when every column an expression
-// reads is flat and null-free, by the range-vector program
-// (expr.CompileRange) otherwise, and by the per-row kernel over a
-// densified copy only when a program fails on the batch, to report the
-// reference executor's error — with survivors marked in a selection
-// vector instead of copied, and source columns passed through by
-// permutation. Over a dense relation (a core.DB the caller built, since
+// by the range-vector program (expr.CompileRange), which reads a flat
+// column as points, and by the per-row kernel over a densified copy only
+// when the program fails on the batch, to report the reference
+// executor's error — with survivors marked in a selection vector instead
+// of copied, and source columns passed through by permutation. Over a dense relation (a core.DB the caller built, since
 // every registered table is columnar), batches are row batches of
 // core.Tuple and take the per-row kernels: selection rewrites only the
 // multiplicity triple, scans emit views into base-table storage, and

@@ -8,6 +8,7 @@ import (
 	"github.com/audb/audb/internal/core"
 	"github.com/audb/audb/internal/expr"
 	"github.com/audb/audb/internal/metrics"
+	"github.com/audb/audb/internal/phys/vec"
 	"github.com/audb/audb/internal/ra"
 	"github.com/audb/audb/internal/rangeval"
 	"github.com/audb/audb/internal/schema"
@@ -129,8 +130,13 @@ func TestInPlaceColumnarSelect(t *testing.T) {
 }
 
 // TestInPlaceSelectStaysColumnar: a select over an uncertain column emits
-// columnar batches (rep=col in EXPLAIN ANALYZE), not densified rows.
+// columnar batches (rep=col in EXPLAIN ANALYZE), not densified rows. Over
+// certain columns the batches stay as flat as they came: a select whose
+// truths are all points passes the flat multiplicities through, and a
+// certain projection leaves as a flat column, while a projection with a
+// live exception leaves with triples.
 func TestInPlaceSelectStaysColumnar(t *testing.T) {
+	testFlatStaysFlat(t)
 	db := uncertainColDB(t, 500, -1)
 	plan := &ra.Select{Child: &ra.Scan{Table: "u"}, Pred: expr.Leq(expr.Col(0, "a"), expr.CInt(40))}
 	p, err := Compile(plan, db, Options{Analyze: true, BatchSize: 64, Exec: core.Options{Workers: 1}})
@@ -154,6 +160,84 @@ func TestInPlaceSelectStaysColumnar(t *testing.T) {
 	}
 }
 
+// testFlatStaysFlat runs a select and projections straight over scans of
+// the tables of uncertainColDB.
+func testFlatStaysFlat(t *testing.T) {
+	ctx := context.Background()
+	db := uncertainColDB(t, 500, -1)
+	first := func(it iter) *vec.Batch {
+		t.Helper()
+		if err := it.Open(ctx); err != nil {
+			t.Fatal(err)
+		}
+		b, err := it.Next()
+		if err != nil || b == nil || !b.Columnar {
+			t.Fatalf("first batch %+v, %v; want a columnar batch", b, err)
+		}
+		return b
+	}
+	v, u := db["v"], db["u"]
+
+	// v is certain, multiplicities included: d > 10 is a point truth on
+	// every row.
+	sel := &selectIter{child: newScanIter(v, 0, v.Len(), 64), pred: expr.Gt(expr.Col(1, "d"), expr.CInt(10)), sch: v.Schema}
+	b := first(sel)
+	if b.MFlat == nil || b.MDense != nil || len(b.Sel) != v.Len()-11 {
+		t.Fatalf("select over certain rows: MFlat %v, MDense %v, %d rows kept; want flat multiplicities and %d rows", b.MFlat != nil, b.MDense != nil, len(b.Sel), v.Len()-11)
+	}
+
+	// d + 1 over v's flat column, after that select: a flat column whose
+	// live rows hold d + 1.
+	prj := &projectIter{child: sel, cols: []ra.ProjCol{{E: expr.Add(expr.Col(1, "d"), expr.CInt(1)), Name: "d1"}}, sch: schema.New("d1")}
+	b = first(prj)
+	if !b.Cols[0].IsFlat() {
+		t.Fatal("d + 1 over a flat column did not leave flat")
+	}
+	for _, i := range b.Sel {
+		if got, want := b.Cols[0].Flat[i], types.Int(int64(i)+1); !types.Same(got, want) {
+			t.Fatalf("row %d: d + 1 = %v, want %v", i, got, want)
+		}
+	}
+
+	// a + 1 over u, whose column a holds a range in every third row.
+	a1 := []ra.ProjCol{{E: expr.Add(expr.Col(0, "a"), expr.CInt(1)), Name: "a1"}}
+	prj = &projectIter{child: newScanIter(u, 0, u.Len(), 64), cols: a1, sch: schema.New("a1")}
+	if b = first(prj); b.Cols[0].IsFlat() {
+		t.Fatal("a + 1 over a column with ranges left flat")
+	}
+
+	// a + 1 over 600 points but one range, in the second chunk of the
+	// batch: the first chunk's points are widened with it, with and
+	// without a selection vector.
+	w := core.New(schema.New("a"))
+	for i := range 600 {
+		a := rangeval.Certain(types.Int(int64(i)))
+		if i == 400 {
+			a = rangeval.New(types.Int(390), types.Int(400), types.Int(410))
+		}
+		w.Add(core.Tuple{Vals: rangeval.Tuple{a}, M: core.One})
+	}
+	w = sparsify(t, core.DB{"w": w}, "w")["w"]
+	rows := w.Dense().Tuples
+	for _, pred := range []expr.Expr{nil, expr.Neq(expr.Col(0, "a"), expr.CInt(3))} {
+		var child iter = newScanIter(w, 0, w.Len(), DefaultBatchSize)
+		if pred != nil {
+			child = &selectIter{child: child, pred: pred, sch: w.Schema}
+		}
+		b = first(&projectIter{child: child, cols: a1, sch: schema.New("a1")})
+		if b.Cols[0].IsFlat() || b.N != 600 || pred != nil && len(b.Sel) != 599 {
+			t.Fatalf("a + 1 with one range (select %v): flat %v over %d rows, %d live", pred, b.Cols[0].IsFlat(), b.N, len(b.Sel))
+		}
+		_ = b.EachLive(func(i int) error {
+			want, _ := a1[0].E.EvalRange(rows[i].Vals)
+			if got := b.Cols[0].At(i); !types.Same(got.Lo, want.Lo) || !types.Same(got.SG, want.SG) || !types.Same(got.Hi, want.Hi) {
+				t.Fatalf("row %d: a + 1 = %v, want %v", i, got, want)
+			}
+			return nil
+		})
+	}
+}
+
 func firstChild(op *metrics.OpStats) *metrics.OpStats {
 	if len(op.Children) == 0 {
 		return nil
@@ -163,8 +247,8 @@ func firstChild(op *metrics.OpStats) *metrics.OpStats {
 
 // TestInPlaceSelectErrorText: a predicate that fails mid-batch reports the
 // reference executor's error text, whether the failing column is stored
-// with triples (the range-vector program fails) or flat (the flat program
-// fails); either way the batch is re-run per row.
+// with triples or flat; either way the range-vector program fails and the
+// batch is re-run per row.
 func TestInPlaceSelectErrorText(t *testing.T) {
 	ctx := context.Background()
 	db := uncertainColDB(t, 3*minPartitionRows+50, 37)
