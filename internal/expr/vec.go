@@ -10,7 +10,7 @@ import (
 // Prog runs a range program over flat columns held as [][]types.Value,
 // one slice of certain values per attribute. It is a thin wrapper kept for
 // callers that hold columns that way: the executor runs RangeProg on its
-// batches directly.
+// batches directly. Like a RangeProg, it is not safe for concurrent use.
 type Prog struct {
 	rp     *RangeProg
 	attrs  []int

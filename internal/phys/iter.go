@@ -109,7 +109,8 @@ func (s *scanIter) Schema() schema.Schema { return s.sch }
 //
 //   - A row whose truth is a point is kept when it holds and dropped when
 //     it does not, with its multiplicity untouched: FilterTuple multiplies
-//     it by (1,1,1) or by (0,0,0), and a stored row's M.Hi is at least 1.
+//     it by (1,1,1) or by (0,0,0), and a live row's M.Hi is at least 1
+//     (storage drops the other rows, and so does this filter).
 //     So a batch with no exceptions passes its multiplicities through.
 //   - An exception, a row that may hold but not certainly, scales its
 //     multiplicity by TruthMult as FilterTuple does, into a reused buffer
@@ -262,11 +263,11 @@ func (s *selectIter) Schema() schema.Schema { return s.sch }
 //
 // On a columnar batch, a bare attribute reference aliases the input
 // column outright (a permutation costs nothing), and every other
-// expression is evaluated by the range program (expr.CompileRange) into
-// lanes, one per chunk, whose values are windows of one reused buffer.
-// When no live row is an exception the column leaves as that flat
+// expression is evaluated by the range program (expr.CompileRange) a
+// chunk at a time, into a lane whose values are a window of one reused
+// flat buffer. When no live row is an exception the column leaves as that
 // buffer, so a certain projection stays flat downstream; otherwise it is
-// widened to triples from its lanes.
+// widened to triples.
 //
 // The multiplicities and the selection vector pass through untouched. When
 // a program fails on the batch, or an expression is not compilable, the
